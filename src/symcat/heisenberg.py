@@ -205,9 +205,10 @@ def fock_apply(a, f):
     """
     out = zero('m')
     for (lam, mu), c in a.coeffs.items():
-        g = dual_apply(_h_elem(mu), f) if mu else f
-        g = multiply(_e_elem(lam), g) if lam else g
-        out = out + c * convert(g, 'm')
+        g = convert(dual_apply(_h_elem(mu), f) if mu else f, 'm')
+        # the product lands in the basis of its first factor, here m
+        g = multiply(g, _e_elem(lam)) if lam else g
+        out = out + c * g
     return out
 
 
@@ -216,7 +217,7 @@ def fock_apply_word(w, f):
     g = f
     for kind, n in reversed(w.letters):
         if kind == 'e':
-            g = multiply(_e_elem((n,)), g)
+            g = multiply(g, _e_elem((n,)))
         else:
             g = dual_apply(_h_elem((n,)), g)
     return convert(g, 'm')

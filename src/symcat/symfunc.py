@@ -1,16 +1,23 @@
 r"""The ring of symmetric functions over Z with five bases and Hopf structure.
 
 Elements are `SymFunc` values: a basis tag ('m', 'e', 'h', 'p', 's') plus a
-sparse partition -> coefficient map.  Coefficients are exact rationals and
-must be integers in every basis except the powersum basis, which is the only
-one that spans merely over Q.
+sparse partition -> coefficient map.  Arithmetic is integer-first: integral
+coefficients are stored as `int`, and `Fraction` appears only for the
+non-integral coefficients of the powersum basis, the one basis that spans
+merely over Q.  The rational-valued scalars -- `hall_pairing`,
+`tensor_pairing`, `counit` and the `coproduct` coefficients -- are returned
+as `Fraction`.
 
 The monomial basis is the computational pivot: every other basis element is
 expanded into monomials (products for e/h/p, a Jacobi-Trudi determinant for
-s), and conversion back solves the cached per-degree transition matrix by
-exact Gaussian elimination.  `monomial_expand` maps elements to honest
-polynomials in x_1..x_n and is the independent oracle the product routines
-are tested against.
+s).  Conversion back reads a cached per-degree m -> X table built by
+triangular back-substitution: s_lam and e_lam' are m_lam plus terms strictly
+lower in dominance order, and p_lam is a positive multiple of m_lam plus
+terms strictly higher (Macdonald, ch. I section 6), so each m_mu is solved
+from rows already known.  The h table composes the s table with
+Jacobi-Trudi.  `monomial_expand` maps elements to honest polynomials in
+x_1..x_n and, with `poly_mult`, is the independent oracle the product
+routines are tested against.
 
 This module also carries Fock-space vectors and symmetric-group K-theory
 classes: both are identified with symmetric functions elsewhere in the
@@ -31,8 +38,11 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from operator import add
 
 from .combinatorics import (
+    conjugate,
     is_partition,
     parse_partition,
     partition_key,
@@ -82,33 +92,64 @@ def _check_basis(basis):
     return basis
 
 
+def _scalar(c):
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _clean(basis, coeffs):
+    """Drop zero terms and store integral coefficients as int.
+
+    Coefficients must already be int or Fraction.  Only the powersum basis
+    may keep a non-integral one; anywhere else NonIntegralResult is raised.
+    """
+    clean = {}
+    for lam, c in coeffs.items():
+        if not c:
+            continue
+        if type(c) is not int:
+            if c.denominator == 1:
+                c = c.numerator
+            elif basis != 'p':
+                raise NonIntegralResult(
+                    f'coefficient {c} of {lam} is not an integer in basis {basis!r}')
+        clean[lam] = c
+    return clean
+
+
+def _new(basis, coeffs):
+    """Internal constructor: trusts the basis tag and the partition keys."""
+    f = object.__new__(SymFunc)
+    object.__setattr__(f, 'basis', basis)
+    object.__setattr__(f, 'coeffs', _clean(basis, coeffs))
+    return f
+
+
 class SymFunc:
     """A symmetric function in a fixed basis.
 
-    Zero coefficients are pruned at construction; coefficients outside the
-    powersum basis must be integers (NonIntegralResult otherwise, which is
-    how `convert` reports genuinely rational powersum combinations).
-    Values are immutable; all operations return fresh objects.
+    Zero coefficients are pruned at construction and integral ones are
+    stored as int; coefficients outside the powersum basis must be integers
+    (NonIntegralResult otherwise, which is how `convert` reports genuinely
+    rational powersum combinations).  Values are immutable; all operations
+    return fresh objects.
     """
 
     __slots__ = ('basis', 'coeffs')
 
     def __init__(self, basis, coeffs):
         basis = _check_basis(basis)
-        clean = {}
+        checked = {}
         for lam, c in coeffs.items():
             lam = tuple(lam)
             if not is_partition(lam):
                 raise ValueError(f'not a partition: {lam!r}')
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if basis != 'p' and c.denominator != 1:
-                raise NonIntegralResult(
-                    f'coefficient {c} of {lam} is not an integer in basis {basis!r}')
-            clean[lam] = c
+            checked[lam] = _scalar(c)
         object.__setattr__(self, 'basis', basis)
-        object.__setattr__(self, 'coeffs', clean)
+        object.__setattr__(self, 'coeffs', _clean(basis, checked))
 
     def __setattr__(self, *a):
         raise AttributeError('SymFunc is immutable')
@@ -125,7 +166,7 @@ class SymFunc:
         by_deg = {}
         for lam, c in self.coeffs.items():
             by_deg.setdefault(sum(lam), {})[lam] = c
-        return {d: SymFunc(self.basis, cs) for d, cs in sorted(by_deg.items())}
+        return {d: _new(self.basis, cs) for d, cs in sorted(by_deg.items())}
 
     def __add__(self, other):
         if not isinstance(other, SymFunc):
@@ -135,10 +176,10 @@ class SymFunc:
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             out[lam] = out.get(lam, 0) + c
-        return SymFunc(self.basis, out)
+        return _new(self.basis, out)
 
     def __neg__(self):
-        return SymFunc(self.basis, {lam: -c for lam, c in self.coeffs.items()})
+        return _new(self.basis, {lam: -c for lam, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SymFunc):
@@ -146,9 +187,8 @@ class SymFunc:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return SymFunc(self.basis,
-                       {lam: scalar * c for lam, c in self.coeffs.items()})
+        scalar = _scalar(scalar)
+        return _new(self.basis, {lam: scalar * c for lam, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
@@ -192,27 +232,47 @@ def degree(f):
 # monomial expansions of the other bases    #
 #############################################
 
+def _sorted_items(acc):
+    """Nonzero items of a partition -> coeff map, in display order."""
+    return tuple(sorted(((lam, c) for lam, c in acc.items() if c),
+                        key=lambda kv: partition_key(kv[0])))
+
+
 def _distinct_perms(pool):
-    """Distinct orderings of a multiset, as tuples."""
-    items = sorted(set(pool))
-    counts = {x: 0 for x in items}
+    """Distinct orderings of a multiset, as tuples.
+
+    The most frequent value is written into every position; the copies of
+    each other value then go onto a combination of the positions still free,
+    so each ordering is built once, with a recursion as deep as the number
+    of distinct values.
+    """
+    counts = {}
     for x in pool:
-        counts[x] += 1
-    n = len(pool)
-    out = [0] * n
+        counts[x] = counts.get(x, 0) + 1
+    if not counts:
+        yield ()
+        return
+    fill = max(counts, key=counts.get)
+    rest = [(x, k) for x, k in counts.items() if x != fill]
+    out = [fill] * len(pool)
+    if not rest:
+        yield tuple(out)
+        return
 
-    def rec(depth):
-        if depth == n:
-            yield tuple(out)
-            return
-        for x in items:
-            if counts[x]:
-                counts[x] -= 1
-                out[depth] = x
-                yield from rec(depth + 1)
-                counts[x] += 1
+    def rec(i, free):
+        x, k = rest[i]
+        last = i == len(rest) - 1
+        for chosen in combinations(free, k):
+            for pos in chosen:
+                out[pos] = x
+            if last:
+                yield tuple(out)
+            else:
+                yield from rec(i + 1, [pos for pos in free if out[pos] == fill])
+            for pos in chosen:
+                out[pos] = fill
 
-    yield from rec(0)
+    yield from rec(0, range(len(pool)))
 
 
 def _orbit_count(lam, nvars):
@@ -306,8 +366,7 @@ def _schur_h(lam):
 
     acc = minor((1 << n) - 1)
     minor.cache_clear()
-    items = [(mu, c) for mu, c in acc.items() if c != 0]
-    return tuple(sorted(items, key=lambda kv: partition_key(kv[0])))
+    return _sorted_items(acc)
 
 
 @lru_cache(maxsize=None)
@@ -320,8 +379,7 @@ def _basis_to_m(basis, lam):
         for mu, c in _schur_h(lam):
             for nu, k in _basis_to_m('h', mu):
                 out[nu] = out.get(nu, 0) + c * k
-        return tuple(sorted(((nu, c) for nu, c in out.items() if c),
-                            key=lambda kv: partition_key(kv[0])))
+        return _sorted_items(out)
     # e/h/p are multiplicative: expand each part and multiply in m
     out = {(): 1}
     for part in lam:
@@ -332,52 +390,74 @@ def _basis_to_m(basis, lam):
         else:  # 'h'
             factor = {mu: 1 for mu in partitions_of(part)}
         out = _m_mult_raw(out, factor)
-    return tuple(sorted(out.items(), key=lambda kv: partition_key(kv[0])))
+    return _sorted_items(out)
 
 
 @lru_cache(maxsize=None)
 def _m_to_basis_table(basis, d):
-    """Per-degree table expressing each m_mu in basis X, by exact elimination.
+    """Per-degree table expressing each m_mu in basis X, by triangular solving.
 
-    Returns a map mu -> ((lam, Fraction), ...) meaning m_mu = sum c X_lam.
+    Returns a map mu -> ((lam, coeff), ...) meaning m_mu = sum coeff X_lam;
+    coefficients are int except the non-integral powersum entries.
+    partitions_of(d) lists partitions in reverse-lex order, which refines
+    dominance.  s_mu and e_mu' expand as m_mu plus terms strictly dominated
+    by mu, so m_mu = X - (those terms, rewritten by rows already solved),
+    working up from the bottom of the order; p_mu is a positive multiple of
+    m_mu plus terms strictly dominating it, solved from the top down with a
+    division by that diagonal entry.  h is not triangular against m, so its
+    table composes the s table with the Jacobi-Trudi expansion of s in h.
     """
     parts = partitions_of(d)
-    idx = {p: i for i, p in enumerate(parts)}
-    n = len(parts)
-    # A[i][j]: coefficient of m_{parts[j]} in X_{parts[i]}; augment with I
-    aug = []
-    for i, lam in enumerate(parts):
-        row = [Fraction(0)] * (2 * n)
-        for mu, c in _basis_to_m(basis, lam):
-            row[idx[mu]] = Fraction(c)
-        row[n + i] = Fraction(1)
-        aug.append(row)
-    # Gauss-Jordan on the left block
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    # now left block is I and right block is A^{-1}
+    if basis == 'h':
+        table = {}
+        for mu, row in _m_to_basis_table('s', d).items():
+            acc = {}
+            for lam, c in row:
+                for nu, k in _schur_h(lam):
+                    acc[nu] = acc.get(nu, 0) + c * k
+            table[mu] = _sorted_items(acc)
+        return table
+    label = {conjugate(lam): lam for lam in parts} if basis == 'e' else \
+        {lam: lam for lam in parts}
     table = {}
-    for j, mu in enumerate(parts):
-        combo = tuple((parts[i], aug[j][n + i]) for i in range(n)
-                      if aug[j][n + i] != 0)
-        table[mu] = combo
+    for mu in (parts if basis == 'p' else reversed(parts)):
+        acc = {label[mu]: 1}
+        diag = 1
+        for nu, c in _basis_to_m(basis, label[mu]):
+            if nu == mu:
+                diag = c
+                continue
+            for lam, k in table[nu]:
+                acc[lam] = acc.get(lam, 0) - c * k
+        if diag != 1:
+            acc = {lam: _scalar(Fraction(c, diag)) for lam, c in acc.items()}
+        table[mu] = _sorted_items(acc)
     return table
 
 
 def _to_m_raw(f):
-    """f's coefficients as a monomial-basis partition->Fraction map."""
+    """f's coefficients as a monomial-basis partition -> coefficient map."""
     out = {}
     for lam, c in f.coeffs.items():
         for mu, k in _basis_to_m(f.basis, lam):
             out[mu] = out.get(mu, 0) + c * k
     return {mu: c for mu, c in out.items() if c != 0}
+
+
+def _from_m_raw(m_raw, target):
+    """A monomial-basis map re-expressed in the target basis, degree by degree."""
+    if target == 'm':
+        return m_raw
+    by_deg = {}
+    for mu, c in m_raw.items():
+        by_deg.setdefault(sum(mu), {})[mu] = c
+    out = {}
+    for d, comp in by_deg.items():
+        table = _m_to_basis_table(target, d)
+        for mu, c in comp.items():
+            for lam, k in table[mu]:
+                out[lam] = out.get(lam, 0) + c * k
+    return out
 
 
 def convert(f, target):
@@ -390,19 +470,7 @@ def convert(f, target):
     target = _check_basis(target)
     if f.basis == target:
         return f
-    m_raw = _to_m_raw(f)
-    if target == 'm':
-        return SymFunc('m', m_raw)
-    by_deg = {}
-    for mu, c in m_raw.items():
-        by_deg.setdefault(sum(mu), {})[mu] = c
-    out = {}
-    for d, comp in by_deg.items():
-        table = _m_to_basis_table(target, d)
-        for mu, c in comp.items():
-            for lam, k in table[mu]:
-                out[lam] = out.get(lam, 0) + c * k
-    return SymFunc(target, out)
+    return _new(target, _from_m_raw(_to_m_raw(f), target))
 
 
 def multiply(f, g):
@@ -420,9 +488,9 @@ def multiply(f, g):
             for mu, b in gp.coeffs.items():
                 nu = tuple(sorted(lam + mu, reverse=True))
                 out[nu] = out.get(nu, 0) + a * b
-        return convert(SymFunc('p', out), f.basis)
+        return convert(_new('p', out), f.basis)
     prod = _m_mult_raw(_to_m_raw(f), _to_m_raw(g))
-    return convert(SymFunc('m', prod), f.basis)
+    return _new(f.basis, _from_m_raw(prod, f.basis))
 
 
 #############################################
@@ -454,13 +522,37 @@ def monomial_expand(f, nvars):
 
 
 def poly_mult(P, Q):
-    """Product of two exponent-map polynomials over the same variable count."""
+    """Product of two exponent-map polynomials over the same variable count.
+
+    Each exponent tuple is packed into one int whose digits, in base
+    B = (largest exponent in P) + (largest exponent in Q) + 1, are the
+    exponents.  No exponent of the product reaches B, so adding two packed
+    keys adds the tuples entrywise with no carries; the exponent tuple of
+    each distinct product key is formed once, from its first pair.
+    """
+    if not P or not Q:
+        return {}
+    base = max(max(a, default=0) for a in P) + max(max(b, default=0) for b in Q) + 1
+
+    def pack(alpha):
+        key = 0
+        for x in alpha:
+            key = key * base + x
+        return key
+
+    packed_q = [(pack(b), b, cb) for b, cb in Q.items()]
     out = {}
+    first = {}
     for a, ca in P.items():
-        for b, cb in Q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: c for k, c in out.items() if c != 0}
+        ka = pack(a)
+        for kb, b, cb in packed_q:
+            key = ka + kb
+            if key in out:
+                out[key] += ca * cb
+            else:
+                out[key] = ca * cb
+                first[key] = (a, b)
+    return {tuple(map(add, *first[key])): c for key, c in out.items() if c != 0}
 
 
 #############################################
@@ -468,19 +560,10 @@ def poly_mult(P, Q):
 #############################################
 
 def _to_h_raw(f):
-    """f as a complete-basis partition->Fraction map (rationals allowed)."""
+    """f as a complete-basis partition -> coefficient map (rationals allowed)."""
     if f.basis == 'h':
         return dict(f.coeffs)
-    out = {}
-    m_raw = _to_m_raw(f)
-    by_deg = {}
-    for mu, c in m_raw.items():
-        by_deg.setdefault(sum(mu), {})[mu] = c
-    for d, comp in by_deg.items():
-        table = _m_to_basis_table('h', d)
-        for mu, c in comp.items():
-            for lam, k in table[mu]:
-                out[lam] = out.get(lam, 0) + c * k
+    out = _from_m_raw(_to_m_raw(f), 'h')
     return {lam: c for lam, c in out.items() if c != 0}
 
 
@@ -547,8 +630,7 @@ def _antipode_h(lam):
             # multiply S(h_al) by h_be: h is multiplicative
             key = tuple(sorted(ka + be, reverse=True))
             acc[key] = acc.get(key, 0) - c * va
-    return tuple(sorted(((k, v) for k, v in acc.items() if v != 0),
-                        key=lambda kv: partition_key(kv[0])))
+    return _sorted_items(acc)
 
 
 def antipode(f):
@@ -557,7 +639,7 @@ def antipode(f):
     for lam, c in _to_h_raw(f).items():
         for mu, k in _antipode_h(lam):
             out[mu] = out.get(mu, 0) + c * k
-    return convert(SymFunc('h', out), f.basis)
+    return convert(_new('h', out), f.basis)
 
 
 #############################################
@@ -577,10 +659,7 @@ def hall_pairing(f, g):
         small, other = gh, fm
     else:
         small, other = fm, gh
-    total = Fraction(0)
-    for lam, c in small.items():
-        total += c * other.get(lam, 0)
-    return total
+    return Fraction(sum(c * other.get(lam, 0) for lam, c in small.items()))
 
 
 def tensor_pairing(a, b, triples):
@@ -596,14 +675,14 @@ def schur(lam):
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f'not a partition: {lam!r}')
-    return SymFunc('h', dict(_schur_h(lam)))
+    return _new('h', dict(_schur_h(lam)))
 
 
 @lru_cache(maxsize=None)
 def _schur_pair_mult(kappa, nu):
     """s_kappa * s_nu in the Schur basis, cached, as sorted items."""
     prod = multiply(basis_element('s', kappa), basis_element('s', nu))
-    return tuple(sorted(prod.coeffs.items(), key=lambda kv: partition_key(kv[0])))
+    return _sorted_items(prod.coeffs)
 
 
 def lr_coefficients(lam, mu):
@@ -644,7 +723,7 @@ def dual_apply(f, g):
         for mu, cg in gs.coeffs.items():
             for nu, k in _dual_schur_on_schur(kappa, mu):
                 out[nu] = out.get(nu, 0) + cf * cg * k
-    return convert(SymFunc('s', out), g.basis)
+    return convert(_new('s', out), g.basis)
 
 
 #############################################

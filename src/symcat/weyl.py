@@ -39,11 +39,6 @@ __all__ = [
 DIVIDED_POWERS = 'R'
 MONOMIALS = 'Rprime'
 
-# beyond this exponent size, products use the closed-form commutator
-# expansion; below it, single-step rewriting (which is also the test oracle)
-_REWRITE_THRESHOLD = 3
-
-
 class WeylElement:
     """Normal-ordered integer combination of x^a d^b monomials."""
 
@@ -180,16 +175,12 @@ def _multiply_with(u, v, mono_product):
 
 
 def weyl_multiply(u, v):
-    """Normal-ordered product in W.
+    """Normal-ordered product in W, by the closed-form commutator expansion.
 
-    Small exponents go through single-step rewriting; larger ones through
-    the closed-form expansion (the two agree; tests pin this).
+    `weyl_multiply_single_step` computes the same product by rewriting and
+    is kept as its oracle.
     """
-    def pick(a1, b1, a2, b2):
-        if min(b1, a2) <= _REWRITE_THRESHOLD:
-            return _mono_product_single_step(a1, b1, a2, b2)
-        return _mono_product_closed(a1, b1, a2, b2)
-    return _multiply_with(u, v, pick)
+    return _multiply_with(u, v, _mono_product_closed)
 
 
 def weyl_multiply_single_step(u, v):

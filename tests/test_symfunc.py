@@ -5,6 +5,7 @@ expected values below marked as oracle-derived were computed by expanding
 into explicit polynomials first, then frozen.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,18 @@ def test_schur_to_monomial_unitriangular_with_kostka_positivity():
                 assert dominates(lam, mu)
 
 
+def test_m_to_basis_tables_invert_under_polynomial_oracle():
+    # each row m_mu = sum c X_lam must expand to the polynomial of m_mu
+    for d in range(9):
+        nvars = max(d, 1)
+        for basis in (S, E, H, P):
+            table = sf._m_to_basis_table(basis, d)
+            assert set(table) == set(partitions_of(d))
+            for mu, row in table.items():
+                assert sf.monomial_expand(sf.SymFunc(basis, dict(row)), nvars) == \
+                    sf.monomial_expand(be(M, mu), nvars)
+
+
 ##########################
 # products               #
 ##########################
@@ -146,6 +159,36 @@ def test_monomial_expand_symmetry():
     # invariance under swapping the first two variables
     swapped = {(b, a, c): v for (a, b, c), v in poly.items()}
     assert swapped == poly
+
+
+def _naive_poly_mult(P, Q):
+    out = {}
+    for a, ca in P.items():
+        for b, cb in Q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def test_poly_mult_matches_tuple_sums():
+    rng = random.Random(2014)
+
+    def random_poly(nvars, terms, top):
+        return {tuple(rng.randint(0, top) for _ in range(nvars)): rng.randint(-3, 3)
+                for _ in range(terms)}
+
+    cases = [({}, {(1, 0): 2}), ({(0, 0): 3}, {}), ({(0, 0, 0): 2}, {(0, 0, 0): -5}),
+             ({(0, 0): 3}, {(4, 1): 1, (0, 2): -1}),
+             ({(9, 0, 1): 1, (0, 0, 0): 1}, {(0, 1, 0): 1, (1, 0, 0): -1}),
+             ({(2, 0): 1, (0, 2): 1}, {(2, 0): 1, (0, 2): -1})]
+    for _ in range(40):
+        nvars = rng.randint(1, 5)
+        cases.append((random_poly(nvars, rng.randint(0, 8), rng.randint(0, 6)),
+                      random_poly(nvars, rng.randint(0, 8), rng.randint(0, 2))))
+    for P, Q in cases:
+        P = {a: c for a, c in P.items() if c}
+        Q = {b: c for b, c in Q.items() if c}
+        assert sf.poly_mult(P, Q) == _naive_poly_mult(P, Q)
 
 
 ##########################
@@ -338,6 +381,58 @@ def test_dual_apply_degree_drop():
     g = be(S, (3, 2))
     assert sf.degree(sf.dual_apply(f, g)) == 3
     assert sf.dual_apply(be(H, (6,)), g).is_zero()
+
+
+##########################
+# integer coefficients   #
+##########################
+
+def _coefficient_types(f):
+    return {type(c) for c in f.coeffs.values()}
+
+
+def test_non_powersum_coefficients_are_int():
+    f = sf.parse_symfunc('s[2,1] + 2 s[3]')
+    g = be(E, (2, 1))
+    results = [sf.convert(f, b) for b in (M, E, H)]
+    results += [sf.multiply(f, g), sf.multiply(g, f), sf.dual_apply(be(H, (1,)), f),
+                sf.antipode(f), f + g, f - g, -f, Fraction(4, 2) * f, f * Fraction(3),
+                sf.convert(sf.parse_symfunc('p[2] + p[1,1]'), M),
+                sf.convert(sf.parse_symfunc('1/2 p[2] + 1/2 p[1,1]'), E),
+                sf.multiply(be(E, (1,)), be(P, (2,))).homogeneous_parts()[3],
+                sf.from_json(sf.to_json(f)), sf.schur((3, 1)),
+                sf.SymFunc(S, {(1,): Fraction(6, 3)})]
+    for r in results:
+        assert r.basis != P and _coefficient_types(r) == {int}
+    for basis in (S, E, H):
+        for d in range(7):
+            for row in sf._m_to_basis_table(basis, d).values():
+                assert all(type(c) is int for _, c in row)
+    # powersum keeps Fraction only where the value is not an integer
+    assert _coefficient_types(sf.convert(be(M, (1, 1)), P)) == {Fraction}
+    assert sf.convert(be(M, (2,)), P).coeffs == {(2,): 1}
+    assert _coefficient_types(sf.convert(be(M, (2,)), P)) == {int}
+
+
+def test_rational_scalars_stay_fractions():
+    f, g = be(S, (2, 1)), be(H, (2, 1))
+    assert type(sf.hall_pairing(f, g)) is Fraction
+    assert type(sf.counit(sf.one(S))) is Fraction
+    triples = sf.coproduct(f)
+    assert triples and all(type(c) is Fraction for c, _, _ in triples)
+    assert type(sf.tensor_pairing(be(S, (1,)), be(S, (2,)), sf.coproduct(g))) is Fraction
+
+
+def test_public_constructor_rejects_non_partitions():
+    for bad in [(1, 2), (0,), (2, 0), (1.5,), (-1,)]:
+        with pytest.raises(ValueError):
+            sf.SymFunc(M, {bad: 1})
+        with pytest.raises(ValueError):
+            sf.basis_element(S, bad)
+        with pytest.raises(ValueError):
+            sf.schur(bad)
+    with pytest.raises(ValueError):
+        sf.SymFunc('q', {(1,): 1})
 
 
 ##########################

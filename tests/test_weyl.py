@@ -1,5 +1,6 @@
 """Tests for the Weyl algebra: normal ordering, lattice actions, pairing."""
 
+import itertools
 import random
 
 import pytest
@@ -43,6 +44,9 @@ def test_unit_and_associativity():
 
 
 def test_closed_form_matches_single_step_oracle():
+    for a1, b1, a2, b2 in itertools.product(range(5), repeat=4):
+        u, v = wy.WeylElement({(a1, b1): 1}), wy.WeylElement({(a2, b2): 1})
+        assert wy.weyl_multiply(u, v) == wy.weyl_multiply_single_step(u, v)
     rng = random.Random(7)
     for _ in range(60):
         u = wy.WeylElement({(rng.randint(0, 4), rng.randint(0, 4)):
