@@ -6,10 +6,12 @@ becomes a composite bimodule: each up step tensors with A_{n+1} as an
 (A_n, A_{n+1})-bimodule (restriction), tensor products taken over the shared
 subalgebras.  Every such composite has a canonical basis built from minimal
 coset representatives with one free group-algebra factor at the base, and
-diagram_to_map turns a planar diagram into the exact rational matrix of the
+diagram_to_map turns a planar diagram into the exact matrix of the
 corresponding bimodule map.  verify_local_relation / mackey_check replay the
 graphical relations as matrix identities, and induced_character_decomposition
 provides the character-theoretic multiplicity oracle.
+Arithmetic is integer-first: coefficients and matrix entries are exact, int
+unless a coefficient is non-integral (then Fraction, as the 1/n! of e(n)).
 
 >>> ga_product(symmetrizer(2), symmetrizer(2)) == symmetrizer(2)
 True
@@ -19,6 +21,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -45,6 +48,7 @@ from .errors import (
     UnrealizableAtRank,
     VerificationFailure,
 )
+from .linalg import common_denominator, matrix_rank, scalar as _scalar
 
 __all__ = [
     'GroupAlgElem',
@@ -73,7 +77,7 @@ __all__ = [
 
 
 class GroupAlgElem:
-    """Rational group-algebra element: sparse permutation -> coefficient map."""
+    """Rational group-algebra element: sparse permutation -> int-or-Fraction map."""
 
     __slots__ = ('n', 'coeffs')
 
@@ -83,7 +87,7 @@ class GroupAlgElem:
             w = tuple(w)
             if len(w) != n or sorted(w) != list(range(1, n + 1)):
                 raise ValueError(f'{w} is not a permutation of rank {n}')
-            c = Fraction(c)
+            c = _scalar(c)
             if c:
                 clean[w] = c
         object.__setattr__(self, 'n', n)
@@ -111,8 +115,8 @@ class GroupAlgElem:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        return GroupAlgElem(self.n,
-                            {w: Fraction(scalar) * c for w, c in self.coeffs.items()})
+        scalar = _scalar(scalar)
+        return GroupAlgElem(self.n, {w: scalar * c for w, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, GroupAlgElem):
@@ -135,7 +139,7 @@ def ga_perm(w):
 
 
 def ga_product(a, b):
-    """Linear extension of group multiplication.
+    """Linear extension of group multiplication, on int numerators over the LCMs.
 
     >>> s1 = ga_perm((2, 1))
     >>> ga_product(s1, s1) == ga_unit(2)
@@ -143,12 +147,16 @@ def ga_product(a, b):
     """
     if a.n != b.n:
         raise RankMismatch('group-algebra ranks differ')
+    a_nums, a_den = common_denominator(a.coeffs.values())
+    b_nums, b_den = common_denominator(b.coeffs.values())
     out = {}
-    for u, cu in a.coeffs.items():
-        for v, cv in b.coeffs.items():
+    for u, cu in zip(a.coeffs, a_nums):
+        for v, cv in zip(b.coeffs, b_nums):
             w = perm_mult(u, v)
             out[w] = out.get(w, 0) + cu * cv
-    return GroupAlgElem(a.n, out)
+    den = a_den * b_den
+    return GroupAlgElem(a.n, out if den == 1 else
+                        {w: Fraction(c, den) for w, c in out.items()})
 
 
 def symmetrizer(n):
@@ -184,39 +192,11 @@ def right_mult_matrix(a):
     """Dense matrix of x -> x*a on A_n over the permutation basis."""
     basis = list(all_perms(a.n))
     index = {w: i for i, w in enumerate(basis)}
-    zero = Fraction(0)
-    rows = [[zero] * len(basis) for _ in basis]
-    for r, u in enumerate(basis):
+    rows = [[0] * len(basis) for _ in basis]
+    for row, u in zip(rows, basis):
         for v, c in a.coeffs.items():
-            rows[r][index[perm_mult(u, v)]] += c
+            row[index[perm_mult(u, v)]] = c  # v -> u*v is injective
     return rows
-
-
-def matrix_rank(rows):
-    """Rank over the rationals by fraction-free-ish Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = Fraction(1) / prow[col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] * inv
-            if factor:
-                row = rows[r]
-                for j in range(col, ncols):
-                    row[j] -= factor * prow[j]
-        rank += 1
-        col += 1
-    return rank
 
 
 #######################
@@ -352,7 +332,7 @@ class BimoduleElem:
     def __init__(self, path, coeffs):
         clean = {}
         for elem, c in coeffs.items():
-            c = Fraction(c)
+            c = _scalar(c)
             if not c:
                 continue
             elem = canonicalize(path, elem)
@@ -377,8 +357,8 @@ class BimoduleElem:
         return BimoduleElem(self.path, out)
 
     def __rmul__(self, scalar):
-        return BimoduleElem(self.path,
-                            {e: Fraction(scalar) * c for e, c in self.coeffs.items()})
+        scalar = _scalar(scalar)
+        return BimoduleElem(self.path, {e: scalar * c for e, c in self.coeffs.items()})
 
     def is_zero(self):
         return not self.coeffs
@@ -390,7 +370,7 @@ class BimoduleElem:
 
 
 def _slice_images(path_below, path_above, sig_below, slice_, elem):
-    """Images of a pure tensor under one slice, as (tensor, coefficient) pairs."""
+    """Images of a pure tensor under one slice; each has coefficient 1."""
     kind, i = slice_
     p = i - 1
     slots = list(elem[:-1])
@@ -405,13 +385,13 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
             t = transposition(b + 1, b + 2, b + 2)
             g = perm_mult(perm_mult(slots[p], perm_extend(slots[p + 1], b + 2)), t)
             slots[p], slots[p + 1] = g, identity_perm(b + 1)
-            return [(tuple(slots) + (w,), Fraction(1))]
+            return [tuple(slots) + (w,)]
         if orient == 'DD':
             c = right_entry
             t = transposition(c - 1, c, c)
             g = perm_mult(perm_mult(t, perm_extend(slots[p], c)), slots[p + 1])
             slots[p], slots[p + 1] = identity_perm(c - 1), g
-            return [(tuple(slots) + (w,), Fraction(1))]
+            return [tuple(slots) + (w,)]
         if orient == 'DU':
             a = right_entry
             g = perm_mult(slots[p], slots[p + 1])
@@ -419,25 +399,22 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
                 return []
             idx, rest = coset_decompose(g)
             slots[p], slots[p + 1] = coset_rep(idx, a), rest
-            return [(tuple(slots) + (w,), Fraction(1))]
+            return [tuple(slots) + (w,)]
         # UD: include A_a (x)_{A_{a-1}} A_a into A_{a+1} around the transposition
         a = right_entry
         t = transposition(a, a + 1, a + 1)
         g = perm_mult(perm_mult(perm_extend(slots[p], a + 1), t),
                       perm_extend(slots[p + 1], a + 1))
         slots[p], slots[p + 1] = g, identity_perm(a + 1)
-        return [(tuple(slots) + (w,), Fraction(1))]
+        return [tuple(slots) + (w,)]
     if kind in ('cup+', 'cup-'):
         seam = path_below.levels[k - p]
         if kind == 'cup+':
-            ins = [((identity_perm(seam + 1), identity_perm(seam + 1)), Fraction(1))]
+            ins = [(identity_perm(seam + 1), identity_perm(seam + 1))]
         else:
-            ins = [((coset_rep(idx, seam), perm_inverse(coset_rep(idx, seam))),
-                    Fraction(1)) for idx in range(1, seam + 1)]
-        out = []
-        for pair, c in ins:
-            out.append((tuple(slots[:p]) + pair + tuple(slots[p:]) + (w,), c))
-        return out
+            ins = [(coset_rep(idx, seam), perm_inverse(coset_rep(idx, seam)))
+                   for idx in range(1, seam + 1)]
+        return [tuple(slots[:p]) + pair + tuple(slots[p:]) + (w,) for pair in ins]
     # caps
     j_right = path_below.step_of_position(p + 1)
     c_level = path_below.levels[j_right - 1]
@@ -454,26 +431,35 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
         slots[p] = perm_mult(perm_extend(g, m_next), slots[p])
     else:
         w = perm_mult(g, w)
-    return [(tuple(slots) + (w,), Fraction(1))]
+    return [tuple(slots) + (w,)]
 
 
 class LinearMapRep:
     """Dense rational matrix of a bimodule map over the canonical bases.
 
     Row r lists the coefficients of the image of domain basis element r.
+    Entries are int when integral, else Fraction.
     """
 
     __slots__ = ('domain', 'codomain', 'matrix')
 
     def __init__(self, domain, codomain, matrix):
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        ndom = len(tensor_basis(domain))
-        ncod = len(tensor_basis(codomain))
+        matrix = tuple(tuple(_scalar(x) for x in row) for row in matrix)
+        ndom, ncod = len(tensor_basis(domain)), len(tensor_basis(codomain))
         if len(matrix) != ndom or any(len(row) != ncod for row in matrix):
             raise ValueError(f'matrix shape is not {ndom} x {ncod}')
         object.__setattr__(self, 'domain', domain)
         object.__setattr__(self, 'codomain', codomain)
         object.__setattr__(self, 'matrix', matrix)
+
+    @classmethod
+    def _new(cls, domain, codomain, matrix):
+        """Internal constructor: trusts the shape and the int/Fraction cells."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, 'domain', domain)
+        object.__setattr__(rep, 'codomain', codomain)
+        object.__setattr__(rep, 'matrix', matrix)
+        return rep
 
     def __setattr__(self, *a):
         raise AttributeError('LinearMapRep is immutable')
@@ -489,15 +475,13 @@ class LinearMapRep:
     @classmethod
     def identity(cls, path):
         n = len(tensor_basis(path))
-        return cls(path, path,
-                   [[Fraction(int(r == c)) for c in range(n)] for r in range(n)])
+        return cls._new(path, path,
+                        tuple(tuple(int(r == c) for c in range(n)) for r in range(n)))
 
     @classmethod
     def zero(cls, domain, codomain):
-        zero = Fraction(0)
-        return cls(domain, codomain,
-                   [[zero] * len(tensor_basis(codomain))
-                    for _ in tensor_basis(domain)])
+        row = (0,) * len(tensor_basis(codomain))
+        return cls._new(domain, codomain, (row,) * len(tensor_basis(domain)))
 
     def is_identity(self):
         return self.domain == self.codomain and self == type(self).identity(self.domain)
@@ -519,25 +503,28 @@ def diagram_to_map(m, base_rank):
     cod_path = path_from_signature(m.codomain, base_rank)
     dom_basis = tensor_basis(dom_path)
     cod_index = {e: c for c, e in enumerate(tensor_basis(cod_path))}
-    zero = Fraction(0)
-    rows = [[zero] * len(cod_index) for _ in dom_basis]
-    for diag, coeff in m.terms.items():
+    rows = [[0] * len(cod_index) for _ in dom_basis]
+    coeffs = [_scalar(c) for c in m.terms.values()]
+    for diag, coeff in zip(m.terms, coeffs):
         paths = [path_from_signature(diag.sig_below(q), base_rank)
                  for q in range(len(diag.slices) + 1)]
-        for r, start in enumerate(dom_basis):
-            cur = {start: Fraction(1)}
+        for row, start in zip(rows, dom_basis):
+            cur = {start: 1}  # path counts: slice images have coefficient 1
             for q, sl in enumerate(diag.slices):
                 nxt = {}
                 for elem, c in cur.items():
-                    for elem2, c2 in _slice_images(
+                    for elem2 in _slice_images(
                             paths[q], paths[q + 1], diag.sig_below(q), sl, elem):
                         elem2 = canonicalize(paths[q + 1], elem2)
-                        nxt[elem2] = nxt.get(elem2, 0) + c * c2
-                cur = {e: c for e, c in nxt.items() if c}
-            row = rows[r]
+                        nxt[elem2] = nxt.get(elem2, 0) + c
+                cur = nxt
             for elem, c in cur.items():
                 row[cod_index[elem]] += coeff * c
-    return LinearMapRep(dom_path, cod_path, rows)
+    if all(type(c) is int for c in coeffs):
+        matrix = tuple(map(tuple, rows))
+    else:
+        matrix = tuple(tuple(_scalar(x) for x in row) for row in rows)
+    return LinearMapRep._new(dom_path, cod_path, matrix)
 
 
 def matrix_text(rep):
@@ -740,13 +727,11 @@ def _beta_set(lam, rows):
         (lam[i] if i < len(lam) else 0) + (rows - 1 - i) for i in range(rows)))
 
 
-def _mn_character(beta, alpha, _memo={}):
+@functools.lru_cache(maxsize=1 << 14)
+def _mn_character(beta, alpha):
     """Irreducible character value from a beta-set by repeated strip removal."""
     if not alpha:
         return 1
-    key = (beta, alpha)
-    if key in _memo:
-        return _memo[key]
     r = alpha[0]
     rest = alpha[1:]
     total = 0
@@ -759,7 +744,6 @@ def _mn_character(beta, alpha, _memo={}):
         sub = tuple(sorted(members - {b} | {nb}))
         term = _mn_character(sub, rest)
         total += -term if crossed % 2 else term
-    _memo[key] = total
     return total
 
 

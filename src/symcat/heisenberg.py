@@ -223,13 +223,6 @@ def fock_apply_word(w, f):
     return convert(g, 'm')
 
 
-def _first_failure(report):
-    for entry in report:
-        if not entry['pass']:
-            return entry
-    return None
-
-
 def _schurs_up_to(degree):
     out = []
     for d in range(degree + 1):
@@ -276,7 +269,7 @@ def verify_heis_relation(m, n, D):
               fock_apply(heis_normalize(lhs_word), s) == got,
               f'normal form acts like the word on s_{list(lam)}', lam)
 
-    bad = _first_failure(report)
+    bad = next((e for e in report if not e['pass']), None)
     if bad is not None:
         where = f" at lambda={bad['lambda']}" if 'lambda' in bad else ''
         raise VerificationFailure(
@@ -306,7 +299,7 @@ def verify_boson_relation(m, n, D):
         report.append({'check': 'boson-commutator', 'm': m, 'n': n,
                        'lambda': list(lam), 'pass': bool(ok),
                        'detail': f'[q_{m}, p_{n}] on s_{list(lam)}'})
-    bad = _first_failure(report)
+    bad = next((e for e in report if not e['pass']), None)
     if bad is not None:
         raise VerificationFailure(
             f'boson relation failed for (m, n) = ({m}, {n}) at '
@@ -369,7 +362,7 @@ def verify_weak_fock(m, n, D):
             + ind_class(e_lower, res_class(h_lower, s))
         check('res-ind-exchange', lhs == rhs, lam)
 
-    bad = _first_failure(report)
+    bad = next((e for e in report if not e['pass']), None)
     if bad is not None:
         raise VerificationFailure(
             f'class-level check {bad["check"]!r} failed for (m, n) = ({m}, {n}) '

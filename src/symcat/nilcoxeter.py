@@ -18,11 +18,10 @@ True
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-
-from fractions import Fraction
 
 from .combinatorics import (
     all_perms,
@@ -44,6 +43,7 @@ from .errors import (
     RankMismatch,
     VerificationFailure,
 )
+from .linalg import matrix_rank
 from .weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement, weyl_apply
 
 __all__ = [
@@ -222,13 +222,6 @@ def _factor_right(elem):
     return out
 
 
-def _first_failure(report):
-    for entry in report:
-        if not entry['pass']:
-            return entry
-    return None
-
-
 def verify_bimodule_iso(n, max_rank=5):
     """Check N_{n+1} = m_1(N_n) (+) m_2(N_n (x)_{N_{n-1}} N_n) explicitly.
 
@@ -259,6 +252,7 @@ def verify_bimodule_iso(n, max_rank=5):
     # running over x_right_basis(n-1) and tau over S_n
     tensor_basis = [(i, tau) for i in range(n, 0, -1) for tau in sn]
 
+    @functools.cache  # memo for this call; NilcoxElem is immutable, so sharing is safe
     def m2_image(i, tau):
         left = NilcoxElem(m, {perm_extend(coset_rep(i, n), m): 1})
         right = NilcoxElem(m, {perm_extend(tau, m): 1})
@@ -344,7 +338,7 @@ def verify_bimodule_iso(n, max_rank=5):
                 ok_right = False
     check('m2-right-linear', ok_right, 'm_2 commutes with the right action')
 
-    bad = _first_failure(report)
+    bad = next((e for e in report if not e['pass']), None)
     if bad is not None:
         raise VerificationFailure(
             f'bimodule decomposition check {bad["check"]!r} failed at n={n}: '
@@ -499,35 +493,21 @@ def simple_action_matrices(n):
 def hom_space_dimension(acts_m, dim_m, acts_l, dim_l):
     """dim Hom(M, L) for modules given by generator action matrices.
 
-    Solves F A_i = B_i F for an unknown dim_l x dim_m matrix F by exact
-    Gaussian elimination; the answer is the nullity of the stacked system.
+    Solves F A_i = B_i F for an unknown dim_l x dim_m matrix F (int or Fraction
+    entries); the answer is the nullity of the stacked system.
     """
     unknowns = dim_l * dim_m
     rows = []
     for a_mat, b_mat in zip(acts_m, acts_l):
         for r in range(dim_l):
             for c in range(dim_m):
-                row = [Fraction(0)] * unknowns
+                row = [0] * unknowns
                 for k in range(dim_m):
-                    row[r * dim_m + k] += Fraction(a_mat[k][c])
+                    row[r * dim_m + k] += a_mat[k][c]
                 for k in range(dim_l):
-                    row[k * dim_m + c] -= Fraction(b_mat[r][k])
-                if any(row):
-                    rows.append(row)
-    rank = 0
-    for col in range(unknowns):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return unknowns - rank
+                    row[k * dim_m + c] -= b_mat[r][k]
+                rows.append(row)
+    return unknowns - matrix_rank(rows)
 
 
 def phi_G(v):
@@ -577,7 +557,7 @@ def verify_weyl_squares(max_n=10):
               for m in range(9) for n in range(9))
     check('ind-res-adjoint', adj, 'pairing adjunction on classes 0..8')
 
-    bad = _first_failure(report)
+    bad = next((e for e in report if not e['pass']), None)
     if bad is not None:
         raise VerificationFailure(
             f'K-theory check {bad["check"]!r} failed: {bad["detail"]}', report=report)

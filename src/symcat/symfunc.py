@@ -50,6 +50,7 @@ from .combinatorics import (
     render_partition,
 )
 from .errors import InsufficientVariables, NonIntegralResult, ParseError
+from .linalg import scalar as _scalar
 
 __all__ = [
     'BASES',
@@ -90,14 +91,6 @@ def _check_basis(basis):
     if basis not in BASES:
         raise ValueError(f'unknown basis {basis!r}')
     return basis
-
-
-def _scalar(c):
-    """c as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _clean(basis, coeffs):

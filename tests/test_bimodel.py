@@ -301,3 +301,92 @@ def test_report_json_deterministic():
     report = bm.mackey_check(2)
     assert bm.report_json(report) == bm.report_json(list(report))
     assert '"pass": true' in bm.report_json(report)
+
+
+def naive_ga_product(a, b):
+    """Oracle: the Fraction double loop over both supports."""
+    out = {}
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            w = perm_mult(u, v)
+            out[w] = out.get(w, Fraction(0)) + Fraction(cu) * Fraction(cv)
+    return {w: c for w, c in out.items() if c}
+
+
+def test_ga_product_matches_fraction_double_loop():
+    rng = random.Random(2026)
+    for trial in range(60):
+        n = rng.randint(1, 4)
+        perms = list(all_perms(n))
+
+        def elem():
+            return bm.GroupAlgElem(n, {
+                rng.choice(perms): (Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                                    if rng.random() < 0.5 else rng.randint(-5, 5))
+                for _ in range(rng.randint(0, 5))})
+        a, b = elem(), elem()
+        got = bm.ga_product(a, b)
+        assert got.coeffs == naive_ga_product(a, b)
+        assert all(type(c) is int or c.denominator != 1 for c in got.coeffs.values())
+    for n in range(1, 6):
+        elems = (bm.symmetrizer(n), bm.antisymmetrizer(n), bm.ga_perm(list(all_perms(n))[-1]))
+        for a in elems:
+            for b in elems:
+                assert bm.ga_product(a, b).coeffs == naive_ga_product(a, b)
+
+
+def test_group_algebra_coefficients_are_int_first():
+    a = bm.GroupAlgElem(2, {(1, 2): Fraction(4, 2), (2, 1): Fraction(1, 3)})
+    assert type(a.coeffs[(1, 2)]) is int
+    assert a.coeffs[(2, 1)] == Fraction(1, 3)
+    assert type((Fraction(3) * bm.ga_unit(2)).coeffs[(1, 2)]) is int
+    assert type(bm.ga_product(a, a).coeffs[(1, 2)]) is Fraction  # 4 + 1/9
+    assert all(type(c) is int for c in bm.ga_product(
+        3 * bm.symmetrizer(3), 2 * bm.symmetrizer(3)).coeffs.values())
+    assert all(type(c) is int for row in bm.right_mult_matrix(bm.ga_perm((2, 1, 3)))
+               for c in row)
+
+
+def cell_types(rep):
+    return {type(x) for row in rep.matrix for x in row}
+
+
+def test_diagram_to_map_cell_types():
+    # integral morphisms give int cells only
+    for text, base in (('sig:UU; x1', 2), ('sig:; cup-1; cap-1', 3),
+                       ('sig:DU; x1; x1', 2), ('sig:U; cup+1; x2; cap+1', 1)):
+        assert cell_types(bm.diagram_to_map(mor(text), base)) == {int}
+    # a non-integral coefficient gives Fraction exactly in the cells it reaches
+    rep = bm.diagram_to_map(Fraction(1, 2) * mor('sig:UU; x1'), 2)
+    for row in rep.matrix:
+        for x in row:
+            assert (type(x) is Fraction) == (x != 0)
+            assert x in (0, Fraction(1, 2))
+    # halves that add up to an integer come back as int
+    half = Fraction(1, 2) * mor('sig:UU; x1; x1')
+    rep = bm.diagram_to_map(half + Fraction(1, 2) * mor('sig:UU'), 2)
+    assert rep.is_identity()
+    assert cell_types(rep) == {int}
+    # the clockwise circle at rank 3 acts by 3 in the exact-int cells
+    rep = bm.diagram_to_map(Fraction(1, 3) * mor('sig:; cup-1; cap-1'), 3)
+    assert rep.is_identity() and cell_types(rep) == {int}
+
+
+def test_linear_map_rep_public_constructor():
+    path = bm.path_from_signature('U', 1)
+    with pytest.raises(ValueError):
+        bm.LinearMapRep(path, path, [[1, 0], [0]])
+    with pytest.raises(ValueError):
+        bm.LinearMapRep(path, path, [[1, 0]])
+    rep = bm.LinearMapRep(path, path, [[Fraction(2, 2), 0], [0, Fraction(1, 2)]])
+    assert type(rep.matrix[0][0]) is int and rep.matrix[1][1] == Fraction(1, 2)
+    assert bm.LinearMapRep(path, path, [[1, 0], [0, 1]]) == bm.LinearMapRep.identity(path)
+    assert bm.LinearMapRep.zero(path, path).is_zero()
+    assert cell_types(bm.LinearMapRep.identity(path)) == {int}
+
+
+def test_character_cache_is_bounded():
+    info = bm._mn_character.cache_info()
+    assert info.maxsize is not None and info.maxsize > 0
+    assert bm.character_value((3, 2), (2, 2, 1)) == 1
+    assert bm._mn_character.cache_info().currsize <= info.maxsize
