@@ -70,6 +70,7 @@ __all__ = [
     'matrix_text',
     'verify_local_relation',
     'LOCAL_RELATIONS',
+    'MAX_LEVEL',
     'mackey_check',
     'induced_character_decomposition',
     'report_json',
@@ -540,6 +541,11 @@ def matrix_text(rep):
 
 LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 
+# Highest base rank verify_local_relation accepts.  The braid family at level
+# n builds dense (n+3)! x (n+3)! matrices, 5040 x 5040 at level 4, and each
+# further level multiplies the cell count by (n+4)^2.
+MAX_LEVEL = 4
+
 
 def _map_or_zero(m, base):
     """diagram_to_map, except a composite factoring through an unrealizable
@@ -570,8 +576,9 @@ def verify_local_relation(rel, n, max_level=3):
     """
     if rel not in LOCAL_RELATIONS:
         raise ValueError(f'unknown relation {rel!r}; choose from {LOCAL_RELATIONS}')
-    if not 0 <= n <= max_level:
-        raise BoundExceeded(f'level {n} outside 0..{max_level}')
+    top = min(max_level, MAX_LEVEL)
+    if not 0 <= n <= top:
+        raise BoundExceeded(f'level {n} outside 0..{top}')
     report = []
 
     def check(name, lhs, rhs, detail):

@@ -266,6 +266,8 @@ def _cmd_heis_verify(args):
 ##########################
 
 def _cmd_bimod_verify_relations(args):
+    if not 0 <= args.max_level <= bm.MAX_LEVEL:
+        raise BoundExceeded(f'--max-level {args.max_level} outside 0..{bm.MAX_LEVEL}')
     relations = bm.LOCAL_RELATIONS if args.relation == 'all' else (args.relation,)
     report = []
     for relation in relations:

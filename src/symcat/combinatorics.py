@@ -204,7 +204,7 @@ def perm_mult(u, v) -> tuple:
     """
     if len(u) != len(v):
         raise ValueError('rank mismatch in perm_mult')
-    return tuple(u[v[i] - 1] for i in range(len(v)))
+    return tuple([u[j - 1] for j in v])
 
 
 def perm_inverse(w) -> tuple:

@@ -21,8 +21,8 @@ import re
 
 from .combinatorics import partition_key, partitions_of
 from .errors import ParseError, VerificationFailure
-from .symfunc import SymFunc, convert, dual_apply, hall_pairing, lr_coefficients, \
-    multiply, schur, zero
+from .symfunc import SymFunc, _basis_to_m, _clean, _m_mult_raw, _new, _to_m_raw, \
+    convert, dual_apply, hall_pairing, lr_coefficients, multiply, schur
 
 __all__ = [
     'HeisWord',
@@ -189,11 +189,11 @@ def heis_product(a, b):
 
 
 def _e_elem(lam):
-    return SymFunc('e', {tuple(lam): 1})
+    return _new('e', {tuple(lam): 1})
 
 
 def _h_elem(mu):
-    return SymFunc('h', {tuple(mu): 1})
+    return _new('h', {tuple(mu): 1})
 
 
 def fock_apply(a, f):
@@ -203,13 +203,15 @@ def fock_apply(a, f):
     >>> render(fock_apply(heis_hstar((1,)), parse_symfunc('s[1]')))
     'm[]'
     """
-    out = zero('m')
+    out = {}
     for (lam, mu), c in a.coeffs.items():
-        g = convert(dual_apply(_h_elem(mu), f) if mu else f, 'm')
-        # the product lands in the basis of its first factor, here m
-        g = multiply(g, _e_elem(lam)) if lam else g
-        out = out + c * g
-    return out
+        # _clean raises NonIntegralResult for a state that is not integral in m
+        g = _to_m_raw(dual_apply(_h_elem(mu), f)) if mu else _clean('m', _to_m_raw(f))
+        if lam:
+            g = _m_mult_raw(g, dict(_basis_to_m('e', lam)))
+        for nu, k in g.items():
+            out[nu] = out.get(nu, 0) + c * k
+    return _new('m', out)
 
 
 def fock_apply_word(w, f):

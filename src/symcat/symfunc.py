@@ -15,9 +15,17 @@ triangular back-substitution: s_lam and e_lam' are m_lam plus terms strictly
 lower in dominance order, and p_lam is a positive multiple of m_lam plus
 terms strictly higher (Macdonald, ch. I section 6), so each m_mu is solved
 from rows already known.  The h table composes the s table with
-Jacobi-Trudi.  `monomial_expand` maps elements to honest polynomials in
-x_1..x_n and, with `poly_mult`, is the independent oracle the product
-routines are tested against.
+Jacobi-Trudi.
+
+`monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
+`poly_mult`, is the oracle the product routines are tested against.  It
+shares no kernel with `convert` or `multiply`: each basis element is read
+from its definition (Macdonald, ch. I sections 2-5) by peeling off the last
+variable -- one part of lam or none for m_lam, a subset for e, a multiset
+for h, a whole power for p, and a horizontal strip of a semistandard
+tableau for s -- which gives its coefficient on each m_mu; the polynomial
+places every surviving m_mu on the variables.  `poly_mult` multiplies
+exponent maps on packed integer keys and builds each exponent tuple once.
 
 This module also carries Fock-space vectors and symmetric-group K-theory
 classes: both are identified with symmetric functions elsewhere in the
@@ -38,8 +46,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from operator import add
+from itertools import combinations, product
 
 from .combinatorics import (
     conjugate,
@@ -489,63 +496,190 @@ def multiply(f, g):
 #############################################
 # polynomial expansion (the oracle)         #
 #############################################
+# Each basis is read here as a polynomial in x_1..x_n, straight from its
+# definition.  Nothing in this section calls the expansions, products or
+# tables above, so a wrong entry there cannot cancel out against the oracle.
+
+_ORACLE_CACHE = 1 << 14  # entries per memo below
+_CODEC_LIMIT = 1 << 18  # keys and tuples kept per variable count
+
+
+@lru_cache(maxsize=_ORACLE_CACHE)
+def _last_variable(basis, lam):
+    """How x_n enters X_lam(x_1..x_n), as (rest, a, count) triples.
+
+    X_lam(x_1..x_n) = sum count * x_n^a * X_rest(x_1..x_{n-1}), read off the
+    definitions: m_lam places one part of lam (or none) on x_n; the entries
+    n of a semistandard tableau of shape lam fill a horizontal strip
+    lam/rest; e_lam, h_lam and p_lam are products with one factor per part
+    k, and x_n occurs at most once in the k-subset of variables that e_k
+    picks, any number of times in the k-multiset that h_k picks, and in p_k
+    as the whole power x_n^k or not at all.
+    """
+    if basis == 'm':
+        out = [(lam, 0, 1)]
+        for part in sorted(set(lam)):
+            i = lam.index(part)
+            out.append((lam[:i] + lam[i + 1:], part, 1))
+        return tuple(out)
+    if basis == 's':
+        rows = [range(below, part + 1) for part, below in zip(lam, lam[1:] + (0,))]
+        strips = (tuple(x for x in nu if x) for nu in product(*rows))
+        return tuple((nu, sum(lam) - sum(nu), 1) for nu in strips)
+    ways = {((), 0): 1}
+    for part in lam:
+        takes = (0, 1) if basis == 'e' else (0, part) if basis == 'p' else range(part + 1)
+        nxt = {}
+        for (rest, a), c in ways.items():
+            for b in takes:
+                left = tuple(sorted(rest + (part - b,), reverse=True)) if b < part else rest
+                nxt[left, a + b] = nxt.get((left, a + b), 0) + c
+        ways = nxt
+    return tuple((rest, a, c) for (rest, a), c in ways.items())
+
+
+@lru_cache(maxsize=_ORACLE_CACHE)
+def _dominant(basis, lam, n, floor):
+    """Coefficients of X_lam(x_1..x_n) at exponents alpha_1 >= .. >= alpha_n >= floor.
+
+    Returned as (alpha without its zeros, coeff) items.  Peeling off x_n
+    with `_last_variable` leaves X_rest(x_1..x_{n-1}), whose exponents must
+    all be at least alpha_n, so only weakly decreasing exponent vectors are
+    ever formed.
+    """
+    if n == 0:
+        return (((), 1),) if not lam else ()
+    d = sum(lam)
+    out = {}
+    for rest, a, c in _last_variable(basis, lam):
+        # alpha_n is the smallest of n exponents that sum to d
+        if floor <= a and a * n <= d:
+            for alpha, k in _dominant(basis, rest, n - 1, a):
+                key = alpha + (a,) if a else alpha
+                out[key] = out.get(key, 0) + c * k
+    return tuple(out.items())
+
+
+def _m_coefficients(basis, lam):
+    """X_lam = sum c m_mu, as (mu, c) items: the coefficient of x^mu in X_lam.
+
+    The longest monomial of m_lam or p_lam has l(lam) variables, that of
+    e_lam, h_lam or s_lam has |lam|, so in that many variables every m_mu
+    shows.
+    """
+    return _dominant(basis, lam, len(lam) if basis in 'mp' else sum(lam), 0)
+
+
+@lru_cache(maxsize=4096)
+def _orbit(mu, nvars):
+    """Exponent tuples of m_mu(x_1..x_nvars): the distinct placements of mu's parts.
+
+    Kept as the keys of a dict so that `dict.fromkeys` reuses their stored
+    hashes instead of hashing every tuple again.
+    """
+    if len(mu) > nvars:
+        return {}
+    placed = {(): mu}  # exponents of x_1..x_i -> parts not placed yet
+    for left in range(nvars - 1, -1, -1):
+        placed = {alpha + (a,): rest for alpha, parts in placed.items()
+                  for rest, a, _ in _last_variable('m', parts) if len(rest) <= left}
+    return dict.fromkeys(placed)
+
 
 def monomial_expand(f, nvars):
     """Image of f in Z[x_1..x_nvars], as an exponent-tuple -> scalar map.
 
-    Faithful on spans of partitions with at most nvars parts; callers using
-    this as the product oracle should pass nvars >= total degree, which
-    guarantees faithfulness outright.  InsufficientVariables is raised when
-    some term of f has more parts than nvars and would be silently dropped.
-    This routine knows nothing about structure constants, only
-    rearrangements of parts, which is what makes it an independent oracle
-    for multiply/convert.
+    Each basis element is expanded from its definition (placements of parts
+    for m, subsets for e, multisets for h, powers for p, semistandard
+    tableaux for s), which gives its coefficient on each m_mu; the result
+    places every surviving m_mu on the variables.  No expansion, product or
+    table that `convert` and `multiply` use is called, which is what makes
+    this an independent oracle for them.  Faithful on spans of partitions
+    with at most nvars parts; callers using this as the product oracle
+    should pass nvars >= total degree, which guarantees faithfulness
+    outright.  InsufficientVariables is raised when some m_mu that survives
+    in f has more parts than nvars and would be silently dropped.
     """
     if nvars < 1:
         raise InsufficientVariables('need at least one variable')
+    m = {}
+    for lam, c in f.coeffs.items():
+        for mu, k in _m_coefficients(f.basis, lam):
+            m[mu] = m.get(mu, 0) + c * k
     out = {}
-    for lam, c in _to_m_raw(f).items():
-        if len(lam) > nvars:
+    for mu, c in m.items():
+        if not c:
+            continue
+        if len(mu) > nvars:
             raise InsufficientVariables(
-                f'term m{render_partition(lam)} has {len(lam)} parts, '
+                f'term m{render_partition(mu)} has {len(mu)} parts, '
                 f'nvars={nvars} would drop it')
-        for alpha in _distinct_perms(tuple(lam) + (0,) * (nvars - len(lam))):
-            out[alpha] = out.get(alpha, 0) + c
-    return {a: c for a, c in out.items() if c != 0}
+        out.update(dict.fromkeys(_orbit(mu, nvars), c))
+    return out
+
+
+@lru_cache(maxsize=16)
+def _codec(nvars):
+    """The packed-key memo for nvars variables: [base, tuple -> key, key -> tuple]."""
+    return [1, {}, {}]
+
+
+def _through(memo, keys, make):
+    """[memo[k] for k in keys], after storing make(k) for each k memo lacks."""
+    for k in set(keys).difference(memo):
+        memo[k] = make(k)
+    return list(map(memo.__getitem__, keys))
 
 
 def poly_mult(P, Q):
     """Product of two exponent-map polynomials over the same variable count.
 
-    Each exponent tuple is packed into one int whose digits, in base
-    B = (largest exponent in P) + (largest exponent in Q) + 1, are the
+    Each exponent tuple is packed into one int whose digits, in a base B
+    above (largest exponent in P) + (largest exponent in Q), are the
     exponents.  No exponent of the product reaches B, so adding two packed
-    keys adds the tuples entrywise with no carries; the exponent tuple of
-    each distinct product key is formed once, from its first pair.
+    keys adds the tuples entrywise with no carries.  Keys and tuples go
+    through one bounded memo per variable count, whose base only grows, so
+    each exponent tuple is built once and shared by every product that
+    meets it.
     """
     if not P or not Q:
         return {}
-    base = max(max(a, default=0) for a in P) + max(max(b, default=0) for b in Q) + 1
+    if len(P) > len(Q):
+        P, Q = Q, P  # the longer factor runs in the inner loop
+    nvars = len(next(iter(P)))
+    need = max(map(max, P)) + max(map(max, Q)) + 1 if nvars else 1
+    codec = _codec(nvars)
+    if codec[0] < need or len(codec[1]) + len(codec[2]) > _CODEC_LIMIT:
+        codec[:] = need, {}, {}  # keys packed in another base are void
+    base, to_key, to_tuple = codec
 
     def pack(alpha):
         key = 0
         for x in alpha:
             key = key * base + x
+        to_tuple.setdefault(key, alpha)
         return key
 
-    packed_q = [(pack(b), b, cb) for b, cb in Q.items()]
+    def unpack(key):
+        digits = [0] * nvars
+        rest = key
+        for i in range(nvars - 1, -1, -1):
+            rest, digits[i] = divmod(rest, base)
+        alpha = tuple(digits)
+        to_key[alpha] = key
+        return alpha
+
+    packed_q = list(zip(_through(to_key, Q, pack), Q.values()))
     out = {}
-    first = {}
-    for a, ca in P.items():
-        ka = pack(a)
-        for kb, b, cb in packed_q:
+    get = out.get
+    for ka, ca in zip(_through(to_key, P, pack), P.values()):
+        for kb, cb in packed_q:
             key = ka + kb
-            if key in out:
-                out[key] += ca * cb
-            else:
-                out[key] = ca * cb
-                first[key] = (a, b)
-    return {tuple(map(add, *first[key])): c for key, c in out.items() if c != 0}
+            out[key] = get(key, 0) + ca * cb
+    result = dict(zip(_through(to_tuple, out, unpack), out.values()))
+    if not all(out.values()):
+        result = {alpha: c for alpha, c in result.items() if c}
+    return result
 
 
 #############################################

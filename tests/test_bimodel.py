@@ -213,6 +213,16 @@ def test_verify_local_relation_families():
         bm.verify_local_relation('bogus', 1)
 
 
+def test_local_relation_level_ceiling():
+    # a caller's larger max_level does not lift the fixed ceiling
+    assert bm.MAX_LEVEL == 4
+    with pytest.raises(BoundExceeded, match='outside 0..4'):
+        bm.verify_local_relation('up-double', bm.MAX_LEVEL + 1, max_level=9)
+    from symcat import cli
+    with pytest.raises(BoundExceeded):
+        cli._case_bm_local_relations(6, bm.MAX_LEVEL + 1, random.Random(0))
+
+
 def test_mackey_check():
     for k in range(1, 5):
         report = bm.mackey_check(k)

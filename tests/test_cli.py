@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,16 @@ def test_bimod_commands(capsys):
     code, out, _ = run_cli(capsys, 'bimod', 'verify-relations',
                            '--relation', 'circle-curl', '--max-level', '1')
     assert code == 0 and '0 failed' in out
+
+
+def test_verify_relations_level_ceiling_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, 'bimod', 'verify-relations', '--max-level', '5')
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ''
+    assert 'outside 0..4' in err
+    code, out, _ = run_cli(capsys, 'bimod', 'verify-relations', '--max-level', '-1')
+    assert code == 2 and out == ''
 
 
 def test_diag_commands(capsys):

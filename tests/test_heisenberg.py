@@ -1,6 +1,7 @@
 """Tests for the Heisenberg algebra normal form, Fock action, and class operators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import symcat.heisenberg as hs
 from symcat.combinatorics import partitions_of
-from symcat.errors import ParseError, VerificationFailure
+from symcat.errors import NonIntegralResult, ParseError, VerificationFailure
 from symcat.symfunc import SymFunc, hall_pairing, lr_coefficients, parse_symfunc, render
 
 
@@ -122,6 +123,27 @@ def test_fock_apply_examples():
     assert hs.fock_apply(hs.heis_unit(), parse_symfunc('s[2,1]')) == parse_symfunc('s[2,1]')
     assert hs.fock_apply(hs.heis_hstar((1,)), parse_symfunc('s[1]')) == one
     assert hs.fock_apply(hs.heis_e((1,)), one) == parse_symfunc('e[1]')
+
+
+def test_fock_apply_matches_letter_by_letter_action():
+    # every basis operator e_lam h*_mu of bidegree <= (3,3) on every s_lam, |lam| <= 5
+    small = [lam for d in range(4) for lam in partitions_of(d)]
+    states = [SymFunc('s', {lam: 1}) for d in range(6) for lam in partitions_of(d)]
+    for lam in small:
+        for mu in small:
+            op = hs.HeisNormal({(lam, mu): 1})
+            w = hs.HeisWord(tuple(('e', n) for n in lam) + tuple(('h*', n) for n in mu))
+            for f in states:
+                got = hs.fock_apply(op, f)
+                assert got.basis == 'm'
+                assert got == hs.fock_apply_word(w, f), (lam, mu, f)
+
+
+def test_fock_apply_rejects_a_state_not_integral_in_m():
+    half = SymFunc('p', {(1, 1): Fraction(1, 2)})
+    for op in (hs.heis_unit(), hs.heis_e((1,)), hs.heis_hstar((1,))):
+        with pytest.raises(NonIntegralResult):
+            hs.fock_apply(op, half)
 
 
 def test_heis_relation_reports():

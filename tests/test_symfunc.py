@@ -5,6 +5,7 @@ expected values below marked as oracle-derived were computed by expanding
 into explicit polynomials first, then frozen.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -189,6 +190,136 @@ def test_poly_mult_matches_tuple_sums():
         P = {a: c for a, c in P.items() if c}
         Q = {b: c for b, c in Q.items() if c}
         assert sf.poly_mult(P, Q) == _naive_poly_mult(P, Q)
+
+
+def _brute_expand(basis, lam, n):
+    """X_lam(x_1..x_n) by enumerating its definition with itertools.product.
+
+    m: exponent vectors whose nonzero entries rearrange lam; e/h/p: one
+    choice per factor of an n-subset, an n-multiset or a single variable
+    raised to the part; s: fillings of the diagram of lam with 1..n that
+    are weakly increasing along rows and strictly down columns.
+    """
+    out = {}
+
+    def add(variables):
+        alpha = [0] * n
+        for v in variables:
+            alpha[v] += 1
+        out[tuple(alpha)] = out.get(tuple(alpha), 0) + 1
+
+    if basis == M:
+        for alpha in itertools.product(range(max(lam, default=0) + 1), repeat=n):
+            if tuple(sorted((a for a in alpha if a), reverse=True)) == lam:
+                out[alpha] = 1
+    elif basis == S:
+        cells = [(r, c) for r, part in enumerate(lam) for c in range(part)]
+        for filling in itertools.product(range(n), repeat=len(cells)):
+            t = dict(zip(cells, filling))
+            if all(t[r, c] <= t[r, c + 1] for r, c in cells if (r, c + 1) in t) and \
+                    all(t[r, c] < t[r + 1, c] for r, c in cells if (r + 1, c) in t):
+                add(filling)
+    else:
+        def choices(part):
+            if basis == E:
+                return list(itertools.combinations(range(n), part))
+            if basis == H:
+                return list(itertools.combinations_with_replacement(range(n), part))
+            return [(v,) * part for v in range(n)]
+        for pick in itertools.product(*[choices(part) for part in lam]):
+            add(itertools.chain.from_iterable(pick))
+    return out
+
+
+def test_monomial_expand_matches_definitions():
+    for d in range(6):
+        for lam in partitions_of(d):
+            for basis in (M, E, H, P, S):
+                # in max(d, 1) variables every monomial of X_lam shows
+                full = _brute_expand(basis, lam, max(d, 1))
+                widest = max((sum(1 for a in alpha if a) for alpha in full), default=0)
+                for n in range(1, 5):
+                    if widest > n:
+                        with pytest.raises(InsufficientVariables):
+                            sf.monomial_expand(be(basis, lam), n)
+                    else:
+                        assert sf.monomial_expand(be(basis, lam), n) == \
+                            _brute_expand(basis, lam, n), (basis, lam, n)
+
+
+_SYM_KERNELS = ('_basis_to_m', '_to_m_raw', '_m_mult_basis', '_m_mult_raw',
+                '_schur_h', '_distinct_perms', '_m_to_basis_table', 'convert',
+                'multiply')
+
+
+def _clear_oracle_caches():
+    for memo in (sf._last_variable, sf._dominant, sf._orbit, sf._codec):
+        memo.cache_clear()
+
+
+def _block_sym_kernels(monkeypatch):
+    def blocked(*args):
+        raise AssertionError('the polynomial oracle reached a Sym kernel')
+    _clear_oracle_caches()
+    for name in _SYM_KERNELS:
+        monkeypatch.setattr(sf, name, blocked)
+
+
+def test_oracle_shares_no_kernel_with_sym(monkeypatch):
+    elems = [(be(b, lam), n) for b in (M, E, H, P, S) for d in range(5)
+             for lam in partitions_of(d) for n in (max(d, 1), 6)]
+    elems += [(sf.SymFunc(P, {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}), 3),
+              (sf.parse_symfunc('s[3,1] - 2 s[2,2] + s[1]'), 5),
+              (sf.parse_symfunc('e[2,1] + 3 e[1]'), 4)]
+    polys = [sf.monomial_expand(f, n) for f, n in elems]
+    pairs = [(i, j) for i in range(len(elems)) for j in range(i, len(elems), 7)
+             if len(next(iter(polys[i]))) == len(next(iter(polys[j])))]
+    products = [sf.poly_mult(polys[i], polys[j]) for i, j in pairs]
+    _block_sym_kernels(monkeypatch)
+    assert [sf.monomial_expand(f, n) for f, n in elems] == polys
+    assert [sf.poly_mult(polys[i], polys[j]) for i, j in pairs] == products
+
+
+def test_insufficient_variables_decided_after_cancellation(monkeypatch):
+    _block_sym_kernels(monkeypatch)
+    # s2 - s11, e11 - 2 e2 and 2 h2 - h11 all equal p2 = m2: the m11 terms cancel
+    for text in ('s[2] - s[1,1]', 'e[1,1] - 2 e[2]', '2 h[2] - h[1,1]'):
+        assert sf.monomial_expand(sf.parse_symfunc(text), 1) == {(2,): 1}
+    for text in ('s[2] + s[1,1]', 'e[1,1] - e[2]', 'h[2] - h[1,1]', 'p[1,1] - p[2]'):
+        with pytest.raises(InsufficientVariables):
+            sf.monomial_expand(sf.parse_symfunc(text), 1)
+    # s21 - s111 keeps the 3-part term m111 = e3 with coefficient 2 - 1
+    with pytest.raises(InsufficientVariables):
+        sf.monomial_expand(sf.parse_symfunc('s[2,1] - s[1,1,1]'), 2)
+    assert sf.monomial_expand(sf.parse_symfunc('s[2,1] - 2 s[1,1,1]'), 2) == \
+        {(2, 1): 1, (1, 2): 1}
+
+
+def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
+    from symcat import cli
+    from symcat.errors import VerificationFailure
+
+    true_schur_h = sf._schur_h
+
+    def corrupted(lam):
+        # s21 + e3 = m21 + 3 m111: still unitriangular, so every table builds
+        if lam == (2, 1):
+            return (((2, 1), -1), ((1, 1, 1), 1))
+        return true_schur_h(lam)
+
+    def clear():
+        for memo in (sf._basis_to_m, sf._m_to_basis_table, sf._schur_pair_mult):
+            memo.cache_clear()
+        _clear_oracle_caches()
+
+    clear()
+    monkeypatch.setattr(sf, '_schur_h', corrupted)
+    try:
+        assert sf.convert(be(S, (2, 1)), M).coeffs == {(2, 1): 1, (1, 1, 1): 3}
+        with pytest.raises(VerificationFailure):
+            cli._case_product_oracle(6, 3, random.Random(0))
+    finally:
+        clear()
 
 
 ##########################
