@@ -48,7 +48,7 @@ from .errors import (
     UnrealizableAtRank,
     VerificationFailure,
 )
-from .linalg import common_denominator, matrix_rank, scalar as _scalar
+from .linalg import LinComb, common_denominator, matrix_rank, scalar as _scalar
 
 __all__ = [
     'GroupAlgElem',
@@ -77,47 +77,19 @@ __all__ = [
 ]
 
 
-class GroupAlgElem:
+class GroupAlgElem(LinComb):
     """Rational group-algebra element: sparse permutation -> int-or-Fraction map."""
 
-    __slots__ = ('n', 'coeffs')
+    __slots__ = ('n',)
+    _TAGS = ('n',)
+    _RATIONAL = True
+    _MISMATCH = RankMismatch
 
-    def __init__(self, n, coeffs):
-        clean = {}
-        for w, c in coeffs.items():
-            w = tuple(w)
+    def __new__(cls, n, coeffs):
+        for w in coeffs:
             if len(w) != n or sorted(w) != list(range(1, n + 1)):
                 raise ValueError(f'{w} is not a permutation of rank {n}')
-            c = _scalar(c)
-            if c:
-                clean[w] = c
-        object.__setattr__(self, 'n', n)
-        object.__setattr__(self, 'coeffs', clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError('GroupAlgElem is immutable')
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupAlgElem) and self.n == other.n
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise RankMismatch('group-algebra ranks differ')
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return GroupAlgElem(self.n, out)
-
-    def __neg__(self):
-        return GroupAlgElem(self.n, {w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = _scalar(scalar)
-        return GroupAlgElem(self.n, {w: scalar * c for w, c in self.coeffs.items()})
+        return cls._new(n, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, GroupAlgElem):
@@ -126,9 +98,6 @@ class GroupAlgElem:
 
     def __repr__(self):
         return f'GroupAlgElem({render_groupalg(self)!r})'
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def ga_unit(n):
@@ -156,20 +125,20 @@ def ga_product(a, b):
             w = perm_mult(u, v)
             out[w] = out.get(w, 0) + cu * cv
     den = a_den * b_den
-    return GroupAlgElem(a.n, out if den == 1 else
-                        {w: Fraction(c, den) for w, c in out.items()})
+    return GroupAlgElem._new(a.n, out if den == 1 else
+                             {w: Fraction(c, den) for w, c in out.items()})
 
 
 def symmetrizer(n):
     """e(n): the averaging idempotent onto the trivial isotypic component."""
     c = Fraction(1, math.factorial(n))
-    return GroupAlgElem(n, {w: c for w in all_perms(n)})
+    return GroupAlgElem._new(n, {w: c for w in all_perms(n)})
 
 
 def antisymmetrizer(n):
     """e'(n): the signed averaging idempotent onto the sign component."""
     c = Fraction(1, math.factorial(n))
-    return GroupAlgElem(
+    return GroupAlgElem._new(
         n, {w: (c if perm_length(w) % 2 == 0 else -c) for w in all_perms(n)})
 
 
@@ -325,44 +294,19 @@ def canonicalize(path, elem):
     return tuple(slots) + (w,)
 
 
-class BimoduleElem:
+class BimoduleElem(LinComb):
     """Sparse rational combination of canonical tensor-basis elements."""
 
-    __slots__ = ('path', 'coeffs')
+    __slots__ = ('path',)
+    _TAGS = ('path',)
+    _RATIONAL = True
 
-    def __init__(self, path, coeffs):
-        clean = {}
+    def __new__(cls, path, coeffs):
+        merged = {}
         for elem, c in coeffs.items():
-            c = _scalar(c)
-            if not c:
-                continue
             elem = canonicalize(path, elem)
-            clean[elem] = clean.get(elem, 0) + c
-        clean = {e: c for e, c in clean.items() if c}
-        object.__setattr__(self, 'path', path)
-        object.__setattr__(self, 'coeffs', clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError('BimoduleElem is immutable')
-
-    def __eq__(self, other):
-        return (isinstance(other, BimoduleElem) and self.path == other.path
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if self.path != other.path:
-            raise ValueError('paths differ')
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return BimoduleElem(self.path, out)
-
-    def __rmul__(self, scalar):
-        scalar = _scalar(scalar)
-        return BimoduleElem(self.path, {e: scalar * c for e, c in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
+            merged[elem] = merged.get(elem, 0) + c
+        return cls._new(path, merged)
 
 
 ####################################
@@ -505,8 +449,7 @@ def diagram_to_map(m, base_rank):
     dom_basis = tensor_basis(dom_path)
     cod_index = {e: c for c, e in enumerate(tensor_basis(cod_path))}
     rows = [[0] * len(cod_index) for _ in dom_basis]
-    coeffs = [_scalar(c) for c in m.terms.values()]
-    for diag, coeff in zip(m.terms, coeffs):
+    for diag, coeff in m.terms.items():
         paths = [path_from_signature(diag.sig_below(q), base_rank)
                  for q in range(len(diag.slices) + 1)]
         for row, start in zip(rows, dom_basis):
@@ -521,7 +464,7 @@ def diagram_to_map(m, base_rank):
                 cur = nxt
             for elem, c in cur.items():
                 row[cod_index[elem]] += coeff * c
-    if all(type(c) is int for c in coeffs):
+    if all(type(c) is int for c in m.terms.values()):
         matrix = tuple(map(tuple, rows))
     else:
         matrix = tuple(tuple(_scalar(x) for x in row) for row in rows)

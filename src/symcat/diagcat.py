@@ -32,6 +32,7 @@ from .errors import (
 )
 from .heisenberg import HeisNormal, heis_e, heis_hstar, heis_normalize, \
     heis_product, heis_unit, HeisWord
+from .linalg import LinComb
 
 __all__ = [
     'S_DOWN',
@@ -121,59 +122,29 @@ class Diagram:
         return f'Diagram({render_diagram(self)!r})'
 
 
-class Morphism:
+class Morphism(LinComb):
     """Rational combination of diagrams sharing a domain and codomain."""
 
-    __slots__ = ('domain', 'codomain', 'terms')
+    __slots__ = ('domain', 'codomain')
+    _TAGS = ('domain', 'codomain')
+    _RATIONAL = True
+    _MISMATCH = SignatureMismatch
 
-    def __init__(self, domain, codomain, terms):
-        clean = {}
-        for d, c in terms.items():
+    def __new__(cls, domain, codomain, terms):
+        for d in terms:
             if d.domain != domain or d.codomain != codomain:
                 raise SignatureMismatch(
                     f'diagram {render_diagram(d)!r} is not {domain!r} -> {codomain!r}')
-            c = Fraction(c)
-            if c:
-                clean[d] = c
-        object.__setattr__(self, 'domain', domain)
-        object.__setattr__(self, 'codomain', codomain)
-        object.__setattr__(self, 'terms', clean)
+        return cls._new(domain, codomain, terms)
 
-    def __setattr__(self, *a):
-        raise AttributeError('Morphism is immutable')
+    terms = LinComb.coeffs  # the coefficient slot: diagram -> coefficient
 
     @classmethod
     def from_diagram(cls, d, coeff=1):
-        return cls(d.domain, d.codomain, {d: Fraction(coeff)})
-
-    def __eq__(self, other):
-        return (isinstance(other, Morphism) and self.domain == other.domain
-                and self.codomain == other.codomain and self.terms == other.terms)
-
-    def __add__(self, other):
-        if self.domain != other.domain or self.codomain != other.codomain:
-            raise SignatureMismatch('cannot add morphisms of different shapes')
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, 0) + c
-        return Morphism(self.domain, self.codomain, out)
-
-    def __neg__(self):
-        return Morphism(self.domain, self.codomain,
-                        {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        return Morphism(self.domain, self.codomain,
-                        {d: Fraction(scalar) * c for d, c in self.terms.items()})
+        return cls._new(d.domain, d.codomain, {d: coeff})
 
     def __repr__(self):
         return f'Morphism({render_morphism(self)!r})'
-
-    def is_zero(self):
-        return not self.terms
 
 
 class Irreducible:
@@ -216,7 +187,7 @@ def compose(f, g):
         for df, cf in f.terms.items():
             glued = Diagram(dg.domain, dg.slices + df.slices)
             out[glued] = out.get(glued, 0) + cg * cf
-    return Morphism(g.domain, f.codomain, out)
+    return Morphism._new(g.domain, f.codomain, out)
 
 
 def tensor(f, g):
@@ -228,7 +199,7 @@ def tensor(f, g):
             slices = df.slices + tuple((kind, i + shift) for kind, i in dg.slices)
             d = Diagram(df.domain + dg.domain, slices)
             out[d] = out.get(d, 0) + cf * cg
-    return Morphism(f.domain + g.domain, f.codomain + g.codomain, out)
+    return Morphism._new(f.domain + g.domain, f.codomain + g.codomain, out)
 
 
 #################
@@ -339,7 +310,7 @@ def simplify(m):
         else:
             for d2, k in res:
                 work.append((d2, k * c))
-    return Morphism(m.domain, m.codomain, out)
+    return Morphism._new(m.domain, m.codomain, out)
 
 
 def evaluate_closed(m):
@@ -366,7 +337,7 @@ def evaluate_closed(m):
             stuck[d] = c
     if not stuck:
         return scalar
-    return Irreducible(scalar, Morphism('', '', stuck))
+    return Irreducible(scalar, Morphism._new('', '', stuck))
 
 
 #########################
@@ -392,7 +363,7 @@ def sym_image(m):
                 raise NotBraidOnly(f'slice {kind}{i} is not a crossing')
             perm = perm_mult(simple_transposition(i, n), perm)
         coeffs[perm] = coeffs.get(perm, 0) + c
-    return GroupAlgElem(n, coeffs)
+    return GroupAlgElem._new(n, coeffs)
 
 
 def section(sigma):
@@ -404,11 +375,8 @@ def section(sigma):
 
 def section_of_elem(a):
     """Linear extension of section to group-algebra elements."""
-    n = a.n
-    out = Morphism('U' * n, 'U' * n, {})
-    for sigma, c in a.coeffs.items():
-        out = out + c * section(sigma)
-    return out
+    zero = Morphism._new('U' * a.n, 'U' * a.n, {})
+    return sum((c * section(sigma) for sigma, c in a.coeffs.items()), zero)
 
 
 def idempotent_object(kind, n):

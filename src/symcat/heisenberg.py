@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 import re
 
-from .combinatorics import partition_key, partitions_of
+from .combinatorics import is_partition, partition_key, partitions_of
 from .errors import ParseError, VerificationFailure
-from .symfunc import SymFunc, _basis_to_m, _clean, _m_mult_raw, _new, _to_m_raw, \
+from .linalg import LinComb
+from .symfunc import SymFunc, _basis_to_m, _m_mult_raw, _to_m_raw, \
     convert, dual_apply, hall_pairing, lr_coefficients, multiply, schur
 
 __all__ = [
@@ -70,39 +71,16 @@ class HeisWord:
         return f'HeisWord({render_heisword(self)!r})'
 
 
-class HeisNormal:
+class HeisNormal(LinComb):
     """Integer combination of normal-form basis elements e_lambda h_mu*."""
 
-    __slots__ = ('coeffs',)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        clean = {}
-        for (lam, mu), c in coeffs.items():
-            c = int(c)
-            if c:
-                clean[(tuple(lam), tuple(mu))] = c
-        object.__setattr__(self, 'coeffs', clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError('HeisNormal is immutable')
-
-    def __eq__(self, other):
-        return isinstance(other, HeisNormal) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return HeisNormal(out)
-
-    def __neg__(self):
-        return HeisNormal({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        return HeisNormal({k: scalar * c for k, c in self.coeffs.items()})
+    def __new__(cls, coeffs):
+        for lam, mu in coeffs:
+            if not (is_partition(lam) and is_partition(mu)):
+                raise ValueError(f'not a pair of partitions: {(lam, mu)!r}')
+        return cls._new(coeffs)
 
     def __mul__(self, other):
         if isinstance(other, HeisNormal):
@@ -111,9 +89,6 @@ class HeisNormal:
 
     def __repr__(self):
         return f'HeisNormal({render_heis(self)!r})'
-
-    def is_zero(self):
-        return not self.coeffs
 
     def terms(self):
         return sorted(self.coeffs.items(),
@@ -170,7 +145,7 @@ def heis_normalize(w):
             lam = tuple(sorted((n for kind, n in word if kind == 'e'), reverse=True))
             mu = tuple(sorted((n for kind, n in word if kind == 'h*'), reverse=True))
             out[(lam, mu)] = out.get((lam, mu), 0) + c
-    return HeisNormal(out)
+    return HeisNormal._new(out)
 
 
 def heis_product(a, b):
@@ -180,20 +155,21 @@ def heis_product(a, b):
     >>> lhs == heis_e((1,)) * heis_hstar((1,)) + heis_unit()
     True
     """
-    out = HeisNormal({})
+    out = {}
     for (lam1, mu1), c1 in a.coeffs.items():
         for (lam2, mu2), c2 in b.coeffs.items():
             word = HeisWord(_basis_word(lam1, mu1) + _basis_word(lam2, mu2))
-            out = out + (c1 * c2) * heis_normalize(word)
-    return out
+            for key, c in heis_normalize(word).coeffs.items():
+                out[key] = out.get(key, 0) + c1 * c2 * c
+    return HeisNormal._new(out)
 
 
 def _e_elem(lam):
-    return _new('e', {tuple(lam): 1})
+    return SymFunc._new('e', {tuple(lam): 1})
 
 
 def _h_elem(mu):
-    return _new('h', {tuple(mu): 1})
+    return SymFunc._new('h', {tuple(mu): 1})
 
 
 def fock_apply(a, f):
@@ -205,13 +181,14 @@ def fock_apply(a, f):
     """
     out = {}
     for (lam, mu), c in a.coeffs.items():
-        # _clean raises NonIntegralResult for a state that is not integral in m
-        g = _to_m_raw(dual_apply(_h_elem(mu), f)) if mu else _clean('m', _to_m_raw(f))
+        # a state that is not integral in m raises NonIntegralResult here
+        g = _to_m_raw(dual_apply(_h_elem(mu), f)) if mu else \
+            SymFunc._new('m', _to_m_raw(f)).coeffs
         if lam:
             g = _m_mult_raw(g, dict(_basis_to_m('e', lam)))
         for nu, k in g.items():
             out[nu] = out.get(nu, 0) + c * k
-    return _new('m', out)
+    return SymFunc._new('m', out)
 
 
 def fock_apply_word(w, f):
@@ -229,7 +206,7 @@ def _schurs_up_to(degree):
     out = []
     for d in range(degree + 1):
         for lam in partitions_of(d):
-            out.append((lam, SymFunc('s', {lam: 1})))
+            out.append((lam, SymFunc._new('s', {lam: 1})))
     return out
 
 
@@ -447,5 +424,5 @@ def heis_from_json(text):
     out = {}
     for entry in data:
         key = (tuple(entry['e_partition']), tuple(entry['hstar_partition']))
-        out[key] = out.get(key, 0) + int(entry['coeff'])
+        out[key] = out.get(key, 0) + entry['coeff']
     return HeisNormal(out)

@@ -1,5 +1,8 @@
 """Exact linear algebra over the rationals, computed on int.
 
+`LinComb` is the one sparse linear-combination type: every algebra element
+and class vector in the package is a `LinComb` subclass.
+
 >>> matrix_rank([[1, 2], [2, 4], [0, Fraction(1, 2)]])
 2
 >>> common_denominator([Fraction(1, 2), 3, Fraction(-2, 3)])
@@ -10,13 +13,23 @@ import math
 
 from fractions import Fraction
 
-__all__ = ['scalar', 'common_denominator', 'matrix_rank']
+from .errors import NonIntegralResult
+
+__all__ = ['scalar', 'common_denominator', 'matrix_rank', 'LinComb']
 
 
 def scalar(c):
-    """c as an int when integral, else as a Fraction."""
+    """c as an int when integral, else as a Fraction; floats are refused.
+
+    >>> scalar(0.1)
+    Traceback (most recent call last):
+        ...
+    TypeError: inexact coefficient 0.1: use int or Fraction
+    """
     if type(c) is int:
         return c
+    if isinstance(c, float):
+        raise TypeError(f'inexact coefficient {c!r}: use int or Fraction')
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -47,3 +60,101 @@ def matrix_rank(rows):
         rows = [r for r in rows if any(r)]
         rank, prev = rank + 1, p
     return rank
+
+
+class LinComb:
+    """An immutable finite combination sum c_k [k] of hashable basis labels k.
+
+    `coeffs` maps each label to its nonzero coefficient.  A subclass names
+    the slots that fix its space (a basis, a rank, a lattice ...) in
+    `_TAGS`; elements of one class combine only within one space, and
+    `_MISMATCH` is raised otherwise.  `_RATIONAL` picks the coefficient
+    policy: int only (a non-integral coefficient raises NonIntegralResult)
+    or rationals, kept as int when integral.  The public constructor
+    (`__new__`) of a subclass validates its tags and labels and returns
+    `_new`; internal results call `_new` directly.
+    """
+
+    __slots__ = ('coeffs',)
+    _TAGS = ()
+    _RATIONAL = False
+    _MISMATCH = ValueError
+
+    @classmethod
+    def _new(cls, *args):
+        """Internal constructor: tag values in `_TAGS` order, then the
+        coefficient map; the tags and labels are trusted."""
+        new = object.__new__(cls)
+        for name, value in zip(cls._TAGS, args):
+            object.__setattr__(new, name, value)
+        object.__setattr__(new, 'coeffs', new._clean(args[-1]))
+        return new
+
+    def _like(self, coeffs):
+        """An element of the space of self with the given coefficients."""
+        new = object.__new__(type(self))
+        for name in self._TAGS:
+            object.__setattr__(new, name, getattr(self, name))
+        object.__setattr__(new, 'coeffs', new._clean(coeffs))
+        return new
+
+    def _clean(self, coeffs):
+        """coeffs without its zero terms, each coefficient under the policy."""
+        clean = {}
+        for k, c in coeffs.items():
+            if type(c) is not int:
+                c = self._exact(k, c)
+            if c:
+                clean[k] = c
+        return clean
+
+    def _exact(self, key, c):
+        """The coefficient c of key under this class's policy."""
+        c = scalar(c)
+        if type(c) is not int and not self._RATIONAL:
+            raise NonIntegralResult(
+                f'coefficient {c} of {key!r} is not an integer in {type(self).__name__}')
+        return c
+
+    def _align(self, other):
+        """other, checked to lie in the space of self."""
+        for name in self._TAGS:
+            if getattr(self, name) != getattr(other, name):
+                raise self._MISMATCH(f'cannot combine {type(self).__name__} values '
+                                     f'with different {name}')
+        return other
+
+    def _combine(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.coeffs)
+        for k, c in self._align(other).coeffs.items():
+            out[k] = out.get(k, 0) + sign * c
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __rmul__(self, c):
+        c = scalar(c)
+        return self._like({k: c * v for k, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs and all(
+            getattr(self, name) == getattr(other, name) for name in self._TAGS)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __setattr__(self, *args):
+        raise AttributeError(f'{type(self).__name__} is immutable')
+
+    __delattr__ = __setattr__

@@ -43,7 +43,7 @@ from .errors import (
     RankMismatch,
     VerificationFailure,
 )
-from .linalg import matrix_rank
+from .linalg import LinComb, matrix_rank
 from .weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement, weyl_apply
 
 __all__ = [
@@ -77,45 +77,18 @@ G_SIMPLES = 'G_simples'
 K_PROJECTIVES = 'K_projectives'
 
 
-class NilcoxElem:
+class NilcoxElem(LinComb):
     """Integer combination of basis elements u_s, s a permutation of fixed rank."""
 
-    __slots__ = ('n', 'coeffs')
+    __slots__ = ('n',)
+    _TAGS = ('n',)
+    _MISMATCH = RankMismatch
 
-    def __init__(self, n, coeffs):
-        clean = {}
-        for sigma, c in coeffs.items():
+    def __new__(cls, n, coeffs):
+        for sigma in coeffs:
             if len(sigma) != n:
                 raise ValueError(f'permutation {sigma!r} has wrong rank for N_{n}')
-            c = int(c)
-            if c:
-                clean[sigma] = c
-        object.__setattr__(self, 'n', n)
-        object.__setattr__(self, 'coeffs', clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError('NilcoxElem is immutable')
-
-    def __eq__(self, other):
-        return (isinstance(other, NilcoxElem) and self.n == other.n
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise RankMismatch('cannot add elements of different ranks')
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return NilcoxElem(self.n, out)
-
-    def __neg__(self):
-        return NilcoxElem(self.n, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        return NilcoxElem(self.n, {k: scalar * c for k, c in self.coeffs.items()})
+        return cls._new(n, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, NilcoxElem):
@@ -124,9 +97,6 @@ class NilcoxElem:
 
     def __repr__(self):
         return f'NilcoxElem({self.n}, {render_nilcox(self)!r})'
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def nc_unit(n):
@@ -153,7 +123,7 @@ def nc_product(a, b):
             st = perm_mult(sigma, tau)
             if perm_length(st) == ls + perm_length(tau):
                 out[st] = out.get(st, 0) + c1 * c2
-    return NilcoxElem(a.n, out)
+    return NilcoxElem._new(a.n, out)
 
 
 def nc_word_eval(word, n):
@@ -182,7 +152,7 @@ def nc_word_eval(word, n):
         seen.add(w)
         for p in range(len(w) - 1):
             if w[p] == w[p + 1]:
-                return NilcoxElem(n, {})
+                return NilcoxElem._new(n, {})
         for p in range(len(w) - 1):
             if abs(w[p] - w[p + 1]) >= 2:
                 queue.append(w[:p] + (w[p + 1], w[p]) + w[p + 2:])
@@ -190,7 +160,7 @@ def nc_word_eval(word, n):
             i, j, k = w[p], w[p + 1], w[p + 2]
             if i == k and abs(i - j) == 1:
                 queue.append(w[:p] + (j, i, j) + w[p + 3:])
-    return NilcoxElem(n, {word_eval(start, n): 1})
+    return NilcoxElem._new(n, {word_eval(start, n): 1})
 
 
 def x_right_basis(n):
@@ -204,7 +174,7 @@ def x_right_basis(n):
     """
     if n < 0:
         raise ValueError('rank must be nonnegative')
-    return [NilcoxElem(n + 1, {coset_rep(i, n + 1): 1})
+    return [NilcoxElem._new(n + 1, {coset_rep(i, n + 1): 1})
             for i in range(n + 1, 0, -1)]
 
 
@@ -246,7 +216,7 @@ def verify_bimodule_iso(n, max_rank=5):
     u_n_top = nc_generator(n, m)
 
     def m1(elem):
-        return NilcoxElem(m, {perm_extend(s, m): c for s, c in elem.coeffs.items()})
+        return NilcoxElem._new(m, {perm_extend(s, m): c for s, c in elem.coeffs.items()})
 
     # free basis of the tensor square: (i, tau) with b_i = u_{r_i} in N_n
     # running over x_right_basis(n-1) and tau over S_n
@@ -254,11 +224,11 @@ def verify_bimodule_iso(n, max_rank=5):
 
     @functools.cache  # memo for this call; NilcoxElem is immutable, so sharing is safe
     def m2_image(i, tau):
-        left = NilcoxElem(m, {perm_extend(coset_rep(i, n), m): 1})
-        right = NilcoxElem(m, {perm_extend(tau, m): 1})
+        left = NilcoxElem._new(m, {perm_extend(coset_rep(i, n), m): 1})
+        right = NilcoxElem._new(m, {perm_extend(tau, m): 1})
         return nc_product(left, nc_product(u_n_top, right))
 
-    m1_images = {next(iter(m1(NilcoxElem(n, {s: 1})).coeffs)) for s in sn}
+    m1_images = {next(iter(m1(NilcoxElem._new(n, {s: 1})).coeffs)) for s in sn}
     check('m1-injective', len(m1_images) == len(sn),
           f'{len(m1_images)} distinct images of {len(sn)} basis vectors')
 
@@ -294,7 +264,7 @@ def verify_bimodule_iso(n, max_rank=5):
     ok_m1 = True
     for g, g_top in zip(gens, gens_top):
         for s in sn:
-            e = NilcoxElem(n, {s: 1})
+            e = NilcoxElem._new(n, {s: 1})
             if m1(nc_product(g, e)) != nc_product(g_top, m1(e)):
                 ok_m1 = False
             if m1(nc_product(e, g)) != nc_product(m1(e), g_top):
@@ -302,10 +272,8 @@ def verify_bimodule_iso(n, max_rank=5):
     check('m1-bimodule-map', ok_m1, 'm_1 commutes with both actions on generators')
 
     def m2_linear(tensor_coeffs):
-        out = NilcoxElem(m, {})
-        for (i, tau), c in tensor_coeffs.items():
-            out = out + c * m2_image(i, tau)
-        return out
+        return sum((c * m2_image(i, tau) for (i, tau), c in tensor_coeffs.items()),
+                   NilcoxElem._new(m, {}))
 
     ok_left = True
     for j in range(1, n):
@@ -315,10 +283,10 @@ def verify_bimodule_iso(n, max_rank=5):
             # push u_j across the free basis: u_j u_{r_i} = sum u_{r_i'} u_{rho},
             # then the N_{n-1} factor rho slides through the tensor onto tau
             moved = {}
-            prod = nc_product(g, NilcoxElem(n, {coset_rep(i, n): 1}))
+            prod = nc_product(g, NilcoxElem._new(n, {coset_rep(i, n): 1}))
             for (i2, rho), c in _factor_right(prod).items():
-                shifted = nc_product(NilcoxElem(n, {perm_extend(rho, n): 1}),
-                                     NilcoxElem(n, {tau: 1}))
+                shifted = nc_product(NilcoxElem._new(n, {perm_extend(rho, n): 1}),
+                                     NilcoxElem._new(n, {tau: 1}))
                 for tau2, c2 in shifted.coeffs.items():
                     key = (i2, tau2)
                     moved[key] = moved.get(key, 0) + c * c2
@@ -332,7 +300,7 @@ def verify_bimodule_iso(n, max_rank=5):
         g = gens[j - 1]
         g_top = gens_top[j - 1]
         for i, tau in tensor_basis:
-            shifted = nc_product(NilcoxElem(n, {tau: 1}), g)
+            shifted = nc_product(NilcoxElem._new(n, {tau: 1}), g)
             moved = {(i, tau2): c for tau2, c in shifted.coeffs.items()}
             if m2_linear(moved) != nc_product(m2_image(i, tau), g_top):
                 ok_right = False
@@ -351,47 +319,22 @@ def verify_bimodule_iso(n, max_rank=5):
 #######################
 
 
-class KVector:
+class KVector(LinComb):
     """Integer vector of classes: sum c_n [L_n] (flavor G) or sum c_n [N_n] (flavor K)."""
 
-    __slots__ = ('flavor', 'coords')
+    __slots__ = ('flavor',)
+    _TAGS = ('flavor',)
+    _MISMATCH = FlavorMismatch
 
-    def __init__(self, flavor, coords):
+    def __new__(cls, flavor, coords):
         if flavor not in (G_SIMPLES, K_PROJECTIVES):
             raise ValueError(f'unknown flavor {flavor!r}')
-        clean = {}
-        for nn, c in coords.items():
+        for nn in coords:
             if not (isinstance(nn, int) and nn >= 0):
                 raise ValueError(f'bad index {nn!r}')
-            c = int(c)
-            if c:
-                clean[nn] = c
-        object.__setattr__(self, 'flavor', flavor)
-        object.__setattr__(self, 'coords', clean)
+        return cls._new(flavor, coords)
 
-    def __setattr__(self, *a):
-        raise AttributeError('KVector is immutable')
-
-    def __eq__(self, other):
-        return (isinstance(other, KVector) and self.flavor == other.flavor
-                and self.coords == other.coords)
-
-    def __add__(self, other):
-        if self.flavor != other.flavor:
-            raise FlavorMismatch('cannot add vectors of different flavors')
-        out = dict(self.coords)
-        for nn, c in other.coords.items():
-            out[nn] = out.get(nn, 0) + c
-        return KVector(self.flavor, out)
-
-    def __neg__(self):
-        return KVector(self.flavor, {k: -c for k, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        return KVector(self.flavor, {k: scalar * c for k, c in self.coords.items()})
+    coords = LinComb.coeffs  # the coefficient slot, under its K-theory name
 
     def __repr__(self):
         sym = 'L' if self.flavor == G_SIMPLES else 'N'
@@ -400,9 +343,6 @@ class KVector:
         body = ' + '.join(f'{c} [{sym}_{nn}]' if c != 1 else f'[{sym}_{nn}]'
                           for nn, c in sorted(self.coords.items()))
         return f'KVector({self.flavor!r}, {body!r})'
-
-    def is_zero(self):
-        return not self.coords
 
 
 def simple_class(n):
@@ -441,7 +381,7 @@ def ind_K(v):
     out = {}
     for n, c in v.coords.items():
         out[n + 1] = out.get(n + 1, 0) + c * _ind_multiplicity(v.flavor, n)
-    return KVector(v.flavor, out)
+    return KVector._new(v.flavor, out)
 
 
 def res_K(v):
@@ -451,7 +391,7 @@ def res_K(v):
         if n == 0:
             continue
         out[n - 1] = out.get(n - 1, 0) + c * _res_multiplicity(v.flavor, n)
-    return KVector(v.flavor, out)
+    return KVector._new(v.flavor, out)
 
 
 def k_pairing(a, b):
@@ -478,7 +418,7 @@ def regular_action_matrices(n):
         g = nc_generator(i, n)
         mat = [[0] * len(basis) for _ in basis]
         for c, s in enumerate(basis):
-            img = nc_product(g, NilcoxElem(n, {s: 1}))
+            img = nc_product(g, NilcoxElem._new(n, {s: 1}))
             for t, coeff in img.coeffs.items():
                 mat[index[t]][c] = coeff
         mats.append(mat)
@@ -514,14 +454,14 @@ def phi_G(v):
     """[L_n] -> r_n = x^n/n! in the divided-power lattice."""
     if v.flavor != G_SIMPLES:
         raise FlavorMismatch('phi_G takes the simple flavor')
-    return PolyVector(DIVIDED_POWERS, dict(v.coords))
+    return PolyVector._new(DIVIDED_POWERS, v.coords)
 
 
 def phi_K(v):
     """[N_n] -> x^n in the monomial lattice."""
     if v.flavor != K_PROJECTIVES:
         raise FlavorMismatch('phi_K takes the projective flavor')
-    return PolyVector(MONOMIALS, dict(v.coords))
+    return PolyVector._new(MONOMIALS, v.coords)
 
 
 def verify_weyl_squares(max_n=10):

@@ -57,7 +57,7 @@ from .combinatorics import (
     render_partition,
 )
 from .errors import InsufficientVariables, NonIntegralResult, ParseError
-from .linalg import scalar as _scalar
+from .linalg import LinComb, scalar as _scalar
 
 __all__ = [
     'BASES',
@@ -100,95 +100,46 @@ def _check_basis(basis):
     return basis
 
 
-def _clean(basis, coeffs):
-    """Drop zero terms and store integral coefficients as int.
-
-    Coefficients must already be int or Fraction.  Only the powersum basis
-    may keep a non-integral one; anywhere else NonIntegralResult is raised.
-    """
-    clean = {}
-    for lam, c in coeffs.items():
-        if not c:
-            continue
-        if type(c) is not int:
-            if c.denominator == 1:
-                c = c.numerator
-            elif basis != 'p':
-                raise NonIntegralResult(
-                    f'coefficient {c} of {lam} is not an integer in basis {basis!r}')
-        clean[lam] = c
-    return clean
-
-
-def _new(basis, coeffs):
-    """Internal constructor: trusts the basis tag and the partition keys."""
-    f = object.__new__(SymFunc)
-    object.__setattr__(f, 'basis', basis)
-    object.__setattr__(f, 'coeffs', _clean(basis, coeffs))
-    return f
-
-
-class SymFunc:
+class SymFunc(LinComb):
     """A symmetric function in a fixed basis.
 
-    Zero coefficients are pruned at construction and integral ones are
-    stored as int; coefficients outside the powersum basis must be integers
-    (NonIntegralResult otherwise, which is how `convert` reports genuinely
-    rational powersum combinations).  Values are immutable; all operations
-    return fresh objects.
+    Integral coefficients are stored as int; only the powersum basis may
+    hold a non-integral one (NonIntegralResult otherwise, which is how
+    `convert` reports genuinely rational powersum combinations).  Sums and
+    differences across bases are taken in the basis of the left operand.
     """
 
-    __slots__ = ('basis', 'coeffs')
+    __slots__ = ('basis',)
+    _TAGS = ('basis',)
+    _RATIONAL = True
 
-    def __init__(self, basis, coeffs):
+    def __new__(cls, basis, coeffs):
         basis = _check_basis(basis)
-        checked = {}
-        for lam, c in coeffs.items():
-            lam = tuple(lam)
+        for lam in coeffs:
             if not is_partition(lam):
                 raise ValueError(f'not a partition: {lam!r}')
-            checked[lam] = _scalar(c)
-        object.__setattr__(self, 'basis', basis)
-        object.__setattr__(self, 'coeffs', _clean(basis, checked))
+        return cls._new(basis, coeffs)
 
-    def __setattr__(self, *a):
-        raise AttributeError('SymFunc is immutable')
+    def _exact(self, lam, c):
+        c = super()._exact(lam, c)
+        if type(c) is not int and self.basis != 'p':
+            raise NonIntegralResult(
+                f'coefficient {c} of {lam} is not an integer in basis {self.basis!r}')
+        return c
+
+    def _align(self, other):
+        return other if other.basis == self.basis else convert(other, self.basis)
 
     def terms(self):
         """Coefficient items in display order (degree, then reverse-lex)."""
         return sorted(self.coeffs.items(), key=lambda kv: partition_key(kv[0]))
-
-    def is_zero(self):
-        return not self.coeffs
 
     def homogeneous_parts(self):
         """Map degree -> SymFunc, splitting into homogeneous components."""
         by_deg = {}
         for lam, c in self.coeffs.items():
             by_deg.setdefault(sum(lam), {})[lam] = c
-        return {d: _new(self.basis, cs) for d, cs in sorted(by_deg.items())}
-
-    def __add__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if other.basis != self.basis:
-            other = convert(other, self.basis)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, 0) + c
-        return _new(self.basis, out)
-
-    def __neg__(self):
-        return _new(self.basis, {lam: -c for lam, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = _scalar(scalar)
-        return _new(self.basis, {lam: scalar * c for lam, c in self.coeffs.items()})
+        return {d: self._new(self.basis, cs) for d, cs in sorted(by_deg.items())}
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
@@ -470,7 +421,7 @@ def convert(f, target):
     target = _check_basis(target)
     if f.basis == target:
         return f
-    return _new(target, _from_m_raw(_to_m_raw(f), target))
+    return SymFunc._new(target, _from_m_raw(_to_m_raw(f), target))
 
 
 def multiply(f, g):
@@ -488,9 +439,9 @@ def multiply(f, g):
             for mu, b in gp.coeffs.items():
                 nu = tuple(sorted(lam + mu, reverse=True))
                 out[nu] = out.get(nu, 0) + a * b
-        return convert(_new('p', out), f.basis)
+        return convert(SymFunc._new('p', out), f.basis)
     prod = _m_mult_raw(_to_m_raw(f), _to_m_raw(g))
-    return _new(f.basis, _from_m_raw(prod, f.basis))
+    return SymFunc._new(f.basis, _from_m_raw(prod, f.basis))
 
 
 #############################################
@@ -730,8 +681,8 @@ def coproduct(f):
                                                 partition_key(ab[1]))):
         c = acc[(al, be)]
         if c != 0:
-            triples.append((Fraction(c), basis_element('h', al),
-                            basis_element('h', be)))
+            triples.append((Fraction(c), SymFunc._new('h', {al: 1}),
+                            SymFunc._new('h', {be: 1})))
     return triples
 
 
@@ -766,7 +717,7 @@ def antipode(f):
     for lam, c in _to_h_raw(f).items():
         for mu, k in _antipode_h(lam):
             out[mu] = out.get(mu, 0) + c * k
-    return convert(_new('h', out), f.basis)
+    return convert(SymFunc._new('h', out), f.basis)
 
 
 #############################################
@@ -802,7 +753,7 @@ def schur(lam):
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f'not a partition: {lam!r}')
-    return _new('h', dict(_schur_h(lam)))
+    return SymFunc._new('h', dict(_schur_h(lam)))
 
 
 @lru_cache(maxsize=None)
@@ -850,7 +801,7 @@ def dual_apply(f, g):
         for mu, cg in gs.coeffs.items():
             for nu, k in _dual_schur_on_schur(kappa, mu):
                 out[nu] = out.get(nu, 0) + cf * cg * k
-    return convert(_new('s', out), g.basis)
+    return convert(SymFunc._new('s', out), g.basis)
 
 
 #############################################

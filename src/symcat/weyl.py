@@ -20,6 +20,7 @@ import math
 import re
 
 from .errors import LatticeMismatch, ParseError
+from .linalg import LinComb
 
 __all__ = [
     'DIVIDED_POWERS',
@@ -39,94 +40,42 @@ __all__ = [
 DIVIDED_POWERS = 'R'
 MONOMIALS = 'Rprime'
 
-class WeylElement:
+class WeylElement(LinComb):
     """Normal-ordered integer combination of x^a d^b monomials."""
 
-    __slots__ = ('coeffs',)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        clean = {}
-        for (a, b), c in coeffs.items():
+    def __new__(cls, coeffs):
+        for a, b in coeffs:
             if not (isinstance(a, int) and isinstance(b, int) and a >= 0 and b >= 0):
                 raise ValueError(f'bad exponent pair {(a, b)!r}')
-            c = int(c)
-            if c:
-                clean[(a, b)] = c
-        object.__setattr__(self, 'coeffs', clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError('WeylElement is immutable')
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return WeylElement(out)
-
-    def __neg__(self):
-        return WeylElement({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        return WeylElement({k: scalar * c for k, c in self.coeffs.items()})
+        return cls._new(coeffs)
 
     def __repr__(self):
         return f'WeylElement({render_weyl(self)!r})'
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def unit():
     return WeylElement({(0, 0): 1})
 
 
-class PolyVector:
+class PolyVector(LinComb):
     """Integer vector in one of the two polynomial lattices."""
 
-    __slots__ = ('lattice', 'coeffs')
+    __slots__ = ('lattice',)
+    _TAGS = ('lattice',)
+    _MISMATCH = LatticeMismatch
 
-    def __init__(self, lattice, coeffs):
+    def __new__(cls, lattice, coeffs):
         if lattice not in (DIVIDED_POWERS, MONOMIALS):
             raise ValueError(f'unknown lattice {lattice!r}')
-        clean = {}
-        for n, c in coeffs.items():
+        for n in coeffs:
             if not (isinstance(n, int) and n >= 0):
                 raise ValueError(f'bad degree {n!r}')
-            c = int(c)
-            if c:
-                clean[n] = c
-        object.__setattr__(self, 'lattice', lattice)
-        object.__setattr__(self, 'coeffs', clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError('PolyVector is immutable')
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyVector) and self.lattice == other.lattice
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if self.lattice != other.lattice:
-            raise LatticeMismatch('cannot add vectors across lattices')
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, 0) + c
-        return PolyVector(self.lattice, out)
-
-    def __rmul__(self, scalar):
-        return PolyVector(self.lattice, {n: scalar * c for n, c in self.coeffs.items()})
+        return cls._new(lattice, coeffs)
 
     def __repr__(self):
         return f'PolyVector({render_polyvector(self)!r})'
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def _mono_product_closed(a1, b1, a2, b2):
@@ -171,7 +120,7 @@ def _multiply_with(u, v, mono_product):
         for (a2, b2), c2 in v.coeffs.items():
             for key, k in mono_product(a1, b1, a2, b2).items():
                 out[key] = out.get(key, 0) + c1 * c2 * k
-    return WeylElement(out)
+    return WeylElement._new(out)
 
 
 def weyl_multiply(u, v):
@@ -216,7 +165,7 @@ def weyl_apply(u, v):
                     m += 1
                     scale *= m
             out[m] = out.get(m, 0) + c * cn * scale
-    return PolyVector(v.lattice, out)
+    return PolyVector._new(v.lattice, out)
 
 
 def weyl_pairing(v, w):

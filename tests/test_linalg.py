@@ -5,8 +5,18 @@ import random
 
 from fractions import Fraction
 
+import pytest
+
 import symcat.nilcoxeter as nx
-from symcat.linalg import common_denominator, matrix_rank, scalar
+from symcat.bimodel import BimoduleElem, GroupAlgElem, ga_unit, path_from_signature, \
+    tensor_basis
+from symcat.diagcat import Morphism, parse_diagram
+from symcat.errors import FlavorMismatch, LatticeMismatch, NonIntegralResult, \
+    RankMismatch, SignatureMismatch
+from symcat.heisenberg import HeisNormal, heis_e
+from symcat.linalg import LinComb, common_denominator, matrix_rank, scalar
+from symcat.symfunc import SymFunc
+from symcat.weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement
 
 
 def fraction_rank(rows):
@@ -124,3 +134,103 @@ def test_rows_may_be_iterators():
     rows = [[1, 2], [2, 4], [0, Fraction(1, 2)]]
     assert matrix_rank(iter(row) for row in rows) == 2
     assert common_denominator(x for x in (Fraction(1, 2), 1)) == ([1, 2], 2)
+
+
+##########################################
+# LinComb: the shared linear-combination #
+##########################################
+
+_UU = path_from_signature('UU', 1)
+_DIAGRAMS = [parse_diagram('sig:UU; x1'), parse_diagram('sig:UU')]
+
+# class, public constructor arguments, arguments with a bad label (or None), error
+LINCOMB_CASES = [
+    (SymFunc, ('s', {(2, 1): 3, (1,): -1}), ('s', {(1, 2): 1}), ValueError),
+    (WeylElement, ({(2, 1): 3, (0, 0): -1},), ({(1, -1): 1},), ValueError),
+    (PolyVector, (MONOMIALS, {0: 2, 3: -1}), ('Q', {0: 1}), ValueError),
+    (HeisNormal, ({((2, 1), (1,)): 2, ((), ()): -1},), ({((1, 2), ()): 1},), ValueError),
+    (nx.NilcoxElem, (3, {(2, 3, 1): 1, (1, 2, 3): -2}), (3, {(2, 1): 1}), ValueError),
+    (nx.KVector, (nx.G_SIMPLES, {2: 1, 0: -3}), ('Z', {1: 1}), ValueError),
+    (GroupAlgElem, (3, {(2, 1, 3): Fraction(1, 2), (1, 2, 3): 2}), (3, {(1, 2): 1}),
+     ValueError),
+    (BimoduleElem, (_UU, dict(zip(tensor_basis(_UU), (1, Fraction(-2, 3), 5)))), None, None),
+    (Morphism, ('UU', 'UU', {_DIAGRAMS[0]: 1, _DIAGRAMS[1]: Fraction(1, 2)}),
+     ('UU', 'DU', {_DIAGRAMS[0]: 1}), SignatureMismatch),
+]
+
+
+@pytest.mark.parametrize('cls, args, bad, error', LINCOMB_CASES,
+                         ids=[case[0].__name__ for case in LINCOMB_CASES])
+def test_lincomb_laws(cls, args, bad, error):
+    x = cls(*args)
+    zero = cls(*args[:-1], {})
+    assert isinstance(x, LinComb) and not x.is_zero() and zero.is_zero()
+    for name in ('coeffs',) + cls._TAGS:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    assert (x + (-x)).is_zero() and (0 * x).is_zero()
+    assert x - x == zero and x != zero
+    assert x + x == 2 * x and x + zero == x
+    assert cls._new(*args) == x
+    if bad is not None:
+        with pytest.raises(error):
+            cls(*bad)
+
+
+@pytest.mark.parametrize('a, b, error', [
+    (PolyVector(MONOMIALS, {1: 1}), PolyVector(DIVIDED_POWERS, {1: 1}), LatticeMismatch),
+    (nx.nc_unit(2), nx.nc_unit(3), RankMismatch),
+    (nx.simple_class(1), nx.projective_class(1), FlavorMismatch),
+    (ga_unit(2), ga_unit(3), RankMismatch),
+    (BimoduleElem(_UU, {}), BimoduleElem(path_from_signature('UU', 2), {}), ValueError),
+    (Morphism.from_diagram(_DIAGRAMS[1]), Morphism('DU', 'DU', {}), SignatureMismatch),
+], ids=['PolyVector', 'NilcoxElem', 'KVector', 'GroupAlgElem', 'BimoduleElem', 'Morphism'])
+def test_combining_across_spaces_raises_the_typed_error(a, b, error):
+    for op in (lambda: a + b, lambda: a - b):
+        with pytest.raises(error):
+            op()
+
+
+def test_integer_spaces_refuse_non_integral_coefficients():
+    with pytest.raises(NonIntegralResult):
+        Fraction(1, 2) * WeylElement({(1, 0): 3})
+    with pytest.raises(NonIntegralResult):
+        Fraction(5, 2) * nx.simple_class(3)
+    with pytest.raises(NonIntegralResult):
+        Fraction(1, 2) * heis_e((2,))
+    with pytest.raises(NonIntegralResult):
+        Fraction(1, 2) * nx.nc_unit(2)
+    # a float is refused before the integer policy sees it
+    with pytest.raises(TypeError):
+        WeylElement({(1, 0): 2.7})
+    # integral results of rational scalars stay allowed
+    assert Fraction(1, 2) * WeylElement({(1, 0): 4}) == WeylElement({(1, 0): 2})
+    assert type((Fraction(4, 2) * nx.nc_unit(2)).coeffs[(1, 2)]) is int
+
+
+def test_floats_are_refused():
+    circle = parse_diagram('sig:; cup+1; cap+1')
+    with pytest.raises(TypeError):
+        scalar(0.5)
+    with pytest.raises(TypeError):
+        0.1 * ga_unit(2)
+    with pytest.raises(TypeError):
+        Morphism.from_diagram(circle, 0.5)
+    with pytest.raises(TypeError):
+        0.5 * Morphism.from_diagram(circle)
+    with pytest.raises(TypeError):
+        SymFunc('p', {(1,): 0.5})
+
+
+@pytest.mark.parametrize('a, b', [
+    (SymFunc('m', {(1,): 1}), 1),
+    (WeylElement({(1, 0): 1}), 1),
+    (nx.nc_unit(2), nx.simple_class(1)),
+    (heis_e((2,)), WeylElement({(1, 0): 1})),
+    (ga_unit(2), nx.nc_unit(2)),
+    (Morphism.from_diagram(_DIAGRAMS[1]), ga_unit(2)),
+], ids=['symfunc', 'weyl', 'nilcoxeter', 'heisenberg', 'bimodel', 'diagcat'])
+def test_mixed_type_arithmetic_is_a_type_error(a, b):
+    for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
+        with pytest.raises(TypeError, match='unsupported operand'):
+            op()
