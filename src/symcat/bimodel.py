@@ -33,6 +33,7 @@ from .combinatorics import (
     coset_decompose,
     coset_rep,
     identity_perm,
+    is_permutation,
     partitions_of,
     perm_extend,
     perm_inverse,
@@ -302,8 +303,13 @@ class BimoduleElem(LinComb):
     _RATIONAL = True
 
     def __new__(cls, path, coeffs):
+        ranks = [path.carrier(path.step_of_position(p)) for p in range(path.steps)]
+        ranks.append(path.base)
         merged = {}
         for elem, c in coeffs.items():
+            if len(elem) != len(ranks) or not all(
+                    len(g) == m and is_permutation(g) for g, m in zip(elem, ranks)):
+                raise ValueError(f'{elem!r} is not a tensor of permutations of ranks {ranks}')
             elem = canonicalize(path, elem)
             merged[elem] = merged.get(elem, 0) + c
         return cls._new(path, merged)

@@ -613,7 +613,12 @@ def _case_heis_confluence(D, N, rng):
             p = rng.randint(0, len(shuffled) - 2)
             if shuffled[p][0] == shuffled[p + 1][0]:
                 shuffled[p], shuffled[p + 1] = shuffled[p + 1], shuffled[p]
-        if hs.heis_normalize(hs.HeisWord(letters)) != hs.heis_normalize(hs.HeisWord(shuffled)):
+        word = hs.HeisWord(letters)
+        normal = hs.heis_normalize(word)
+        if normal != hs.heis_normalize_single_step(word):
+            raise VerificationFailure(
+                f'closed-form normal form differs from single-step rewriting for {letters}')
+        if normal != hs.heis_normalize(hs.HeisWord(shuffled)):
             raise VerificationFailure(
                 f'normal form depends on the order of commuting letters in {letters}')
     return f'{samples} random words normalize independently of commuting-letter order'

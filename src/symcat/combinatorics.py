@@ -64,10 +64,10 @@ def is_partition(parts) -> bool:
 
     >>> is_partition((3, 1, 1)) and is_partition(())
     True
-    >>> is_partition((1, 2))
+    >>> is_partition((1, 2)) or is_partition((True,))
     False
     """
-    return all(isinstance(p, int) and p >= 1 for p in parts) and \
+    return all(type(p) is int and p >= 1 for p in parts) and \
         all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 

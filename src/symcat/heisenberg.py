@@ -4,7 +4,15 @@ The algebra h has generators e_n and h_n* (n >= 1) with all e's commuting,
 all h*'s commuting, and h_m* e_n = e_n h_m* + e_{n-1} h_{m-1}*, where an
 index-0 factor collapses to 1.  As a Z-module h = Sym (x) Sym*, with basis
 e_lambda h_mu*; elements are kept in that normal form (all starred letters
-rightmost).  h acts on Sym -- the Fock space -- by e_lambda = multiplication
+rightmost).  Moving e_n left past h_mu* lowers each starred letter at most
+once, which gives the closed form
+
+    h_mu* e_n = sum over sets S of at most n parts of mu of
+                e_{n-|S|} h*_{mu lowered by 1 on S};
+
+`heis_normalize` applies it letter by letter, and
+`heis_normalize_single_step` (one rewrite of an adjacent pair at a time) is
+its oracle.  h acts on Sym -- the Fock space -- by e_lambda = multiplication
 and h_mu* = the dual (adjoint) operator, and the same two operators realize
 induction and restriction products on symmetric-group representation classes
 under [S^lambda] -> s_lambda.
@@ -18,6 +26,8 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
+from math import comb
 
 from .combinatorics import is_partition, partition_key, partitions_of
 from .errors import ParseError, VerificationFailure
@@ -32,6 +42,7 @@ __all__ = [
     'heis_e',
     'heis_hstar',
     'heis_normalize',
+    'heis_normalize_single_step',
     'heis_product',
     'fock_apply',
     'fock_apply_word',
@@ -57,7 +68,7 @@ class HeisWord:
     def __init__(self, letters):
         letters = tuple(letters)
         for kind, n in letters:
-            if kind not in ('e', 'h*') or not (isinstance(n, int) and n >= 1):
+            if kind not in ('e', 'h*') or not (type(n) is int and n >= 1):
                 raise ValueError(f'bad letter {(kind, n)!r}')
         object.__setattr__(self, 'letters', letters)
 
@@ -110,21 +121,66 @@ def heis_hstar(mu):
     return HeisNormal({((), tuple(mu)): 1})
 
 
-def _basis_word(lam, mu):
-    return tuple(('e', n) for n in lam) + tuple(('h*', n) for n in mu)
+def _with_part(parts, n):
+    """The partition parts with one more part n >= 1."""
+    return tuple(sorted(parts + (n,), reverse=True))
+
+
+@lru_cache(maxsize=4096)
+def _hstar_past_e(mu, n):
+    """The closed form of h_mu* e_n (module docstring) as (n - |S|, mu
+    lowered on S, multiplicity) triples; the parts of one value are chosen
+    together, with a binomial multiplicity."""
+    terms = [(n, (), 1)]
+    for v in sorted(set(mu), reverse=True):
+        mult = mu.count(v)
+        terms = [(k - j, parts + (v,) * (mult - j) + (v - 1,) * (j if v > 1 else 0),
+                  c * comb(mult, j))
+                 for k, parts, c in terms for j in range(min(mult, k) + 1)]
+    return tuple(terms)
+
+
+def _push(state, kind, n):
+    """The normal-form map state ((lam, mu) -> coefficient) times one letter."""
+    out = {}
+    for (lam, mu), c in state.items():
+        if kind == 'h*':
+            terms = ((0, _with_part(mu, n), 1),)
+        elif mu:
+            terms = _hstar_past_e(mu, n)
+        else:
+            terms = ((n, (), 1),)
+        for k, nu, b in terms:
+            key = (_with_part(lam, k) if k else lam, nu)
+            out[key] = out.get(key, 0) + b * c
+    return out
 
 
 def heis_normalize(w):
-    """Rewrite a generator word into the e-left / h*-right normal form.
+    """The e-left / h*-right normal form of a generator word.
 
-    The only non-commuting move is h_m* e_n = e_n h_m* + e_{n-1} h_{m-1}*
-    (index-0 factors collapse to 1); each application removes one starred
-    letter sitting left of an unstarred one, so the rewriting terminates.
+    The word is read left to right into a map (lam, mu) -> coefficient of
+    terms e_lam h_mu*: an h_m* joins mu, and an e_n is moved left past
+    h_mu* in one closed-form step (see `_hstar_past_e`).
 
     >>> render_heis(heis_normalize(parse_heisword('e2')))
     'e[2]'
     >>> render_heis(heis_normalize(parse_heisword('h2* e1')))
     'e[1] h*[2] + h*[1]'
+    """
+    state = {((), ()): 1}
+    for kind, n in w.letters:
+        state = _push(state, kind, n)
+    return HeisNormal._new(state)
+
+
+def heis_normalize_single_step(w):
+    """Oracle for heis_normalize: rewrite one adjacent pair at a time.
+
+    The only non-commuting move is h_m* e_n = e_n h_m* + e_{n-1} h_{m-1}*
+    (index-0 factors collapse to 1); each application removes one starred
+    letter sitting left of an unstarred one, so the rewriting terminates.
+    Its cost grows exponentially with the number of such pairs.
     """
     pending = {w.letters: 1}
     out = {}
@@ -149,18 +205,21 @@ def heis_normalize(w):
 
 
 def heis_product(a, b):
-    """Bilinear product: concatenate basis words and renormalize.
+    """Bilinear product: push each basis word of b onto a, letter by letter.
 
     >>> lhs = heis_product(heis_hstar((1,)), heis_e((1,)))
     >>> lhs == heis_e((1,)) * heis_hstar((1,)) + heis_unit()
     True
     """
     out = {}
-    for (lam1, mu1), c1 in a.coeffs.items():
-        for (lam2, mu2), c2 in b.coeffs.items():
-            word = HeisWord(_basis_word(lam1, mu1) + _basis_word(lam2, mu2))
-            for key, c in heis_normalize(word).coeffs.items():
-                out[key] = out.get(key, 0) + c1 * c2 * c
+    for (lam, mu), c in b.coeffs.items():
+        state = a.coeffs
+        for n in lam:
+            state = _push(state, 'e', n)
+        for n in mu:
+            state = _push(state, 'h*', n)
+        for key, k in state.items():
+            out[key] = out.get(key, 0) + c * k
     return HeisNormal._new(out)
 
 

@@ -19,7 +19,8 @@ __all__ = ['scalar', 'common_denominator', 'matrix_rank', 'LinComb']
 
 
 def scalar(c):
-    """c as an int when integral, else as a Fraction; floats are refused.
+    """c as an int when integral, else as a Fraction; only int (bool
+    included) and Fraction are taken, so floats and strings are refused.
 
     >>> scalar(0.1)
     Traceback (most recent call last):
@@ -28,8 +29,9 @@ def scalar(c):
     """
     if type(c) is int:
         return c
-    if isinstance(c, float):
-        raise TypeError(f'inexact coefficient {c!r}: use int or Fraction')
+    if not isinstance(c, (int, Fraction)):
+        kind = 'inexact' if isinstance(c, float) else 'unsupported'
+        raise TypeError(f'{kind} coefficient {c!r}: use int or Fraction')
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -90,6 +90,13 @@ def test_heis_commands(capsys):
     assert run_cli(capsys, 'heis', 'fock', 'h1*', '--state', '[1]')[1] == 's[]\n'
 
 
+def test_heis_normalize_many_inversions_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, 'heis', 'normalize', ' '.join(['h3*'] * 5 + ['e3'] * 5))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.startswith('e[3,3,3,3,3] h*[3,3,3,3,3] + ')
+
+
 def test_bimod_commands(capsys):
     code, out, _ = run_cli(capsys, 'bimod', 'decompose', '[2,1]', '[2]')
     assert code == 0

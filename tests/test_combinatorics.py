@@ -181,3 +181,4 @@ def test_is_partition():
     assert is_partition((5, 5, 2))
     assert not is_partition((1, 2))
     assert not is_partition((2, 0))
+    assert not is_partition((True,)) and not is_partition((2, True))

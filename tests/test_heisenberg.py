@@ -1,5 +1,7 @@
 """Tests for the Heisenberg algebra normal form, Fock action, and class operators."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -66,6 +68,66 @@ def test_normalization_preserves_fock_action():
         normal = hs.heis_normalize(w)
         for f in inputs:
             assert hs.fock_apply_word(w, f) == hs.fock_apply(normal, f)
+
+
+LETTERS = [(kind, n) for kind in ('e', 'h*') for n in range(1, 5)]
+
+
+def test_closed_form_matches_single_step_on_every_short_word():
+    count = 0
+    for length in range(5):
+        for letters in itertools.product(LETTERS, repeat=length):
+            w = hs.HeisWord(letters)
+            assert hs.heis_normalize(w) == hs.heis_normalize_single_step(w), letters
+            count += 1
+    assert count == 1 + 8 + 8 ** 2 + 8 ** 3 + 8 ** 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), min_size=5, max_size=8))
+def test_closed_form_matches_single_step_on_longer_words(letters):
+    w = hs.HeisWord(letters)
+    assert hs.heis_normalize(w) == hs.heis_normalize_single_step(w)
+
+
+def test_closed_form_reaches_many_inversions():
+    # k^2 starred/unstarred pairs, beyond single-step rewriting for k >= 5; on
+    # index-1 letters the relation is d x = x d + 1, whose normal ordering is
+    # d^k x^k = sum_j C(k, j)^2 j! x^(k-j) d^(k-j)
+    for k in range(9):
+        got = hs.heis_normalize(word(' '.join(['h1*'] * k + ['e1'] * k)))
+        want = {((1,) * (k - j), (1,) * (k - j)): math.comb(k, j) ** 2 * math.factorial(j)
+                for j in range(k + 1)}
+        assert got.coeffs == want
+    got = hs.heis_normalize(word(' '.join(['h3*'] * 5 + ['e3'] * 5)))
+    assert len(got.coeffs) == 240 and got.coeffs[((3,) * 5, (3,) * 5)] == 1
+
+
+def test_product_matches_single_step_on_concatenated_words():
+    rng = random.Random(17)
+    small = [lam for d in range(4) for lam in partitions_of(d)]
+    for _ in range(30):
+        a = hs.HeisNormal({(rng.choice(small), rng.choice(small)): rng.choice((1, -1, 2))
+                           for _ in range(rng.randint(0, 2))})
+        b = hs.HeisNormal({(rng.choice(small), rng.choice(small)): rng.choice((1, -1, 3))
+                           for _ in range(rng.randint(0, 2))})
+        want = hs.HeisNormal({})
+        for (lam1, mu1), c1 in a.coeffs.items():
+            for (lam2, mu2), c2 in b.coeffs.items():
+                letters = [('e', n) for n in lam1] + [('h*', n) for n in mu1] \
+                    + [('e', n) for n in lam2] + [('h*', n) for n in mu2]
+                want = want + (c1 * c2) * hs.heis_normalize_single_step(hs.HeisWord(letters))
+        assert hs.heis_product(a, b) == want
+
+
+def test_letters_and_parts_must_be_ints():
+    for bad in (True, 1.0, '1', 0):
+        with pytest.raises(ValueError):
+            hs.HeisWord([('e', bad)])
+        with pytest.raises(ValueError):
+            hs.HeisNormal({((bad,), ()): 1})
+    with pytest.raises(ValueError):
+        hs.HeisWord([('f', 1)])
 
 
 def test_product_unit_and_examples():

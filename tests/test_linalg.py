@@ -3,6 +3,7 @@
 import math
 import random
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,30 @@ def test_scalar_normalises():
     assert type(scalar(Fraction(4, 2))) is int and scalar(Fraction(4, 2)) == 2
     assert scalar(Fraction(1, 3)) == Fraction(1, 3)
     assert type(scalar(7)) is int
+    assert type(scalar(True)) is int and scalar(True) == 1
+
+
+def test_scalar_refuses_everything_but_int_and_fraction():
+    for bad in ('3', ' 1/2 ', Decimal('1.5'), Decimal(2), 1.0, 1j, None):
+        with pytest.raises(TypeError):
+            scalar(bad)
+    with pytest.raises(TypeError):
+        SymFunc('m', {(1,): '3'})
+    with pytest.raises(TypeError):
+        GroupAlgElem(2, {(1, 2): ' 1/2 '})
+    with pytest.raises(TypeError):
+        Decimal(2) * heis_e((1,))
+    assert SymFunc('m', {(1,): True}) == SymFunc('m', {(1,): 1})
+
+
+def test_bimodule_elem_checks_its_labels():
+    path = path_from_signature('UU', 1)  # slots of ranks 3, 2 and 1
+    good = tensor_basis(path)[0]
+    for bad in (good[:-1], good + ((1,),), ((1, 2),), ((1, 2), good[1], good[2]),
+                (good[0], (1, 1), good[2]), (good[0], good[1], (1, 2))):
+        with pytest.raises(ValueError):
+            BimoduleElem(path, {bad: 1})
+    assert not BimoduleElem(path, {good: 1}).is_zero()
 
 
 def test_hom_space_dimension_with_rational_actions():
@@ -153,7 +178,8 @@ LINCOMB_CASES = [
     (nx.KVector, (nx.G_SIMPLES, {2: 1, 0: -3}), ('Z', {1: 1}), ValueError),
     (GroupAlgElem, (3, {(2, 1, 3): Fraction(1, 2), (1, 2, 3): 2}), (3, {(1, 2): 1}),
      ValueError),
-    (BimoduleElem, (_UU, dict(zip(tensor_basis(_UU), (1, Fraction(-2, 3), 5)))), None, None),
+    (BimoduleElem, (_UU, dict(zip(tensor_basis(_UU), (1, Fraction(-2, 3), 5)))),
+     (_UU, {((1, 2),): 1}), ValueError),
     (Morphism, ('UU', 'UU', {_DIAGRAMS[0]: 1, _DIAGRAMS[1]: Fraction(1, 2)}),
      ('UU', 'DU', {_DIAGRAMS[0]: 1}), SignatureMismatch),
 ]

@@ -555,7 +555,7 @@ def test_rational_scalars_stay_fractions():
 
 
 def test_public_constructor_rejects_non_partitions():
-    for bad in [(1, 2), (0,), (2, 0), (1.5,), (-1,)]:
+    for bad in [(1, 2), (0,), (2, 0), (1.5,), (-1,), (True,), (2, True)]:
         with pytest.raises(ValueError):
             sf.SymFunc(M, {bad: 1})
         with pytest.raises(ValueError):
