@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 
 from fractions import Fraction
@@ -46,10 +45,13 @@ from .diagcat import Diagram, Morphism, parse_diagram
 from .errors import (
     BoundExceeded,
     RankMismatch,
+    Report,
     UnrealizableAtRank,
     VerificationFailure,
+    report_json,
 )
-from .linalg import LinComb, common_denominator, matrix_rank, scalar as _scalar
+from .linalg import LinComb, common_denominator, matrix_rank, render_terms, \
+    scalar as _scalar
 
 __all__ = [
     'GroupAlgElem',
@@ -88,7 +90,7 @@ class GroupAlgElem(LinComb):
 
     def __new__(cls, n, coeffs):
         for w in coeffs:
-            if len(w) != n or sorted(w) != list(range(1, n + 1)):
+            if len(w) != n or not is_permutation(w):
                 raise ValueError(f'{w} is not a permutation of rank {n}')
         return cls._new(n, coeffs)
 
@@ -144,19 +146,7 @@ def antisymmetrizer(n):
 
 
 def render_groupalg(a):
-    if not a.coeffs:
-        return '0'
-    pieces = []
-    for w, c in sorted(a.coeffs.items()):
-        body = render_permutation(w)
-        mag = abs(c)
-        if mag != 1:
-            body = f'{mag} {body}'
-        if not pieces:
-            pieces.append(body if c > 0 else '-' + body)
-        else:
-            pieces.append(('+ ' if c > 0 else '- ') + body)
-    return ' '.join(pieces)
+    return render_terms((render_permutation(w), c) for w, c in sorted(a.coeffs.items()))
 
 
 def right_mult_matrix(a):
@@ -507,12 +497,15 @@ def _map_or_zero(m, base):
         return LinearMapRep.zero(dom, cod)
 
 
-def _first_difference(lhs, rhs):
+def _compare(lhs, rhs, detail):
+    """(lhs == rhs, detail), the detail naming the first differing entry."""
+    if lhs == rhs:
+        return True, detail
     for r, (lr, rr) in enumerate(zip(lhs.matrix, rhs.matrix)):
         for c, (a, b) in enumerate(zip(lr, rr)):
             if a != b:
-                return f'entry ({r}, {c}): {a} != {b}'
-    return ''
+                return False, f'{detail}; first difference at entry ({r}, {c}): {a} != {b}'
+    return False, detail + '; first difference at '
 
 
 def verify_local_relation(rel, n, max_level=3):
@@ -528,59 +521,48 @@ def verify_local_relation(rel, n, max_level=3):
     top = min(max_level, MAX_LEVEL)
     if not 0 <= n <= top:
         raise BoundExceeded(f'level {n} outside 0..{top}')
-    report = []
-
-    def check(name, lhs, rhs, detail):
-        ok = lhs == rhs
-        entry = {'check': name, 'relation': rel, 'level': n, 'pass': bool(ok),
-                 'detail': detail}
-        if not ok:
-            entry['detail'] += '; first difference at ' + _first_difference(lhs, rhs)
-        report.append(entry)
-
-    def vacuous(name, detail):
-        report.append({'check': name, 'relation': rel, 'level': n, 'pass': True,
-                       'detail': detail + ' (zero module at this rank: vacuous)'})
-
+    report = Report(relation=rel, level=n)
     mor = lambda text: Morphism.from_diagram(parse_diagram(text))
     if rel == 'up-double':
-        check('up-double', diagram_to_map(mor('sig:UU; x1; x1'), n),
-              LinearMapRep.identity(path_from_signature('UU', n)),
-              'double crossing on UU equals the identity')
+        report.check('up-double', *_compare(
+            diagram_to_map(mor('sig:UU; x1; x1'), n),
+            LinearMapRep.identity(path_from_signature('UU', n)),
+            'double crossing on UU equals the identity'))
     elif rel == 'braid':
-        check('braid', diagram_to_map(mor('sig:UUU; x1; x2; x1'), n),
-              diagram_to_map(mor('sig:UUU; x2; x1; x2'), n),
-              'x1 x2 x1 = x2 x1 x2 on UUU')
+        report.check('braid', *_compare(
+            diagram_to_map(mor('sig:UUU; x1; x2; x1'), n),
+            diagram_to_map(mor('sig:UUU; x2; x1; x2'), n),
+            'x1 x2 x1 = x2 x1 x2 on UUU'))
     elif rel == 'mixed-double':
         du_path = path_from_signature('DU', n)
         lhs = _map_or_zero(mor('sig:DU; x1; x1'), n)
         rhs_m = mor('sig:DU') - compose_morphisms('sig:DU; cap+1', 'sig:; cup+1')
-        check('du-double', lhs, diagram_to_map(rhs_m, n),
-              'double crossing on DU equals identity minus cap;cup')
+        report.check('du-double', *_compare(
+            lhs, diagram_to_map(rhs_m, n),
+            'double crossing on DU equals identity minus cap;cup'))
         try:
             ud_path = path_from_signature('UD', n)
         except UnrealizableAtRank:
-            vacuous('ud-double', 'double crossing on UD equals the identity')
+            report.check('ud-double', True, 'double crossing on UD equals the identity '
+                                            '(zero module at this rank: vacuous)')
         else:
-            check('ud-double', diagram_to_map(mor('sig:UD; x1; x1'), n),
-                  LinearMapRep.identity(ud_path),
-                  'double crossing on UD equals the identity')
+            report.check('ud-double', *_compare(
+                diagram_to_map(mor('sig:UD; x1; x1'), n),
+                LinearMapRep.identity(ud_path),
+                'double crossing on UD equals the identity'))
     else:
-        check('ccw-circle', diagram_to_map(mor('sig:; cup+1; cap+1'), n),
-              LinearMapRep.identity(path_from_signature('', n)),
-              'counterclockwise circle acts as 1')
+        report.check('ccw-circle', *_compare(
+            diagram_to_map(mor('sig:; cup+1; cap+1'), n),
+            LinearMapRep.identity(path_from_signature('', n)),
+            'counterclockwise circle acts as 1'))
         u_path = path_from_signature('U', n)
         for name, text in (('left-curl', 'sig:U; cup+1; x2; cap+1'),
                            ('left-curl-mirror', 'sig:U; cup+2; x1; cap+1')):
-            check(name, diagram_to_map(mor(text), n),
-                  LinearMapRep.zero(u_path, u_path),
-                  'left curl acts as 0')
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        raise VerificationFailure(
-            f'local relation {rel!r} fails at level {n}: {bad["detail"]}',
-            report=report)
-    return report
+            report.check(name, *_compare(diagram_to_map(mor(text), n),
+                                         LinearMapRep.zero(u_path, u_path),
+                                         'left curl acts as 0'))
+    return report.close(
+        'local relation {relation!r} fails at level {level}: {detail}'.format_map)
 
 
 def compose_morphisms(lower_text, upper_text):
@@ -601,25 +583,21 @@ def mackey_check(k):
     """
     if k < 1:
         raise ValueError('mackey_check needs k >= 1')
-    report = []
-
-    def check(name, ok, detail):
-        report.append({'check': name, 'k': k, 'pass': bool(ok), 'detail': detail})
-
+    report = Report(k=k)
     dim_id = math.factorial(k)
     dim_indres = k * math.factorial(k)
     dim_resind = math.factorial(k + 1)
-    check('dimension', dim_resind == dim_id + dim_indres,
-          f'{k + 1}! = {k}.{k}! + {k}!: {dim_resind} = {dim_indres} + {dim_id}')
+    report.check('dimension', dim_resind == dim_id + dim_indres,
+                 f'{k + 1}! = {k}.{k}! + {k}!: {dim_resind} = {dim_indres} + {dim_id}')
 
     t = transposition(k, k + 1, k + 1)
     sk = list(all_perms(k))
     m1_images = {perm_extend(v, k + 1): v for v in sk}
-    check('m1-injective', len(m1_images) == dim_id, 'inclusion of A_k is injective')
-    check('m1-image-criterion',
-          all(g[k] == k + 1 for g in m1_images)
-          and sum(1 for g in all_perms(k + 1) if g[k] == k + 1) == len(m1_images),
-          'image of m1 is exactly the permutations fixing k+1')
+    report.check('m1-injective', len(m1_images) == dim_id, 'inclusion of A_k is injective')
+    report.check('m1-image-criterion',
+                 all(g[k] == k + 1 for g in m1_images)
+                 and sum(1 for g in all_perms(k + 1) if g[k] == k + 1) == len(m1_images),
+                 'image of m1 is exactly the permutations fixing k+1')
 
     indres = path_from_signature('UD', k)
     indres_basis = tensor_basis(indres)
@@ -629,13 +607,13 @@ def mackey_check(k):
         m2[elem] = perm_mult(perm_mult(perm_extend(a, k + 1), t),
                              perm_extend(b, k + 1))
     m2_images = set(m2.values())
-    check('m2-injective', len(m2_images) == dim_indres,
-          'a (x) b -> a.t.b is injective on the coset basis')
-    check('images-disjoint', not (m2_images & set(m1_images)),
-          'the two images meet only in 0')
-    check('images-span',
-          len(m2_images) + len(m1_images) == dim_resind,
-          'together the images exhaust A_{k+1}')
+    report.check('m2-injective', len(m2_images) == dim_indres,
+                 'a (x) b -> a.t.b is injective on the coset basis')
+    report.check('images-disjoint', not (m2_images & set(m1_images)),
+                 'the two images meet only in 0')
+    report.check('images-span',
+                 len(m2_images) + len(m1_images) == dim_resind,
+                 'together the images exhaust A_{k+1}')
 
     ok_left = ok_right = True
     ok_m2_left = ok_m2_right = True
@@ -654,23 +632,18 @@ def mackey_check(k):
             right = canonicalize(indres, (a, _e, perm_mult(b, c)))
             if m2[right] != perm_mult(m2[elem], ce):
                 ok_m2_right = False
-    check('m1-left-linear', ok_left, 'm1 commutes with left multiplication by A_k')
-    check('m1-right-linear', ok_right, 'm1 commutes with right multiplication by A_k')
-    check('m2-left-linear', ok_m2_left,
-          'm2 commutes with left multiplication through canonicalization')
-    check('m2-right-linear', ok_m2_right,
-          'm2 commutes with right multiplication on the free factor')
+    report.check('m1-left-linear', ok_left, 'm1 commutes with left multiplication by A_k')
+    report.check('m1-right-linear', ok_right, 'm1 commutes with right multiplication by A_k')
+    report.check('m2-left-linear', ok_m2_left,
+                 'm2 commutes with left multiplication through canonicalization')
+    report.check('m2-right-linear', ok_m2_right,
+                 'm2 commutes with right multiplication on the free factor')
 
     wd = all(perm_mult(t, perm_extend(d, k + 1)) == perm_mult(perm_extend(d, k + 1), t)
              for d in all_perms(k - 1))
-    check('m2-well-defined', wd,
-          'the middle subalgebra A_{k-1} commutes with t, so a.t.b is balanced')
-
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        raise VerificationFailure(
-            f'Mackey check fails at k = {k}: {bad["check"]}', report=report)
-    return report
+    report.check('m2-well-defined', wd,
+                 'the middle subalgebra A_{k-1} commutes with t, so a.t.b is balanced')
+    return report.close('Mackey check fails at k = {k}: {check}'.format_map)
 
 
 ##############################
@@ -765,7 +738,3 @@ def induced_character_decomposition(lam, mu, bound=7):
             out[nu] = int(total)
     return out
 
-
-def report_json(report):
-    """Deterministic JSON for a verification report."""
-    return json.dumps(report, sort_keys=True)

@@ -186,14 +186,16 @@ def identity_perm(n: int) -> tuple:
 
 
 def is_permutation(w) -> bool:
-    """Check one-line validity: a bijection of {1..n}.
+    """Check one-line validity: a bijection of {1..n}, given as ints.
 
     >>> is_permutation((2, 3, 1))
     True
     >>> is_permutation((1, 1, 2))
     False
+    >>> is_permutation((True, 2))
+    False
     """
-    return sorted(w) == list(range(1, len(w) + 1))
+    return all(type(x) is int for x in w) and sorted(w) == list(range(1, len(w) + 1))
 
 
 def perm_mult(u, v) -> tuple:

@@ -27,12 +27,12 @@ from .errors import (
     NotBraidOnly,
     ParseError,
     SignatureMismatch,
+    Report,
     UnrealizableAtRank,
-    VerificationFailure,
 )
 from .heisenberg import HeisNormal, heis_e, heis_hstar, heis_normalize, \
     heis_product, heis_unit, HeisWord
-from .linalg import LinComb
+from .linalg import LinComb, render_terms
 
 __all__ = [
     'S_DOWN',
@@ -436,26 +436,21 @@ def verify_k0_relations(m, n, max_base=3):
     """
     if m < 1 or n < 1:
         raise ValueError('generator indices start at 1')
-    report = []
-
-    def check(name, ok, detail):
-        report.append({'check': name, 'm': m, 'n': n, 'pass': bool(ok),
-                       'detail': detail})
-
+    report = Report(m=m, n=n)
     e_m, e_n = heis_e((m,)), heis_e((n,))
     h_m, h_n = heis_hstar((m,)), heis_hstar((n,))
-    check('lambda-commute', heis_product(e_m, e_n) == heis_product(e_n, e_m),
-          '[Lambda^m][Lambda^n] = [Lambda^n][Lambda^m]')
-    check('s-commute', heis_product(h_m, h_n) == heis_product(h_n, h_m),
-          '[S^m][S^n] = [S^n][S^m]')
+    report.check('lambda-commute', heis_product(e_m, e_n) == heis_product(e_n, e_m),
+                 '[Lambda^m][Lambda^n] = [Lambda^n][Lambda^m]')
+    report.check('s-commute', heis_product(h_m, h_n) == heis_product(h_n, h_m),
+                 '[S^m][S^n] = [S^n][S^m]')
     lower = heis_unit()
     if m > 1:
         lower = heis_product(lower, heis_e((m - 1,)))
     if n > 1:
         lower = heis_product(lower, heis_hstar((n - 1,)))
-    check('s-lambda-exchange',
-          heis_product(h_n, e_m) == heis_product(e_m, h_n) + lower,
-          '[S^n][Lambda^m] = [Lambda^m][S^n] + [Lambda^{m-1}][S^{n-1}]')
+    report.check('s-lambda-exchange',
+                 heis_product(h_n, e_m) == heis_product(e_m, h_n) + lower,
+                 '[S^n][Lambda^m] = [Lambda^m][S^n] + [Lambda^{m-1}][S^{n-1}]')
 
     # strand-level dimension audit: down^n up^m against the normal form of
     # (h_1*)^n (e_1)^m, whose terms are column-shaped
@@ -466,15 +461,10 @@ def verify_k0_relations(m, n, max_base=3):
         for (lam, mu), c in expansion.coeffs.items():
             a, b = len(lam), len(mu)
             rhs += c * _signature_dimension('U' * a + 'D' * b, k)
-        check(f'dim-consistency-base-{k}', lhs == rhs,
-              f'dim(down^{n} up^{m} at {k}) = {lhs}, expansion gives {rhs}')
-
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        raise VerificationFailure(
-            f'K_0 check {bad["check"]!r} failed for (m, n) = ({m}, {n}): '
-            f'{bad["detail"]}', report=report)
-    return report
+        report.check(f'dim-consistency-base-{k}', lhs == rhs,
+                     f'dim(down^{n} up^{m} at {k}) = {lhs}, expansion gives {rhs}')
+    return report.close(
+        'K_0 check {check!r} failed for (m, n) = ({m}, {n}): {detail}'.format_map)
 
 
 #################
@@ -522,18 +512,6 @@ def render_diagram(d):
 
 
 def render_morphism(m):
-    if not m.terms:
-        return '0'
     items = sorted(m.terms.items(),
                    key=lambda dc: (len(dc[0].slices), render_diagram(dc[0])))
-    pieces = []
-    for d, c in items:
-        body = '[' + render_diagram(d) + ']'
-        mag = abs(c)
-        if mag != 1:
-            body = f'{mag} {body}'
-        if not pieces:
-            pieces.append(body if c > 0 else '-' + body)
-        else:
-            pieces.append(('+ ' if c > 0 else '- ') + body)
-    return ' '.join(pieces)
+    return render_terms(('[' + render_diagram(d) + ']', c) for d, c in items)

@@ -30,8 +30,8 @@ from functools import lru_cache
 from math import comb
 
 from .combinatorics import is_partition, partition_key, partitions_of
-from .errors import ParseError, VerificationFailure
-from .linalg import LinComb
+from .errors import ParseError, Report
+from .linalg import LinComb, render_terms
 from .symfunc import SymFunc, _basis_to_m, _m_mult_raw, _to_m_raw, \
     convert, dual_apply, hall_pairing, lr_coefficients, multiply, schur
 
@@ -281,39 +281,28 @@ def verify_heis_relation(m, n, D):
         raise ValueError('generator indices start at 1')
     if D < 0:
         raise ValueError('degree cutoff must be nonnegative')
-    report = []
-
-    def check(name, ok, detail, lam=None):
-        entry = {'check': name, 'm': m, 'n': n, 'pass': bool(ok), 'detail': detail}
-        if lam is not None:
-            entry['lambda'] = list(lam)
-        report.append(entry)
-
+    report = Report(m=m, n=n)
     lhs_word = HeisWord((('h*', m), ('e', n)))
     rhs_main = heis_product(heis_e((n,)), heis_hstar((m,)))
     lower = tuple(x for x in ((('e', n - 1) if n > 1 else None),
                               (('h*', m - 1) if m > 1 else None)) if x is not None)
     rhs_lower_word = HeisWord(lower)
     rhs = rhs_main + heis_normalize(rhs_lower_word)
-    check('structural', heis_normalize(lhs_word) == rhs,
-          'normal form of h_m* e_n matches e_n h_m* + e_{n-1} h_{m-1}*')
+    report.check('structural', heis_normalize(lhs_word) == rhs,
+                 'normal form of h_m* e_n matches e_n h_m* + e_{n-1} h_{m-1}*')
 
     for lam, s in _schurs_up_to(D):
         got = fock_apply_word(lhs_word, s)
         want = fock_apply_word(HeisWord((('e', n), ('h*', m))), s) \
             + fock_apply_word(rhs_lower_word, s)
-        check('operator', got == want, f'both sides applied to s_{list(lam)}', lam)
-        check('normalize-compatible',
-              fock_apply(heis_normalize(lhs_word), s) == got,
-              f'normal form acts like the word on s_{list(lam)}', lam)
-
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        where = f" at lambda={bad['lambda']}" if 'lambda' in bad else ''
-        raise VerificationFailure(
-            f'Heisenberg relation check {bad["check"]!r} failed for '
-            f'(m, n) = ({m}, {n}){where}', report=report)
-    return report
+        where = {'lambda': list(lam)}
+        report.check('operator', got == want, f'both sides applied to s_{list(lam)}', **where)
+        report.check('normalize-compatible',
+                     fock_apply(heis_normalize(lhs_word), s) == got,
+                     f'normal form acts like the word on s_{list(lam)}', **where)
+    return report.close(lambda bad: (
+        f'Heisenberg relation check {bad["check"]!r} failed for (m, n) = ({m}, {n})'
+        + (f" at lambda={bad['lambda']}" if 'lambda' in bad else '')))
 
 
 def verify_boson_relation(m, n, D):
@@ -328,21 +317,15 @@ def verify_boson_relation(m, n, D):
         raise ValueError('degree cutoff must be nonnegative')
     p_m = SymFunc('p', {(m,): 1})
     p_n = SymFunc('p', {(n,): 1})
-    report = []
+    report = Report(m=m, n=n)
     for lam, s in _schurs_up_to(D):
         qp = dual_apply(p_m, multiply(p_n, s))
         pq = multiply(p_n, dual_apply(p_m, s))
         want = (n if m == n else 0) * s
-        ok = qp - pq == want
-        report.append({'check': 'boson-commutator', 'm': m, 'n': n,
-                       'lambda': list(lam), 'pass': bool(ok),
-                       'detail': f'[q_{m}, p_{n}] on s_{list(lam)}'})
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        raise VerificationFailure(
-            f'boson relation failed for (m, n) = ({m}, {n}) at '
-            f'lambda={bad["lambda"]}', report=report)
-    return report
+        report.check('boson-commutator', qp - pq == want, f'[q_{m}, p_{n}] on s_{list(lam)}',
+                     **{'lambda': list(lam)})
+    return report.close(('boson relation failed for (m, n) = ({m}, {n}) at '
+                         'lambda={lambda}').format_map)
 
 
 def specht_to_sym(lam):
@@ -382,30 +365,21 @@ def verify_weak_fock(m, n, D):
     one = SymFunc('m', {(): 1})
     e_lower = _e_elem((n - 1,)) if n > 1 else one
     h_lower = _h_elem((m - 1,)) if m > 1 else one
-    report = []
-
-    def check(name, ok, lam):
-        report.append({'check': name, 'm': m, 'n': n, 'lambda': list(lam),
-                       'pass': bool(ok), 'detail': f'on s_{list(lam)}'})
-
+    report = Report(m=m, n=n)
     for lam, s in _schurs_up_to(D):
-        check('ind-ind-commute',
-              ind_class(e_m, ind_class(e_n, s)) == ind_class(e_n, ind_class(e_m, s)),
-              lam)
-        check('res-res-commute',
-              res_class(h_m, res_class(h_n, s)) == res_class(h_n, res_class(h_m, s)),
-              lam)
+        where, detail = {'lambda': list(lam)}, f'on s_{list(lam)}'
+        report.check('ind-ind-commute',
+                     ind_class(e_m, ind_class(e_n, s)) == ind_class(e_n, ind_class(e_m, s)),
+                     detail, **where)
+        report.check('res-res-commute',
+                     res_class(h_m, res_class(h_n, s)) == res_class(h_n, res_class(h_m, s)),
+                     detail, **where)
         lhs = res_class(h_m, ind_class(e_n, s))
         rhs = ind_class(e_n, res_class(h_m, s)) \
             + ind_class(e_lower, res_class(h_lower, s))
-        check('res-ind-exchange', lhs == rhs, lam)
-
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        raise VerificationFailure(
-            f'class-level check {bad["check"]!r} failed for (m, n) = ({m}, {n}) '
-            f'at lambda={bad["lambda"]}', report=report)
-    return report
+        report.check('res-ind-exchange', lhs == rhs, detail, **where)
+    return report.close(('class-level check {check!r} failed for (m, n) = ({m}, {n}) '
+                         'at lambda={lambda}').format_map)
 
 
 #################
@@ -452,24 +426,15 @@ def render_heis(a):
     >>> render_heis(heis_e((2, 1)) - 3 * heis_hstar((1,)))
     'e[2,1] - 3 h*[1]'
     """
-    if not a.coeffs:
-        return '0'
-    pieces = []
+    pairs = []
     for (lam, mu), c in a.terms():
         factors = []
         if lam:
             factors.append('e[' + ','.join(map(str, lam)) + ']')
         if mu:
             factors.append('h*[' + ','.join(map(str, mu)) + ']')
-        body = ' '.join(factors) if factors else '1'
-        mag = abs(c)
-        if mag != 1 or not factors:
-            body = f'{mag} {body}' if factors else f'{mag}'
-        if not pieces:
-            pieces.append(body if c > 0 else '-' + body)
-        else:
-            pieces.append(('+ ' if c > 0 else '- ') + body)
-    return ' '.join(pieces)
+        pairs.append((' '.join(factors), c))  # no factors: the bare constant
+    return render_terms(pairs)
 
 
 def heis_to_json(a):
@@ -479,9 +444,12 @@ def heis_to_json(a):
 
 
 def heis_from_json(text):
-    data = json.loads(text)
-    out = {}
-    for entry in data:
-        key = (tuple(entry['e_partition']), tuple(entry['hstar_partition']))
-        out[key] = out.get(key, 0) + entry['coeff']
-    return HeisNormal(out)
+    """Inverse of heis_to_json; malformed text or entries raise ParseError."""
+    try:
+        out = {}
+        for entry in json.loads(text):
+            key = (tuple(entry['e_partition']), tuple(entry['hstar_partition']))
+            out[key] = out.get(key, 0) + entry['coeff']
+        return HeisNormal(out)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f'bad HeisNormal JSON: {exc}') from None

@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals, computed on int.
 
 `LinComb` is the one sparse linear-combination type: every algebra element
-and class vector in the package is a `LinComb` subclass.
+and class vector in the package is a `LinComb` subclass.  The text format of
+a combination lives here too: every renderer prints the signed sum of
+`render_terms`, and every literal parser splits its input with
+`split_terms`.
 
 >>> matrix_rank([[1, 2], [2, 4], [0, Fraction(1, 2)]])
 2
@@ -13,9 +16,10 @@ import math
 
 from fractions import Fraction
 
-from .errors import NonIntegralResult
+from .errors import NonIntegralResult, ParseError
 
-__all__ = ['scalar', 'common_denominator', 'matrix_rank', 'LinComb']
+__all__ = ['scalar', 'common_denominator', 'matrix_rank', 'LinComb', 'render_terms',
+           'split_terms']
 
 
 def scalar(c):
@@ -160,3 +164,60 @@ class LinComb:
         raise AttributeError(f'{type(self).__name__} is immutable')
 
     __delattr__ = __setattr__
+
+
+def render_terms(pairs):
+    """The signed sum of (body, coefficient) pairs, in the given order.
+
+    A coefficient other than +-1 prefixes its magnitude; an empty body is a
+    bare constant, printed as its magnitude.  No pairs give '0'.
+
+    >>> render_terms([('x', -1), ('y', 2), ('', 1), ('z', Fraction(-1, 2))])
+    '-x + 2 y + 1 - 1/2 z'
+    >>> render_terms([])
+    '0'
+    """
+    pieces = []
+    for body, c in pairs:
+        mag = abs(c)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f'{mag} {body}'
+        if not pieces:
+            pieces.append(body if c > 0 else '-' + body)
+        else:
+            pieces.append(('+ ' if c > 0 else '- ') + body)
+    return ' '.join(pieces) or '0'
+
+
+def split_terms(text):
+    """The (sign, term text) pairs of a signed sum `term (+- term)*`.
+
+    A leading sign is optional; a sign not followed by a term raises
+    ParseError.
+
+    >>> split_terms('2 a - b')
+    [(1, '2 a '), (-1, ' b')]
+    >>> split_terms('a -')
+    Traceback (most recent call last):
+        ...
+    symcat.errors.ParseError: trailing sign in 'a -'
+    """
+    terms = []
+    sign = None  # None means: no sign seen since the last term (a leading + is implied)
+    buf = ''
+    for ch in text:
+        if ch in '+-':
+            if buf.strip():
+                terms.append((sign if sign is not None else 1, buf))
+            elif sign is not None or terms:
+                raise ParseError(f'dangling sign in {text!r}')
+            sign = 1 if ch == '+' else -1
+            buf = ''
+        else:
+            buf += ch
+    if not buf.strip():
+        raise ParseError(f'trailing sign in {text!r}')
+    terms.append((sign if sign is not None else 1, buf))
+    return terms

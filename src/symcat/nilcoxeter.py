@@ -19,7 +19,6 @@ True
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 
@@ -28,6 +27,7 @@ from .combinatorics import (
     coset_decompose,
     coset_rep,
     identity_perm,
+    is_permutation,
     is_reduced,
     perm_extend,
     perm_length,
@@ -41,9 +41,10 @@ from .errors import (
     FlavorMismatch,
     ParseError,
     RankMismatch,
-    VerificationFailure,
+    Report,
+    report_json,
 )
-from .linalg import LinComb, matrix_rank
+from .linalg import LinComb, matrix_rank, render_terms, split_terms
 from .weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement, weyl_apply
 
 __all__ = [
@@ -86,8 +87,8 @@ class NilcoxElem(LinComb):
 
     def __new__(cls, n, coeffs):
         for sigma in coeffs:
-            if len(sigma) != n:
-                raise ValueError(f'permutation {sigma!r} has wrong rank for N_{n}')
+            if len(sigma) != n or not is_permutation(sigma):
+                raise ValueError(f'{sigma!r} is not a permutation of rank {n} for N_{n}')
         return cls._new(n, coeffs)
 
     def __mul__(self, other):
@@ -206,11 +207,7 @@ def verify_bimodule_iso(n, max_rank=5):
     """
     if not 1 <= n <= max_rank:
         raise BoundExceeded(f'rank {n} outside verified range 1..{max_rank}')
-    report = []
-
-    def check(name, ok, detail):
-        report.append({'check': name, 'n': n, 'pass': bool(ok), 'detail': detail})
-
+    report = Report(n=n)
     m = n + 1
     sn = list(all_perms(n))
     u_n_top = nc_generator(n, m)
@@ -229,8 +226,8 @@ def verify_bimodule_iso(n, max_rank=5):
         return nc_product(left, nc_product(u_n_top, right))
 
     m1_images = {next(iter(m1(NilcoxElem._new(n, {s: 1})).coeffs)) for s in sn}
-    check('m1-injective', len(m1_images) == len(sn),
-          f'{len(m1_images)} distinct images of {len(sn)} basis vectors')
+    report.check('m1-injective', len(m1_images) == len(sn),
+                 f'{len(m1_images)} distinct images of {len(sn)} basis vectors')
 
     m2_images = {}
     single = True
@@ -240,23 +237,25 @@ def verify_bimodule_iso(n, max_rank=5):
             single = False
             break
         m2_images[(i, tau)] = next(iter(img.coeffs))
-    check('m2-basis-to-basis', single,
-          'every basis tensor maps to a single u_sigma with coefficient 1')
-    check('m2-injective', single and len(set(m2_images.values())) == len(tensor_basis),
-          f'{len(set(m2_images.values()))} distinct images of {len(tensor_basis)} tensors')
+    report.check('m2-basis-to-basis', single,
+                 'every basis tensor maps to a single u_sigma with coefficient 1')
+    report.check('m2-injective', single and len(set(m2_images.values())) == len(tensor_basis),
+                 f'{len(set(m2_images.values()))} distinct images of '
+                 f'{len(tensor_basis)} tensors')
 
     overlap = m1_images & set(m2_images.values())
-    check('images-disjoint', single and not overlap, f'{len(overlap)} common basis vectors')
+    report.check('images-disjoint', single and not overlap,
+                 f'{len(overlap)} common basis vectors')
 
     fixed_top = {s for s in all_perms(m) if s[m - 1] == m}
-    check('m1-image-criterion', m1_images == fixed_top,
-          'u_sigma lies in the m_1 image exactly when sigma fixes the top letter')
+    report.check('m1-image-criterion', m1_images == fixed_top,
+                 'u_sigma lies in the m_1 image exactly when sigma fixes the top letter')
 
     total = len(m1_images) + len(set(m2_images.values()))
     spanned = single and (m1_images | set(m2_images.values())) == set(all_perms(m))
-    check('images-span', spanned and total == math.factorial(m),
-          f'{math.factorial(n)} + {n}*{math.factorial(n)} = {total} '
-          f'(expect {math.factorial(m)})')
+    report.check('images-span', spanned and total == math.factorial(m),
+                 f'{math.factorial(n)} + {n}*{math.factorial(n)} = {total} '
+                 f'(expect {math.factorial(m)})')
 
     gens = [nc_generator(j, n) for j in range(1, n)]
     gens_top = [nc_generator(j, m) for j in range(1, n)]
@@ -269,7 +268,7 @@ def verify_bimodule_iso(n, max_rank=5):
                 ok_m1 = False
             if m1(nc_product(e, g)) != nc_product(m1(e), g_top):
                 ok_m1 = False
-    check('m1-bimodule-map', ok_m1, 'm_1 commutes with both actions on generators')
+    report.check('m1-bimodule-map', ok_m1, 'm_1 commutes with both actions on generators')
 
     def m2_linear(tensor_coeffs):
         return sum((c * m2_image(i, tau) for (i, tau), c in tensor_coeffs.items()),
@@ -292,8 +291,8 @@ def verify_bimodule_iso(n, max_rank=5):
                     moved[key] = moved.get(key, 0) + c * c2
             if m2_linear(moved) != nc_product(g_top, m2_image(i, tau)):
                 ok_left = False
-    check('m2-left-linear', ok_left,
-          'm_2 commutes with the left action (well-defined over the tensor)')
+    report.check('m2-left-linear', ok_left,
+                 'm_2 commutes with the left action (well-defined over the tensor)')
 
     ok_right = True
     for j in range(1, n):
@@ -304,14 +303,9 @@ def verify_bimodule_iso(n, max_rank=5):
             moved = {(i, tau2): c for tau2, c in shifted.coeffs.items()}
             if m2_linear(moved) != nc_product(m2_image(i, tau), g_top):
                 ok_right = False
-    check('m2-right-linear', ok_right, 'm_2 commutes with the right action')
-
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        raise VerificationFailure(
-            f'bimodule decomposition check {bad["check"]!r} failed at n={n}: '
-            f'{bad["detail"]}', report=report)
-    return report
+    report.check('m2-right-linear', ok_right, 'm_2 commutes with the right action')
+    return report.close(('bimodule decomposition check {check!r} failed at n={n}: '
+                         '{detail}').format_map)
 
 
 #######################
@@ -330,7 +324,7 @@ class KVector(LinComb):
         if flavor not in (G_SIMPLES, K_PROJECTIVES):
             raise ValueError(f'unknown flavor {flavor!r}')
         for nn in coords:
-            if not (isinstance(nn, int) and nn >= 0):
+            if not (type(nn) is int and nn >= 0):
                 raise ValueError(f'bad index {nn!r}')
         return cls._new(flavor, coords)
 
@@ -474,34 +468,25 @@ def verify_weyl_squares(max_n=10):
     """
     x_elt = WeylElement({(1, 0): 1})
     d_elt = WeylElement({(0, 1): 1})
-    report = []
-
-    def check(name, ok, detail):
-        report.append({'check': name, 'n': max_n, 'pass': bool(ok), 'detail': detail})
-
+    report = Report(n=max_n)
     for flavor, phi, label in ((G_SIMPLES, phi_G, 'simples'),
                                (K_PROJECTIVES, phi_K, 'projectives')):
         basis = [KVector(flavor, {n: 1}) for n in range(max_n + 1)]
-        check(f'ind-square-{label}',
-              all(phi(ind_K(v)) == weyl_apply(x_elt, phi(v)) for v in basis),
-              f'phi o ind = x o phi on classes 0..{max_n}')
-        check(f'res-square-{label}',
-              all(phi(res_K(v)) == weyl_apply(d_elt, phi(v)) for v in basis),
-              f'phi o res = d o phi on classes 0..{max_n}')
-        check(f'weyl-relation-{label}',
-              all(res_K(ind_K(v)) == ind_K(res_K(v)) + v for v in basis),
-              f'res o ind = ind o res + id on classes 0..{max_n}')
+        report.check(f'ind-square-{label}',
+                     all(phi(ind_K(v)) == weyl_apply(x_elt, phi(v)) for v in basis),
+                     f'phi o ind = x o phi on classes 0..{max_n}')
+        report.check(f'res-square-{label}',
+                     all(phi(res_K(v)) == weyl_apply(d_elt, phi(v)) for v in basis),
+                     f'phi o res = d o phi on classes 0..{max_n}')
+        report.check(f'weyl-relation-{label}',
+                     all(res_K(ind_K(v)) == ind_K(res_K(v)) + v for v in basis),
+                     f'res o ind = ind o res + id on classes 0..{max_n}')
 
     adj = all(k_pairing(ind_K(projective_class(m)), simple_class(n))
               == k_pairing(projective_class(m), res_K(simple_class(n)))
               for m in range(9) for n in range(9))
-    check('ind-res-adjoint', adj, 'pairing adjunction on classes 0..8')
-
-    bad = next((e for e in report if not e['pass']), None)
-    if bad is not None:
-        raise VerificationFailure(
-            f'K-theory check {bad["check"]!r} failed: {bad["detail"]}', report=report)
-    return report
+    report.check('ind-res-adjoint', adj, 'pairing adjunction on classes 0..8')
+    return report.close('K-theory check {check!r} failed: {detail}'.format_map)
 
 
 #################
@@ -526,25 +511,8 @@ def parse_nilcox(text, n):
         return NilcoxElem(n, {})
     if not text:
         raise ParseError('empty nilcoxeter literal')
-    terms = []
-    sign = None
-    buf = ''
-    for ch in text:
-        if ch in '+-':
-            if buf.strip():
-                terms.append((sign if sign is not None else 1, buf))
-            elif sign is not None or terms:
-                raise ParseError(f'dangling sign in {text!r}')
-            sign = 1 if ch == '+' else -1
-            buf = ''
-        else:
-            buf += ch
-    if buf.strip():
-        terms.append((sign if sign is not None else 1, buf))
-    else:
-        raise ParseError(f'trailing sign in {text!r}')
     out = {}
-    for sgn, chunk in terms:
+    for sgn, chunk in split_terms(text):
         mo = _NCTERM_RE.match(chunk)
         if not mo:
             raise ParseError(f'bad nilcoxeter term {chunk.strip()!r}')
@@ -567,23 +535,7 @@ def render_nilcox(a):
     >>> render_nilcox(nc_unit(2) - 2 * nc_generator(1, 2))
     'u[] - 2 u[1]'
     """
-    if not a.coeffs:
-        return '0'
     items = sorted(((reduced_word(s), c) for s, c in a.coeffs.items()),
                    key=lambda wc: (len(wc[0]), wc[0]))
-    pieces = []
-    for word, c in items:
-        body = 'u[' + ','.join(str(i) for i in word) + ']'
-        mag = abs(c)
-        if mag != 1:
-            body = f'{mag} {body}'
-        if not pieces:
-            pieces.append(body if c > 0 else '-' + body)
-        else:
-            pieces.append(('+ ' if c > 0 else '- ') + body)
-    return ' '.join(pieces)
-
-
-def report_json(report):
-    """Serialize a verification report as JSON (stable key order)."""
-    return json.dumps(report, sort_keys=True)
+    return render_terms(('u[' + ','.join(str(i) for i in word) + ']', c)
+                        for word, c in items)

@@ -57,7 +57,7 @@ from .combinatorics import (
     render_partition,
 )
 from .errors import InsufficientVariables, NonIntegralResult, ParseError
-from .linalg import LinComb, scalar as _scalar
+from .linalg import LinComb, render_terms, scalar as _scalar, split_terms
 
 __all__ = [
     'BASES',
@@ -824,26 +824,8 @@ def parse_symfunc(text):
         return zero('m')
     if not text:
         raise ParseError('empty symmetric-function literal')
-    # split into signed terms at top level
-    chunks = []
-    sign = None  # None means: no sign seen since last term (leading + is implied)
-    buf = ''
-    for ch in text:
-        if ch in '+-':
-            if buf.strip():
-                chunks.append((sign if sign is not None else 1, buf))
-            elif sign is not None or chunks:
-                raise ParseError(f'dangling sign in {text!r}')
-            sign = 1 if ch == '+' else -1
-            buf = ''
-        else:
-            buf += ch
-    if buf.strip():
-        chunks.append((sign if sign is not None else 1, buf))
-    else:
-        raise ParseError(f'trailing sign in {text!r}')
     parts = []
-    for sign, chunk in chunks:
+    for sign, chunk in split_terms(text):
         mo = _TERM_RE.match(chunk)
         if not mo:
             raise ParseError(f'bad term {chunk.strip()!r}')
@@ -874,20 +856,7 @@ def render(f):
     >>> render(parse_symfunc('2 m[1,1] + m[2]'))
     'm[2] + 2 m[1,1]'
     """
-    if f.is_zero():
-        return '0'
-    pieces = []
-    for lam, c in f.terms():
-        mag = abs(c)
-        body = f.basis + render_partition(lam)
-        if mag != 1:
-            num = str(mag) if mag.denominator == 1 else f'{mag.numerator}/{mag.denominator}'
-            body = f'{num} {body}'
-        if not pieces:
-            pieces.append(body if c > 0 else '-' + body)
-        else:
-            pieces.append(('+ ' if c > 0 else '- ') + body)
-    return ' '.join(pieces)
+    return render_terms((f.basis + render_partition(lam), c) for lam, c in f.terms())
 
 
 def to_json(f):

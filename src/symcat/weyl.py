@@ -20,7 +20,7 @@ import math
 import re
 
 from .errors import LatticeMismatch, ParseError
-from .linalg import LinComb
+from .linalg import LinComb, render_terms, split_terms
 
 __all__ = [
     'DIVIDED_POWERS',
@@ -47,7 +47,7 @@ class WeylElement(LinComb):
 
     def __new__(cls, coeffs):
         for a, b in coeffs:
-            if not (isinstance(a, int) and isinstance(b, int) and a >= 0 and b >= 0):
+            if not (type(a) is int and type(b) is int and a >= 0 and b >= 0):
                 raise ValueError(f'bad exponent pair {(a, b)!r}')
         return cls._new(coeffs)
 
@@ -70,7 +70,7 @@ class PolyVector(LinComb):
         if lattice not in (DIVIDED_POWERS, MONOMIALS):
             raise ValueError(f'unknown lattice {lattice!r}')
         for n in coeffs:
-            if not (isinstance(n, int) and n >= 0):
+            if not (type(n) is int and n >= 0):
                 raise ValueError(f'bad degree {n!r}')
         return cls._new(lattice, coeffs)
 
@@ -196,27 +196,12 @@ def parse_weyl(text):
     text = text.strip()
     if text == '0':
         return WeylElement({})
+    if not text:
+        raise ParseError('empty Weyl literal')
     out = {}
-    sign = 1
-    buf = ''
-    terms = []
-    for ch in text:
-        if ch in '+-':
-            if buf.strip():
-                terms.append((sign, buf))
-            sign = 1 if ch == '+' else -1
-            buf = ''
-        else:
-            buf += ch
-    if buf.strip():
-        terms.append((sign, buf))
-    if not terms:
-        raise ParseError(f'empty Weyl literal {text!r}')
-    for sgn, chunk in terms:
+    for sgn, chunk in split_terms(text):
         mo = _WTERM_RE.match(chunk)
-        if not mo or not chunk.strip():
-            raise ParseError(f'bad Weyl term {chunk.strip()!r}')
-        if mo.group('coeff') is None and mo.group('xa') is None and mo.group('db') is None:
+        if not mo or not any(mo.groups()):
             raise ParseError(f'bad Weyl term {chunk.strip()!r}')
         coeff = int(mo.group('coeff') or 1)
         a = int(mo.group('xa') or 0)
@@ -231,26 +216,13 @@ def render_weyl(u):
     >>> render_weyl(WeylElement({(2, 1): 3, (0, 0): 1}))
     '3 x^2 d^1 + d^0'
     """
-    if not u.coeffs:
-        return '0'
-    keys = sorted(u.coeffs, key=lambda ab: (-(ab[0] + ab[1]), -ab[0]))
-    pieces = []
-    for a, b in keys:
-        c = u.coeffs[(a, b)]
-        factors = []
-        if a:
-            factors.append(f'x^{a}')
+    pairs = []
+    for a, b in sorted(u.coeffs, key=lambda ab: (-(ab[0] + ab[1]), -ab[0])):
+        factors = [f'x^{a}'] if a else []
         if b or not a:
             factors.append(f'd^{b}')
-        body = ' '.join(factors)
-        mag = abs(c)
-        if mag != 1:
-            body = f'{mag} {body}'
-        if not pieces:
-            pieces.append(body if c > 0 else '-' + body)
-        else:
-            pieces.append(('+ ' if c > 0 else '- ') + body)
-    return ' '.join(pieces)
+        pairs.append((' '.join(factors), u.coeffs[(a, b)]))
+    return render_terms(pairs)
 
 
 def parse_polyvector(text):

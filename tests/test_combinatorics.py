@@ -13,6 +13,7 @@ from symcat.combinatorics import (
     dominates,
     identity_perm,
     is_partition,
+    is_permutation,
     is_reduced,
     parse_partition,
     parse_permutation,
@@ -182,3 +183,10 @@ def test_is_partition():
     assert not is_partition((1, 2))
     assert not is_partition((2, 0))
     assert not is_partition((True,)) and not is_partition((2, True))
+
+
+def test_is_permutation_takes_ints_only():
+    assert is_permutation((2, 3, 1)) and is_permutation(())
+    assert not is_permutation((1, 1))
+    assert not is_permutation((True, 2))
+    assert not is_permutation((1.0, 2))

@@ -321,6 +321,20 @@ def test_normal_form_json_round_trip():
     assert hs.heis_to_json(hs.HeisNormal({})) == '[]'
 
 
+@pytest.mark.parametrize('text', [
+    '[{"e_partition": [1], "coeff": 2}]',
+    '[{"e_partition": [1], "hstar_partition": [], "coeff": "3"}]',
+    '{"e_partition": [1], "hstar_partition": [], "coeff": 1}',
+    '[{"e_partition": [1, 2], "hstar_partition": [], "coeff": 1}]',
+    '[{"e_partition": [1], "hstar_partition": [], "coeff": 1.5}]',
+    '[{"e_partition": [1]',
+], ids=['missing-key', 'string-coeff', 'top-level-object', 'not-a-partition',
+        'float-coeff', 'invalid-json'])
+def test_normal_form_json_rejects_malformed_input(text):
+    with pytest.raises(ParseError, match='bad HeisNormal JSON'):
+        hs.heis_from_json(text)
+
+
 def test_verification_failure_carries_report():
     # force a failure by checking a deliberately wrong relation through the
     # public machinery: n = 0 is rejected before any work

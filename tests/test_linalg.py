@@ -10,14 +10,14 @@ import pytest
 
 import symcat.nilcoxeter as nx
 from symcat.bimodel import BimoduleElem, GroupAlgElem, ga_unit, path_from_signature, \
-    tensor_basis
-from symcat.diagcat import Morphism, parse_diagram
+    render_groupalg, tensor_basis
+from symcat.diagcat import Morphism, parse_diagram, render_morphism
 from symcat.errors import FlavorMismatch, LatticeMismatch, NonIntegralResult, \
     RankMismatch, SignatureMismatch
-from symcat.heisenberg import HeisNormal, heis_e
+from symcat.heisenberg import HeisNormal, heis_e, render_heis
 from symcat.linalg import LinComb, common_denominator, matrix_rank, scalar
-from symcat.symfunc import SymFunc
-from symcat.weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement
+from symcat.symfunc import SymFunc, render
+from symcat.weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement, render_weyl
 
 
 def fraction_rank(rows):
@@ -203,6 +203,22 @@ def test_lincomb_laws(cls, args, bad, error):
             cls(*bad)
 
 
+@pytest.mark.parametrize('make', [
+    lambda: WeylElement({(True, 0): 1}),
+    lambda: WeylElement({(0, False): 1}),
+    lambda: PolyVector(MONOMIALS, {True: 1}),
+    lambda: nx.KVector(nx.G_SIMPLES, {True: 1}),
+    lambda: nx.NilcoxElem(1, {(True,): 1}),
+    lambda: nx.NilcoxElem(2, {(1, 1): 1}),
+    lambda: GroupAlgElem(1, {(True,): 1}),
+    lambda: GroupAlgElem(2, {(2, 2): 1}),
+], ids=['weyl-x', 'weyl-d', 'polyvector', 'kvector', 'nilcox-bool', 'nilcox-repeat',
+        'groupalg-bool', 'groupalg-repeat'])
+def test_labels_must_be_int_indices_or_permutations(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 @pytest.mark.parametrize('a, b, error', [
     (PolyVector(MONOMIALS, {1: 1}), PolyVector(DIVIDED_POWERS, {1: 1}), LatticeMismatch),
     (nx.nc_unit(2), nx.nc_unit(3), RankMismatch),
@@ -260,3 +276,43 @@ def test_mixed_type_arithmetic_is_a_type_error(a, b):
     for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
         with pytest.raises(TypeError, match='unsupported operand'):
             op()
+
+
+#########################
+# the signed-sum format #
+#########################
+
+def _morphism(domain, terms):
+    return Morphism(domain, domain, {parse_diagram(text): c for text, c in terms.items()})
+
+
+@pytest.mark.parametrize('renderer, element, text', [
+    (render, SymFunc('s', {}), '0'),
+    (render, SymFunc('s', {(2,): -1, (1, 1): 1}), '-s[2] + s[1,1]'),
+    (render, SymFunc('m', {(2,): 1, (1, 1): -3}), 'm[2] - 3 m[1,1]'),
+    (render, SymFunc('p', {(2,): Fraction(-1, 2), (1, 1): Fraction(3, 2)}),
+     '-1/2 p[2] + 3/2 p[1,1]'),
+    (render_weyl, WeylElement({}), '0'),
+    (render_weyl, WeylElement({(1, 0): -1, (0, 1): 2, (0, 0): 1}), '-x^1 + 2 d^1 + d^0'),
+    (render_weyl, WeylElement({(2, 1): 3, (0, 0): -1}), '3 x^2 d^1 - d^0'),
+    (render_heis, HeisNormal({}), '0'),
+    (render_heis, HeisNormal({((2, 1), ()): -1, ((1,), (1,)): 2, ((), ()): 1}),
+     '-e[2,1] + 2 e[1] h*[1] + 1'),
+    (render_heis, HeisNormal({((), (1,)): 1, ((), ()): -3}), 'h*[1] - 3'),
+    (render_heis, HeisNormal({((), ()): -1}), '-1'),
+    (nx.render_nilcox, nx.NilcoxElem(3, {}), '0'),
+    (nx.render_nilcox, nx.NilcoxElem(3, {(2, 1, 3): -1, (1, 2, 3): 1, (2, 3, 1): -2}),
+     'u[] - u[1] - 2 u[1,2]'),
+    (render_groupalg, GroupAlgElem(2, {}), '0'),
+    (render_groupalg, GroupAlgElem(2, {(1, 2): -1, (2, 1): 1}), '-(1,2) + (2,1)'),
+    (render_groupalg,
+     GroupAlgElem(3, {(1, 2, 3): Fraction(1, 6), (2, 1, 3): Fraction(-1, 6), (3, 2, 1): 2}),
+     '1/6 (1,2,3) - 1/6 (2,1,3) + 2 (3,2,1)'),
+    (render_morphism, Morphism('UU', 'UU', {}), '0'),
+    (render_morphism, _morphism('UU', {'sig:UU; x1': -1, 'sig:UU': 1}),
+     '[sig:UU] - [sig:UU; x1]'),
+    (render_morphism, _morphism('DU', {'sig:DU': Fraction(1, 2), 'sig:DU; cap+1; cup+1': -3}),
+     '1/2 [sig:DU] - 3 [sig:DU; cap+1; cup+1]'),
+])
+def test_renderers_share_one_signed_sum_format(renderer, element, text):
+    assert renderer(element) == text

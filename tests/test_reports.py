@@ -1,0 +1,139 @@
+"""Forced failures of the eight report-building verifiers.
+
+Each test breaks one dependency of a verifier with monkeypatch and pins the
+VerificationFailure it raises: the message names the first failing entry,
+and `exc.report` holds every entry of the run, the failing ones included.
+"""
+
+import pytest
+
+import symcat.bimodel as bm
+import symcat.diagcat as dg
+import symcat.heisenberg as hs
+import symcat.nilcoxeter as nx
+from symcat.errors import VerificationFailure
+
+
+def _failure(fn, *args):
+    with pytest.raises(VerificationFailure) as info:
+        fn(*args)
+    return str(info.value), info.value.report
+
+
+def test_local_relation_failure(monkeypatch):
+    real = bm.diagram_to_map
+
+    def broken(m, base):
+        # the two-term side, identity minus cap;cup, becomes the identity
+        rep = real(m, base)
+        return bm.LinearMapRep.identity(rep.domain) if len(m.terms) == 2 else rep
+
+    monkeypatch.setattr(bm, 'diagram_to_map', broken)
+    message, report = _failure(bm.verify_local_relation, 'mixed-double', 0)
+    detail = ('double crossing on DU equals identity minus cap;cup; '
+              'first difference at entry (0, 0): 0 != 1')
+    assert message == f"local relation 'mixed-double' fails at level 0: {detail}"
+    assert report == [
+        {'check': 'du-double', 'relation': 'mixed-double', 'level': 0, 'pass': False,
+         'detail': detail},
+        {'check': 'ud-double', 'relation': 'mixed-double', 'level': 0, 'pass': True,
+         'detail': 'double crossing on UD equals the identity '
+                   '(zero module at this rank: vacuous)'},
+    ]
+
+
+def test_mackey_failure(monkeypatch):
+    monkeypatch.setattr(bm, 'transposition', lambda i, j, n: tuple(range(1, n + 1)))
+    message, report = _failure(bm.mackey_check, 2)
+    assert message == 'Mackey check fails at k = 2: m2-injective'
+    assert [(e['check'], e['pass']) for e in report] == [
+        ('dimension', True), ('m1-injective', True), ('m1-image-criterion', True),
+        ('m2-injective', False), ('images-disjoint', False), ('images-span', False),
+        ('m1-left-linear', True), ('m1-right-linear', True), ('m2-left-linear', True),
+        ('m2-right-linear', True), ('m2-well-defined', True)]
+    assert report[3] == {'check': 'm2-injective', 'k': 2, 'pass': False,
+                         'detail': 'a (x) b -> a.t.b is injective on the coset basis'}
+    assert all(set(e) == {'check', 'k', 'pass', 'detail'} for e in report)
+
+
+def test_heis_relation_failure(monkeypatch):
+    monkeypatch.setattr(hs, 'fock_apply', lambda a, f: 0 * f)
+    message, report = _failure(hs.verify_heis_relation, 1, 1, 1)
+    assert message == ("Heisenberg relation check 'normalize-compatible' failed for "
+                       "(m, n) = (1, 1) at lambda=[]")
+    tags = {'m': 1, 'n': 1}
+    assert report == [
+        {'check': 'structural', **tags, 'pass': True,
+         'detail': 'normal form of h_m* e_n matches e_n h_m* + e_{n-1} h_{m-1}*'},
+        {'check': 'operator', **tags, 'pass': True,
+         'detail': 'both sides applied to s_[]', 'lambda': []},
+        {'check': 'normalize-compatible', **tags, 'pass': False,
+         'detail': 'normal form acts like the word on s_[]', 'lambda': []},
+        {'check': 'operator', **tags, 'pass': True,
+         'detail': 'both sides applied to s_[1]', 'lambda': [1]},
+        {'check': 'normalize-compatible', **tags, 'pass': False,
+         'detail': 'normal form acts like the word on s_[1]', 'lambda': [1]},
+    ]
+
+
+def test_boson_relation_failure(monkeypatch):
+    monkeypatch.setattr(hs, 'dual_apply', lambda f, g: 0 * g)
+    message, report = _failure(hs.verify_boson_relation, 1, 1, 1)
+    assert message == 'boson relation failed for (m, n) = (1, 1) at lambda=[]'
+    assert report == [
+        {'check': 'boson-commutator', 'm': 1, 'n': 1, 'lambda': lam, 'pass': False,
+         'detail': f'[q_1, p_1] on s_{lam}'} for lam in ([], [1])]
+
+
+def test_weak_fock_failure(monkeypatch):
+    monkeypatch.setattr(hs, 'multiply', lambda f, g: g)
+    message, report = _failure(hs.verify_weak_fock, 1, 1, 1)
+    assert message == ("class-level check 'res-ind-exchange' failed for "
+                       "(m, n) = (1, 1) at lambda=[]")
+    assert report == [
+        {'check': name, 'm': 1, 'n': 1, 'lambda': lam, 'pass': name != 'res-ind-exchange',
+         'detail': f'on s_{lam}'}
+        for lam in ([], [1])
+        for name in ('ind-ind-commute', 'res-res-commute', 'res-ind-exchange')]
+
+
+def test_bimodule_iso_failure(monkeypatch):
+    monkeypatch.setattr(nx, '_factor_right', lambda elem: {})
+    message, report = _failure(nx.verify_bimodule_iso, 2)
+    assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=2: "
+                       "m_2 commutes with the left action (well-defined over the tensor)")
+    assert [(e['check'], e['pass']) for e in report] == [
+        ('m1-injective', True), ('m2-basis-to-basis', True), ('m2-injective', True),
+        ('images-disjoint', True), ('m1-image-criterion', True), ('images-span', True),
+        ('m1-bimodule-map', True), ('m2-left-linear', False), ('m2-right-linear', True)]
+    assert report[5] == {'check': 'images-span', 'n': 2, 'pass': True,
+                         'detail': '2 + 2*2 = 6 (expect 6)'}
+    assert all(set(e) == {'check', 'n', 'pass', 'detail'} for e in report)
+
+
+def test_weyl_squares_failure(monkeypatch):
+    monkeypatch.setattr(nx, 'res_K', lambda v: nx.KVector(v.flavor, {}))
+    message, report = _failure(nx.verify_weyl_squares, 2)
+    assert message == "K-theory check 'res-square-simples' failed: phi o res = d o phi on classes 0..2"
+    details = {'ind-square': 'phi o ind = x o phi on classes 0..2',
+               'res-square': 'phi o res = d o phi on classes 0..2',
+               'weyl-relation': 'res o ind = ind o res + id on classes 0..2'}
+    assert report == [
+        {'check': f'{kind}-{label}', 'n': 2, 'pass': kind == 'ind-square',
+         'detail': detail}
+        for label in ('simples', 'projectives') for kind, detail in details.items()
+    ] + [{'check': 'ind-res-adjoint', 'n': 2, 'pass': False,
+          'detail': 'pairing adjunction on classes 0..8'}]
+
+
+def test_k0_relations_failure(monkeypatch):
+    monkeypatch.setattr(dg, '_signature_dimension', lambda sig, base: 1)
+    message, report = _failure(dg.verify_k0_relations, 1, 1, 1)
+    assert message == ("K_0 check 'dim-consistency-base-0' failed for (m, n) = (1, 1): "
+                       "dim(down^1 up^1 at 0) = 1, expansion gives 2")
+    assert [(e['check'], e['pass']) for e in report] == [
+        ('lambda-commute', True), ('s-commute', True), ('s-lambda-exchange', True),
+        ('dim-consistency-base-0', False), ('dim-consistency-base-1', False)]
+    assert report[4] == {'check': 'dim-consistency-base-1', 'm': 1, 'n': 1, 'pass': False,
+                         'detail': 'dim(down^1 up^1 at 1) = 1, expansion gives 2'}
+    assert all(set(e) == {'check', 'm', 'n', 'pass', 'detail'} for e in report)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import symcat.weyl as wy
+from symcat import cli
 from symcat.errors import LatticeMismatch, ParseError
 
 D = wy.WeylElement({(0, 1): 1})
@@ -131,5 +132,15 @@ def test_literals_round_trip():
         assert wy.render_polyvector(wy.parse_polyvector(text)) == text
     with pytest.raises(ParseError):
         wy.parse_weyl('x^')
+    assert wy.parse_weyl('- x^1 + 2') == wy.WeylElement({(1, 0): -1, (0, 0): 2})
     with pytest.raises(ParseError):
         wy.parse_polyvector('lattice:Q [1]')
+
+
+@pytest.mark.parametrize('text', ['x^1 +- 2', 'x^1 -', '- - x^1', '+', ''])
+def test_dangling_signs_are_rejected(text, capsys):
+    with pytest.raises(ParseError):
+        wy.parse_weyl(text)
+    assert cli.main(['weyl', 'normalize', text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == '' and captured.err.startswith('error:')
