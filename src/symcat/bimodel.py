@@ -534,7 +534,6 @@ def verify_local_relation(rel, n, max_level=3):
             diagram_to_map(mor('sig:UUU; x2; x1; x2'), n),
             'x1 x2 x1 = x2 x1 x2 on UUU'))
     elif rel == 'mixed-double':
-        du_path = path_from_signature('DU', n)
         lhs = _map_or_zero(mor('sig:DU; x1; x1'), n)
         rhs_m = mor('sig:DU') - compose_morphisms('sig:DU; cap+1', 'sig:; cup+1')
         report.check('du-double', *_compare(

@@ -32,8 +32,8 @@ from math import comb
 from .combinatorics import is_partition, partition_key, partitions_of
 from .errors import ParseError, Report
 from .linalg import LinComb, render_terms
-from .symfunc import SymFunc, _basis_to_m, _m_mult_raw, _to_m_raw, \
-    convert, dual_apply, hall_pairing, lr_coefficients, multiply, schur
+from .symfunc import SymFunc, _m_mult_raw, _row, convert, dual_apply, hall_pairing, \
+    lr_coefficients, multiply, schur
 
 __all__ = [
     'HeisWord',
@@ -241,10 +241,9 @@ def fock_apply(a, f):
     out = {}
     for (lam, mu), c in a.coeffs.items():
         # a state that is not integral in m raises NonIntegralResult here
-        g = _to_m_raw(dual_apply(_h_elem(mu), f)) if mu else \
-            SymFunc._new('m', _to_m_raw(f)).coeffs
+        g = convert(dual_apply(_h_elem(mu), f) if mu else f, 'm').coeffs
         if lam:
-            g = _m_mult_raw(g, dict(_basis_to_m('e', lam)))
+            g = _m_mult_raw(g, dict(_row('e', 'm', lam)))
         for nu, k in g.items():
             out[nu] = out.get(nu, 0) + c * k
     return SymFunc._new('m', out)

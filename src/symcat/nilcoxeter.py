@@ -334,8 +334,7 @@ class KVector(LinComb):
         sym = 'L' if self.flavor == G_SIMPLES else 'N'
         if not self.coords:
             return f'KVector({self.flavor!r}, 0)'
-        body = ' + '.join(f'{c} [{sym}_{nn}]' if c != 1 else f'[{sym}_{nn}]'
-                          for nn, c in sorted(self.coords.items()))
+        body = render_terms((f'[{sym}_{nn}]', c) for nn, c in sorted(self.coords.items()))
         return f'KVector({self.flavor!r}, {body!r})'
 
 

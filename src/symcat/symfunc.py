@@ -8,14 +8,15 @@ merely over Q.  The rational-valued scalars -- `hall_pairing`,
 `tensor_pairing`, `counit` and the `coproduct` coefficients -- are returned
 as `Fraction`.
 
-The monomial basis is the computational pivot: every other basis element is
-expanded into monomials (products for e/h/p, a Jacobi-Trudi determinant for
-s).  Conversion back reads a cached per-degree m -> X table built by
-triangular back-substitution: s_lam and e_lam' are m_lam plus terms strictly
-lower in dominance order, and p_lam is a positive multiple of m_lam plus
-terms strictly higher (Macdonald, ch. I section 6), so each m_mu is solved
-from rows already known.  The h table composes the s table with
-Jacobi-Trudi.
+Every basis change reads rows of the transition matrices M(X, Y)
+(Macdonald, ch. I section 6), each built once and cached by `_row`.  A row
+into the monomial basis expands X_lam (products for e/h/p, a Jacobi-Trudi
+determinant for s); a row out of it reads a cached per-degree m -> X table
+built by triangular back-substitution: s_lam and e_lam' are m_lam plus terms
+strictly lower in dominance order, and p_lam is a positive multiple of m_lam
+plus terms strictly higher, so each m_mu is solved from rows already known.
+The h table composes the s table with Jacobi-Trudi, and a row between two
+other bases composes a row into m with the table rows out of it.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -320,23 +321,33 @@ def _schur_h(lam):
     return _sorted_items(acc)
 
 
-@lru_cache(maxsize=None)
-def _basis_to_m(basis, lam):
-    """Expansion of the basis element X_lam in monomials, as sorted items."""
-    if basis == 'm':
-        return ((tuple(lam), 1),)
-    if basis == 's':
-        out = {}
-        for mu, c in _schur_h(lam):
-            for nu, k in _basis_to_m('h', mu):
-                out[nu] = out.get(nu, 0) + c * k
-        return _sorted_items(out)
+_ROW_CACHE = 1 << 13  # rows kept by `_row`
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _row(src, dst, lam):
+    """X_lam in basis Y (X = src, Y = dst) as sorted items: one row of the
+    transition matrix M(X, Y) of Macdonald, ch. I section 6.
+
+    A row into m is the monomial expansion (products of parts for e/h/p,
+    Jacobi-Trudi for s), a row out of m the table row itself, and any other
+    row composes the two once.  Keeps up to _ROW_CACHE (8192) rows, more
+    than the 2,780 rows of degree <= 10 between the five bases.
+    """
+    if src == dst:
+        return ((lam, 1),)
+    if dst != 'm':
+        if src == 'm':
+            return _m_to_basis_table(dst, sum(lam))[lam]
+        return _sorted_items(_sum_rows(dict(_row(src, 'm', lam)), 'm', dst))
+    if src == 's':
+        return _sorted_items(_sum_rows(dict(_schur_h(lam)), 'h', 'm'))
     # e/h/p are multiplicative: expand each part and multiply in m
     out = {(): 1}
     for part in lam:
-        if basis == 'e':
+        if src == 'e':
             factor = {(1,) * part: 1}
-        elif basis == 'p':
+        elif src == 'p':
             factor = {(part,): 1}
         else:  # 'h'
             factor = {mu: 1 for mu in partitions_of(part)}
@@ -374,7 +385,7 @@ def _m_to_basis_table(basis, d):
     for mu in (parts if basis == 'p' else reversed(parts)):
         acc = {label[mu]: 1}
         diag = 1
-        for nu, c in _basis_to_m(basis, label[mu]):
+        for nu, c in _row(basis, 'm', label[mu]):
             if nu == mu:
                 diag = c
                 continue
@@ -386,28 +397,16 @@ def _m_to_basis_table(basis, d):
     return table
 
 
-def _to_m_raw(f):
-    """f's coefficients as a monomial-basis partition -> coefficient map."""
+def _sum_rows(coeffs, src, dst):
+    """sum c X_lam over the items lam -> c of coeffs (X = src), in basis dst.
+
+    Unchecked: a rational coefficient passes and cancelled terms stay as
+    zeros, which `SymFunc._new` drops.
+    """
     out = {}
-    for lam, c in f.coeffs.items():
-        for mu, k in _basis_to_m(f.basis, lam):
+    for lam, c in coeffs.items():
+        for mu, k in _row(src, dst, lam):
             out[mu] = out.get(mu, 0) + c * k
-    return {mu: c for mu, c in out.items() if c != 0}
-
-
-def _from_m_raw(m_raw, target):
-    """A monomial-basis map re-expressed in the target basis, degree by degree."""
-    if target == 'm':
-        return m_raw
-    by_deg = {}
-    for mu, c in m_raw.items():
-        by_deg.setdefault(sum(mu), {})[mu] = c
-    out = {}
-    for d, comp in by_deg.items():
-        table = _m_to_basis_table(target, d)
-        for mu, c in comp.items():
-            for lam, k in table[mu]:
-                out[lam] = out.get(lam, 0) + c * k
     return out
 
 
@@ -421,7 +420,7 @@ def convert(f, target):
     target = _check_basis(target)
     if f.basis == target:
         return f
-    return SymFunc._new(target, _from_m_raw(_to_m_raw(f), target))
+    return SymFunc._new(target, _sum_rows(f.coeffs, f.basis, target))
 
 
 def multiply(f, g):
@@ -440,8 +439,8 @@ def multiply(f, g):
                 nu = tuple(sorted(lam + mu, reverse=True))
                 out[nu] = out.get(nu, 0) + a * b
         return convert(SymFunc._new('p', out), f.basis)
-    prod = _m_mult_raw(_to_m_raw(f), _to_m_raw(g))
-    return SymFunc._new(f.basis, _from_m_raw(prod, f.basis))
+    prod = _m_mult_raw(_sum_rows(f.coeffs, f.basis, 'm'), _sum_rows(g.coeffs, g.basis, 'm'))
+    return SymFunc._new(f.basis, _sum_rows(prod, 'm', f.basis))
 
 
 #############################################
@@ -637,19 +636,15 @@ def poly_mult(P, Q):
 # Hopf structure                            #
 #############################################
 
-def _to_h_raw(f):
-    """f as a complete-basis partition -> coefficient map (rationals allowed)."""
-    if f.basis == 'h':
-        return dict(f.coeffs)
-    out = _from_m_raw(_to_m_raw(f), 'h')
-    return {lam: c for lam, c in out.items() if c != 0}
+_HOPF_CACHE = 1 << 12  # entries per Hopf memo below; degree <= 10 needs 139
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_HOPF_CACHE)
 def _coproduct_h(lam):
     """Delta(h_lam) as sorted (((alpha, beta), coeff), ...) items.
 
     Computed multiplicatively from Delta(h_n) = sum_i h_i (x) h_{n-i}.
+    Keeps up to _HOPF_CACHE (4096) partitions.
     """
     pairs = {((), ()): 1}
     for part in lam:
@@ -666,6 +661,15 @@ def _coproduct_h(lam):
                                         partition_key(kv[0][1]))))
 
 
+@lru_cache(maxsize=_HOPF_CACHE)
+def _h_leg(lam):
+    """(display key of lam, h_lam), one per partition: SymFunc is immutable,
+    so every coproduct shares its tensor legs.  Keeps up to _HOPF_CACHE
+    (4096) partitions.
+    """
+    return partition_key(lam), SymFunc._new('h', {lam: 1})
+
+
 def coproduct(f):
     """Delta(f) as a list of (coeff, left, right) triples.
 
@@ -673,17 +677,12 @@ def coproduct(f):
     scalars (including any rational powersum content of f) live in coeff.
     """
     acc = {}
-    for lam, c in _to_h_raw(f).items():
-        for (al, be), k in _coproduct_h(lam):
-            acc[(al, be)] = acc.get((al, be), 0) + c * k
-    triples = []
-    for (al, be) in sorted(acc, key=lambda ab: (partition_key(ab[0]),
-                                                partition_key(ab[1]))):
-        c = acc[(al, be)]
-        if c != 0:
-            triples.append((Fraction(c), SymFunc._new('h', {al: 1}),
-                            SymFunc._new('h', {be: 1})))
-    return triples
+    for lam, c in _sum_rows(f.coeffs, f.basis, 'h').items():
+        for pair, k in _coproduct_h(lam):
+            acc[pair] = acc.get(pair, 0) + c * k
+    legs = [(_h_leg(al), _h_leg(be), c) for (al, be), c in acc.items() if c]
+    legs.sort(key=lambda t: (t[0][0], t[1][0]))
+    return [(Fraction(c), left, right) for (_, left), (_, right), c in legs]
 
 
 def counit(f):
@@ -691,12 +690,13 @@ def counit(f):
     return Fraction(f.coeffs.get((), 0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_HOPF_CACHE)
 def _antipode_h(lam):
     """S(h_lam) in the complete basis, by the graded-connected recursion.
 
     S(1) = 1; for positive degree, S(x) = -x - sum S(x') x'' over the
-    reduced coproduct (both tensor legs of positive degree).
+    reduced coproduct (both tensor legs of positive degree).  Keeps up to
+    _HOPF_CACHE (4096) partitions.
     """
     if not lam:
         return (((), 1),)
@@ -714,7 +714,7 @@ def _antipode_h(lam):
 def antipode(f):
     """The Hopf antipode of f, returned in the basis of f."""
     out = {}
-    for lam, c in _to_h_raw(f).items():
+    for lam, c in _sum_rows(f.coeffs, f.basis, 'h').items():
         for mu, k in _antipode_h(lam):
             out[mu] = out.get(mu, 0) + c * k
     return convert(SymFunc._new('h', out), f.basis)
@@ -842,12 +842,8 @@ def parse_symfunc(text):
         return SymFunc(basis, out)
     total = zero('m')
     for c, b, lam in parts:
-        total = total + SymFunc('m', _m_scaled(b, lam, c))
+        total = total + SymFunc('m', {mu: c * k for mu, k in _row(b, 'm', lam)})
     return total
-
-
-def _m_scaled(basis, lam, c):
-    return {mu: c * k for mu, k in _basis_to_m(basis, lam)}
 
 
 def render(f):

@@ -61,6 +61,23 @@ def test_sym_commands(capsys):
     assert run_cli(capsys, 'sym', 'antipode', 'e[2]')[1] == '-e[2] + e[1,1]\n'
 
 
+def test_sym_hopf_maps_on_a_rational_powersum(capsys):
+    # 1/2 p2 = h2 - 1/2 h11 lies outside Sym over Z: the coproduct keeps its
+    # rational coefficients, the antipode (returned in p via h) refuses it
+    assert run_cli(capsys, 'sym', 'coproduct', '1/2p[2]') == (0, (
+        '1 | h[] | h[2]\n'
+        '-1/2 | h[] | h[1,1]\n'
+        '1 | h[2] | h[]\n'
+        '-1/2 | h[1,1] | h[]\n'), '')
+    assert run_cli(capsys, 'sym', 'coproduct', '1/2p[2]', '--json') == (0, (
+        '[{"coeff": "1", "left": "h[]", "right": "h[2]"}, '
+        '{"coeff": "-1/2", "left": "h[]", "right": "h[1,1]"}, '
+        '{"coeff": "1", "left": "h[2]", "right": "h[]"}, '
+        '{"coeff": "-1/2", "left": "h[1,1]", "right": "h[]"}]\n'), '')
+    assert run_cli(capsys, 'sym', 'antipode', '1/2p[2]') == (
+        2, '', "error: coefficient 1/2 of (1, 1) is not an integer in basis 'h'\n")
+
+
 def test_weyl_commands(capsys):
     # normalize reorders d past x via the defining relation
     assert run_cli(capsys, 'weyl', 'normalize', 'd^1', 'x^1')[1] == \

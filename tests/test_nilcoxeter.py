@@ -169,6 +169,14 @@ def test_ind_res_examples():
     assert nx.res_K(nx.simple_class(4)) == nx.simple_class(3)
 
 
+def test_kvector_repr_is_a_signed_sum():
+    assert repr(nx.KVector(nx.G_SIMPLES, {0: 1, 1: -2})) == \
+        "KVector('G_simples', '[L_0] - 2 [L_1]')"
+    assert repr(nx.KVector(nx.K_PROJECTIVES, {2: -1, 3: 3})) == \
+        "KVector('K_projectives', '-[N_2] + 3 [N_3]')"
+    assert repr(nx.KVector(nx.G_SIMPLES, {})) == "KVector('G_simples', 0)"
+
+
 def test_k_pairing_orthonormal():
     assert nx.k_pairing(nx.projective_class(2), nx.simple_class(2)) == 1
     assert nx.k_pairing(nx.projective_class(2), nx.simple_class(3)) == 0

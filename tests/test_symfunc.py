@@ -5,8 +5,10 @@ expected values below marked as oracle-derived were computed by expanding
 into explicit polynomials first, then frozen.
 """
 
+import ast
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,80 @@ def test_powersum_rational_only_there():
         sf.SymFunc(M, {(1,): Fraction(1, 2)})
     # integral powersum combinations convert fine: p_2 = m_2 is in Sym
     assert sf.convert(be(P, (2,)), M) == be(M, (2,))
+
+
+def _mixed_elements(basis, rng, count, coeffs=(1, -1, 2, -3)):
+    """zero, two degree-0 elements and `count` sums of 1-4 terms of degree <= 6."""
+    out = [sf.zero(basis), sf.one(basis), sf.SymFunc(basis, {(): rng.choice(coeffs)})]
+    for _ in range(count):
+        terms = {rng.choice(partitions_of(rng.randint(0, 6))): rng.choice(coeffs)
+                 for _ in range(rng.randint(1, 4))}
+        out.append(sf.SymFunc(basis, terms))
+    return out
+
+
+def test_convert_agrees_with_polynomial_oracle_on_all_basis_pairs():
+    rng = random.Random(8)
+    for src in sf.BASES:
+        for f in _mixed_elements(src, rng, 10):
+            nvars = max(sf.degree(f), 1)
+            poly = sf.monomial_expand(f, nvars)
+            for dst in sf.BASES:
+                if dst != src:
+                    g = sf.convert(f, dst)
+                    assert g.basis == dst and sf.monomial_expand(g, nvars) == poly, \
+                        (src, dst, sf.render(f))
+
+
+_NON_INTEGRAL = re.compile(r"coefficient (\S+) of (\(.*\)) is not an integer in basis '(\w)'")
+
+
+def test_convert_rational_powersum_raises_exactly_outside_sym():
+    # Sym over Z is one lattice in m, e, h and s, so a powersum combination
+    # converts into all four or into none; the error names a true coefficient
+    rng = random.Random(9)
+    elems = [sf.SymFunc(P, {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)})]  # = h2
+    elems += _mixed_elements(P, rng, 40, (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
+                                          Fraction(1, 6), 1, -2))
+    raised = 0
+    for f in elems:
+        poly = sf.monomial_expand(f, max(sf.degree(f), 1))
+        integral = all(Fraction(c).denominator == 1 for c in poly.values())
+        for dst in (M, E, H, S):
+            want = {}
+            for lam, c in f.coeffs.items():
+                for nu, k in sf.convert(be(P, lam), dst).coeffs.items():
+                    want[nu] = want.get(nu, 0) + c * k
+            if integral:
+                assert sf.convert(f, dst).coeffs == {nu: c for nu, c in want.items() if c}
+                continue
+            raised += 1
+            with pytest.raises(NonIntegralResult) as err:
+                sf.convert(f, dst)
+            c, nu, basis = _NON_INTEGRAL.fullmatch(str(err.value)).groups()
+            assert basis == dst and Fraction(c) == want[ast.literal_eval(nu)]
+            assert Fraction(c).denominator > 1
+    assert raised >= 80
+
+
+def test_convert_rational_powersum_messages_pinned():
+    pinned = [('1/2 p[2]', M, "1/2 of (2,)"), ('1/2 p[2]', E, "1/2 of (1, 1)"),
+              ('1/2 p[2]', H, "-1/2 of (1, 1)"), ('1/2 p[2]', S, "1/2 of (2,)"),
+              ('1/2 p[2,1]', H, "-1/2 of (1, 1, 1)"), ('1/6 p[1,1,1]', S, "1/6 of (3,)"),
+              ('1/3 p[3]', E, "1/3 of (1, 1, 1)"), ('1/2 p[]', S, "1/2 of ()")]
+    for text, dst, where in pinned:
+        with pytest.raises(NonIntegralResult) as err:
+            sf.convert(sf.parse_symfunc(text), dst)
+        assert str(err.value) == f"coefficient {where} is not an integer in basis '{dst}'"
+
+
+def test_row_and_hopf_memos_are_bounded():
+    # every row of degree <= 10 between the five bases fits, so none is evicted
+    rows = 20 * sum(len(partitions_of(d)) for d in range(11))
+    for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._antipode_h, 139),
+                       (sf._h_leg, 139)):
+        size = memo.cache_parameters()['maxsize']
+        assert size is not None and size >= need and f'({size})' in memo.__doc__
 
 
 def test_schur_to_monomial_unitriangular_with_kostka_positivity():
@@ -247,20 +323,22 @@ def test_monomial_expand_matches_definitions():
                             _brute_expand(basis, lam, n), (basis, lam, n)
 
 
-_SYM_KERNELS = ('_basis_to_m', '_to_m_raw', '_m_mult_basis', '_m_mult_raw',
+_SYM_KERNELS = ('_row', '_m_mult_basis', '_m_mult_raw',
                 '_schur_h', '_distinct_perms', '_m_to_basis_table', 'convert',
                 'multiply')
 
 
-def _clear_oracle_caches():
-    for memo in (sf._last_variable, sf._dominant, sf._orbit, sf._codec):
-        memo.cache_clear()
+def _clear_symfunc_caches():
+    # every memo in the module, so that no cached row outlives a patched kernel
+    for memo in vars(sf).values():
+        if hasattr(memo, 'cache_clear'):
+            memo.cache_clear()
 
 
 def _block_sym_kernels(monkeypatch):
     def blocked(*args):
         raise AssertionError('the polynomial oracle reached a Sym kernel')
-    _clear_oracle_caches()
+    _clear_symfunc_caches()
     for name in _SYM_KERNELS:
         monkeypatch.setattr(sf, name, blocked)
 
@@ -307,19 +385,14 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
             return (((2, 1), -1), ((1, 1, 1), 1))
         return true_schur_h(lam)
 
-    def clear():
-        for memo in (sf._basis_to_m, sf._m_to_basis_table, sf._schur_pair_mult):
-            memo.cache_clear()
-        _clear_oracle_caches()
-
-    clear()
+    _clear_symfunc_caches()
     monkeypatch.setattr(sf, '_schur_h', corrupted)
     try:
         assert sf.convert(be(S, (2, 1)), M).coeffs == {(2, 1): 1, (1, 1, 1): 3}
         with pytest.raises(VerificationFailure):
             cli._case_product_oracle(6, 3, random.Random(0))
     finally:
-        clear()
+        _clear_symfunc_caches()
 
 
 ##########################
