@@ -15,7 +15,12 @@ once, which gives the closed form
 its oracle.  h acts on Sym -- the Fock space -- by e_lambda = multiplication
 and h_mu* = the dual (adjoint) operator, and the same two operators realize
 induction and restriction products on symmetric-group representation classes
-under [S^lambda] -> s_lambda.
+under [S^lambda] -> s_lambda.  In the Schur basis these are the Pieri rules:
+e_n (induction with the sign representation) adds vertical n-strips to
+s_lambda and h_m* (restriction with the trivial one) removes horizontal
+m-strips, which is how `fock_apply_schur` and `fock_apply` act;
+`fock_apply_word` multiplies and takes adjoints letter by letter and is
+their oracle.
 
 >>> w = parse_heisword('h1* e1')
 >>> render_heis(heis_normalize(w))
@@ -32,8 +37,7 @@ from math import comb
 from .combinatorics import is_partition, partition_key, partitions_of
 from .errors import ParseError, Report
 from .linalg import LinComb, render_terms
-from .symfunc import SymFunc, _m_mult_raw, _row, convert, dual_apply, hall_pairing, \
-    lr_coefficients, multiply, schur
+from .symfunc import SymFunc, _strips, basis_element, convert, dual_apply, multiply
 
 __all__ = [
     'HeisWord',
@@ -45,6 +49,7 @@ __all__ = [
     'heis_normalize_single_step',
     'heis_product',
     'fock_apply',
+    'fock_apply_schur',
     'fock_apply_word',
     'verify_heis_relation',
     'verify_boson_relation',
@@ -231,22 +236,54 @@ def _h_elem(mu):
     return SymFunc._new('h', {tuple(mu): 1})
 
 
+def _add_strips(coeffs, n, grow, vertical):
+    """sum c s_nu over the items lam -> c of coeffs and the n-strips nu of lam."""
+    out = {}
+    get = out.get
+    for lam, c in coeffs.items():
+        for nu in _strips(lam, n, grow, vertical):
+            out[nu] = get(nu, 0) + c
+    return out
+
+
+def fock_apply_schur(a, f):
+    """The Fock action of a on f in the Schur basis, by the Pieri rules.
+
+    The state is converted to s once; for each term e_lambda h_mu*, each
+    part m of mu removes horizontal m-strips (h_m* s_kappa = s_(kappa/(m)))
+    and then each part n of lambda adds vertical n-strips.
+
+    >>> from symcat.symfunc import parse_symfunc, render
+    >>> render(fock_apply_schur(heis_normalize(parse_heisword('e2 h1*')), parse_symfunc('s[2]')))
+    's[2,1] + s[1,1,1]'
+    """
+    # the zero operator reads no state; any other raises NonIntegralResult
+    # here on a state that is not integral in s
+    state = convert(f, 's').coeffs if a.coeffs else {}
+    out = {}
+    for (lam, mu), c in a.coeffs.items():
+        g = state
+        for m in mu:
+            g = _add_strips(g, m, False, False)
+        for n in lam:
+            g = _add_strips(g, n, True, True)
+        for nu, k in g.items():
+            out[nu] = out.get(nu, 0) + c * k
+    return SymFunc._new('s', out)
+
+
 def fock_apply(a, f):
     """Act on Sym: e_lambda multiplies, h_mu* is the dual operator (acting first).
+
+    On Schur functions these are the Pieri strip moves, so the result is
+    `fock_apply_schur` in the monomial basis; `fock_apply_word`, which
+    multiplies and takes adjoints letter by letter, is the oracle for both.
 
     >>> from symcat.symfunc import parse_symfunc, render
     >>> render(fock_apply(heis_hstar((1,)), parse_symfunc('s[1]')))
     'm[]'
     """
-    out = {}
-    for (lam, mu), c in a.coeffs.items():
-        # a state that is not integral in m raises NonIntegralResult here
-        g = convert(dual_apply(_h_elem(mu), f) if mu else f, 'm').coeffs
-        if lam:
-            g = _m_mult_raw(g, dict(_row('e', 'm', lam)))
-        for nu, k in g.items():
-            out[nu] = out.get(nu, 0) + c * k
-    return SymFunc._new('m', out)
+    return convert(fock_apply_schur(a, f), 'm')
 
 
 def fock_apply_word(w, f):
@@ -330,11 +367,15 @@ def verify_boson_relation(m, n, D):
 def specht_to_sym(lam):
     """Class of the Specht module S^lambda: the Schur function s_lambda.
 
+    Induction with the sign representation of S_n then adds vertical
+    n-strips (e_n) and restriction with the trivial one removes horizontal
+    n-strips (h_n*), as in `fock_apply_schur`.
+
     >>> from symcat.symfunc import render
     >>> render(specht_to_sym((1, 1, 1)))
     's[1,1,1]'
     """
-    return convert(schur(tuple(lam)), 's')
+    return basis_element('s', lam)
 
 
 def ind_class(M, N):

@@ -10,13 +10,16 @@ as `Fraction`.
 
 Every basis change reads rows of the transition matrices M(X, Y)
 (Macdonald, ch. I section 6), each built once and cached by `_row`.  A row
-into the monomial basis expands X_lam (products for e/h/p, a Jacobi-Trudi
-determinant for s); a row out of it reads a cached per-degree m -> X table
-built by triangular back-substitution: s_lam and e_lam' are m_lam plus terms
-strictly lower in dominance order, and p_lam is a positive multiple of m_lam
-plus terms strictly higher, so each m_mu is solved from rows already known.
-The h table composes the s table with Jacobi-Trudi, and a row between two
-other bases composes a row into m with the table rows out of it.
+into the monomial basis expands X_lam: products of parts for e/h/p, and for
+s the Kostka numbers K_{lam,mu}, counted by peeling horizontal strips off
+lam (`_strips`, the Pieri rule).  A row out of it reads a cached per-degree
+m -> X table built by triangular back-substitution: s_lam and e_lam' are
+m_lam plus terms strictly lower in dominance order, and p_lam is a positive
+multiple of m_lam plus terms strictly higher, so each m_mu is solved from
+rows already known.  The h table composes the s table with the Jacobi-Trudi
+expansion of s in h (`_schur_h`, which also gives `schur`); no other path
+reads Jacobi-Trudi.  A row between two other bases composes a row into m
+with the table rows out of it.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -321,6 +324,41 @@ def _schur_h(lam):
     return _sorted_items(acc)
 
 
+_STRIP_CACHE = 1 << 12  # strip lists kept by `_strips`
+
+
+@lru_cache(maxsize=_STRIP_CACHE)
+def _strips(lam, n, grow, vertical=False):
+    """The partitions nu with nu/lam (grow) or lam/nu (not grow) an n-strip.
+
+    A horizontal strip has at most one box per column: the two shapes
+    interlace, outer_1 >= inner_1 >= outer_2 >= ..., so row i moves by at
+    most lam_i - lam_(i+1) boxes, and a growing strip may also lengthen the
+    first row freely and open one new row.  A vertical strip (at most one
+    box per row) is a horizontal strip of the conjugate shapes.  These are
+    the Pieri rules: h_n s_lam and e_n s_lam sum s_nu over the horizontal
+    and vertical strips grown on lam.  Keeps up to _STRIP_CACHE (4096) lists.
+    """
+    if vertical:
+        return tuple(conjugate(nu) for nu in _strips(conjugate(lam), n, grow))
+    caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
+    rows, sign = (lam + (0,), 1) if grow else (lam, -1)
+    if grow:
+        caps.insert(0, n)
+    room = [sum(caps[i:]) for i in range(len(caps) + 1)]
+    out = []
+
+    def fill(i, left, head):
+        if not left:
+            out.append(tuple(x for x in head + rows[i:] if x))
+        elif room[i] >= left:
+            for t in range(min(caps[i], left) + 1):
+                fill(i + 1, left - t, head + (rows[i] + sign * t,))
+
+    fill(0, n, ())
+    return tuple(out)
+
+
 _ROW_CACHE = 1 << 13  # rows kept by `_row`
 
 
@@ -330,9 +368,9 @@ def _row(src, dst, lam):
     transition matrix M(X, Y) of Macdonald, ch. I section 6.
 
     A row into m is the monomial expansion (products of parts for e/h/p,
-    Jacobi-Trudi for s), a row out of m the table row itself, and any other
-    row composes the two once.  Keeps up to _ROW_CACHE (8192) rows, more
-    than the 2,780 rows of degree <= 10 between the five bases.
+    Kostka numbers for s), a row out of m the table row itself, and any
+    other row composes the two once.  Keeps up to _ROW_CACHE (8192) rows,
+    more than the 2,780 rows of degree <= 10 between the five bases.
     """
     if src == dst:
         return ((lam, 1),)
@@ -341,7 +379,16 @@ def _row(src, dst, lam):
             return _m_to_basis_table(dst, sum(lam))[lam]
         return _sorted_items(_sum_rows(dict(_row(src, 'm', lam)), 'm', dst))
     if src == 's':
-        return _sorted_items(_sum_rows(dict(_schur_h(lam)), 'h', 'm'))
+        # the r largest entries of a tableau fill a horizontal strip
+        # lam/kappa, and K_{lam,mu} does not depend on the order of the
+        # parts of mu, so K_{lam,(r,)+mu} = sum of K_{kappa,mu} over them
+        out = {} if lam else {(): 1}
+        for r in range(1, sum(lam[:1]) + 1):
+            for kappa in _strips(lam, r, False):
+                for mu, k in _row('s', 'm', kappa):
+                    if not mu or mu[0] <= r:
+                        out[(r,) + mu] = out.get((r,) + mu, 0) + k
+        return _sorted_items(out)
     # e/h/p are multiplicative: expand each part and multiply in m
     out = {(): 1}
     for part in lam:
@@ -404,9 +451,10 @@ def _sum_rows(coeffs, src, dst):
     zeros, which `SymFunc._new` drops.
     """
     out = {}
+    get = out.get
     for lam, c in coeffs.items():
         for mu, k in _row(src, dst, lam):
-            out[mu] = out.get(mu, 0) + c * k
+            out[mu] = get(mu, 0) + c * k
     return out
 
 

@@ -114,6 +114,24 @@ def test_heis_normalize_many_inversions_is_fast(capsys):
     assert code == 0 and out.startswith('e[3,3,3,3,3] h*[3,3,3,3,3] + ')
 
 
+def test_heis_fock_large_state_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, 'heis', 'fock', 'e1', '--state', '[9,9,9]')
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == 's[10,9,9] + s[9,9,9,1]\n'
+
+
+def test_fock_intertwines_induction_uses_the_character_oracle(monkeypatch):
+    from symcat import symfunc as sf
+
+    def blocked(*args):
+        raise AssertionError('the induction check reached the LR kernel')
+    monkeypatch.setattr(sf, 'lr_coefficients', blocked)
+    # the oracle's size bound follows --max-degree, so degree 8 is checked
+    assert cli._case_heis_intertwine(8, 3, None) == \
+        '94 raising actions match the coefficient oracle up to degree 8'
+
+
 def test_bimod_commands(capsys):
     code, out, _ = run_cli(capsys, 'bimod', 'decompose', '[2,1]', '[2]')
     assert code == 0

@@ -201,6 +201,40 @@ def test_fock_apply_matches_letter_by_letter_action():
                 assert got == hs.fock_apply_word(w, f), (lam, mu, f)
 
 
+def test_fock_apply_schur_matches_letter_by_letter_action():
+    # the strip moves against multiplication and adjoints, letter by letter:
+    # every basis operator of bidegree <= (3,3) on every s_lam, |lam| <= 6,
+    # and on states given in the other bases
+    small = [lam for d in range(4) for lam in partitions_of(d)]
+    states = [SymFunc('s', {lam: 1}) for d in range(7) for lam in partitions_of(d)]
+    states += [parse_symfunc(text) for text in (
+        'e[2,1] - 3 e[3]', 'h[2,2] + h[1]', 'p[3,1] - 2 p[2]', '2 m[2,1,1] - m[4] + m[]')]
+    for lam in small:
+        for mu in small:
+            op = hs.HeisNormal({(lam, mu): 1})
+            w = hs.HeisWord(tuple(('e', n) for n in lam) + tuple(('h*', n) for n in mu))
+            for f in states:
+                got = hs.fock_apply_schur(op, f)
+                assert got.basis == 's'
+                assert got == hs.fock_apply_word(w, f), (lam, mu, f)
+
+
+def test_fock_apply_schur_on_linear_combinations():
+    op = hs.HeisNormal({((2, 1), (1,)): 2, ((1,), ()): -1, ((), (2, 1)): 3, ((), ()): 1})
+    f = parse_symfunc('s[3,1] - 2 s[2] + s[]')
+    want = parse_symfunc('0')
+    for (lam, mu), c in op.coeffs.items():
+        w = hs.HeisWord(tuple(('e', n) for n in lam) + tuple(('h*', n) for n in mu))
+        want = want + c * hs.fock_apply_word(w, f)
+    assert hs.fock_apply_schur(op, f) == want
+    assert hs.fock_apply(op, f) == want
+    # a word read through its normal form acts as the word does
+    for text, state in (('h2* e3 h1* e1', (4, 3, 2)), ('e1', (3, 3)), ('h1* h1*', (2, 1))):
+        f = hs.specht_to_sym(state)
+        assert hs.fock_apply_schur(hs.heis_normalize(word(text)), f) == \
+            hs.fock_apply_word(word(text), f)
+
+
 def test_fock_apply_rejects_a_state_not_integral_in_m():
     half = SymFunc('p', {(1, 1): Fraction(1, 2)})
     for op in (hs.heis_unit(), hs.heis_e((1,)), hs.heis_hstar((1,))):
@@ -232,6 +266,9 @@ def test_boson_relation():
 
 
 def test_specht_classes():
+    assert hs.specht_to_sym([2, 1]).coeffs == {(2, 1): 1}
+    with pytest.raises(ValueError, match='not a partition'):
+        hs.specht_to_sym((1, 2))
     assert hs.specht_to_sym((1, 1, 1)) == parse_symfunc('e[3]')
     assert hs.specht_to_sym((3,)) == parse_symfunc('h[3]')
     assert hs.specht_to_sym(()) == parse_symfunc('m[]')

@@ -136,8 +136,13 @@ def test_convert_rational_powersum_messages_pinned():
 def test_row_and_hopf_memos_are_bounded():
     # every row of degree <= 10 between the five bases fits, so none is evicted
     rows = 20 * sum(len(partitions_of(d)) for d in range(11))
+    # every strip list that the Fock action of bidegree <= (4,4) reads on
+    # states of degree <= 8: horizontal n-strips removed from them, and
+    # vertical n-strips (a list and its conjugate) grown up to degree 11
+    strips = 4 * sum(len(partitions_of(d)) for d in range(9)) + \
+        2 * 4 * sum(len(partitions_of(d)) for d in range(12))
     for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._antipode_h, 139),
-                       (sf._h_leg, 139)):
+                       (sf._h_leg, 139), (sf._strips, strips)):
         size = memo.cache_parameters()['maxsize']
         assert size is not None and size >= need and f'({size})' in memo.__doc__
 
@@ -153,6 +158,65 @@ def test_schur_to_monomial_unitriangular_with_kostka_positivity():
                 assert c > 0, 'Kostka numbers are nonnegative'
                 assert pos[mu] >= pos[lam], 'triangularity violated'
                 assert dominates(lam, mu)
+
+
+def _cells(lam):
+    return {(i, j) for i, part in enumerate(lam) for j in range(part)}
+
+
+def _is_strip(outer, inner, vertical):
+    # inner fits in outer and the skew cells share no column (no row if vertical)
+    big, small = _cells(outer), _cells(inner)
+    lines = [i if vertical else j for i, j in big - small]
+    return small <= big and len(lines) == len(set(lines))
+
+
+def test_strips_match_a_brute_force_filter():
+    for d in range(9):
+        for lam in partitions_of(d):
+            for n in range(9):
+                for vertical in (False, True):
+                    grown = sf._strips(lam, n, True, vertical)
+                    assert len(grown) == len(set(grown))
+                    assert set(grown) == {nu for nu in partitions_of(d + n)
+                                          if _is_strip(nu, lam, vertical)}
+                    removed = sf._strips(lam, n, False, vertical)
+                    assert len(removed) == len(set(removed))
+                    assert set(removed) == {nu for nu in (partitions_of(d - n) if n <= d else ())
+                                            if _is_strip(lam, nu, vertical)}
+
+
+def _ssyt_count(shape, content):
+    # fill the cells row by row: each entry at least its left neighbour,
+    # above the entry over it, and each value used as often as content says
+    cells = [(i, j) for i, part in enumerate(shape) for j in range(part)]
+    left, grid = list(content), {}
+
+    def fill(k):
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        total = 0
+        for v in range(max(grid.get((i, j - 1), 1), grid.get((i - 1, j), 0) + 1),
+                       len(content) + 1):
+            if left[v - 1]:
+                left[v - 1] -= 1
+                grid[i, j] = v
+                total += fill(k + 1)
+                left[v - 1] += 1
+        grid.pop((i, j), None)
+        return total
+
+    return fill(0)
+
+
+def test_kostka_rows_count_tableaux_and_match_the_oracle():
+    for d in range(11):
+        for lam in partitions_of(d):
+            row = dict(sf._row(S, M, lam))
+            assert row == {mu: k for mu, k in sf._m_coefficients(S, lam) if k}
+            for mu in partitions_of(d):
+                assert row.get(mu, 0) == _ssyt_count(lam, mu), (lam, mu)
 
 
 def test_m_to_basis_tables_invert_under_polynomial_oracle():
@@ -323,7 +387,7 @@ def test_monomial_expand_matches_definitions():
                             _brute_expand(basis, lam, n), (basis, lam, n)
 
 
-_SYM_KERNELS = ('_row', '_m_mult_basis', '_m_mult_raw',
+_SYM_KERNELS = ('_row', '_strips', '_m_mult_basis', '_m_mult_raw',
                 '_schur_h', '_distinct_perms', '_m_to_basis_table', 'convert',
                 'multiply')
 
@@ -380,7 +444,7 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
     true_schur_h = sf._schur_h
 
     def corrupted(lam):
-        # s21 + e3 = m21 + 3 m111: still unitriangular, so every table builds
+        # h111 - h21 is s21 + e3, not s21
         if lam == (2, 1):
             return (((2, 1), -1), ((1, 1, 1), 1))
         return true_schur_h(lam)
@@ -388,10 +452,36 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
     _clear_symfunc_caches()
     monkeypatch.setattr(sf, '_schur_h', corrupted)
     try:
+        # the wrong entry reaches products through the h table, which
+        # composes the s table with Jacobi-Trudi
+        assert sf.convert(be(S, (2, 1)), H).coeffs == {(2, 1): -1, (1, 1, 1): 1}
+        with pytest.raises(VerificationFailure):
+            cli._case_product_oracle(6, 3, random.Random(0))
+    finally:
+        monkeypatch.undo()
+        _clear_symfunc_caches()
+
+
+def test_product_oracle_catches_a_wrong_kostka_row(monkeypatch):
+    from symcat import cli
+    from symcat.errors import VerificationFailure
+
+    true_row = sf._row
+
+    def corrupted(src, dst, lam):
+        # K_{21,111} = 2, not 3: still unitriangular, so every table builds
+        if (src, dst, lam) == (S, M, (2, 1)):
+            return (((2, 1), 1), ((1, 1, 1), 3))
+        return true_row(src, dst, lam)
+
+    _clear_symfunc_caches()
+    monkeypatch.setattr(sf, '_row', corrupted)
+    try:
         assert sf.convert(be(S, (2, 1)), M).coeffs == {(2, 1): 1, (1, 1, 1): 3}
         with pytest.raises(VerificationFailure):
             cli._case_product_oracle(6, 3, random.Random(0))
     finally:
+        monkeypatch.undo()  # the true memo holds rows built on the wrong one
         _clear_symfunc_caches()
 
 
