@@ -71,9 +71,15 @@ def is_partition(parts) -> bool:
         all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
-@lru_cache(maxsize=None)
+_PARTITIONS_CACHE = 64  # sizes n whose lists `partitions_of` keeps
+
+
+@lru_cache(maxsize=_PARTITIONS_CACHE)
 def partitions_of(n: int) -> tuple:
     """All partitions of n, in reverse lexicographic order (largest first).
+
+    Keeps up to _PARTITIONS_CACHE (64) lists, far more than the 11 sizes
+    that a Sym computation of degree <= 10 reads.
 
     >>> partitions_of(0)
     ((),)

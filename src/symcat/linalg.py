@@ -76,7 +76,10 @@ class LinComb:
     `_TAGS`; elements of one class combine only within one space, and
     `_MISMATCH` is raised otherwise.  `_RATIONAL` picks the coefficient
     policy: int only (a non-integral coefficient raises NonIntegralResult)
-    or rationals, kept as int when integral.  The public constructor
+    or rationals, kept as int when integral.  A subclass with a display
+    order sets `_ORDER` to its sort key on labels, and a NonIntegralResult
+    then names the first offending coefficient in that order, whatever
+    order the terms were inserted in.  The public constructor
     (`__new__`) of a subclass validates its tags and labels and returns
     `_new`; internal results call `_new` directly.
     """
@@ -85,6 +88,7 @@ class LinComb:
     _TAGS = ()
     _RATIONAL = False
     _MISMATCH = ValueError
+    _ORDER = None
 
     @classmethod
     def _new(cls, *args):
@@ -107,11 +111,17 @@ class LinComb:
     def _clean(self, coeffs):
         """coeffs without its zero terms, each coefficient under the policy."""
         clean = {}
-        for k, c in coeffs.items():
-            if type(c) is not int:
-                c = self._exact(k, c)
-            if c:
-                clean[k] = c
+        try:
+            for k, c in coeffs.items():
+                if type(c) is not int:
+                    c = self._exact(k, c)
+                if c:
+                    clean[k] = c
+        except NonIntegralResult:
+            if self._ORDER is not None:
+                for k in sorted(coeffs, key=self._ORDER):
+                    self._exact(k, coeffs[k])
+            raise
         return clean
 
     def _exact(self, key, c):

@@ -27,9 +27,15 @@ shares no kernel with `convert` or `multiply`: each basis element is read
 from its definition (Macdonald, ch. I sections 2-5) by peeling off the last
 variable -- one part of lam or none for m_lam, a subset for e, a multiset
 for h, a whole power for p, and a horizontal strip of a semistandard
-tableau for s -- which gives its coefficient on each m_mu; the polynomial
-places every surviving m_mu on the variables.  `poly_mult` multiplies
-exponent maps on packed integer keys and builds each exponent tuple once.
+tableau for s -- which gives its coefficient on each m_mu
+(`dominant_expand`); the polynomial places every surviving m_mu on the
+variables.  `poly_mult` multiplies exponent maps on packed integer keys and
+builds each exponent tuple once.  A symmetric polynomial is fixed by its
+coefficients at weakly decreasing exponents, which are its m-coefficients
+(Macdonald, ch. I section 2), and a product of symmetric polynomials is
+symmetric; so `dominant_product`, which forms only those coefficients of a
+product by looking into its two expanded factors, decides the same
+equalities as `poly_mult` without multiplying whole polynomials.
 
 This module also carries Fock-space vectors and symmetric-group K-theory
 classes: both are identified with symmetric functions elsewhere in the
@@ -51,6 +57,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import sub
 
 from .combinatorics import (
     conjugate,
@@ -73,7 +80,9 @@ __all__ = [
     'convert',
     'multiply',
     'monomial_expand',
+    'dominant_expand',
     'poly_mult',
+    'dominant_product',
     'coproduct',
     'counit',
     'antipode',
@@ -108,14 +117,16 @@ class SymFunc(LinComb):
     """A symmetric function in a fixed basis.
 
     Integral coefficients are stored as int; only the powersum basis may
-    hold a non-integral one (NonIntegralResult otherwise, which is how
-    `convert` reports genuinely rational powersum combinations).  Sums and
+    hold a non-integral one (NonIntegralResult otherwise, naming the first
+    such coefficient in display order, which is how `convert` reports
+    genuinely rational powersum combinations).  Sums and
     differences across bases are taken in the basis of the left operand.
     """
 
     __slots__ = ('basis',)
     _TAGS = ('basis',)
     _RATIONAL = True
+    _ORDER = staticmethod(partition_key)
 
     def __new__(cls, basis, coeffs):
         basis = _check_basis(basis)
@@ -243,7 +254,10 @@ def _orbit_count(lam, nvars):
     return math.factorial(nvars) // denom
 
 
-@lru_cache(maxsize=None)
+_PAIR_CACHE = 1 << 12  # entries per memo keyed by a pair of partitions
+
+
+@lru_cache(maxsize=_PAIR_CACHE)
 def _m_mult_basis(lam, mu):
     """m_lam * m_mu as sorted ((nu, coeff), ...) items, via orbit counting.
 
@@ -251,6 +265,8 @@ def _m_mult_basis(lam, mu):
     of m_nu equals R(lam) * #{beta rearranged from mu : sort(lam+beta) = nu}
     / R(nu), computed in len(lam)+len(mu) variables where the expansion is
     faithful.  This is the grouped-by-orbit form of the polynomial product.
+    Keeps up to _PAIR_CACHE (4096) pairs, more than the 3,132 ordered pairs
+    of total degree <= 12.
     """
     if _orbit_count(mu, len(lam) + len(mu)) > _orbit_count(lam, len(lam) + len(mu)):
         lam, mu = mu, lam
@@ -282,7 +298,10 @@ def _m_mult_raw(a, b):
     return {nu: c for nu, c in out.items() if c != 0}
 
 
-@lru_cache(maxsize=None)
+_SCHUR_H_CACHE = 1 << 10  # expansions kept by `_schur_h`
+
+
+@lru_cache(maxsize=_SCHUR_H_CACHE)
 def _schur_h(lam):
     """s_lam in the complete basis: Jacobi-Trudi determinant det(h_{lam_i-i+j}).
 
@@ -291,7 +310,8 @@ def _schur_h(lam):
     row and memoised on the set of remaining columns, so each of the 2^n
     subminors is computed once; h_0 entries contribute an empty factor and
     negative subscripts prune the branch.  Returned as sorted
-    ((mu, coeff), ...) items.
+    ((mu, coeff), ...) items.  Keeps up to _SCHUR_H_CACHE (1024)
+    expansions, more than the 915 partitions of degree <= 16.
     """
     n = len(lam) + 1
     lamp = tuple(lam) + (0,)
@@ -402,7 +422,10 @@ def _row(src, dst, lam):
     return _sorted_items(out)
 
 
-@lru_cache(maxsize=None)
+_TABLE_CACHE = 64  # (basis, degree) tables kept by `_m_to_basis_table`
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
 def _m_to_basis_table(basis, d):
     """Per-degree table expressing each m_mu in basis X, by triangular solving.
 
@@ -415,6 +438,7 @@ def _m_to_basis_table(basis, d):
     m_mu plus terms strictly dominating it, solved from the top down with a
     division by that diagonal entry.  h is not triangular against m, so its
     table composes the s table with the Jacobi-Trudi expansion of s in h.
+    Keeps up to _TABLE_CACHE (64) tables: the four bases at 16 degrees.
     """
     parts = partitions_of(d)
     if basis == 'h':
@@ -584,19 +608,13 @@ def _orbit(mu, nvars):
     return dict.fromkeys(placed)
 
 
-def monomial_expand(f, nvars):
-    """Image of f in Z[x_1..x_nvars], as an exponent-tuple -> scalar map.
+def dominant_expand(f, nvars):
+    """The coefficients of `monomial_expand(f, nvars)` at weakly decreasing
+    exponents, each keyed without its zeros: f = sum c m_mu as a mu -> c map.
 
-    Each basis element is expanded from its definition (placements of parts
-    for m, subsets for e, multisets for h, powers for p, semistandard
-    tableaux for s), which gives its coefficient on each m_mu; the result
-    places every surviving m_mu on the variables.  No expansion, product or
-    table that `convert` and `multiply` use is called, which is what makes
-    this an independent oracle for them.  Faithful on spans of partitions
-    with at most nvars parts; callers using this as the product oracle
-    should pass nvars >= total degree, which guarantees faithfulness
-    outright.  InsufficientVariables is raised when some m_mu that survives
-    in f has more parts than nvars and would be silently dropped.
+    Read from the definitions like `monomial_expand`, which places each m_mu
+    of this map on the variables.  InsufficientVariables is raised when some
+    m_mu that survives in f has more parts than nvars.
     """
     if nvars < 1:
         raise InsufficientVariables('need at least one variable')
@@ -612,6 +630,26 @@ def monomial_expand(f, nvars):
             raise InsufficientVariables(
                 f'term m{render_partition(mu)} has {len(mu)} parts, '
                 f'nvars={nvars} would drop it')
+        out[mu] = c
+    return out
+
+
+def monomial_expand(f, nvars):
+    """Image of f in Z[x_1..x_nvars], as an exponent-tuple -> scalar map.
+
+    Each basis element is expanded from its definition (placements of parts
+    for m, subsets for e, multisets for h, powers for p, semistandard
+    tableaux for s), which gives its coefficient on each m_mu; the result
+    places every surviving m_mu on the variables.  No expansion, product or
+    table that `convert` and `multiply` use is called, which is what makes
+    this an independent oracle for them.  Faithful on spans of partitions
+    with at most nvars parts; callers using this as the product oracle
+    should pass nvars >= total degree, which guarantees faithfulness
+    outright.  InsufficientVariables is raised when some m_mu that survives
+    in f has more parts than nvars and would be silently dropped.
+    """
+    out = {}
+    for mu, c in dominant_expand(f, nvars).items():
         out.update(dict.fromkeys(_orbit(mu, nvars), c))
     return out
 
@@ -678,6 +716,35 @@ def poly_mult(P, Q):
     if not all(out.values()):
         result = {alpha: c for alpha, c in result.items() if c}
     return result
+
+
+def dominant_product(P, Q):
+    """The coefficients of `poly_mult(P, Q)` at weakly decreasing exponents,
+    keyed without zeros as by `dominant_expand`; P and Q must be symmetric.
+
+    The coefficient at alpha sums P[beta] Q[alpha - beta] over the exponent
+    vectors beta <= alpha entrywise (at most 32 when |alpha| <= 5), for each
+    partition alpha with at most nvars parts of a degree that a term of P
+    and a term of Q add up to; P and Q are only looked up in.  P * Q is
+    symmetric, so these coefficients fix it.
+    """
+    if not P or not Q:
+        return {}
+    nvars = len(next(iter(P)))
+    out = {}
+    for n in sorted({a + b for a in set(map(sum, P)) for b in set(map(sum, Q))}):
+        for lam in partitions_of(n):
+            if len(lam) > nvars:
+                continue
+            pad = (0,) * (nvars - len(lam))
+            total = 0
+            for head in product(*[range(part + 1) for part in lam]):
+                c = P.get(head + pad)
+                if c:
+                    total += c * Q.get(tuple(map(sub, lam, head)) + pad, 0)
+            if total:
+                out[lam] = total
+    return out
 
 
 #############################################
@@ -804,9 +871,11 @@ def schur(lam):
     return SymFunc._new('h', dict(_schur_h(lam)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIR_CACHE)
 def _schur_pair_mult(kappa, nu):
-    """s_kappa * s_nu in the Schur basis, cached, as sorted items."""
+    """s_kappa * s_nu in the Schur basis, as sorted items.  Keeps up to
+    _PAIR_CACHE (4096) pairs, more than the 3,132 of total degree <= 12.
+    """
     prod = multiply(basis_element('s', kappa), basis_element('s', nu))
     return _sorted_items(prod.coeffs)
 
@@ -821,9 +890,13 @@ def lr_coefficients(lam, mu):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIR_CACHE)
 def _dual_schur_on_schur(kappa, mu):
-    """s_kappa^*(s_mu) in the Schur basis: nu -> <s_kappa s_nu, s_mu>."""
+    """s_kappa^*(s_mu) in the Schur basis: nu -> <s_kappa s_nu, s_mu>.
+
+    Keeps up to _PAIR_CACHE (4096) pairs, more than the 2,704 with
+    |kappa| <= |mu| <= 8 and the 973 with |kappa| <= 3 and |mu| <= 10.
+    """
     kappa, mu = tuple(kappa), tuple(mu)
     d = sum(mu) - sum(kappa)
     if d < 0:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symcat.symfunc as sf
-from symcat.combinatorics import dominates, partitions_of
+from symcat import combinatorics as cb
+from symcat.combinatorics import dominates, partition_key, partitions_of
 from symcat.errors import InsufficientVariables, NonIntegralResult, ParseError
 
 M, E, H, P, S = 'm', 'e', 'h', 'p', 's'
@@ -133,16 +134,44 @@ def test_convert_rational_powersum_messages_pinned():
         assert str(err.value) == f"coefficient {where} is not an integer in basis '{dst}'"
 
 
+def test_convert_rational_powersum_message_ignores_insertion_order():
+    # the message names the first non-integral coefficient in display order,
+    # whichever order the terms of the input were inserted in
+    terms = [((2,), Fraction(2, 3)), ((1, 1), Fraction(1, 6))]
+    for dst in (M, E, H, S):
+        want = {}
+        for lam, c in terms:
+            for nu, k in sf.convert(be(P, lam), dst).coeffs.items():
+                want[nu] = want.get(nu, 0) + c * k
+        first = min((nu for nu, c in want.items() if Fraction(c).denominator > 1),
+                    key=partition_key)
+        for order in (terms, terms[::-1]):
+            with pytest.raises(NonIntegralResult) as err:
+                sf.convert(sf.SymFunc(P, dict(order)), dst)
+            assert str(err.value) == \
+                f"coefficient {want[first]} of {first} is not an integer in basis '{dst}'"
+    with pytest.raises(NonIntegralResult, match=r'-4/3 of \(2,\)'):
+        sf.convert(sf.SymFunc(P, dict(terms[::-1])), E)
+
+
 def test_row_and_hopf_memos_are_bounded():
     # every row of degree <= 10 between the five bases fits, so none is evicted
-    rows = 20 * sum(len(partitions_of(d)) for d in range(11))
+    sizes = [len(partitions_of(d)) for d in range(11)]
+    rows = 20 * sum(sizes)
+    # ordered pairs of total degree <= 10: products in m and in s
+    pairs = sum(sizes[a] * sizes[b] for a in range(11) for b in range(11 - a))
+    # dual_apply and the Fock action skew by |kappa| <= 3 on degree <= 10
+    skews = sum(sizes[:4]) * sum(sizes)
     # every strip list that the Fock action of bidegree <= (4,4) reads on
     # states of degree <= 8: horizontal n-strips removed from them, and
     # vertical n-strips (a list and its conjugate) grown up to degree 11
     strips = 4 * sum(len(partitions_of(d)) for d in range(9)) + \
         2 * 4 * sum(len(partitions_of(d)) for d in range(12))
     for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._antipode_h, 139),
-                       (sf._h_leg, 139), (sf._strips, strips)):
+                       (sf._h_leg, 139), (sf._strips, strips), (cb.partitions_of, 11),
+                       (sf._m_mult_basis, pairs), (sf._schur_h, 139),
+                       (sf._m_to_basis_table, 4 * 11), (sf._schur_pair_mult, pairs),
+                       (sf._dual_schur_on_schur, skews)):
         size = memo.cache_parameters()['maxsize']
         assert size is not None and size >= need and f'({size})' in memo.__doc__
 
@@ -332,6 +361,66 @@ def test_poly_mult_matches_tuple_sums():
         assert sf.poly_mult(P, Q) == _naive_poly_mult(P, Q)
 
 
+def _dominant_part(poly):
+    """poly at its weakly decreasing exponents, each keyed without its zeros."""
+    return {tuple(a for a in alpha if a): c for alpha, c in poly.items()
+            if all(x >= y for x, y in zip(alpha, alpha[1:]))}
+
+
+def test_dominant_product_is_poly_mult_at_weakly_decreasing_exponents():
+    rng = random.Random(10)
+
+    def random_symmetric(nvars):
+        # a sum of expansions of 0-3 basis elements of mixed degree <= 4;
+        # e, h and s of degree d have a term m_(1^d), so d <= nvars there
+        poly = {}
+        for _ in range(rng.randint(0, 3)):
+            basis = rng.choice(sf.BASES)
+            top = 4 if basis in 'mp' else min(4, nvars)
+            lam = rng.choice([lam for d in range(top + 1) for lam in partitions_of(d)
+                              if len(lam) <= nvars])
+            c = rng.choice((1, -1, 2, -3))
+            for alpha, k in sf.monomial_expand(be(basis, lam), nvars).items():
+                poly[alpha] = poly.get(alpha, 0) + c * k
+        return {alpha: c for alpha, c in poly.items() if c}
+
+    for nvars in range(1, 7):
+        polys = [{}, {(0,) * nvars: rng.choice((1, -2))}]
+        polys += [random_symmetric(nvars) for _ in range(5)]
+        for i, P in enumerate(polys):
+            for Q in polys[i:]:
+                assert sf.dominant_product(P, Q) == _dominant_part(sf.poly_mult(P, Q))
+    # dominant_expand is monomial_expand restricted the same way
+    for text, nvars in (('s[2,1] - 2 e[3]', 3), ('h[2] + p[1]', 2), ('m[3,1,1]', 4)):
+        f = sf.parse_symfunc(text)
+        assert sf.dominant_expand(f, nvars) == _dominant_part(sf.monomial_expand(f, nvars))
+
+
+def test_product_oracle_verdicts_agree_on_the_default_pairs():
+    # each of the 600 pairs of the product-oracle case, against the true
+    # product and against one off by a single monomial term
+    nvars, rng = 10, random.Random(11)
+    elems = [(b, lam) for d in range(6) for lam in partitions_of(d) for b in (M, E, H, S)]
+    expanded = {key: sf.monomial_expand(be(*key), nvars) for key in elems}
+    checked = 0
+    for i, (b1, lam) in enumerate(elems):
+        for b2, mu in elems[i:]:
+            d = sum(lam) + sum(mu)
+            if d > 5:
+                continue
+            P, Q = expanded[(b1, lam)], expanded[(b2, mu)]
+            full = sf.poly_mult(P, Q)
+            dominant = sf.dominant_product(P, Q)
+            assert dominant == _dominant_part(full)
+            prod = sf.multiply(be(b1, lam), be(b2, mu))
+            for candidate in (prod, prod + be(M, rng.choice(partitions_of(d)))):
+                assert (sf.dominant_expand(candidate, nvars) == dominant) == \
+                    (sf.monomial_expand(candidate, nvars) == full)
+            assert sf.dominant_expand(prod, nvars) == dominant
+            checked += 1
+    assert checked == 600
+
+
 def _brute_expand(basis, lam, n):
     """X_lam(x_1..x_n) by enumerating its definition with itertools.product.
 
@@ -417,9 +506,13 @@ def test_oracle_shares_no_kernel_with_sym(monkeypatch):
     pairs = [(i, j) for i in range(len(elems)) for j in range(i, len(elems), 7)
              if len(next(iter(polys[i]))) == len(next(iter(polys[j])))]
     products = [sf.poly_mult(polys[i], polys[j]) for i, j in pairs]
+    dominant = [sf.dominant_expand(f, n) for f, n in elems]
+    dominant_products = [sf.dominant_product(polys[i], polys[j]) for i, j in pairs]
     _block_sym_kernels(monkeypatch)
     assert [sf.monomial_expand(f, n) for f, n in elems] == polys
     assert [sf.poly_mult(polys[i], polys[j]) for i, j in pairs] == products
+    assert [sf.dominant_expand(f, n) for f, n in elems] == dominant
+    assert [sf.dominant_product(polys[i], polys[j]) for i, j in pairs] == dominant_products
 
 
 def test_insufficient_variables_decided_after_cancellation(monkeypatch):
@@ -482,6 +575,29 @@ def test_product_oracle_catches_a_wrong_kostka_row(monkeypatch):
             cli._case_product_oracle(6, 3, random.Random(0))
     finally:
         monkeypatch.undo()  # the true memo holds rows built on the wrong one
+        _clear_symfunc_caches()
+
+
+def test_product_oracle_catches_a_wrong_monomial_product(monkeypatch):
+    from symcat import cli
+    from symcat.errors import VerificationFailure
+
+    true_mult = sf._m_mult_basis
+
+    def corrupted(lam, mu):
+        # m2 m1 is m3 + m21, not m3 + 2 m21
+        if {lam, mu} == {(2,), (1,)}:
+            return (((3,), 1), ((2, 1), 2))
+        return true_mult(lam, mu)
+
+    _clear_symfunc_caches()
+    monkeypatch.setattr(sf, '_m_mult_basis', corrupted)
+    try:
+        assert sf.multiply(be(M, (2,)), be(M, (1,))).coeffs == {(3,): 1, (2, 1): 2}
+        with pytest.raises(VerificationFailure):
+            cli._case_product_oracle(6, 3, random.Random(0))
+    finally:
+        monkeypatch.undo()
         _clear_symfunc_caches()
 
 
