@@ -37,7 +37,7 @@ from math import comb
 from .combinatorics import is_partition, partition_key, partitions_of
 from .errors import ParseError, Report
 from .linalg import LinComb, render_terms
-from .symfunc import SymFunc, _strips, basis_element, convert, dual_apply, multiply
+from .symfunc import SymFunc, _pieri, basis_element, convert, dual_apply, multiply
 
 __all__ = [
     'HeisWord',
@@ -87,10 +87,17 @@ class HeisWord:
         return f'HeisWord({render_heisword(self)!r})'
 
 
+def _normal_key(key):
+    """Display order of e_lambda h_mu*: highest degree first, then by lambda, then mu."""
+    lam, mu = key
+    return -(sum(lam) + sum(mu)), partition_key(lam), partition_key(mu)
+
+
 class HeisNormal(LinComb):
     """Integer combination of normal-form basis elements e_lambda h_mu*."""
 
     __slots__ = ()
+    _ORDER = staticmethod(_normal_key)
 
     def __new__(cls, coeffs):
         for lam, mu in coeffs:
@@ -107,9 +114,7 @@ class HeisNormal(LinComb):
         return f'HeisNormal({render_heis(self)!r})'
 
     def terms(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda kv: (-(sum(kv[0][0]) + sum(kv[0][1])),
-                                      partition_key(kv[0][0]), partition_key(kv[0][1])))
+        return sorted(self.coeffs.items(), key=lambda kv: _normal_key(kv[0]))
 
 
 def heis_unit():
@@ -236,16 +241,6 @@ def _h_elem(mu):
     return SymFunc._new('h', {tuple(mu): 1})
 
 
-def _add_strips(coeffs, n, grow, vertical):
-    """sum c s_nu over the items lam -> c of coeffs and the n-strips nu of lam."""
-    out = {}
-    get = out.get
-    for lam, c in coeffs.items():
-        for nu in _strips(lam, n, grow, vertical):
-            out[nu] = get(nu, 0) + c
-    return out
-
-
 def fock_apply_schur(a, f):
     """The Fock action of a on f in the Schur basis, by the Pieri rules.
 
@@ -262,12 +257,7 @@ def fock_apply_schur(a, f):
     state = convert(f, 's').coeffs if a.coeffs else {}
     out = {}
     for (lam, mu), c in a.coeffs.items():
-        g = state
-        for m in mu:
-            g = _add_strips(g, m, False, False)
-        for n in lam:
-            g = _add_strips(g, n, True, True)
-        for nu, k in g.items():
+        for nu, k in _pieri(_pieri(state, mu, False), lam, True, True).items():
             out[nu] = out.get(nu, 0) + c * k
     return SymFunc._new('s', out)
 

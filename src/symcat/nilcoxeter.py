@@ -78,12 +78,19 @@ G_SIMPLES = 'G_simples'
 K_PROJECTIVES = 'K_projectives'
 
 
+def _word_key(sigma):
+    """Display order of u_sigma: shortest reduced word first, then by the word."""
+    word = reduced_word(sigma)
+    return len(word), word
+
+
 class NilcoxElem(LinComb):
     """Integer combination of basis elements u_s, s a permutation of fixed rank."""
 
     __slots__ = ('n',)
     _TAGS = ('n',)
     _MISMATCH = RankMismatch
+    _ORDER = staticmethod(_word_key)
 
     def __new__(cls, n, coeffs):
         for sigma in coeffs:
@@ -319,6 +326,7 @@ class KVector(LinComb):
     __slots__ = ('flavor',)
     _TAGS = ('flavor',)
     _MISMATCH = FlavorMismatch
+    _ORDER = staticmethod(int)  # indices, shown from 0 up
 
     def __new__(cls, flavor, coords):
         if flavor not in (G_SIMPLES, K_PROJECTIVES):
@@ -534,7 +542,6 @@ def render_nilcox(a):
     >>> render_nilcox(nc_unit(2) - 2 * nc_generator(1, 2))
     'u[] - 2 u[1]'
     """
-    items = sorted(((reduced_word(s), c) for s, c in a.coeffs.items()),
-                   key=lambda wc: (len(wc[0]), wc[0]))
+    items = sorted((_word_key(s), c) for s, c in a.coeffs.items())
     return render_terms(('u[' + ','.join(str(i) for i in word) + ']', c)
-                        for word, c in items)
+                        for (_, word), c in items)

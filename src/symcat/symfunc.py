@@ -8,18 +8,25 @@ merely over Q.  The rational-valued scalars -- `hall_pairing`,
 `tensor_pairing`, `counit` and the `coproduct` coefficients -- are returned
 as `Fraction`.
 
-Every basis change reads rows of the transition matrices M(X, Y)
-(Macdonald, ch. I section 6), each built once and cached by `_row`.  A row
-into the monomial basis expands X_lam: products of parts for e/h/p, and for
-s the Kostka numbers K_{lam,mu}, counted by peeling horizontal strips off
-lam (`_strips`, the Pieri rule).  A row out of it reads a cached per-degree
-m -> X table built by triangular back-substitution: s_lam and e_lam' are
-m_lam plus terms strictly lower in dominance order, and p_lam is a positive
-multiple of m_lam plus terms strictly higher, so each m_mu is solved from
-rows already known.  The h table composes the s table with the Jacobi-Trudi
-expansion of s in h (`_schur_h`, which also gives `schur`); no other path
-reads Jacobi-Trudi.  A row between two other bases composes a row into m
-with the table rows out of it.
+The Schur basis is the hub, as in the categorified Fock space, where
+induction adds Pieri strips and restriction removes them.  `_pieri`
+multiplies a Schur combination by h_n or e_n, or applies the adjoint, by
+the n-strips of `_strips` (Macdonald, ch. I section 5), and `_skew`
+expands one Schur factor in h by Jacobi-Trudi (section 3) into Pieri
+chains; so products of e, h and s factors, `lr_coefficients` and
+`dual_apply` never touch m.  A product with a factor in p concatenates
+partitions in p; one with a factor in m stays an orbit-counted m product
+(`_m_mult_basis`), since m_lam is dense in s.
+
+Basis changes read rows of the transition matrices M(X, Y) (section 6),
+each built once and cached by `_row`.  Read directly are s -> m (Kostka
+numbers, by peeling horizontal strips), e/h -> s (strips grown on s_()),
+s -> h (the Jacobi-Trudi determinant, which keeps `schur` fast at high
+degree, as it builds no degree table), p -> m (products of parts) and
+m -> s/e/p (a per-degree table solved by back-substitution: s_lam and
+e_lam' are m_lam plus terms strictly lower in dominance order, p_lam a
+positive multiple of m_lam plus terms strictly higher).  Any other row
+composes two of these.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -195,7 +202,7 @@ def degree(f):
 
 
 #############################################
-# monomial expansions of the other bases    #
+# Pieri strips, transition rows, products   #
 #############################################
 
 def _sorted_items(acc):
@@ -298,52 +305,6 @@ def _m_mult_raw(a, b):
     return {nu: c for nu, c in out.items() if c != 0}
 
 
-_SCHUR_H_CACHE = 1 << 10  # expansions kept by `_schur_h`
-
-
-@lru_cache(maxsize=_SCHUR_H_CACHE)
-def _schur_h(lam):
-    """s_lam in the complete basis: Jacobi-Trudi determinant det(h_{lam_i-i+j}).
-
-    Expanded with one more row/column than l(lam) (the extra row is a unit
-    vector, so the value is unchanged).  Minors are expanded along their top
-    row and memoised on the set of remaining columns, so each of the 2^n
-    subminors is computed once; h_0 entries contribute an empty factor and
-    negative subscripts prune the branch.  Returned as sorted
-    ((mu, coeff), ...) items.  Keeps up to _SCHUR_H_CACHE (1024)
-    expansions, more than the 915 partitions of degree <= 16.
-    """
-    n = len(lam) + 1
-    lamp = tuple(lam) + (0,)
-
-    @lru_cache(maxsize=None)
-    def minor(mask):
-        # determinant of the submatrix on the columns in mask and the last
-        # popcount(mask) rows, as a map monomial -> integer coefficient
-        row = n - bin(mask).count('1')
-        if row == n:
-            return {(): 1}
-        out = {}
-        pos = 0  # index of column j within mask, fixing the cofactor sign
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            k = lamp[row] + j - row
-            if k >= 0:
-                sign = -1 if pos % 2 else 1
-                for mon, c in minor(mask & ~bit).items():
-                    key = mon if k == 0 else tuple(
-                        sorted(mon + (k,), reverse=True))
-                    out[key] = out.get(key, 0) + sign * c
-            pos += 1
-        return out
-
-    acc = minor((1 << n) - 1)
-    minor.cache_clear()
-    return _sorted_items(acc)
-
-
 _STRIP_CACHE = 1 << 12  # strip lists kept by `_strips`
 
 
@@ -379,6 +340,55 @@ def _strips(lam, n, grow, vertical=False):
     return tuple(out)
 
 
+def _pieri(coeffs, parts, grow, vertical=False):
+    """sum c s_lam over the items lam -> c of coeffs, times h_n (e_n if
+    vertical) for each part n of parts when grow, else under the adjoint
+    h_n^* (e_n^*): by the Pieri rules each step adds (removes) the n-strips
+    of `_strips`.  Unchecked like `_sum_rows`.
+    """
+    for n in parts:
+        out = {}
+        get = out.get
+        for lam, c in coeffs.items():
+            for nu in _strips(lam, n, grow, vertical):
+                out[nu] = get(nu, 0) + c
+        coeffs = out
+    return coeffs
+
+
+@lru_cache(maxsize=_PAIR_CACHE)
+def _skew(kappa, mu, grow):
+    """s_kappa s_mu (grow) or s_kappa^*(s_mu) (not grow) in the Schur basis,
+    as sorted items.
+
+    Jacobi-Trudi writes s_kappa = sum c_alpha h_alpha (`_row('s', 'h',
+    kappa)`), so the product is sum c_alpha h_alpha s_mu and the skew
+    sum c_alpha h_alpha^* s_mu, each a chain of Pieri steps on s_mu.  A
+    product expands the factor with fewer parts, whose determinant is the
+    smaller.  Keeps up to _PAIR_CACHE (4096) pairs, more than the 1,215
+    products of total degree <= 10 and the 973 skews by |kappa| <= 3 on
+    degree <= 10 together.
+    """
+    if grow and (len(mu), sum(mu)) < (len(kappa), sum(kappa)):
+        kappa, mu = mu, kappa
+    out = {}
+    for alpha, c in _row('s', 'h', kappa):
+        for nu, k in _pieri({mu: 1}, alpha, grow).items():
+            out[nu] = out.get(nu, 0) + c * k
+    return _sorted_items(out)
+
+
+def _skew_sum(a, b, grow):
+    """sum a_kappa b_mu `_skew(kappa, mu, grow)` over two Schur maps."""
+    out = {}
+    for kappa, ca in a.items():
+        for mu, cb in b.items():
+            if ca and cb:
+                for nu, k in _skew(kappa, mu, grow):
+                    out[nu] = out.get(nu, 0) + ca * cb * k
+    return out
+
+
 _ROW_CACHE = 1 << 13  # rows kept by `_row`
 
 
@@ -387,18 +397,14 @@ def _row(src, dst, lam):
     """X_lam in basis Y (X = src, Y = dst) as sorted items: one row of the
     transition matrix M(X, Y) of Macdonald, ch. I section 6.
 
-    A row into m is the monomial expansion (products of parts for e/h/p,
-    Kostka numbers for s), a row out of m the table row itself, and any
-    other row composes the two once.  Keeps up to _ROW_CACHE (8192) rows,
-    more than the 2,780 rows of degree <= 10 between the five bases.
+    The rows that the module docstring lists are read directly; any other
+    composes two rows once, through m when s or p is an end, else through
+    s.  Keeps up to _ROW_CACHE (8192) rows, more than the 2,780 rows of
+    degree <= 10 between the five bases.
     """
     if src == dst:
         return ((lam, 1),)
-    if dst != 'm':
-        if src == 'm':
-            return _m_to_basis_table(dst, sum(lam))[lam]
-        return _sorted_items(_sum_rows(dict(_row(src, 'm', lam)), 'm', dst))
-    if src == 's':
+    if (src, dst) == ('s', 'm'):
         # the r largest entries of a tableau fill a horizontal strip
         # lam/kappa, and K_{lam,mu} does not depend on the order of the
         # parts of mu, so K_{lam,(r,)+mu} = sum of K_{kappa,mu} over them
@@ -409,17 +415,50 @@ def _row(src, dst, lam):
                     if not mu or mu[0] <= r:
                         out[(r,) + mu] = out.get((r,) + mu, 0) + k
         return _sorted_items(out)
-    # e/h/p are multiplicative: expand each part and multiply in m
-    out = {(): 1}
-    for part in lam:
-        if src == 'e':
-            factor = {(1,) * part: 1}
-        elif src == 'p':
-            factor = {(part,): 1}
-        else:  # 'h'
-            factor = {mu: 1 for mu in partitions_of(part)}
-        out = _m_mult_raw(out, factor)
-    return _sorted_items(out)
+    if (src, dst) == ('p', 'm'):
+        out = {(): 1}
+        for part in lam:
+            out = _m_mult_raw(out, {(part,): 1})
+        return _sorted_items(out)
+    if (src, dst) == ('s', 'h'):
+        # det(h_{lam_i-i+j}), with an extra unit row and column; each of
+        # the 2^n minors, expanded along its top row, is memoised on its
+        # columns, h_0 is an empty factor and a negative subscript prunes
+        n = len(lam) + 1
+        lamp = tuple(lam) + (0,)
+
+        @lru_cache(maxsize=None)
+        def minor(mask):
+            # determinant of the submatrix on the columns in mask and the
+            # last popcount(mask) rows, as a map monomial -> coefficient
+            row = n - bin(mask).count('1')
+            if row == n:
+                return {(): 1}
+            out = {}
+            pos = 0  # index of column j within mask, fixing the cofactor sign
+            for j in range(n):
+                bit = 1 << j
+                if not mask & bit:
+                    continue
+                k = lamp[row] + j - row
+                if k >= 0:
+                    sign = -1 if pos % 2 else 1
+                    for mon, c in minor(mask & ~bit).items():
+                        key = mon if k == 0 else tuple(
+                            sorted(mon + (k,), reverse=True))
+                        out[key] = out.get(key, 0) + sign * c
+                pos += 1
+            return out
+
+        acc = minor((1 << n) - 1)
+        minor.cache_clear()
+        return _sorted_items(acc)
+    if dst == 's' and src in 'eh':
+        return _sorted_items(_pieri({(): 1}, lam, True, src == 'e'))
+    if src == 'm' and dst != 'h':
+        return _m_to_basis_table(dst, sum(lam))[lam]
+    via = 'm' if {src, dst} & {'s', 'p'} else 's'
+    return _sorted_items(_sum_rows(dict(_row(src, via, lam)), via, dst))
 
 
 _TABLE_CACHE = 64  # (basis, degree) tables kept by `_m_to_basis_table`
@@ -427,7 +466,7 @@ _TABLE_CACHE = 64  # (basis, degree) tables kept by `_m_to_basis_table`
 
 @lru_cache(maxsize=_TABLE_CACHE)
 def _m_to_basis_table(basis, d):
-    """Per-degree table expressing each m_mu in basis X, by triangular solving.
+    """Per-degree table expressing each m_mu in basis X = s, e or p, by triangular solving.
 
     Returns a map mu -> ((lam, coeff), ...) meaning m_mu = sum coeff X_lam;
     coefficients are int except the non-integral powersum entries.
@@ -436,20 +475,11 @@ def _m_to_basis_table(basis, d):
     by mu, so m_mu = X - (those terms, rewritten by rows already solved),
     working up from the bottom of the order; p_mu is a positive multiple of
     m_mu plus terms strictly dominating it, solved from the top down with a
-    division by that diagonal entry.  h is not triangular against m, so its
-    table composes the s table with the Jacobi-Trudi expansion of s in h.
-    Keeps up to _TABLE_CACHE (64) tables: the four bases at 16 degrees.
+    division by that diagonal entry.  h is not triangular against m: its
+    rows (`_row('m', 'h', mu)`) compose the s table with Jacobi-Trudi.
+    Keeps up to _TABLE_CACHE (64) tables: the three bases at 21 degrees.
     """
     parts = partitions_of(d)
-    if basis == 'h':
-        table = {}
-        for mu, row in _m_to_basis_table('s', d).items():
-            acc = {}
-            for lam, c in row:
-                for nu, k in _schur_h(lam):
-                    acc[nu] = acc.get(nu, 0) + c * k
-            table[mu] = _sorted_items(acc)
-        return table
     label = {conjugate(lam): lam for lam in parts} if basis == 'e' else \
         {lam: lam for lam in parts}
     table = {}
@@ -498,10 +528,11 @@ def convert(f, target):
 def multiply(f, g):
     """Product in Sym, returned in the basis of f.
 
-    Route: monomial pivot via orbit-counted m-basis products; if either
-    factor is a powersum expression the product is taken in the powersum
-    basis instead (partition concatenation), which keeps rational powersum
-    elements multipliable.
+    The route follows the bases of the factors.  With a powersum factor the
+    product is taken in p (partition concatenation), which keeps rational
+    powersum elements multipliable; with a monomial factor in m, by orbit
+    counting (`_m_mult_basis`), since m_lam is dense in s; otherwise in s,
+    by Jacobi-Trudi and Pieri (`_skew`).
     """
     if f.basis == 'p' or g.basis == 'p':
         fp, gp = convert(f, 'p'), convert(g, 'p')
@@ -511,8 +542,10 @@ def multiply(f, g):
                 nu = tuple(sorted(lam + mu, reverse=True))
                 out[nu] = out.get(nu, 0) + a * b
         return convert(SymFunc._new('p', out), f.basis)
-    prod = _m_mult_raw(_sum_rows(f.coeffs, f.basis, 'm'), _sum_rows(g.coeffs, g.basis, 'm'))
-    return SymFunc._new(f.basis, _sum_rows(prod, 'm', f.basis))
+    pivot = 'm' if 'm' in (f.basis, g.basis) else 's'
+    fx, gx = _sum_rows(f.coeffs, f.basis, pivot), _sum_rows(g.coeffs, g.basis, pivot)
+    prod = _m_mult_raw(fx, gx) if pivot == 'm' else _skew_sum(fx, gx, True)
+    return SymFunc._new(f.basis, _sum_rows(prod, pivot, f.basis))
 
 
 #############################################
@@ -868,61 +901,26 @@ def schur(lam):
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f'not a partition: {lam!r}')
-    return SymFunc._new('h', dict(_schur_h(lam)))
-
-
-@lru_cache(maxsize=_PAIR_CACHE)
-def _schur_pair_mult(kappa, nu):
-    """s_kappa * s_nu in the Schur basis, as sorted items.  Keeps up to
-    _PAIR_CACHE (4096) pairs, more than the 3,132 of total degree <= 12.
-    """
-    prod = multiply(basis_element('s', kappa), basis_element('s', nu))
-    return _sorted_items(prod.coeffs)
+    return SymFunc._new('h', dict(_row('s', 'h', lam)))
 
 
 def lr_coefficients(lam, mu):
-    """Littlewood-Richardson coefficients c^nu_{lam,mu} as a sparse map."""
-    lam, mu = tuple(lam), tuple(mu)
-    out = {}
-    for nu, c in _schur_pair_mult(lam, mu):
-        assert c == int(c) and c > 0
-        out[nu] = int(c)
-    return out
-
-
-@lru_cache(maxsize=_PAIR_CACHE)
-def _dual_schur_on_schur(kappa, mu):
-    """s_kappa^*(s_mu) in the Schur basis: nu -> <s_kappa s_nu, s_mu>.
-
-    Keeps up to _PAIR_CACHE (4096) pairs, more than the 2,704 with
-    |kappa| <= |mu| <= 8 and the 973 with |kappa| <= 3 and |mu| <= 10.
+    """Littlewood-Richardson coefficients c^nu_{lam,mu} as a sparse map: the
+    Schur expansion of s_lam s_mu, by Jacobi-Trudi and Pieri (`_skew`),
+    without the monomial basis.
     """
-    kappa, mu = tuple(kappa), tuple(mu)
-    d = sum(mu) - sum(kappa)
-    if d < 0:
-        return ()
-    out = []
-    for nu in partitions_of(d):
-        c = dict(_schur_pair_mult(kappa, nu)).get(mu, 0)
-        if c != 0:
-            out.append((nu, c))
-    return tuple(out)
+    return dict(_skew(tuple(lam), tuple(mu), True))
 
 
 def dual_apply(f, g):
     """f^*(g): the adjoint of multiplication by f, applied to g.
 
-    Characterized by <a, f^*(g)> = <f a, g>.  Computed degree by degree in
-    the Schur basis and returned in the basis of g.
+    Characterized by <a, f^*(g)> = <f a, g>.  Both sides are read in the
+    Schur basis, where s_kappa^* is the Jacobi-Trudi sum of Pieri strip
+    removals (`_skew`); returned in the basis of g.
     """
-    fs = convert(f, 's')
-    gs = convert(g, 's')
-    out = {}
-    for kappa, cf in fs.coeffs.items():
-        for mu, cg in gs.coeffs.items():
-            for nu, k in _dual_schur_on_schur(kappa, mu):
-                out[nu] = out.get(nu, 0) + cf * cg * k
-    return convert(SymFunc._new('s', out), g.basis)
+    fs, gs = convert(f, 's').coeffs, convert(g, 's').coeffs
+    return SymFunc._new(g.basis, _sum_rows(_skew_sum(fs, gs, False), 's', g.basis))
 
 
 #############################################

@@ -44,6 +44,8 @@ class WeylElement(LinComb):
     """Normal-ordered integer combination of x^a d^b monomials."""
 
     __slots__ = ()
+    # display order: highest total degree first, then highest power of x
+    _ORDER = staticmethod(lambda ab: (-(ab[0] + ab[1]), -ab[0]))
 
     def __new__(cls, coeffs):
         for a, b in coeffs:
@@ -65,6 +67,7 @@ class PolyVector(LinComb):
     __slots__ = ('lattice',)
     _TAGS = ('lattice',)
     _MISMATCH = LatticeMismatch
+    _ORDER = staticmethod(int)  # degrees, shown from 0 up
 
     def __new__(cls, lattice, coeffs):
         if lattice not in (DIVIDED_POWERS, MONOMIALS):
@@ -217,7 +220,7 @@ def render_weyl(u):
     '3 x^2 d^1 + d^0'
     """
     pairs = []
-    for a, b in sorted(u.coeffs, key=lambda ab: (-(ab[0] + ab[1]), -ab[0])):
+    for a, b in sorted(u.coeffs, key=WeylElement._ORDER):
         factors = [f'x^{a}'] if a else []
         if b or not a:
             factors.append(f'd^{b}')

@@ -121,6 +121,21 @@ def test_heis_fock_large_state_is_fast(capsys):
     assert code == 0 and out == 's[10,9,9] + s[9,9,9,1]\n'
 
 
+def test_sym_lr_large_pair_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, 'sym', 'lr', '[5,4,3]', '[4,3,2]')
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert '"[9,7,5]":1' in out and '"[7,6,5,2,1]":8' in out
+
+
+def test_sym_convert_high_degree_h_to_s_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, 'sym', 'convert', 'h[30]', '--to', 's')
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out == 's[30]\n'
+
+
 def test_fock_intertwines_induction_uses_the_character_oracle(monkeypatch):
     from symcat import symfunc as sf
 

@@ -352,6 +352,17 @@ def test_word_literals():
         word('x4')
 
 
+def test_non_integral_message_ignores_insertion_order():
+    # the message names the first non-integral coefficient in display order
+    # (highest degree first), whichever order the terms were inserted in
+    terms = [(((1,), ()), Fraction(1, 2)), (((2,), ()), Fraction(1, 3))]
+    for order in (terms, terms[::-1]):
+        with pytest.raises(NonIntegralResult) as err:
+            hs.HeisNormal(dict(order))
+        assert str(err.value) == \
+            'coefficient 1/3 of ((2,), ()) is not an integer in HeisNormal'
+
+
 def test_normal_form_json_round_trip():
     a = hs.heis_e((2, 1)) - 3 * hs.heis_hstar((1,)) + 2 * hs.heis_unit()
     assert hs.heis_from_json(hs.heis_to_json(a)) == a

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from symcat.combinatorics import (
 from symcat.errors import (
     BoundExceeded,
     FlavorMismatch,
+    NonIntegralResult,
     ParseError,
     RankMismatch,
     VerificationFailure,
@@ -268,3 +270,17 @@ def test_report_json():
     back = json.loads(text)
     assert back == report
     assert all(set(e) == {'check', 'n', 'pass', 'detail'} for e in back)
+
+
+def test_non_integral_message_ignores_insertion_order():
+    # the message names the first non-integral coefficient in display order,
+    # whichever order the terms were inserted in
+    cases = [(lambda c: nx.NilcoxElem(2, c), {(2, 1): Fraction(1, 2), (1, 2): Fraction(1, 3)},
+              'coefficient 1/3 of (1, 2) is not an integer in NilcoxElem'),
+             (lambda c: nx.KVector(nx.G_SIMPLES, c), {3: Fraction(1, 2), 1: Fraction(1, 3)},
+              'coefficient 1/3 of 1 is not an integer in KVector')]
+    for make, coeffs, message in cases:
+        for items in (list(coeffs.items()), list(coeffs.items())[::-1]):
+            with pytest.raises(NonIntegralResult) as err:
+                make(dict(items))
+            assert str(err.value) == message

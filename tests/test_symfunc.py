@@ -7,6 +7,7 @@ into explicit polynomials first, then frozen.
 
 import ast
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -169,9 +170,8 @@ def test_row_and_hopf_memos_are_bounded():
         2 * 4 * sum(len(partitions_of(d)) for d in range(12))
     for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._antipode_h, 139),
                        (sf._h_leg, 139), (sf._strips, strips), (cb.partitions_of, 11),
-                       (sf._m_mult_basis, pairs), (sf._schur_h, 139),
-                       (sf._m_to_basis_table, 4 * 11), (sf._schur_pair_mult, pairs),
-                       (sf._dual_schur_on_schur, skews)):
+                       (sf._m_mult_basis, pairs), (sf._m_to_basis_table, 3 * 11),
+                       (sf._skew, pairs + skews)):
         size = memo.cache_parameters()['maxsize']
         assert size is not None and size >= need and f'({size})' in memo.__doc__
 
@@ -253,7 +253,8 @@ def test_m_to_basis_tables_invert_under_polynomial_oracle():
     for d in range(9):
         nvars = max(d, 1)
         for basis in (S, E, H, P):
-            table = sf._m_to_basis_table(basis, d)
+            table = {mu: sf._row(M, H, mu) for mu in partitions_of(d)} if basis == H \
+                else sf._m_to_basis_table(basis, d)
             assert set(table) == set(partitions_of(d))
             for mu, row in table.items():
                 assert sf.monomial_expand(sf.SymFunc(basis, dict(row)), nvars) == \
@@ -476,9 +477,8 @@ def test_monomial_expand_matches_definitions():
                             _brute_expand(basis, lam, n), (basis, lam, n)
 
 
-_SYM_KERNELS = ('_row', '_strips', '_m_mult_basis', '_m_mult_raw',
-                '_schur_h', '_distinct_perms', '_m_to_basis_table', 'convert',
-                'multiply')
+_SYM_KERNELS = ('_row', '_strips', '_pieri', '_skew', '_m_mult_basis', '_m_mult_raw',
+                '_distinct_perms', '_m_to_basis_table', 'convert', 'multiply')
 
 
 def _clear_symfunc_caches():
@@ -534,19 +534,20 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
     from symcat import cli
     from symcat.errors import VerificationFailure
 
-    true_schur_h = sf._schur_h
+    true_row = sf._row
 
-    def corrupted(lam):
+    def corrupted(src, dst, lam):
         # h111 - h21 is s21 + e3, not s21
-        if lam == (2, 1):
+        if (src, dst, lam) == (S, H, (2, 1)):
             return (((2, 1), -1), ((1, 1, 1), 1))
-        return true_schur_h(lam)
+        return true_row(src, dst, lam)
 
     _clear_symfunc_caches()
-    monkeypatch.setattr(sf, '_schur_h', corrupted)
+    monkeypatch.setattr(sf, '_row', corrupted)
     try:
-        # the wrong entry reaches products through the h table, which
-        # composes the s table with Jacobi-Trudi
+        # the wrong entry reaches products through Schur products, which
+        # expand one factor by Jacobi-Trudi, and through the h rows, which
+        # compose the s table with it
         assert sf.convert(be(S, (2, 1)), H).coeffs == {(2, 1): -1, (1, 1, 1): 1}
         with pytest.raises(VerificationFailure):
             cli._case_product_oracle(6, 3, random.Random(0))
@@ -594,6 +595,28 @@ def test_product_oracle_catches_a_wrong_monomial_product(monkeypatch):
     monkeypatch.setattr(sf, '_m_mult_basis', corrupted)
     try:
         assert sf.multiply(be(M, (2,)), be(M, (1,))).coeffs == {(3,): 1, (2, 1): 2}
+        with pytest.raises(VerificationFailure):
+            cli._case_product_oracle(6, 3, random.Random(0))
+    finally:
+        monkeypatch.undo()
+        _clear_symfunc_caches()
+
+
+def test_product_oracle_catches_a_wrong_pieri_strip(monkeypatch):
+    from symcat import cli
+    from symcat.errors import VerificationFailure
+
+    true_strips = sf._strips
+
+    def corrupted(lam, n, grow, vertical=False):
+        # s1 h1 is s2 + s11, not s11 alone
+        strips = true_strips(lam, n, grow, vertical)
+        return strips[:1] if (lam, n, grow) == ((1,), 1, True) else strips
+
+    _clear_symfunc_caches()
+    monkeypatch.setattr(sf, '_strips', corrupted)
+    try:
+        assert sf.multiply(be(S, (1,)), be(H, (1,))).coeffs == {(1, 1): 1}
         with pytest.raises(VerificationFailure):
             cli._case_product_oracle(6, 3, random.Random(0))
     finally:
@@ -760,6 +783,36 @@ def test_lr_symmetric_and_nonnegative():
             assert all(sum(nu) == 5 for nu in a)
 
 
+def _hook_dimension(lam):
+    # f^lam = n! / (product of the hook lengths), the standard tableaux of shape lam
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hooks *= part - j + cols[j] - i - 1
+    return math.factorial(sum(lam)) // hooks
+
+
+def test_lr_coefficients_match_the_hook_length_dimension():
+    # S^lam (x) S^mu induced from S_a x S_b up to S_(a+b) has dimension
+    # C(a+b, a) f^lam f^mu and holds c^nu_{lam,mu} copies of each S^nu
+    shapes = [lam for d in range(13) for lam in partitions_of(d)]
+    dim = {lam: _hook_dimension(lam) for lam in shapes}
+    pairs = 0
+    for lam in shapes:
+        for mu in shapes:
+            a, b = sum(lam), sum(mu)
+            if a + b > 12:
+                continue
+            table = sf.lr_coefficients(lam, mu)
+            assert table == sf.lr_coefficients(mu, lam)
+            assert all(c > 0 and sum(nu) == a + b for nu, c in table.items())
+            assert sum(c * dim[nu] for nu, c in table.items()) == \
+                math.comb(a + b, a) * dim[lam] * dim[mu]
+            pairs += 1
+    assert pairs == 3132
+
+
 ##########################
 # dual_apply             #
 ##########################
@@ -816,8 +869,8 @@ def test_non_powersum_coefficients_are_int():
         assert r.basis != P and _coefficient_types(r) == {int}
     for basis in (S, E, H):
         for d in range(7):
-            for row in sf._m_to_basis_table(basis, d).values():
-                assert all(type(c) is int for _, c in row)
+            for mu in partitions_of(d):
+                assert all(type(c) is int for _, c in sf._row(M, basis, mu))
     # powersum keeps Fraction only where the value is not an integer
     assert _coefficient_types(sf.convert(be(M, (1, 1)), P)) == {Fraction}
     assert sf.convert(be(M, (2,)), P).coeffs == {(2,): 1}

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import symcat.weyl as wy
 from symcat import cli
-from symcat.errors import LatticeMismatch, ParseError
+from symcat.errors import LatticeMismatch, NonIntegralResult, ParseError
 
 D = wy.WeylElement({(0, 1): 1})
 X = wy.WeylElement({(1, 0): 1})
@@ -144,3 +145,17 @@ def test_dangling_signs_are_rejected(text, capsys):
     assert cli.main(['weyl', 'normalize', text]) == 2
     captured = capsys.readouterr()
     assert captured.out == '' and captured.err.startswith('error:')
+
+
+def test_non_integral_message_ignores_insertion_order():
+    # the message names the first non-integral coefficient in display order,
+    # whichever order the terms were inserted in
+    cases = [(wy.WeylElement, {(1, 0): Fraction(1, 2), (2, 1): Fraction(1, 3)},
+              'coefficient 1/3 of (2, 1) is not an integer in WeylElement'),
+             (lambda c: wy.PolyVector(wy.MONOMIALS, c), {2: Fraction(1, 2), 0: Fraction(1, 3)},
+              'coefficient 1/3 of 0 is not an integer in PolyVector')]
+    for make, coeffs, message in cases:
+        for items in (list(coeffs.items()), list(coeffs.items())[::-1]):
+            with pytest.raises(NonIntegralResult) as err:
+                make(dict(items))
+            assert str(err.value) == message
