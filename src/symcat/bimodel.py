@@ -692,11 +692,21 @@ def character_value(lam, alpha):
 
 
 def _z(alpha):
-    z = 1
-    for part, group in itertools.groupby(alpha):
-        mult = len(list(group))
-        z *= part ** mult * math.factorial(mult)
-    return z
+    return math.prod(p ** alpha.count(p) * math.factorial(alpha.count(p)) for p in set(alpha))
+
+
+def _class_weights(lam):
+    """Pairs (alpha, chi^lam(alpha) n!/z_alpha) over the classes where chi^lam is nonzero."""
+    n = sum(lam)
+    out = []
+    for alpha in partitions_of(n):
+        size, rem = divmod(math.factorial(n), _z(alpha))
+        if rem:
+            raise VerificationFailure(f'z of {alpha} does not divide {n}!')
+        chi = character_value(lam, alpha)
+        if chi:
+            out.append((alpha, chi * size))
+    return out
 
 
 def induced_character_decomposition(lam, mu, bound=7):
@@ -704,7 +714,9 @@ def induced_character_decomposition(lam, mu, bound=7):
 
     Induction from S_m x S_n to S_{m+n}, decomposed by exact character inner
     products; this is the independent oracle for Littlewood-Richardson
-    coefficients.
+    coefficients.  Each inner product is summed in integers over the class
+    pairs (a, b), merged by cycle type a u b and weighted by _class_weights,
+    and divided once by m! n!; a remainder is a verification failure.
 
     >>> induced_character_decomposition((1,), (1,))
     {(2,): 1, (1, 1): 1}
@@ -717,23 +729,20 @@ def induced_character_decomposition(lam, mu, bound=7):
         return {lam: 1} if m else {(): 1}
     if m == 0:
         return {mu: 1}
-    alphas = [(a, character_value(lam, a), _z(a)) for a in partitions_of(m)]
-    betas = [(b, character_value(mu, b), _z(b)) for b in partitions_of(n)]
+    weights, betas = {}, _class_weights(mu)
+    for a, wa in _class_weights(lam):
+        for b, wb in betas:
+            merged = tuple(sorted(a + b, reverse=True))
+            weights[merged] = weights.get(merged, 0) + wa * wb
+    scale = math.factorial(m) * math.factorial(n)
     out = {}
     for nu in partitions_of(m + n):
-        total = Fraction(0)
-        for a, chi_a, za in alphas:
-            if not chi_a:
-                continue
-            for b, chi_b, zb in betas:
-                if not chi_b:
-                    continue
-                merged = tuple(sorted(a + b, reverse=True))
-                total += Fraction(chi_a * chi_b * character_value(nu, merged), za * zb)
-        if total:
-            if total.denominator != 1 or total < 0:
-                raise VerificationFailure(
-                    f'non-integral multiplicity {total} for {nu}')
-            out[nu] = int(total)
+        total = sum(w * character_value(nu, merged) for merged, w in weights.items())
+        mult, rem = divmod(total, scale)
+        if rem or mult < 0:
+            raise VerificationFailure(
+                f'non-integral multiplicity {Fraction(total, scale)} for {nu}')
+        if mult:
+            out[nu] = mult
     return out
 

@@ -340,47 +340,43 @@ def _cmd_diag_k0(args):
 ##########################
 # verify-all cases       #
 ##########################
-# One runner per module invariant.  A runner returns a one-line detail on
-# success and raises VerificationFailure on the first mismatch; bounds that
-# default to 6 follow --max-degree, the relation-level bound follows
-# --max-rank, everything else keeps its fixed range.
+# One runner per module invariant.  A runner takes the seeded generator and its
+# bounds as keywords, returns a one-line detail and raises VerificationFailure
+# on the first mismatch.  Each _CASES row derives the bounds from --max-degree
+# and --max-rank; verify-all prints them as the case's parameters.
 
-def _case_reduced_words(D, N, rng):
+def _case_reduced_words(rng, max_n):
     checked = 0
-    for n in range(1, 7):
+    for n in range(1, max_n + 1):
         for w in cb.all_perms(n):
             word = cb.reduced_word(w)
             if cb.word_eval(word, n) != w or len(word) != cb.perm_length(w):
                 raise VerificationFailure(f'reduced word of {w} does not round-trip')
             checked += 1
-    return f'{checked} permutations across S_1..S_6 round-trip through reduced words'
+    return f'{checked} permutations across S_1..S_{max_n} round-trip through reduced words'
 
 
-def _brute_partitions(n, biggest=None):
+def _brute_partitions(n, biggest):
     if n == 0:
         return {()}
-    biggest = n if biggest is None else biggest
-    out = set()
-    for first in range(min(n, biggest), 0, -1):
-        for rest in _brute_partitions(n - first, first):
-            out.add((first,) + rest)
-    return out
+    return {(first,) + rest for first in range(min(n, biggest), 0, -1)
+            for rest in _brute_partitions(n - first, first)}
 
 
-def _case_partition_count(D, N, rng):
+def _case_partition_count(rng, max_n):
     counts = []
-    for n in range(9):
+    for n in range(max_n + 1):
         parts = cb.partitions_of(n)
-        if len(parts) != len(set(parts)) or set(parts) != _brute_partitions(n):
+        if len(parts) != len(set(parts)) or set(parts) != _brute_partitions(n, n):
             raise VerificationFailure(f'partitions_of({n}) disagrees with direct enumeration')
         if any(sum(p) != n for p in parts):
             raise VerificationFailure(f'partitions_of({n}) contains a wrong-size entry')
         counts.append(len(parts))
-    return f'p(0..8) = {counts}'
+    return f'p(0..{max_n}) = {counts}'
 
 
-def _case_coset_bijection(D, N, rng):
-    for n in range(1, 6):
+def _case_coset_bijection(rng, max_n):
+    for n in range(1, max_n + 1):
         seen = set()
         for w in cb.all_perms(n + 1):
             i, rest = cb.coset_decompose(w)
@@ -391,17 +387,16 @@ def _case_coset_bijection(D, N, rng):
             seen.add((i, rest))
         if len(seen) != math.factorial(n + 1):
             raise VerificationFailure(f'coset decomposition repeats a pair on S_{n + 1}')
-    return 'S_2..S_6 factor uniquely as coset representative times subgroup element'
+    return f'S_2..S_{max_n + 1} factor uniquely as coset representative times subgroup element'
 
 
-def _case_product_oracle(D, N, rng):
+def _case_product_oracle(rng, max_degree, nvars):
     # Both sides are symmetric polynomials: the expansion of the product, and
     # the product of two expansions.  A symmetric polynomial is fixed by its
     # coefficients at weakly decreasing exponents (its m-coefficients), so
     # comparing those decides whether the whole polynomials agree.
-    nvars, bound = 10, min(5, D)
     elems = [(b, lam)
-             for d in range(bound + 1)
+             for d in range(max_degree + 1)
              for lam in cb.partitions_of(d)
              for b in ('m', 'e', 'h', 's')]
     expanded = {key: sf.monomial_expand(sf.basis_element(*key), nvars)
@@ -410,7 +405,7 @@ def _case_product_oracle(D, N, rng):
     for i, (b1, lam) in enumerate(elems):
         f = sf.basis_element(b1, lam)
         for b2, mu in elems[i:]:
-            if sum(lam) + sum(mu) > bound:
+            if sum(lam) + sum(mu) > max_degree:
                 continue
             direct = sf.dominant_expand(sf.multiply(f, sf.basis_element(b2, mu)), nvars)
             if direct != sf.dominant_product(expanded[(b1, lam)], expanded[(b2, mu)]):
@@ -420,9 +415,9 @@ def _case_product_oracle(D, N, rng):
     return f'{checked} products expand identically in {nvars} variables'
 
 
-def _case_basis_round_trip(D, N, rng):
+def _case_basis_round_trip(rng, max_degree):
     checked = 0
-    for d in range(D + 1):
+    for d in range(max_degree + 1):
         for lam in cb.partitions_of(d):
             for b1 in ('m', 'e', 'h', 's'):
                 f = sf.basis_element(b1, lam)
@@ -430,12 +425,12 @@ def _case_basis_round_trip(D, N, rng):
                     if sf.convert(sf.convert(f, b2), b1) != f:
                         raise VerificationFailure(f'{b1}->{b2}->{b1} moves {b1}{list(lam)}')
                     checked += 1
-    return f'{checked} conversions invert exactly up to degree {D}'
+    return f'{checked} conversions invert exactly up to degree {max_degree}'
 
 
-def _case_hopf_pairing(D, N, rng):
+def _case_hopf_pairing(rng, max_degree):
     checked = 0
-    for total in range(D + 1):
+    for total in range(max_degree + 1):
         for nu in cb.partitions_of(total):
             c = sf.basis_element('h', nu)
             cop = sf.coproduct(c)
@@ -448,13 +443,12 @@ def _case_hopf_pairing(D, N, rng):
                             raise VerificationFailure(
                                 f'<ab,c> != <a(x)b, Delta c> at ({list(lam)}, {list(mu)}, {list(nu)})')
                         checked += 1
-    return f'{checked} triples satisfy the product/coproduct adjunction up to degree {D}'
+    return f'{checked} triples satisfy the product/coproduct adjunction up to degree {max_degree}'
 
 
-def _case_antipode_axiom(D, N, rng):
-    bound = min(5, D)
+def _case_antipode_axiom(rng, max_degree):
     checked = 0
-    for d in range(bound + 1):
+    for d in range(max_degree + 1):
         for lam in cb.partitions_of(d):
             for basis in ('m', 'e', 'h', 's'):
                 f = sf.basis_element(basis, lam)
@@ -467,8 +461,8 @@ def _case_antipode_axiom(D, N, rng):
     return f'{checked} elements satisfy mult(S (x) id) Delta = unit counit'
 
 
-def _case_schur_triangular(D, N, rng):
-    for d in range(1, D + 1):
+def _case_schur_triangular(rng, max_degree):
+    for d in range(1, max_degree + 1):
         parts = cb.partitions_of(d)
         pos = {lam: i for i, lam in enumerate(parts)}
         for lam in parts:
@@ -479,14 +473,13 @@ def _case_schur_triangular(D, N, rng):
                 if coef <= 0 or pos[mu] < pos[lam] or not cb.dominates(lam, mu):
                     raise VerificationFailure(
                         f's{list(lam)} expansion breaks triangularity at m{list(mu)}')
-    return f'Schur-to-monomial matrices are unitriangular with positive entries up to degree {D}'
+    return f'Schur-to-monomial matrices are unitriangular with positive entries up to degree {max_degree}'
 
 
-def _case_dual_apply(D, N, rng):
-    bound = min(5, D)
+def _case_dual_apply(rng, max_degree):
     checked = 0
-    for df in range(bound + 1):
-        for da in range(bound + 1 - df):
+    for df in range(max_degree + 1):
+        for da in range(max_degree + 1 - df):
             for lam in cb.partitions_of(df):
                 f = sf.basis_element('h', lam)
                 for mu in cb.partitions_of(da):
@@ -501,8 +494,7 @@ def _case_dual_apply(D, N, rng):
     return f'{checked} triples satisfy <a, f*b> = <fa, b>'
 
 
-def _case_weyl_action(D, N, rng):
-    samples = 25
+def _case_weyl_action(rng, samples, max_degree):
     for _ in range(samples):
         u = wy.WeylElement({(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(-5, 5)
                             for _ in range(2)})
@@ -510,7 +502,7 @@ def _case_weyl_action(D, N, rng):
                             for _ in range(2)})
         uv = wy.weyl_multiply(u, v)
         for lattice in (wy.MONOMIALS, wy.DIVIDED_POWERS):
-            for n in range(13):
+            for n in range(max_degree + 1):
                 e_n = wy.PolyVector(lattice, {n: 1})
                 if wy.weyl_apply(uv, e_n) != wy.weyl_apply(u, wy.weyl_apply(v, e_n)):
                     raise VerificationFailure(
@@ -518,11 +510,11 @@ def _case_weyl_action(D, N, rng):
     return f'{samples} random products act as operator composition on both lattices'
 
 
-def _case_weyl_adjoint(D, N, rng):
+def _case_weyl_adjoint(rng, max_degree):
     x = wy.WeylElement({(1, 0): 1})
     d = wy.WeylElement({(0, 1): 1})
-    for n in range(11):
-        for m in range(11):
+    for n in range(max_degree + 1):
+        for m in range(max_degree + 1):
             v = wy.PolyVector(wy.MONOMIALS, {n: 1})
             w = wy.PolyVector(wy.DIVIDED_POWERS, {m: 1})
             if wy.weyl_pairing(wy.weyl_apply(x, v), w) != \
@@ -531,11 +523,10 @@ def _case_weyl_adjoint(D, N, rng):
             if wy.weyl_pairing(wy.weyl_apply(d, v), w) != \
                     wy.weyl_pairing(v, wy.weyl_apply(x, w)):
                 raise VerificationFailure(f'<d v, w> != <v, x w> at degrees ({n}, {m})')
-    return 'x and d are mutually adjoint for the lattice pairing on degrees <= 10'
+    return f'x and d are mutually adjoint for the lattice pairing on degrees <= {max_degree}'
 
 
-def _case_weyl_integrality(D, N, rng):
-    samples = 20
+def _case_weyl_integrality(rng, samples):
     for _ in range(samples):
         u = wy.WeylElement({(rng.randint(0, 5), rng.randint(0, 5)): rng.randint(-5, 5)
                             for _ in range(3)})
@@ -547,9 +538,9 @@ def _case_weyl_integrality(D, N, rng):
     return f'{samples} random applications stay integral on both lattices'
 
 
-def _case_nc_relations(D, N, rng):
+def _case_nc_relations(rng, max_n):
     checked = 0
-    for n in range(2, 7):
+    for n in range(2, max_n + 1):
         zero = nc.NilcoxElem(n, {})
         for i in range(1, n):
             g = nc.nc_generator(i, n)
@@ -565,39 +556,38 @@ def _case_nc_relations(D, N, rng):
                 if nc.nc_word_eval((i, j), n) != nc.nc_word_eval((j, i), n):
                     raise VerificationFailure(f'u_{i} and u_{j} do not commute in N_{n}')
                 checked += 1
-    return f'{checked} defining relations hold in N_2..N_6'
+    return f'{checked} defining relations hold in N_2..N_{max_n}'
 
 
-def _case_nc_squares(D, N, rng):
-    report = [e for e in nc.verify_weyl_squares(max_n=10) if 'square' in e['check']]
-    return f'{len(report)} induction/restriction squares commute with the class maps up to rank 10'
+def _case_nc_squares(rng, max_n):
+    report = [e for e in nc.verify_weyl_squares(max_n=max_n) if 'square' in e['check']]
+    return f'{len(report)} induction/restriction squares commute with the class maps up to rank {max_n}'
 
 
-def _case_nc_weyl_relation(D, N, rng):
-    nc.verify_weyl_squares(max_n=10)
-    return 'res o ind = ind o res + id on simple and projective classes up to rank 10'
+def _case_nc_weyl_relation(rng, max_n):
+    nc.verify_weyl_squares(max_n=max_n)
+    return f'res o ind = ind o res + id on simple and projective classes up to rank {max_n}'
 
 
-def _case_nc_adjoint(D, N, rng):
-    for m in range(9):
-        for n in range(9):
+def _case_nc_adjoint(rng, max_n):
+    for m in range(max_n + 1):
+        for n in range(max_n + 1):
             lhs = nc.k_pairing(nc.ind_K(nc.projective_class(m)), nc.simple_class(n))
             rhs = nc.k_pairing(nc.projective_class(m), nc.res_K(nc.simple_class(n)))
             if lhs != rhs:
                 raise VerificationFailure(f'<ind N_{m}, L_{n}> != <N_{m}, res L_{n}>')
-    return 'induction and restriction are adjoint under the class pairing for ranks <= 8'
+    return f'induction and restriction are adjoint under the class pairing for ranks <= {max_n}'
 
 
-def _case_nc_bimodule_iso(D, N, rng):
-    total = sum(len(nc.verify_bimodule_iso(n)) for n in range(1, 6))
-    return f'{total} direct-sum decomposition checks pass for ranks 1..5'
+def _case_nc_bimodule_iso(rng, max_n):
+    total = sum(len(nc.verify_bimodule_iso(n)) for n in range(1, max_n + 1))
+    return f'{total} direct-sum decomposition checks pass for ranks 1..{max_n}'
 
 
-def _case_heis_confluence(D, N, rng):
-    samples = 40
+def _case_heis_confluence(rng, samples, max_len, max_index):
     for _ in range(samples):
-        letters = [('e' if rng.random() < 0.5 else 'h*', rng.randint(1, 4))
-                   for _ in range(rng.randint(0, 6))]
+        letters = [('e' if rng.random() < 0.5 else 'h*', rng.randint(1, max_index))
+                   for _ in range(rng.randint(0, max_len))]
         shuffled = list(letters)
         for _ in range(10):
             if len(shuffled) < 2:
@@ -616,9 +606,10 @@ def _case_heis_confluence(D, N, rng):
     return f'{samples} random words normalize independently of commuting-letter order'
 
 
-def _case_heis_faithful(D, N, rng):
-    small = [lam for d in range(5) for lam in cb.partitions_of(d)]
-    inputs = [sf.basis_element('s', lam) for d in range(9) for lam in cb.partitions_of(d)]
+def _case_heis_faithful(rng, max_bidegree, max_state):
+    small = [lam for d in range(max_bidegree + 1) for lam in cb.partitions_of(d)]
+    inputs = [sf.basis_element('s', lam)
+              for d in range(max_state + 1) for lam in cb.partitions_of(d)]
     seen = {}
     for lam in small:
         for mu in small:
@@ -629,26 +620,27 @@ def _case_heis_faithful(D, N, rng):
                 raise VerificationFailure(
                     f'basis operators {seen[fingerprint]} and {(lam, mu)} act identically')
             seen[fingerprint] = (lam, mu)
-    return f'{len(seen)} basis operators of bidegree <= (4,4) are separated by states of size <= 8'
+    return (f'{len(seen)} basis operators of bidegree <= ({max_bidegree},{max_bidegree}) '
+            f'are separated by states of size <= {max_state}')
 
 
-def _case_heis_intertwine(D, N, rng):
+def _case_heis_intertwine(rng, max_degree, max_n):
     checked = 0
-    for n in (1, 2, 3):
-        for d in range(max(0, D + 1 - n)):
+    for n in range(1, max_n + 1):
+        for d in range(max(0, max_degree + 1 - n)):
             for lam in cb.partitions_of(d):
                 got = hs.fock_apply_schur(hs.heis_e((n,)), hs.specht_to_sym(lam))
-                want = bm.induced_character_decomposition((1,) * n, lam, bound=D)
+                want = bm.induced_character_decomposition((1,) * n, lam, bound=max_degree)
                 if got.coeffs != want:
                     raise VerificationFailure(
                         f'e_{n} acting on the class of {list(lam)} disagrees with the coefficient oracle')
                 checked += 1
-    return f'{checked} raising actions match the coefficient oracle up to degree {D}'
+    return f'{checked} raising actions match the coefficient oracle up to degree {max_degree}'
 
 
-def _case_heis_specht_pairing(D, N, rng):
+def _case_heis_specht_pairing(rng, max_degree):
     checked = 0
-    for d in range(D + 1):
+    for d in range(max_degree + 1):
         parts = cb.partitions_of(d)
         for lam in parts:
             for mu in parts:
@@ -656,56 +648,55 @@ def _case_heis_specht_pairing(D, N, rng):
                 if sf.hall_pairing(hs.specht_to_sym(lam), hs.specht_to_sym(mu)) != want:
                     raise VerificationFailure(f'classes of {list(lam)} and {list(mu)} pair to the wrong value')
                 checked += 1
-    return f'{checked} class pairings are orthonormal up to degree {D}'
+    return f'{checked} class pairings are orthonormal up to degree {max_degree}'
 
 
-def _case_bm_local_relations(D, N, rng):
+def _case_bm_local_relations(rng, max_level):
     entries = []
     for relation in bm.LOCAL_RELATIONS:
-        for level in range(N + 1):
-            entries.extend(bm.verify_local_relation(relation, level, max_level=N))
-    return f'{len(entries)} matrix identities across the four relation families at levels <= {N}'
+        for level in range(max_level + 1):
+            entries.extend(bm.verify_local_relation(relation, level, max_level=max_level))
+    return f'{len(entries)} matrix identities across the four relation families at levels <= {max_level}'
 
 
-def _case_bm_mackey(D, N, rng):
-    total = sum(len(bm.mackey_check(k)) for k in range(1, 5))
-    return f'{total} decomposition checks for the two-sided restriction of an induction, k <= 4'
+def _case_bm_mackey(rng, max_k):
+    total = sum(len(bm.mackey_check(k)) for k in range(1, max_k + 1))
+    return f'{total} decomposition checks for the two-sided restriction of an induction, k <= {max_k}'
 
 
-def _case_bm_characters(D, N, rng):
-    bound = min(D, 6)
+def _case_bm_characters(rng, max_size):
     checked = 0
-    for total in range(bound + 1):
+    for total in range(max_size + 1):
         for da in range(total + 1):
             for lam in cb.partitions_of(da):
                 for mu in cb.partitions_of(total - da):
-                    got = bm.induced_character_decomposition(lam, mu)
+                    got = bm.induced_character_decomposition(lam, mu, bound=max_size)
                     want = {k: v for k, v in sf.lr_coefficients(lam, mu).items() if v}
                     if got != want:
                         raise VerificationFailure(
                             f'character decomposition of ({list(lam)}, {list(mu)}) '
                             f'disagrees with the coefficient oracle')
                     checked += 1
-    return f'{checked} induced-module decompositions match the coefficient oracle, sizes <= {bound}'
+    return f'{checked} induced-module decompositions match the coefficient oracle, sizes <= {max_size}'
 
 
-def _case_bm_idempotents(D, N, rng):
-    for n in range(2, 6):
+def _case_bm_idempotents(rng, max_n):
+    for n in range(2, max_n + 1):
         e, ep = bm.symmetrizer(n), bm.antisymmetrizer(n)
         zero = bm.GroupAlgElem(n, {})
         if bm.ga_product(e, e) != e or bm.ga_product(ep, ep) != ep:
             raise VerificationFailure(f'an averaging element fails to square to itself at rank {n}')
         if bm.ga_product(e, ep) != zero or bm.ga_product(ep, e) != zero:
             raise VerificationFailure(f'the two averages are not orthogonal at rank {n}')
-    return "e(n) and e'(n) are orthogonal idempotents for 2 <= n <= 5"
+    return f"e(n) and e'(n) are orthogonal idempotents for 2 <= n <= {max_n}"
 
 
-def _case_bm_rank_one(D, N, rng):
-    for n in range(1, 6):
+def _case_bm_rank_one(rng, max_n):
+    for n in range(1, max_n + 1):
         for elem, name in ((bm.symmetrizer(n), 'e'), (bm.antisymmetrizer(n), "e'")):
             if bm.matrix_rank(bm.right_mult_matrix(elem)) != 1:
                 raise VerificationFailure(f'right multiplication by {name}({n}) is not rank one')
-    return 'right multiplication by either average has rank 1 for n <= 5'
+    return f'right multiplication by either average has rank 1 for n <= {max_n}'
 
 
 def _random_diagram(rng, max_sig=2, max_slices=5):
@@ -723,8 +714,7 @@ def _random_diagram(rng, max_sig=2, max_slices=5):
     return d
 
 
-def _case_dg_idempotent(D, N, rng):
-    samples = 60
+def _case_dg_idempotent(rng, samples):
     for _ in range(samples):
         once = dg.simplify(dg.Morphism.from_diagram(_random_diagram(rng)))
         if dg.simplify(once) != once:
@@ -732,12 +722,12 @@ def _case_dg_idempotent(D, N, rng):
     return f'simplify reached a fixed point on {samples} random diagrams'
 
 
-def _case_dg_soundness(D, N, rng):
-    samples, compared = 40, 0
+def _case_dg_soundness(rng, samples, max_base):
+    compared = 0
     for _ in range(samples):
         m = dg.Morphism.from_diagram(_random_diagram(rng))
         s = dg.simplify(m)
-        for base in range(3):
+        for base in range(max_base + 1):
             try:
                 want = bm.diagram_to_map(m, base)
             except UnrealizableAtRank:
@@ -758,19 +748,18 @@ def _case_dg_soundness(D, N, rng):
     return f'{compared} matrix comparisons agree across {samples} random diagrams'
 
 
-def _case_dg_sym_homomorphism(D, N, rng):
-    perms = list(cb.all_perms(4))
-    samples = 30
+def _case_dg_sym_homomorphism(rng, samples, rank):
+    perms = list(cb.all_perms(rank))
     for _ in range(samples):
         u, v = rng.choice(perms), rng.choice(perms)
         stacked = dg.compose(dg.section(u), dg.section(v))
         if dg.sym_image(stacked) != bm.ga_perm(cb.perm_mult(u, v)):
             raise VerificationFailure(f'stacked crossing words of {u} and {v} map to the wrong product')
-    return f'{samples} random stacked crossing words in S_4 map to group products'
+    return f'{samples} random stacked crossing words in S_{rank} map to group products'
 
 
-def _case_dg_section_idempotents(D, N, rng):
-    for n in range(1, 5):
+def _case_dg_section_idempotents(rng, max_n):
+    for n in range(1, max_n + 1):
         e_img = dg.sym_image(dg.section_of_elem(bm.symmetrizer(n)))
         ep_img = dg.sym_image(dg.section_of_elem(bm.antisymmetrizer(n)))
         if bm.ga_product(e_img, e_img) != e_img or bm.ga_product(ep_img, ep_img) != ep_img:
@@ -779,18 +768,19 @@ def _case_dg_section_idempotents(D, N, rng):
             zero = bm.GroupAlgElem(n, {})
             if bm.ga_product(e_img, ep_img) != zero or bm.ga_product(ep_img, e_img) != zero:
                 raise VerificationFailure(f'section images fail orthogonality at rank {n}')
-    return 'section images of both averages are idempotent (and orthogonal from rank 2) for n <= 4'
+    return f'section images of both averages are idempotent (and orthogonal from rank 2) for n <= {max_n}'
 
 
-def _case_dg_k0(D, N, rng):
+def _case_dg_k0(rng, max_m, max_n):
     entries = []
-    for m in range(1, 5):
-        for n in range(1, 5):
+    for m in range(1, max_m + 1):
+        for n in range(1, max_n + 1):
             entries.extend(dg.verify_k0_relations(m, n))
-    return f'{len(entries)} class-level relations hold for 1 <= m, n <= 4'
+    ranges = f'm, n <= {max_n}' if max_m == max_n else f'm <= {max_m}, 1 <= n <= {max_n}'
+    return f'{len(entries)} class-level relations hold for 1 <= {ranges}'
 
 
-# (module, id, uses the seeded generator, parameters, runner)
+# (module, id, uses the seeded generator, bounds from (--max-degree, --max-rank), runner)
 _CASES = (
     ('combinatorics', 'reduced-word-round-trip', False,
      lambda D, N: {'max_n': 6}, _case_reduced_words),
@@ -858,20 +848,20 @@ _CASES = (
 
 
 def _cmd_verify_all(args):
+    for flag, value in (('--max-degree', args.max_degree), ('--max-rank', args.max_rank)):
+        if value < 0:
+            raise BoundExceeded(f'{flag} {value} is negative')
     cases = []
     for module, cid, seeded, params_fn, run in _CASES:
-        parameters = dict(params_fn(args.max_degree, args.max_rank))
-        if seeded:
-            parameters['seed'] = args.seed
-        rng = random.Random(f'{args.seed}:{module}/{cid}')
+        bounds = params_fn(args.max_degree, args.max_rank)
         try:
-            detail, status = run(args.max_degree, args.max_rank, rng), 'pass'
+            detail, status = run(random.Random(f'{args.seed}:{module}/{cid}'), **bounds), 'pass'
         except VerificationFailure as exc:
             status, detail = 'fail', str(exc)
         except BoundExceeded as exc:
             status, detail = 'skipped', str(exc)
-        cases.append({'id': cid, 'module': module, 'parameters': parameters,
-                      'status': status, 'detail': detail})
+        cases.append({'id': cid, 'module': module, 'status': status, 'detail': detail,
+                      'parameters': dict(bounds, seed=args.seed) if seeded else bounds})
     return _emit_cases(args, cases)
 
 

@@ -220,7 +220,7 @@ def test_local_relation_level_ceiling():
         bm.verify_local_relation('up-double', bm.MAX_LEVEL + 1, max_level=9)
     from symcat import cli
     with pytest.raises(BoundExceeded):
-        cli._case_bm_local_relations(6, bm.MAX_LEVEL + 1, random.Random(0))
+        cli._case_bm_local_relations(random.Random(0), max_level=bm.MAX_LEVEL + 1)
 
 
 def test_mackey_check():
@@ -274,6 +274,17 @@ def test_induced_character_decomposition():
         {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1}
     with pytest.raises(BoundExceeded):
         bm.induced_character_decomposition((4, 2), (2,))
+
+
+def test_induced_decomposition_rejects_a_wrong_class_size(monkeypatch):
+    true_z = bm._z
+    # z_(2,1) is 2; 3 keeps 3!/z integral but breaks the inner products
+    monkeypatch.setattr(bm, '_z', lambda alpha: 3 if alpha == (2, 1) else true_z(alpha))
+    with pytest.raises(VerificationFailure, match=r'non-integral multiplicity 5/6 for \(4,\)'):
+        bm.induced_character_decomposition((3,), (1,))
+    monkeypatch.setattr(bm, '_z', lambda alpha: 4 if alpha == (2, 1) else true_z(alpha))
+    with pytest.raises(VerificationFailure, match='does not divide 3!'):
+        bm.induced_character_decomposition((3,), (1,))
 
 
 def test_induced_decomposition_matches_lr_oracle():

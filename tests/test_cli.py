@@ -142,8 +142,8 @@ def test_fock_intertwines_induction_uses_the_character_oracle(monkeypatch):
     def blocked(*args):
         raise AssertionError('the induction check reached the LR kernel')
     monkeypatch.setattr(sf, 'lr_coefficients', blocked)
-    # the oracle's size bound follows --max-degree, so degree 8 is checked
-    assert cli._case_heis_intertwine(8, 3, None) == \
+    # the oracle's size bound is the case's max_degree, so degree 8 is checked
+    assert cli._case_heis_intertwine(None, max_degree=8, max_n=3) == \
         '94 raising actions match the coefficient oracle up to degree 8'
 
 
@@ -274,3 +274,25 @@ def test_verify_all_json_byte_identical(capsys):
     for case in payload['cases']:
         assert set(case) == {'id', 'module', 'parameters', 'status', 'detail'}
         assert case['status'] == 'pass'
+
+
+def test_verify_all_negative_bounds_exit_2(capsys):
+    for flag in ('--max-degree', '--max-rank'):
+        code, out, err = run_cli(capsys, 'verify-all', flag, '-1')
+        assert code == 2, flag
+        assert err == f'error: {flag} -1 is negative\n'
+        assert out == ''
+
+
+def test_verify_all_runners_take_exactly_their_parameters():
+    import inspect
+    for module, cid, _, params_fn, run in cli._CASES:
+        params = inspect.signature(run).parameters
+        assert list(params) == ['rng', *params_fn(6, 3)], (module, cid)
+        assert all(p.default is inspect.Parameter.empty for p in params.values()), cid
+
+
+def test_verify_all_runner_above_its_cli_bound():
+    # --max-degree caps character-vs-lr at size 6; a direct call goes past it
+    assert cli._case_bm_characters(None, max_size=8) == \
+        '434 induced-module decompositions match the coefficient oracle, sizes <= 8'

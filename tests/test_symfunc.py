@@ -550,7 +550,7 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
         # compose the s table with it
         assert sf.convert(be(S, (2, 1)), H).coeffs == {(2, 1): -1, (1, 1, 1): 1}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(6, 3, random.Random(0))
+            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
@@ -573,7 +573,7 @@ def test_product_oracle_catches_a_wrong_kostka_row(monkeypatch):
     try:
         assert sf.convert(be(S, (2, 1)), M).coeffs == {(2, 1): 1, (1, 1, 1): 3}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(6, 3, random.Random(0))
+            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()  # the true memo holds rows built on the wrong one
         _clear_symfunc_caches()
@@ -596,7 +596,7 @@ def test_product_oracle_catches_a_wrong_monomial_product(monkeypatch):
     try:
         assert sf.multiply(be(M, (2,)), be(M, (1,))).coeffs == {(3,): 1, (2, 1): 2}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(6, 3, random.Random(0))
+            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
@@ -618,7 +618,7 @@ def test_product_oracle_catches_a_wrong_pieri_strip(monkeypatch):
     try:
         assert sf.multiply(be(S, (1,)), be(H, (1,))).coeffs == {(1, 1): 1}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(6, 3, random.Random(0))
+            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
