@@ -408,7 +408,8 @@ def _case_product_oracle(rng, max_degree, nvars):
             if sum(lam) + sum(mu) > max_degree:
                 continue
             direct = sf.dominant_expand(sf.multiply(f, sf.basis_element(b2, mu)), nvars)
-            if direct != sf.dominant_product(expanded[(b1, lam)], expanded[(b2, mu)]):
+            if direct != sf.dominant_product(expanded[(b1, lam)], expanded[(b2, mu)],
+                                             (sum(lam) + sum(mu),)):
                 raise VerificationFailure(
                     f'{b1}{list(lam)} * {b2}{list(mu)} disagrees with the polynomial product')
             checked += 1

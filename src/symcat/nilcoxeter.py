@@ -125,11 +125,12 @@ def nc_product(a, b):
     if a.n != b.n:
         raise RankMismatch(f'cannot multiply N_{a.n} by N_{b.n}')
     out = {}
+    right = [(tau, c2, perm_length(tau)) for tau, c2 in b.coeffs.items()]
     for sigma, c1 in a.coeffs.items():
         ls = perm_length(sigma)
-        for tau, c2 in b.coeffs.items():
+        for tau, c2, lt in right:
             st = perm_mult(sigma, tau)
-            if perm_length(st) == ls + perm_length(tau):
+            if perm_length(st) == ls + lt:
                 out[st] = out.get(st, 0) + c1 * c2
     return NilcoxElem._new(a.n, out)
 

@@ -4,9 +4,8 @@ Elements are `SymFunc` values: a basis tag ('m', 'e', 'h', 'p', 's') plus a
 sparse partition -> coefficient map.  Arithmetic is integer-first: integral
 coefficients are stored as `int`, and `Fraction` appears only for the
 non-integral coefficients of the powersum basis, the one basis that spans
-merely over Q.  The rational-valued scalars -- `hall_pairing`,
-`tensor_pairing`, `counit` and the `coproduct` coefficients -- are returned
-as `Fraction`.
+merely over Q.  The pairings, which sum looked-up coefficients in int,
+`counit` and the `coproduct` coefficients are returned as `Fraction`.
 
 The Schur basis is the hub, as in the categorified Fock space, where
 induction adds Pieri strips and restriction removes them.  `_pieri`
@@ -402,8 +401,6 @@ def _row(src, dst, lam):
     s.  Keeps up to _ROW_CACHE (8192) rows, more than the 2,780 rows of
     degree <= 10 between the five bases.
     """
-    if src == dst:
-        return ((lam, 1),)
     if (src, dst) == ('s', 'm'):
         # the r largest entries of a tableau fill a horizontal strip
         # lam/kappa, and K_{lam,mu} does not depend on the order of the
@@ -502,8 +499,10 @@ def _sum_rows(coeffs, src, dst):
     """sum c X_lam over the items lam -> c of coeffs (X = src), in basis dst.
 
     Unchecked: a rational coefficient passes and cancelled terms stay as
-    zeros, which `SymFunc._new` drops.
+    zeros, which `SymFunc._new` drops; with src = dst it is coeffs itself.
     """
+    if src == dst:
+        return coeffs
     out = {}
     get = out.get
     for lam, c in coeffs.items():
@@ -751,21 +750,21 @@ def poly_mult(P, Q):
     return result
 
 
-def dominant_product(P, Q):
+def dominant_product(P, Q, degrees):
     """The coefficients of `poly_mult(P, Q)` at weakly decreasing exponents,
     keyed without zeros as by `dominant_expand`; P and Q must be symmetric.
 
     The coefficient at alpha sums P[beta] Q[alpha - beta] over the exponent
     vectors beta <= alpha entrywise (at most 32 when |alpha| <= 5), for each
-    partition alpha with at most nvars parts of a degree that a term of P
-    and a term of Q add up to; P and Q are only looked up in.  P * Q is
-    symmetric, so these coefficients fix it.
+    partition alpha with at most nvars parts of a degree in degrees, which
+    must hold every degree that a term of P and a term of Q add up to; P and
+    Q are only looked up in.  P * Q is symmetric, so these coefficients fix it.
     """
     if not P or not Q:
         return {}
     nvars = len(next(iter(P)))
     out = {}
-    for n in sorted({a + b for a in set(map(sum, P)) for b in set(map(sum, Q))}):
+    for n in sorted(degrees):
         for lam in partitions_of(n):
             if len(lam) > nvars:
                 continue
@@ -873,27 +872,38 @@ def antipode(f):
 #############################################
 
 def hall_pairing(f, g):
-    """The Hall pairing, via <m_lam, h_mu> = delta.
-
-    Converts f to the monomial and g to the complete basis; genuinely
-    rational powersum inputs surface as NonIntegralResult from convert
-    (no direct powersum pairing formula is exposed).
+    """The Hall pairing, where <m_lam, h_mu> = <s_lam, s_mu> = delta: a side
+    in p takes f to m and g to h by `convert` (NonIntegralResult outside Sym),
+    else each side is read by `_sum_rows` in the dual pair (m, h), (h, m) or
+    (s, s) leaving the fewest terms to convert; lookups are summed in int.
     """
-    fm = convert(f, 'm').coeffs
-    gh = convert(g, 'h').coeffs
-    if len(gh) < len(fm):
-        small, other = gh, fm
-    else:
-        small, other = fm, gh
-    return Fraction(sum(c * other.get(lam, 0) for lam, c in small.items()))
+    if 'p' in (f.basis, g.basis):
+        f, g = convert(f, 'm'), convert(g, 'h')
+    x, y = min(('mh', 'hm', 'ss'), key=lambda xy: (f.basis != xy[0]) * len(f.coeffs)
+               + (g.basis != xy[1]) * len(g.coeffs))
+    fx, gy = _sum_rows(f.coeffs, f.basis, x), _sum_rows(g.coeffs, g.basis, y)
+    return Fraction(sum(c * gy.get(lam, 0) for lam, c in fx.items()))
 
 
 def tensor_pairing(a, b, triples):
-    """<a (x) b, sum c_i left_i (x) right_i> with the componentwise pairing."""
-    total = Fraction(0)
+    """<a (x) b, sum c_i left_i (x) right_i> with the componentwise pairing:
+    a and b are read in m once, so a one-term leg k h_alpha pairs by lookup
+    as k (a in m)_alpha; a triple whose left leg pairs to 0 is skipped, and
+    any other leg goes to `hall_pairing`.
+    """
+    def pair(x, xm, leg):
+        if leg.basis == 'h' and len(leg.coeffs) == 1:
+            (alpha, k), = leg.coeffs.items()
+            return k * xm.get(alpha, 0)
+        return hall_pairing(x, leg)
+
+    am, bm = convert(a, 'm').coeffs, convert(b, 'm').coeffs
+    total = 0
     for c, left, right in triples:
-        total += c * hall_pairing(a, left) * hall_pairing(b, right)
-    return total
+        x = pair(a, am, left)
+        if x:
+            total += (c.numerator if c.denominator == 1 else c) * x * pair(b, bm, right)
+    return Fraction(total)
 
 
 def schur(lam):
@@ -961,7 +971,7 @@ def parse_symfunc(text):
         return SymFunc(basis, out)
     total = zero('m')
     for c, b, lam in parts:
-        total = total + SymFunc('m', {mu: c * k for mu, k in _row(b, 'm', lam)})
+        total = total + SymFunc('m', _sum_rows({lam: c}, b, 'm'))
     return total
 
 

@@ -368,6 +368,11 @@ def _dominant_part(poly):
             if all(x >= y for x, y in zip(alpha, alpha[1:]))}
 
 
+def _product_degrees(P, Q):
+    """The degrees that a term of P and a term of Q add up to."""
+    return {a + b for a in set(map(sum, P)) for b in set(map(sum, Q))}
+
+
 def test_dominant_product_is_poly_mult_at_weakly_decreasing_exponents():
     rng = random.Random(10)
 
@@ -390,7 +395,8 @@ def test_dominant_product_is_poly_mult_at_weakly_decreasing_exponents():
         polys += [random_symmetric(nvars) for _ in range(5)]
         for i, P in enumerate(polys):
             for Q in polys[i:]:
-                assert sf.dominant_product(P, Q) == _dominant_part(sf.poly_mult(P, Q))
+                assert sf.dominant_product(P, Q, _product_degrees(P, Q)) == \
+                    _dominant_part(sf.poly_mult(P, Q))
     # dominant_expand is monomial_expand restricted the same way
     for text, nvars in (('s[2,1] - 2 e[3]', 3), ('h[2] + p[1]', 2), ('m[3,1,1]', 4)):
         f = sf.parse_symfunc(text)
@@ -411,7 +417,7 @@ def test_product_oracle_verdicts_agree_on_the_default_pairs():
                 continue
             P, Q = expanded[(b1, lam)], expanded[(b2, mu)]
             full = sf.poly_mult(P, Q)
-            dominant = sf.dominant_product(P, Q)
+            dominant = sf.dominant_product(P, Q, (d,))
             assert dominant == _dominant_part(full)
             prod = sf.multiply(be(b1, lam), be(b2, mu))
             for candidate in (prod, prod + be(M, rng.choice(partitions_of(d)))):
@@ -507,12 +513,15 @@ def test_oracle_shares_no_kernel_with_sym(monkeypatch):
              if len(next(iter(polys[i]))) == len(next(iter(polys[j])))]
     products = [sf.poly_mult(polys[i], polys[j]) for i, j in pairs]
     dominant = [sf.dominant_expand(f, n) for f, n in elems]
-    dominant_products = [sf.dominant_product(polys[i], polys[j]) for i, j in pairs]
+    degrees = [_product_degrees(polys[i], polys[j]) for i, j in pairs]
+    dominant_products = [sf.dominant_product(polys[i], polys[j], n)
+                         for (i, j), n in zip(pairs, degrees)]
     _block_sym_kernels(monkeypatch)
     assert [sf.monomial_expand(f, n) for f, n in elems] == polys
     assert [sf.poly_mult(polys[i], polys[j]) for i, j in pairs] == products
     assert [sf.dominant_expand(f, n) for f, n in elems] == dominant
-    assert [sf.dominant_product(polys[i], polys[j]) for i, j in pairs] == dominant_products
+    assert [sf.dominant_product(polys[i], polys[j], n)
+            for (i, j), n in zip(pairs, degrees)] == dominant_products
 
 
 def test_insufficient_variables_decided_after_cancellation(monkeypatch):
@@ -743,6 +752,87 @@ def test_hopf_pairing_identity():
         lhs = sf.hall_pairing(sf.multiply(a, b), c)
         rhs = sf.tensor_pairing(a, b, sf.coproduct(c))
         assert lhs == rhs
+
+
+def _reference_pairing(f, g):
+    # the definition: f in m against g in h, through the checked `convert`
+    fm, gh = sf.convert(f, M).coeffs, sf.convert(g, H).coeffs
+    return Fraction(sum(c * gh.get(lam, 0) for lam, c in fm.items()))
+
+
+def _reference_tensor_pairing(a, b, triples):
+    return sum((c * _reference_pairing(a, left) * _reference_pairing(b, right)
+                for c, left, right in triples), Fraction(0))
+
+
+def test_hall_pairing_matches_the_convert_definition():
+    # every pair of basis elements of degree <= 6, over the 25 ordered basis
+    # pairs, whichever route (s with s, m with h, through p) the pairing takes
+    elems = [(basis, lam) for basis in sf.BASES for d in range(7) for lam in partitions_of(d)]
+    for b1, lam in elems:
+        f = be(b1, lam)
+        for b2, mu in elems:
+            got = sf.hall_pairing(f, be(b2, mu))
+            assert type(got) is Fraction
+            assert got == _reference_pairing(f, be(b2, mu)), (b1, lam, b2, mu)
+    for text_f, text_g in (('s[3,1] + 2 m[2,2]', 'e[2,1,1] - h[4]'),
+                           ('1/2 p[2] + 1/2 p[1,1]', 's[2] - 3 m[1,1]'),
+                           ('3 s[2,1] - s[1,1,1]', 's[2,1] + s[3]'), ('0', 'h[2]')):
+        f, g = sf.parse_symfunc(text_f), sf.parse_symfunc(text_g)
+        assert sf.hall_pairing(f, g) == _reference_pairing(f, g)
+        assert sf.hall_pairing(g, f) == _reference_pairing(f, g)
+
+
+def test_hall_pairing_rational_powersum_messages_pinned():
+    # a p side still goes through `convert`, f to m and then g to h
+    for left, right, where in (('1/2p[2]', 'h[2]', "1/2 of (2,) is not an integer in basis 'm'"),
+                               ('h[2]', '1/2p[2] + 1/3p[1,1]',
+                                "-1/6 of (1, 1) is not an integer in basis 'h'"),
+                               ('1/2p[2]', '1/2p[2] + 1/3p[1,1]',
+                                "1/2 of (2,) is not an integer in basis 'm'")):
+        with pytest.raises(NonIntegralResult) as err:
+            sf.hall_pairing(sf.parse_symfunc(left), sf.parse_symfunc(right))
+        assert str(err.value) == f'coefficient {where}'
+    assert sf.hall_pairing(sf.parse_symfunc('p[2,1]'), be(E, (3,))) == -1
+    assert sf.hall_pairing(be(S, (3, 1)), sf.parse_symfunc('s[3,1] - 2 s[2,2]')) == 1
+
+
+def test_tensor_pairing_matches_the_convert_definition():
+    # on coproducts, whose legs are unit h elements read by lookup
+    pairs = ((S, E), (M, H), (P, S), (H, M), (E, P))
+    for d in range(5):
+        for basis in sf.BASES:
+            for nu in partitions_of(d):
+                cop = sf.coproduct(be(basis, nu))
+                for da in range(d + 1):
+                    for ba, bb in pairs:
+                        for lam in partitions_of(da):
+                            for mu in partitions_of(d - da):
+                                a, b = be(ba, lam), be(bb, mu)
+                                got = sf.tensor_pairing(a, b, cop)
+                                assert type(got) is Fraction
+                                assert got == _reference_tensor_pairing(a, b, cop)
+    # on hand-built triples whose legs are not unit h elements: other bases,
+    # several terms, a coefficient other than 1, and legs that pair to zero
+    parse = sf.parse_symfunc
+    triples = [(Fraction(1, 2), be(S, (2, 1)), be(E, (1,))),
+               (3, parse('h[2] + h[1,1]'), parse('p[2] - 2 m[1,1]')),
+               (Fraction(-2), parse('2 h[2]'), be(M, (1, 1))),
+               (Fraction(5), be(P, (1, 1)), parse('1/2 p[2] + 1/2 p[1,1]')),
+               (Fraction(1, 3), be(H, (3,)), be(H, (2,))), (1, sf.zero(H), be(S, (2,)))]
+    for a_text, b_text in (('s[2,1] - e[3]', 'h[2]'), ('m[2]', 'p[1,1] + s[2]'),
+                           ('1/2 p[2] + 1/2 p[1,1]', 'e[2] + 2 e[1,1]'), ('h[1,1]', 'm[1,1]')):
+        a, b = parse(a_text), parse(b_text)
+        assert sf.tensor_pairing(a, b, triples) == _reference_tensor_pairing(a, b, triples)
+        assert sf.tensor_pairing(a, b, []) == 0
+    # a rational side raises as the definition does, from its conversion to m
+    half = sf.parse_symfunc('1/2p[2]')
+    for a, b in ((half, be(E, (1,))), (be(S, (1,)), half)):
+        with pytest.raises(NonIntegralResult) as err:
+            sf.tensor_pairing(a, b, sf.coproduct(be(H, (3,))))
+        with pytest.raises(NonIntegralResult) as want:
+            _reference_tensor_pairing(a, b, sf.coproduct(be(H, (3,))))
+        assert str(err.value) == str(want.value)
 
 
 ##########################
