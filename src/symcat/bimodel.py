@@ -6,12 +6,12 @@ becomes a composite bimodule: each up step tensors with A_{n+1} as an
 (A_n, A_{n+1})-bimodule (restriction), tensor products taken over the shared
 subalgebras.  Every such composite has a canonical basis built from minimal
 coset representatives with one free group-algebra factor at the base, and
-diagram_to_map turns a planar diagram into the exact matrix of the
-corresponding bimodule map.  verify_local_relation / mackey_check replay the
-graphical relations as matrix identities, and induced_character_decomposition
-provides the character-theoretic multiplicity oracle.
-Arithmetic is integer-first: coefficients and matrix entries are exact, int
-unless a coefficient is non-integral (then Fraction, as the 1/n! of e(n)).
+diagram_to_map turns a planar diagram into the corresponding bimodule map,
+stored as the BimoduleElem image of each basis tensor.  verify_local_relation
+/ mackey_check replay the graphical relations as identities of such maps, and
+induced_character_decomposition provides the character-theoretic multiplicity
+oracle.  Arithmetic is integer-first: coefficients are exact, int unless
+non-integral (then Fraction, as the 1/n! of e(n)).
 
 >>> ga_product(symmetrizer(2), symmetrizer(2)) == symmetrizer(2)
 True
@@ -41,7 +41,7 @@ from .combinatorics import (
     render_permutation,
     transposition,
 )
-from .diagcat import Diagram, Morphism, parse_diagram
+from .diagcat import Diagram, Morphism, compose, parse_diagram
 from .errors import (
     BoundExceeded,
     RankMismatch,
@@ -50,8 +50,7 @@ from .errors import (
     VerificationFailure,
     report_json,
 )
-from .linalg import LinComb, common_denominator, matrix_rank, render_terms, \
-    scalar as _scalar
+from .linalg import LinComb, common_denominator, matrix_rank, render_terms
 
 __all__ = [
     'GroupAlgElem',
@@ -74,6 +73,7 @@ __all__ = [
     'verify_local_relation',
     'LOCAL_RELATIONS',
     'MAX_LEVEL',
+    'MAX_K',
     'mackey_check',
     'induced_character_decomposition',
     'report_json',
@@ -376,30 +376,30 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
 
 
 class LinearMapRep:
-    """Dense rational matrix of a bimodule map over the canonical bases.
+    """Exact bimodule map: images[r] is the BimoduleElem of the codomain that
+    domain basis tensor r, in tensor_basis order, maps to.
 
-    Row r lists the coefficients of the image of domain basis element r.
-    Entries are int when integral, else Fraction.
+    Coefficients are int when integral, else Fraction.  `matrix` is the dense
+    view, built on each read: row r holds the coordinates of images[r].
     """
 
-    __slots__ = ('domain', 'codomain', 'matrix')
+    __slots__ = ('domain', 'codomain', 'images')
 
-    def __init__(self, domain, codomain, matrix):
-        matrix = tuple(tuple(_scalar(x) for x in row) for row in matrix)
-        ndom, ncod = len(tensor_basis(domain)), len(tensor_basis(codomain))
-        if len(matrix) != ndom or any(len(row) != ncod for row in matrix):
-            raise ValueError(f'matrix shape is not {ndom} x {ncod}')
-        object.__setattr__(self, 'domain', domain)
-        object.__setattr__(self, 'codomain', codomain)
-        object.__setattr__(self, 'matrix', matrix)
+    def __new__(cls, domain, codomain, matrix):
+        dom, cod = tensor_basis(domain), tensor_basis(codomain)
+        rows = [tuple(row) for row in matrix]
+        if len(rows) != len(dom) or any(len(row) != len(cod) for row in rows):
+            raise ValueError(f'matrix shape is not {len(dom)} x {len(cod)}')
+        return cls._new(domain, codomain,
+                        tuple(BimoduleElem._new(codomain, dict(zip(cod, row))) for row in rows))
 
     @classmethod
-    def _new(cls, domain, codomain, matrix):
-        """Internal constructor: trusts the shape and the int/Fraction cells."""
+    def _new(cls, domain, codomain, images):
+        """Internal constructor: trusts one codomain image per domain tensor."""
         rep = object.__new__(cls)
         object.__setattr__(rep, 'domain', domain)
         object.__setattr__(rep, 'codomain', codomain)
-        object.__setattr__(rep, 'matrix', matrix)
+        object.__setattr__(rep, 'images', images)
         return rep
 
     def __setattr__(self, *a):
@@ -407,32 +407,36 @@ class LinearMapRep:
 
     def __eq__(self, other):
         return (isinstance(other, LinearMapRep) and self.domain == other.domain
-                and self.codomain == other.codomain and self.matrix == other.matrix)
+                and self.codomain == other.codomain and self.images == other.images)
 
     def __repr__(self):
         return (f'LinearMapRep({self.domain!r} -> {self.codomain!r}, '
-                f'{len(self.matrix)} x {len(self.matrix[0]) if self.matrix else 0})')
+                f'{len(self.images)} x {len(tensor_basis(self.codomain))})')
+
+    @property
+    def matrix(self):
+        cod = tensor_basis(self.codomain)
+        return tuple(tuple(im.coeffs.get(e, 0) for e in cod) for im in self.images)
 
     @classmethod
     def identity(cls, path):
-        n = len(tensor_basis(path))
-        return cls._new(path, path,
-                        tuple(tuple(int(r == c) for c in range(n)) for r in range(n)))
+        return cls._new(path, path, tuple(BimoduleElem._new(path, {e: 1})
+                                          for e in tensor_basis(path)))
 
     @classmethod
     def zero(cls, domain, codomain):
-        row = (0,) * len(tensor_basis(codomain))
-        return cls._new(domain, codomain, (row,) * len(tensor_basis(domain)))
+        zero = BimoduleElem._new(codomain, {})
+        return cls._new(domain, codomain, (zero,) * len(tensor_basis(domain)))
 
     def is_identity(self):
         return self.domain == self.codomain and self == type(self).identity(self.domain)
 
     def is_zero(self):
-        return all(not x for row in self.matrix for x in row)
+        return all(im.is_zero() for im in self.images)
 
 
 def diagram_to_map(m, base_rank):
-    """Exact matrix of a diagram (or rational combination) at a base rank.
+    """Exact map of a diagram (or rational combination) at a base rank.
 
     >>> circle = parse_diagram('sig:; cup+1; cap+1')
     >>> diagram_to_map(circle, 2).is_identity()
@@ -442,13 +446,11 @@ def diagram_to_map(m, base_rank):
         m = Morphism.from_diagram(m)
     dom_path = path_from_signature(m.domain, base_rank)
     cod_path = path_from_signature(m.codomain, base_rank)
-    dom_basis = tensor_basis(dom_path)
-    cod_index = {e: c for c, e in enumerate(tensor_basis(cod_path))}
-    rows = [[0] * len(cod_index) for _ in dom_basis]
+    images = {start: {} for start in tensor_basis(dom_path)}
     for diag, coeff in m.terms.items():
         paths = [path_from_signature(diag.sig_below(q), base_rank)
                  for q in range(len(diag.slices) + 1)]
-        for row, start in zip(rows, dom_basis):
+        for start, image in images.items():
             cur = {start: 1}  # path counts: slice images have coefficient 1
             for q, sl in enumerate(diag.slices):
                 nxt = {}
@@ -459,12 +461,9 @@ def diagram_to_map(m, base_rank):
                         nxt[elem2] = nxt.get(elem2, 0) + c
                 cur = nxt
             for elem, c in cur.items():
-                row[cod_index[elem]] += coeff * c
-    if all(type(c) is int for c in m.terms.values()):
-        matrix = tuple(map(tuple, rows))
-    else:
-        matrix = tuple(tuple(_scalar(x) for x in row) for row in rows)
-    return LinearMapRep._new(dom_path, cod_path, matrix)
+                image[elem] = image.get(elem, 0) + coeff * c
+    return LinearMapRep._new(dom_path, cod_path,
+                             tuple(BimoduleElem._new(cod_path, im) for im in images.values()))
 
 
 def matrix_text(rep):
@@ -480,10 +479,12 @@ def matrix_text(rep):
 
 LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 
-# Highest base rank verify_local_relation accepts.  The braid family at level
-# n builds dense (n+3)! x (n+3)! matrices, 5040 x 5040 at level 4, and each
-# further level multiplies the cell count by (n+4)^2.
+# Ceilings checked before any work.  verify_local_relation: the braid family
+# maps (n+3)! basis tensors: level 4 takes 1.6 s and 26 MB ru_maxrss as a CLI
+# run on a 2-core VM, and each level multiplies the tensor count by n+4.
+# mackey_check: about k (k!)^2 canonicalize calls, 2-3 s at k = 5, over 60 s at 6.
 MAX_LEVEL = 4
+MAX_K = 5
 
 
 def _map_or_zero(m, base):
@@ -501,10 +502,12 @@ def _compare(lhs, rhs, detail):
     """(lhs == rhs, detail), the detail naming the first differing entry."""
     if lhs == rhs:
         return True, detail
-    for r, (lr, rr) in enumerate(zip(lhs.matrix, rhs.matrix)):
-        for c, (a, b) in enumerate(zip(lr, rr)):
-            if a != b:
-                return False, f'{detail}; first difference at entry ({r}, {c}): {a} != {b}'
+    for r, (left, right) in enumerate(zip(lhs.images, rhs.images)):
+        if left != right:
+            for c, e in enumerate(tensor_basis(lhs.codomain)):
+                a, b = left.coeffs.get(e, 0), right.coeffs.get(e, 0)
+                if a != b:
+                    return False, f'{detail}; first difference at entry ({r}, {c}): {a} != {b}'
     return False, detail + '; first difference at '
 
 
@@ -566,7 +569,6 @@ def verify_local_relation(rel, n, max_level=3):
 
 def compose_morphisms(lower_text, upper_text):
     """Glue two slice scripts, the first applied first."""
-    from .diagcat import compose
     lower = Morphism.from_diagram(parse_diagram(lower_text))
     upper = Morphism.from_diagram(parse_diagram(upper_text))
     return compose(upper, lower)
@@ -582,6 +584,8 @@ def mackey_check(k):
     """
     if k < 1:
         raise ValueError('mackey_check needs k >= 1')
+    if k > MAX_K:
+        raise BoundExceeded(f'k = {k} exceeds {MAX_K}')
     report = Report(k=k)
     dim_id = math.factorial(k)
     dim_indres = k * math.factorial(k)

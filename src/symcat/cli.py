@@ -73,30 +73,21 @@ def _partition_table_text(table):
                       separators=(',', ':'))
 
 
-def _case_id(entry):
-    tags = []
-    for key in ('relation', 'm', 'n', 'k', 'level', 'lambda'):
-        if key in entry:
-            value = entry[key]
-            if key == 'lambda':
-                value = cb.render_partition(tuple(value))
-            tags.append(f'{key}={value}')
-    suffix = '[' + ','.join(tags) + ']' if tags else ''
-    return entry['check'] + suffix
-
-
 def _cases_from_report(report, module):
+    """One case per report entry, its id the check name plus its tags."""
     cases = {}
     for entry in report:
-        cid = _case_id(entry)
+        params = {key: entry[key] for key in ('relation', 'm', 'n', 'k', 'level', 'lambda')
+                  if key in entry}
+        tags = ','.join(f'{key}={cb.render_partition(tuple(v)) if key == "lambda" else v}'
+                        for key, v in params.items())
+        cid = entry['check'] + (f'[{tags}]' if tags else '')
         while cid in cases:
             cid += "'"
         cases[cid] = {
             'id': cid,
             'module': module,
-            'parameters': {key: entry[key]
-                           for key in ('relation', 'm', 'n', 'k', 'level', 'lambda')
-                           if key in entry},
+            'parameters': params,
             'status': 'pass' if entry['pass'] else 'fail',
             'detail': entry['detail'],
         }
@@ -737,12 +728,12 @@ def _case_dg_soundness(rng, samples, max_base):
                 got = bm.diagram_to_map(s, base)
             except UnrealizableAtRank:
                 # the removed slices were the ones forcing the zero module
-                if not all(not any(row) for row in want.matrix):
+                if not want.is_zero():
                     raise VerificationFailure(
                         'simplification dropped a diagram with a nonzero matrix')
                 compared += 1
                 continue
-            if got.matrix != want.matrix:
+            if got != want:
                 raise VerificationFailure(
                     f'simplification changed a matrix at base rank {base}')
             compared += 1

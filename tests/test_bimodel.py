@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 from fractions import Fraction
 
@@ -211,6 +212,38 @@ def test_verify_local_relation_families():
         bm.verify_local_relation('braid', 4)
     with pytest.raises(ValueError):
         bm.verify_local_relation('bogus', 1)
+
+
+def test_braid_relation_memory_peak():
+    # the 720 x 720 braid maps at level 3 are held as one sparse image per
+    # basis tensor, not as dense grids (about 12 MB of tuples)
+    tracemalloc.start()
+    try:
+        report = bm.verify_local_relation('braid', 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(entry['pass'] for entry in report)
+    assert peak < 4_000_000, peak
+
+
+def test_linear_map_rep_images_are_the_matrix_rows():
+    for text, base in (('sig:UU; x1', 2), ('sig:DU; x1; x1', 2), ('sig:; cup-1; cap-1', 3),
+                       ('sig:U; cup+1; x2; cap+1', 1)):
+        for m in (mor(text), Fraction(1, 2) * mor(text)):
+            rep = bm.diagram_to_map(m, base)
+            cod = bm.tensor_basis(rep.codomain)
+            assert len(rep.images) == len(bm.tensor_basis(rep.domain))
+            for image, row in zip(rep.images, rep.matrix):
+                assert isinstance(image, bm.BimoduleElem) and image.path == rep.codomain
+                assert image.coeffs == {e: x for e, x in zip(cod, row) if x}
+            assert bm.LinearMapRep(rep.domain, rep.codomain, rep.matrix) == rep
+
+
+def test_mackey_ceiling():
+    assert bm.MAX_K == 5
+    with pytest.raises(BoundExceeded, match='exceeds 5'):
+        bm.mackey_check(bm.MAX_K + 1)
 
 
 def test_local_relation_level_ceiling():

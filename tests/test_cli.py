@@ -168,6 +168,14 @@ def test_verify_relations_level_ceiling_fails_fast(capsys):
     assert code == 2 and out == ''
 
 
+def test_mackey_ceiling_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, 'bimod', 'mackey', '--k', '6')
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ''
+    assert 'k = 6 exceeds 5' in err
+
+
 def test_diag_commands(capsys):
     code, out, _ = run_cli(capsys, 'diag', 'parse', 'sig:U; cup+2; cap-1')
     assert code == 0

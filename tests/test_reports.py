@@ -5,6 +5,8 @@ VerificationFailure it raises: the message names the first failing entry,
 and `exc.report` holds every entry of the run, the failing ones included.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import symcat.bimodel as bm
@@ -40,6 +42,33 @@ def test_local_relation_failure(monkeypatch):
          'detail': 'double crossing on UD equals the identity '
                    '(zero module at this rank: vacuous)'},
     ]
+
+
+def test_local_relation_first_difference_past_the_first_entry(monkeypatch):
+    real = bm.diagram_to_map
+
+    def broken(m, base):
+        # x2 x1 x2 gets -1/2 added at one entry of row 7; the other rows stay exact
+        rep = real(m, base)
+        if 'x2; x1; x2' not in repr(m):
+            return rep
+        rows = [list(row) for row in rep.matrix]
+        rows[7][3] -= Fraction(1, 2)
+        return bm.LinearMapRep(rep.domain, rep.codomain, rows)
+
+    monkeypatch.setattr(bm, 'diagram_to_map', broken)
+    lhs = real(dg.Morphism.from_diagram(dg.parse_diagram('sig:UUU; x1; x2; x1')), 1)
+    rhs = broken(dg.Morphism.from_diagram(dg.parse_diagram('sig:UUU; x2; x1; x2')), 1)
+    # the first difference by a row-major scan of the dense views
+    r, c, a, b = next((r, c, a, b)
+                      for r, (lr, rr) in enumerate(zip(lhs.matrix, rhs.matrix))
+                      for c, (a, b) in enumerate(zip(lr, rr)) if a != b)
+    message, report = _failure(bm.verify_local_relation, 'braid', 1)
+    detail = f'x1 x2 x1 = x2 x1 x2 on UUU; first difference at entry ({r}, {c}): {a} != {b}'
+    assert (r, c, str(a), str(b)) == (7, 3, '0', '-1/2')
+    assert message == f"local relation 'braid' fails at level 1: {detail}"
+    assert report == [{'check': 'braid', 'relation': 'braid', 'level': 1, 'pass': False,
+                       'detail': detail}]
 
 
 def test_mackey_failure(monkeypatch):
