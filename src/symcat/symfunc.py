@@ -21,11 +21,12 @@ Basis changes read rows of the transition matrices M(X, Y) (section 6),
 each built once and cached by `_row`.  Read directly are s -> m (Kostka
 numbers, by peeling horizontal strips), e/h -> s (strips grown on s_()),
 s -> h (the Jacobi-Trudi determinant, which keeps `schur` fast at high
-degree, as it builds no degree table), p -> m (products of parts) and
-m -> s/e/p (a per-degree table solved by back-substitution: s_lam and
-e_lam' are m_lam plus terms strictly lower in dominance order, p_lam a
-positive multiple of m_lam plus terms strictly higher).  Any other row
-composes two of these.
+degree), p -> m (products of parts), e <-> h (e_n = sum_i (-1)^(i-1) h_i
+e_(n-i), which omega turns into the same rule for h_n in e) and m -> s/e/p
+(each row solved from the row it inverts: s_lam and e_lam' are m_lam plus
+terms strictly lower in dominance order, p_lam a positive multiple of m_lam
+plus terms strictly higher, and the m rows of those terms are read back
+through `_row`).  Any other row composes two of these.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -304,6 +305,16 @@ def _m_mult_raw(a, b):
     return {nu: c for nu, c in out.items() if c != 0}
 
 
+def _concat(a, b):
+    """Product of two partition -> coeff maps in a multiplicative basis: e, h or p."""
+    out = {}
+    for lam, x in a.items():
+        for mu, y in b.items():
+            nu = tuple(sorted(lam + mu, reverse=True))
+            out[nu] = out.get(nu, 0) + x * y
+    return out
+
+
 _STRIP_CACHE = 1 << 12  # strip lists kept by `_strips`
 
 
@@ -396,10 +407,12 @@ def _row(src, dst, lam):
     """X_lam in basis Y (X = src, Y = dst) as sorted items: one row of the
     transition matrix M(X, Y) of Macdonald, ch. I section 6.
 
-    The rows that the module docstring lists are read directly; any other
-    composes two rows once, through m when s or p is an end, else through
-    s.  Keeps up to _ROW_CACHE (8192) rows, more than the 2,780 rows of
-    degree <= 10 between the five bases.
+    The rows that the module docstring lists are read directly, an m -> X
+    row by solving it from the X -> m row with the other m -> X rows that
+    it needs, which this memo keeps once; any other row composes two rows
+    once, through m when s or p is an end, else through s.  Keeps up to
+    _ROW_CACHE (8192) rows, more than the 2,780 rows of degree <= 10
+    between the five bases.
     """
     if (src, dst) == ('s', 'm'):
         # the r largest entries of a tableau fill a horizontal strip
@@ -452,47 +465,32 @@ def _row(src, dst, lam):
         return _sorted_items(acc)
     if dst == 's' and src in 'eh':
         return _sorted_items(_pieri({(): 1}, lam, True, src == 'e'))
+    if {src, dst} == {'e', 'h'}:
+        # unrolled, e_n = sum_i (-1)^(i-1) h_i e_(n-i) (Macdonald, ch. I
+        # (2.6')) sums (-1)^(n-l) h_alpha over the compositions alpha of n
+        # into l parts; omega swaps e and h, so the same row gives h_n in e,
+        # and a longer lam multiplies the rows of its parts
+        out = {(): 1}
+        for n in lam:
+            out = _concat(out, {mu: (-1) ** (n - len(mu)) * _orbit_count(mu, len(mu))
+                                for mu in partitions_of(n)})
+        return _sorted_items(out)
     if src == 'm' and dst != 'h':
-        return _m_to_basis_table(dst, sum(lam))[lam]
-    via = 'm' if {src, dst} & {'s', 'p'} else 's'
-    return _sorted_items(_sum_rows(dict(_row(src, via, lam)), via, dst))
-
-
-_TABLE_CACHE = 64  # (basis, degree) tables kept by `_m_to_basis_table`
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _m_to_basis_table(basis, d):
-    """Per-degree table expressing each m_mu in basis X = s, e or p, by triangular solving.
-
-    Returns a map mu -> ((lam, coeff), ...) meaning m_mu = sum coeff X_lam;
-    coefficients are int except the non-integral powersum entries.
-    partitions_of(d) lists partitions in reverse-lex order, which refines
-    dominance.  s_mu and e_mu' expand as m_mu plus terms strictly dominated
-    by mu, so m_mu = X - (those terms, rewritten by rows already solved),
-    working up from the bottom of the order; p_mu is a positive multiple of
-    m_mu plus terms strictly dominating it, solved from the top down with a
-    division by that diagonal entry.  h is not triangular against m: its
-    rows (`_row('m', 'h', mu)`) compose the s table with Jacobi-Trudi.
-    Keeps up to _TABLE_CACHE (64) tables: the three bases at 21 degrees.
-    """
-    parts = partitions_of(d)
-    label = {conjugate(lam): lam for lam in parts} if basis == 'e' else \
-        {lam: lam for lam in parts}
-    table = {}
-    for mu in (parts if basis == 'p' else reversed(parts)):
-        acc = {label[mu]: 1}
-        diag = 1
-        for nu, c in _row(basis, 'm', label[mu]):
-            if nu == mu:
+        # s_lam and e_lam' are m_lam plus terms strictly dominated by lam,
+        # p_lam a positive multiple of m_lam plus terms strictly dominating
+        # it; so m_lam is that X row less the other terms, each rewritten by
+        # its own m row, over the diagonal entry
+        top = conjugate(lam) if dst == 'e' else lam
+        out, diag = {top: 1}, 1
+        for nu, c in _row(dst, 'm', top):
+            if nu == lam:
                 diag = c
                 continue
-            for lam, k in table[nu]:
-                acc[lam] = acc.get(lam, 0) - c * k
-        if diag != 1:
-            acc = {lam: _scalar(Fraction(c, diag)) for lam, c in acc.items()}
-        table[mu] = _sorted_items(acc)
-    return table
+            for mu, k in _row('m', dst, nu):
+                out[mu] = out.get(mu, 0) - c * k
+        return _sorted_items({mu: _scalar(Fraction(c, diag)) for mu, c in out.items()})
+    via = 'm' if {src, dst} & {'s', 'p'} else 's'
+    return _sorted_items(_sum_rows(dict(_row(src, via, lam)), via, dst))
 
 
 def _sum_rows(coeffs, src, dst):
@@ -534,13 +532,8 @@ def multiply(f, g):
     by Jacobi-Trudi and Pieri (`_skew`).
     """
     if f.basis == 'p' or g.basis == 'p':
-        fp, gp = convert(f, 'p'), convert(g, 'p')
-        out = {}
-        for lam, a in fp.coeffs.items():
-            for mu, b in gp.coeffs.items():
-                nu = tuple(sorted(lam + mu, reverse=True))
-                out[nu] = out.get(nu, 0) + a * b
-        return convert(SymFunc._new('p', out), f.basis)
+        prod = _concat(convert(f, 'p').coeffs, convert(g, 'p').coeffs)
+        return convert(SymFunc._new('p', prod), f.basis)
     pivot = 'm' if 'm' in (f.basis, g.basis) else 's'
     fx, gx = _sum_rows(f.coeffs, f.basis, pivot), _sum_rows(g.coeffs, g.basis, pivot)
     prod = _m_mult_raw(fx, gx) if pivot == 'm' else _skew_sum(fx, gx, True)
@@ -837,33 +830,11 @@ def counit(f):
     return Fraction(f.coeffs.get((), 0))
 
 
-@lru_cache(maxsize=_HOPF_CACHE)
-def _antipode_h(lam):
-    """S(h_lam) in the complete basis, by the graded-connected recursion.
-
-    S(1) = 1; for positive degree, S(x) = -x - sum S(x') x'' over the
-    reduced coproduct (both tensor legs of positive degree).  Keeps up to
-    _HOPF_CACHE (4096) partitions.
-    """
-    if not lam:
-        return (((), 1),)
-    acc = {tuple(lam): -1}
-    for (al, be), c in _coproduct_h(lam):
-        if al == tuple(lam) or al == ():
-            continue
-        for ka, va in _antipode_h(al):
-            # multiply S(h_al) by h_be: h is multiplicative
-            key = tuple(sorted(ka + be, reverse=True))
-            acc[key] = acc.get(key, 0) - c * va
-    return _sorted_items(acc)
-
-
 def antipode(f):
-    """The Hopf antipode of f, returned in the basis of f."""
-    out = {}
-    for lam, c in _sum_rows(f.coeffs, f.basis, 'h').items():
-        for mu, k in _antipode_h(lam):
-            out[mu] = out.get(mu, 0) + c * k
+    """The Hopf antipode of f, returned in the basis of f: f is read in h,
+    where S(h_lam) = (-1)^|lam| e_lam is the e -> h row with its sign."""
+    fh = _sum_rows(f.coeffs, f.basis, 'h')
+    out = _sum_rows({lam: -c if sum(lam) % 2 else c for lam, c in fh.items()}, 'e', 'h')
     return convert(SymFunc._new('h', out), f.basis)
 
 

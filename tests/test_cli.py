@@ -136,6 +136,21 @@ def test_sym_convert_high_degree_h_to_s_is_fast(capsys):
     assert code == 0 and out == 's[30]\n'
 
 
+def test_sym_antipode_high_degree_schur_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, 'sym', 'antipode', 's[6,5,4,3,2,1]')
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out == '-s[6,5,4,3,2,1]\n'
+
+
+def test_sym_convert_high_degree_m_to_s_is_fast(capsys):
+    column = '[' + ','.join(['1'] * 20) + ']'
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, 'sym', 'convert', 'm' + column, '--to', 's')
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out == 's' + column + '\n'
+
+
 def test_fock_intertwines_induction_uses_the_character_oracle(monkeypatch):
     from symcat import symfunc as sf
 
@@ -174,6 +189,16 @@ def test_mackey_ceiling_fails_fast(capsys):
     assert time.perf_counter() - start < 0.1
     assert code == 2 and out == ''
     assert 'k = 6 exceeds 5' in err
+
+
+def test_heis_verify_degree_ceiling_fails_fast(capsys):
+    for family in ('defining', 'boson', 'weak-fock'):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, 'heis', 'verify', '--m', '1', '--n', '1',
+                                 '--degree', '13', '--family', family)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ''
+        assert 'degree cutoff 13 exceeds 12' in err
 
 
 def test_diag_commands(capsys):

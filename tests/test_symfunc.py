@@ -168,10 +168,9 @@ def test_row_and_hopf_memos_are_bounded():
     # vertical n-strips (a list and its conjugate) grown up to degree 11
     strips = 4 * sum(len(partitions_of(d)) for d in range(9)) + \
         2 * 4 * sum(len(partitions_of(d)) for d in range(12))
-    for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._antipode_h, 139),
-                       (sf._h_leg, 139), (sf._strips, strips), (cb.partitions_of, 11),
-                       (sf._m_mult_basis, pairs), (sf._m_to_basis_table, 3 * 11),
-                       (sf._skew, pairs + skews)):
+    for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._h_leg, 139),
+                       (sf._strips, strips), (cb.partitions_of, 11),
+                       (sf._m_mult_basis, pairs), (sf._skew, pairs + skews)):
         size = memo.cache_parameters()['maxsize']
         assert size is not None and size >= need and f'({size})' in memo.__doc__
 
@@ -253,12 +252,29 @@ def test_m_to_basis_tables_invert_under_polynomial_oracle():
     for d in range(9):
         nvars = max(d, 1)
         for basis in (S, E, H, P):
-            table = {mu: sf._row(M, H, mu) for mu in partitions_of(d)} if basis == H \
-                else sf._m_to_basis_table(basis, d)
-            assert set(table) == set(partitions_of(d))
-            for mu, row in table.items():
+            for mu in partitions_of(d):
+                row = sf._row(M, basis, mu)
                 assert sf.monomial_expand(sf.SymFunc(basis, dict(row)), nvars) == \
                     sf.monomial_expand(be(M, mu), nvars)
+
+
+def test_e_and_h_rows_expand_to_their_source_under_polynomial_oracle():
+    for d in range(9):
+        nvars = max(d, 1)
+        for src, dst in ((E, H), (H, E)):
+            for lam in partitions_of(d):
+                row = sf._row(src, dst, lam)
+                assert sf.monomial_expand(sf.SymFunc(dst, dict(row)), nvars) == \
+                    sf.monomial_expand(be(src, lam), nvars), (src, lam)
+
+
+@pytest.mark.parametrize('lam, dst', [((1,) * 16, S), ((2,) * 8, E), ((6, 4, 3, 2, 1), P)])
+def test_cold_m_conversion_solves_only_its_side_of_the_dominance_order(lam, dst):
+    # m_lam in s or e needs the m rows of the shapes below lam, in p those
+    # above it: fewer than the p(16) = 231 shapes of its degree
+    _clear_symfunc_caches()
+    sf.convert(be(M, lam), dst)
+    assert sf._row.cache_info().currsize < 231
 
 
 ##########################
@@ -484,7 +500,7 @@ def test_monomial_expand_matches_definitions():
 
 
 _SYM_KERNELS = ('_row', '_strips', '_pieri', '_skew', '_m_mult_basis', '_m_mult_raw',
-                '_distinct_perms', '_m_to_basis_table', 'convert', 'multiply')
+                '_distinct_perms', 'convert', 'multiply')
 
 
 def _clear_symfunc_caches():
@@ -555,8 +571,8 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
     monkeypatch.setattr(sf, '_row', corrupted)
     try:
         # the wrong entry reaches products through Schur products, which
-        # expand one factor by Jacobi-Trudi, and through the h rows, which
-        # compose the s table with it
+        # expand one factor by Jacobi-Trudi, and through the m -> h rows,
+        # which compose the m -> s rows with it
         assert sf.convert(be(S, (2, 1)), H).coeffs == {(2, 1): -1, (1, 1, 1): 1}
         with pytest.raises(VerificationFailure):
             cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
@@ -572,7 +588,7 @@ def test_product_oracle_catches_a_wrong_kostka_row(monkeypatch):
     true_row = sf._row
 
     def corrupted(src, dst, lam):
-        # K_{21,111} = 2, not 3: still unitriangular, so every table builds
+        # K_{21,111} = 2, not 3: still unitriangular, so every m row solves
         if (src, dst, lam) == (S, M, (2, 1)):
             return (((2, 1), 1), ((1, 1, 1), 3))
         return true_row(src, dst, lam)
@@ -698,6 +714,29 @@ def test_antipode_axiom():
                         sf.multiply(sf.antipode(left), right), M)
                 want = sf.counit(f) * sf.one(M)
                 assert acc == want, (basis, lam)
+
+
+def test_antipode_axiom_catches_a_wrong_e_to_h_row(monkeypatch):
+    from symcat import cli
+    from symcat.errors import VerificationFailure
+
+    true_row = sf._row
+
+    def corrupted(src, dst, lam):
+        # e21 is h111 - h21; this is e3 = h111 - 2 h21 + h3
+        if (src, dst, lam) == (E, H, (2, 1)):
+            return (((3,), 1), ((2, 1), -2), ((1, 1, 1), 1))
+        return true_row(src, dst, lam)
+
+    _clear_symfunc_caches()
+    monkeypatch.setattr(sf, '_row', corrupted)
+    try:
+        assert sf.antipode(be(H, (2, 1))).coeffs == {(3,): -1, (2, 1): 2, (1, 1, 1): -1}
+        with pytest.raises(VerificationFailure):
+            cli._case_antipode_axiom(None, max_degree=5)
+    finally:
+        monkeypatch.undo()
+        _clear_symfunc_caches()
 
 
 def test_antipode_is_algebra_map():
