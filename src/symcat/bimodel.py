@@ -240,6 +240,20 @@ def path_from_signature(sig, base):
     return BimodulePath(levels)
 
 
+_LAYOUT_CACHE = 1 << 10  # entries kept by each of `_layout` and `_frame`
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _layout(path):
+    """(is_up, carrier rank) of each tensor slot of a path, leftmost first.
+
+    Keeps up to _LAYOUT_CACHE (1024) paths; `verify-all` at its defaults
+    fills 180 of them.
+    """
+    return tuple((path.is_up(j), path.carrier(j))
+                 for j in map(path.step_of_position, range(path.steps)))
+
+
 def tensor_basis(path):
     """Ordered canonical basis: coset representatives in the up slots, identity
     in the down slots, a free S_{n_0} factor at the end.
@@ -249,14 +263,8 @@ def tensor_basis(path):
     >>> len(tensor_basis(path_from_signature('UD', 2)))
     4
     """
-    choices = []
-    for p in range(path.steps):
-        j = path.step_of_position(p)
-        m = path.carrier(j)
-        if path.is_up(j):
-            choices.append([coset_rep(i, m) for i in range(1, m + 1)])
-        else:
-            choices.append([identity_perm(m)])
+    choices = [[coset_rep(i, m) for i in range(1, m + 1)] if up else [identity_perm(m)]
+               for up, m in _layout(path)]
     choices.append(list(all_perms(path.base)))
     return [tuple(elem) for elem in itertools.product(*choices)]
 
@@ -264,25 +272,22 @@ def tensor_basis(path):
 def canonicalize(path, elem):
     """Rewrite a pure tensor to the canonical basis by pushing group elements
     rightward across the tensor-over-subalgebra relations."""
-    slots = list(elem[:-1])
-    w = elem[-1]
-    k = path.steps
-    for p in range(k):
-        j = path.step_of_position(p)
-        m = path.carrier(j)
-        g = slots[p]
-        if path.is_up(j):
+    slots = []
+    push = ()  # the identity of S_0, which extends to every identity
+    for g, (up, m) in zip(elem, _layout(path)):
+        if push:
+            g = perm_mult(perm_extend(push, m), g)
+        if up:
             i, push = coset_decompose(g)
-            slots[p] = coset_rep(i, m)
+            slots.append(coset_rep(i, m))
         else:
             push = g
-            slots[p] = identity_perm(m)
-        if p + 1 < k:
-            m_next = path.carrier(path.step_of_position(p + 1))
-            slots[p + 1] = perm_mult(perm_extend(push, m_next), slots[p + 1])
-        else:
-            w = perm_mult(push, w)
-    return tuple(slots) + (w,)
+            slots.append(identity_perm(m))
+    w = elem[-1]
+    if push:
+        w = perm_mult(push, w)
+    slots.append(w)
+    return tuple(slots)
 
 
 class BimoduleElem(LinComb):
@@ -293,7 +298,7 @@ class BimoduleElem(LinComb):
     _RATIONAL = True
 
     def __new__(cls, path, coeffs):
-        ranks = [path.carrier(path.step_of_position(p)) for p in range(path.steps)]
+        ranks = [m for _up, m in _layout(path)]
         ranks.append(path.base)
         merged = {}
         for elem, c in coeffs.items():
@@ -375,6 +380,39 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
     return [tuple(slots) + (w,)]
 
 
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _frame(path_below, slice_):
+    """(signature below, path above) of one slice on a path.
+
+    Keeps up to _LAYOUT_CACHE (1024) pairs; `verify-all` at its defaults
+    fills 183 of them.
+    """
+    sig_below = ''.join('U' if up else 'D' for up, _m in _layout(path_below))
+    return sig_below, path_from_signature(Diagram(sig_below, (slice_,)).codomain,
+                                          path_below.base)
+
+
+_STEP_CACHE = 1 << 17  # (path, slice, tensor) entries kept by `_step`
+
+
+@functools.lru_cache(maxsize=_STEP_CACHE)
+def _step(path_below, slice_, elem):
+    """The canonical images of a pure tensor under one slice: canonicalize
+    applied to each of _slice_images, which all have coefficient 1.
+
+    diagram_to_map reads every slice through this memo, so one slice on one
+    basis tensor is rewritten once across diagrams, relation sides and
+    queries.  Keeps up to _STEP_CACHE (131072) entries, more than the 80,640
+    (8! tensors under x1 and under x2) of the level-5 braid check, which
+    runs in 82 MB ru_maxrss with the memo full.  `verify-all` at its
+    defaults fills 2,719 entries and `bimod verify-relations --max-level 4
+    --relation braid` 11,820.
+    """
+    sig_below, path_above = _frame(path_below, slice_)
+    return tuple(canonicalize(path_above, image) for image in
+                 _slice_images(path_below, path_above, sig_below, slice_, elem))
+
+
 class LinearMapRep:
     """Exact bimodule map: images[r] is the BimoduleElem of the codomain that
     domain basis tensor r, in tensor_basis order, maps to.
@@ -448,16 +486,14 @@ def diagram_to_map(m, base_rank):
     cod_path = path_from_signature(m.codomain, base_rank)
     images = {start: {} for start in tensor_basis(dom_path)}
     for diag, coeff in m.terms.items():
-        paths = [path_from_signature(diag.sig_below(q), base_rank)
-                 for q in range(len(diag.slices) + 1)]
+        steps = [(path_from_signature(diag.sig_below(q), base_rank), sl)
+                 for q, sl in enumerate(diag.slices)]
         for start, image in images.items():
             cur = {start: 1}  # path counts: slice images have coefficient 1
-            for q, sl in enumerate(diag.slices):
+            for path, sl in steps:
                 nxt = {}
                 for elem, c in cur.items():
-                    for elem2 in _slice_images(
-                            paths[q], paths[q + 1], diag.sig_below(q), sl, elem):
-                        elem2 = canonicalize(paths[q + 1], elem2)
+                    for elem2 in _step(path, sl, elem):
                         nxt[elem2] = nxt.get(elem2, 0) + c
                 cur = nxt
             for elem, c in cur.items():
@@ -479,10 +515,13 @@ def matrix_text(rep):
 
 LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 
-# Ceilings checked before any work.  verify_local_relation: the braid family
-# maps (n+3)! basis tensors: level 4 takes 1.6 s and 26 MB ru_maxrss as a CLI
-# run on a 2-core VM, and each level multiplies the tensor count by n+4.
-# mackey_check: about k (k!)^2 canonicalize calls, 2-3 s at k = 5, over 60 s at 6.
+# Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation:
+# the braid family maps (n+3)! basis tensors, and each level multiplies the
+# tensor count by n+4.  `bimod verify-relations --max-level 4 --relation braid`
+# takes 0.5-0.6 s and 26 MB ru_maxrss; level 5, by a direct call, takes 2.9 s
+# and 82 MB, still over the 2 s budget of one ceiling step, so the level
+# ceiling stays at 4.  mackey_check: about k (k!)^2 canonicalize calls;
+# `bimod mackey --k 5` takes 1.5-1.7 s, and k = 6 makes 43 times the calls.
 MAX_LEVEL = 4
 MAX_K = 5
 

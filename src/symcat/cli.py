@@ -7,6 +7,7 @@ output is deterministic so repeated runs are byte-identical.
 """
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -606,8 +607,10 @@ def _case_heis_faithful(rng, max_bidegree, max_state):
     for lam in small:
         for mu in small:
             elem = hs.HeisNormal({(lam, mu): 1})
-            fingerprint = repr([sorted(hs.fock_apply_schur(elem, f).coeffs.items())
-                                for f in inputs])
+            # flat (partition, coefficient, ...) runs: as exact as the sorted
+            # items, without one pair object per term held in `seen`
+            fingerprint = tuple(tuple(itertools.chain.from_iterable(sorted(
+                hs.fock_apply_schur(elem, f).coeffs.items()))) for f in inputs)
             if fingerprint in seen:
                 raise VerificationFailure(
                     f'basis operators {seen[fingerprint]} and {(lam, mu)} act identically')

@@ -230,12 +230,27 @@ def perm_inverse(w) -> tuple:
 def perm_length(w) -> int:
     """Inversion count, which equals the minimal word length.
 
+    Accepts any sequence; the count is read from the `_inversions` memo.
+
     >>> perm_length((1, 2, 3, 4))
     0
-    >>> perm_length((4, 3, 2, 1))
+    >>> perm_length([4, 3, 2, 1])
     6
     >>> perm_length(word_eval([1, 2], 3))
     2
+    """
+    return _inversions(tuple(w))
+
+
+_LENGTH_CACHE = 1 << 12  # permutations whose lengths `_inversions` keeps
+
+
+@lru_cache(maxsize=_LENGTH_CACHE)
+def _inversions(w):
+    """Inversion count of a one-line tuple.
+
+    Keeps up to _LENGTH_CACHE (4096) lengths; `verify-all` at its defaults
+    fills 873 of them.
     """
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
@@ -351,11 +366,16 @@ def reduced_word(w) -> list:
 # coset decompositions  #
 #########################
 
+_COSET_CACHE = 1 << 8  # representatives kept by `coset_rep`
+
+
+@lru_cache(maxsize=_COSET_CACHE)
 def coset_rep(i: int, m: int) -> tuple:
     """The minimal coset representative s_i s_{i+1} ... s_{m-1} of S_m over S_{m-1}.
 
     Its one-line form fixes 1..i-1, shifts i..m-1 up by one, and sends m to i.
-    For i = m this is the identity.
+    For i = m this is the identity.  Keeps up to _COSET_CACHE (256)
+    representatives; `verify-all` at its defaults fills 66 of them.
 
     >>> coset_rep(1, 3)
     (2, 3, 1)
@@ -371,7 +391,10 @@ def coset_decompose(w):
     """Split w ∈ S_{n+1} as (s_i s_{i+1} ⋯ s_n) · w′ with w′ ∈ S_n.
 
     Returns (i, w′) where i = w(n+1) and w′ fixes n+1 (returned in S_n
-    one-line form).  Lengths are additive: ℓ(w) = (n+1−i) + ℓ(w′).
+    one-line form).  Lengths are additive: ℓ(w) = (n+1−i) + ℓ(w′).  In
+    closed form, w′ is w without its last entry, every entry above i
+    lowered by one: the inverse of s_i ⋯ s_n fixes 1..i−1 and lowers
+    i+1..n+1 by one.
 
     >>> coset_decompose((1, 2, 3, 4))
     (4, (1, 2, 3))
@@ -382,14 +405,10 @@ def coset_decompose(w):
     >>> perm_mult(coset_rep(i, 4), perm_extend(wp, 4)) == w
     True
     """
-    w = tuple(w)
-    m = len(w)
-    if m == 0:
+    if not w:
         raise ValueError('empty permutation has no coset decomposition')
-    i = w[m - 1]
-    rest = perm_mult(perm_inverse(coset_rep(i, m)), w)
-    assert rest[m - 1] == m
-    return i, rest[:m - 1]
+    i = w[-1]
+    return i, tuple([x - 1 if x > i else x for x in w[:-1]])
 
 
 def parse_permutation(text: str) -> tuple:

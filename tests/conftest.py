@@ -1,0 +1,30 @@
+"""Shared fixtures."""
+
+import pytest
+
+import symcat.bimodel as bm
+import symcat.combinatorics as cb
+
+
+KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, cb._inversions, cb.coset_rep)
+
+
+def _clear_kernel_memos():
+    for memo in KERNEL_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def fresh_kernel_memos():
+    """Clear the permutation and slice-step memos before and after a test;
+    the fixture's value clears them again when called.
+
+    A test that monkeypatches a kernel these memos read (such as
+    `bm.transposition`, which `_slice_images` calls) would otherwise leave
+    entries built on the patched kernel for later tests, or read entries
+    built before the patch.  Request this fixture ahead of `monkeypatch`,
+    so that the memos are cleared again after the patch is undone.
+    """
+    _clear_kernel_memos()
+    yield _clear_kernel_memos
+    _clear_kernel_memos()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symcat.bimodel as bm
+import symcat.nilcoxeter as nx
 from symcat.combinatorics import (
     all_perms,
     coset_rep,
@@ -26,6 +27,8 @@ from symcat.errors import (
     UnrealizableAtRank,
     VerificationFailure,
 )
+
+from conftest import KERNEL_MEMOS
 
 
 def mor(text):
@@ -309,7 +312,7 @@ def test_induced_character_decomposition():
         bm.induced_character_decomposition((4, 2), (2,))
 
 
-def test_induced_decomposition_rejects_a_wrong_class_size(monkeypatch):
+def test_induced_decomposition_rejects_a_wrong_class_size(fresh_kernel_memos, monkeypatch):
     true_z = bm._z
     # z_(2,1) is 2; 3 keeps 3!/z integral but breaks the inner products
     monkeypatch.setattr(bm, '_z', lambda alpha: 3 if alpha == (2, 1) else true_z(alpha))
@@ -444,3 +447,76 @@ def test_character_cache_is_bounded():
     assert info.maxsize is not None and info.maxsize > 0
     assert bm.character_value((3, 2), (2, 2, 1)) == 1
     assert bm._mn_character.cache_info().currsize <= info.maxsize
+
+
+def _fresh_walk(m, base):
+    """diagram_to_map's images by a direct walk: _slice_images, then
+    canonicalize on each image, with no _step memo."""
+    images = []
+    for start in bm.tensor_basis(bm.path_from_signature(m.domain, base)):
+        image = {}
+        for diag, coeff in m.terms.items():
+            cur = {start: 1}
+            for q, sl in enumerate(diag.slices):
+                below = bm.path_from_signature(diag.sig_below(q), base)
+                above = bm.path_from_signature(diag.sig_below(q + 1), base)
+                nxt = {}
+                for elem, c in cur.items():
+                    for elem2 in bm._slice_images(below, above, diag.sig_below(q), sl, elem):
+                        elem2 = bm.canonicalize(above, elem2)
+                        nxt[elem2] = nxt.get(elem2, 0) + c
+                cur = nxt
+            for elem, c in cur.items():
+                image[elem] = image.get(elem, 0) + coeff * c
+        images.append({e: c for e, c in image.items() if c})
+    return images
+
+
+def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_kernel_memos):
+    from symcat import cli
+    rng = random.Random(16)
+    compared = 0
+    for _ in range(60):
+        m = Morphism.from_diagram(cli._random_diagram(rng, max_sig=3, max_slices=4))
+        base = rng.randint(0, 2)
+        try:
+            memoised = bm.diagram_to_map(m, base)
+        except UnrealizableAtRank:
+            fresh_kernel_memos()
+            with pytest.raises(UnrealizableAtRank):
+                _fresh_walk(m, base)
+            continue
+        again = bm.diagram_to_map(m, base)  # now read from warm memos
+        fresh_kernel_memos()
+        fresh = _fresh_walk(m, base)
+        assert [im.coeffs for im in memoised.images] == fresh
+        assert again == memoised
+        compared += 1
+    assert compared >= 30
+
+
+def test_kernel_memos_are_bounded(fresh_kernel_memos):
+    bm.verify_local_relation('braid', 2)
+    nx.verify_bimodule_iso(3)
+    for memo in KERNEL_MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    # the level-2 braid maps 5! basis tensors under x1 and under x2
+    assert bm._step.cache_info().currsize >= 2 * 120
+
+
+def test_local_relation_catches_a_wrong_canonical_slot(fresh_kernel_memos, monkeypatch):
+    true_canonicalize = bm.canonicalize
+    path = bm.path_from_signature('UUU', 2)
+    target = bm.tensor_basis(path)[0]
+
+    def corrupted(p, elem):
+        # one basis tensor gets the other element of S_2 in its free factor
+        out = true_canonicalize(p, elem)
+        if p == path and out == target:
+            return out[:-1] + (tuple(reversed(out[-1])),)
+        return out
+
+    monkeypatch.setattr(bm, 'canonicalize', corrupted)
+    with pytest.raises(VerificationFailure, match="local relation 'braid' fails at level 2"):
+        bm.verify_local_relation('braid', 2)

@@ -100,6 +100,16 @@ def test_perm_length_examples():
     assert perm_length(word_eval([1, 2], 3)) == 2
 
 
+def test_perm_length_is_the_inversion_count():
+    for w in all_perms(6):
+        assert perm_length(w) == sum(1 for a, b in itertools.combinations(w, 2) if a > b)
+
+
+def test_perm_length_accepts_any_sequence():
+    assert perm_length([3, 1, 2]) == perm_length((3, 1, 2)) == 2
+    assert perm_length(range(1, 5)) == 0
+
+
 def test_word_eval_examples():
     assert word_eval([], 3) == (1, 2, 3)
     assert word_eval([1, 1], 3) == (1, 2, 3)
@@ -135,6 +145,13 @@ def test_coset_decompose_lengths_additive_s4():
         i, wp = coset_decompose(w)
         assert perm_length(w) == (n + 1 - i) + perm_length(wp)
         assert perm_mult(coset_rep(i, n + 1), perm_extend(wp, n + 1)) == w
+
+
+def test_coset_decompose_closed_form_matches_the_coset_rep_product():
+    for m in range(1, 8):
+        for w in all_perms(m):
+            i = w[-1]
+            assert coset_decompose(w) == (i, perm_mult(perm_inverse(coset_rep(i, m)), w)[:-1])
 
 
 def test_coset_decompose_bijection():

@@ -22,7 +22,7 @@ def _failure(fn, *args):
     return str(info.value), info.value.report
 
 
-def test_local_relation_failure(monkeypatch):
+def test_local_relation_failure(fresh_kernel_memos, monkeypatch):
     real = bm.diagram_to_map
 
     def broken(m, base):
@@ -44,7 +44,7 @@ def test_local_relation_failure(monkeypatch):
     ]
 
 
-def test_local_relation_first_difference_past_the_first_entry(monkeypatch):
+def test_local_relation_first_difference_past_the_first_entry(fresh_kernel_memos, monkeypatch):
     real = bm.diagram_to_map
 
     def broken(m, base):
@@ -71,7 +71,7 @@ def test_local_relation_first_difference_past_the_first_entry(monkeypatch):
                        'detail': detail}]
 
 
-def test_mackey_failure(monkeypatch):
+def test_mackey_failure(fresh_kernel_memos, monkeypatch):
     monkeypatch.setattr(bm, 'transposition', lambda i, j, n: tuple(range(1, n + 1)))
     message, report = _failure(bm.mackey_check, 2)
     assert message == 'Mackey check fails at k = 2: m2-injective'
