@@ -217,11 +217,18 @@ class BimodulePath:
         return max(self.levels[j], self.levels[j - 1])
 
 
+_LAYOUT_CACHE = 1 << 10  # entries kept by `path_from_signature`, `_layout` and `_frame`
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
 def path_from_signature(sig, base):
     """Levels of the composite bimodule for a strand word at a base rank.
 
     The word is read right to left from the base: U steps up (induction),
-    D steps down (restriction).
+    D steps down (restriction).  BimodulePath is immutable, so one path is
+    shared by every caller; a raised error is not memoised, and a bad word
+    raises again on every call.  Keeps up to _LAYOUT_CACHE (1024) paths;
+    `verify-all` at its defaults fills 181 of them.
 
     >>> path_from_signature('DU', 2).levels
     (2, 3, 2)
@@ -238,9 +245,6 @@ def path_from_signature(sig, base):
             raise UnrealizableAtRank(
                 f'signature {sig!r} drops below rank 0 at base {base}')
     return BimodulePath(levels)
-
-
-_LAYOUT_CACHE = 1 << 10  # entries kept by each of `_layout` and `_frame`
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE)
@@ -520,8 +524,9 @@ LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 # tensor count by n+4.  `bimod verify-relations --max-level 4 --relation braid`
 # takes 0.5-0.6 s and 26 MB ru_maxrss; level 5, by a direct call, takes 2.9 s
 # and 82 MB, still over the 2 s budget of one ceiling step, so the level
-# ceiling stays at 4.  mackey_check: about k (k!)^2 canonicalize calls;
-# `bimod mackey --k 5` takes 1.5-1.7 s, and k = 6 makes 43 times the calls.
+# ceiling stays at 4.  mackey_check: (k!)^2 distinct canonical forms and
+# k (k!)^2 comparisons per side; `bimod mackey --k 5` takes 0.50-0.88 s, and
+# k = 6 makes 43 times the comparisons, so the rank ceiling stays at 5.
 MAX_LEVEL = 4
 MAX_K = 5
 
@@ -620,6 +625,13 @@ def mackey_check(k):
     a (x) b to a.t.b with t the transposition (k, k+1).  Checks the dimension
     identity, injectivity, disjointness, spanning, the image characterization
     of m1, and two-sided A_k-linearity of both maps.
+
+    Linearity is compared for every c in S_k on every basis tensor, k (k!)^2
+    comparisons per side.  Within one call each v in S_k is extended to
+    S_{k+1} once, and `canonicalize` runs once on each of the (k!)^2
+    distinct pure tensors (g, 1, h), g and h in S_k, that the two sides
+    move basis tensors to; the dict of these forms is dropped when the
+    call returns.
     """
     if k < 1:
         raise ValueError('mackey_check needs k >= 1')
@@ -634,7 +646,8 @@ def mackey_check(k):
 
     t = transposition(k, k + 1, k + 1)
     sk = list(all_perms(k))
-    m1_images = {perm_extend(v, k + 1): v for v in sk}
+    ext = {v: perm_extend(v, k + 1) for v in sk}  # m1, each v extended once
+    m1_images = {g: v for v, g in ext.items()}
     report.check('m1-injective', len(m1_images) == dim_id, 'inclusion of A_k is injective')
     report.check('m1-image-criterion',
                  all(g[k] == k + 1 for g in m1_images)
@@ -646,8 +659,7 @@ def mackey_check(k):
     m2 = {}
     for elem in indres_basis:
         a, _e, b = elem
-        m2[elem] = perm_mult(perm_mult(perm_extend(a, k + 1), t),
-                             perm_extend(b, k + 1))
+        m2[elem] = perm_mult(perm_mult(ext[a], t), ext[b])
     m2_images = set(m2.values())
     report.check('m2-injective', len(m2_images) == dim_indres,
                  'a (x) b -> a.t.b is injective on the coset basis')
@@ -657,21 +669,24 @@ def mackey_check(k):
                  len(m2_images) + len(m1_images) == dim_resind,
                  'together the images exhaust A_{k+1}')
 
+    # every moved tensor (c a, 1, b) or (a, 1, b c) is some (g, 1, h), g, h in S_k
+    one = indres_basis[0][1]
+    canon = {(g, one, h): canonicalize(indres, (g, one, h)) for g in sk for h in sk}
     ok_left = ok_right = True
     ok_m2_left = ok_m2_right = True
     for c in sk:
-        ce = perm_extend(c, k + 1)
+        ce = ext[c]
         for v in sk:
-            if perm_extend(perm_mult(c, v), k + 1) != perm_mult(ce, perm_extend(v, k + 1)):
+            if ext[perm_mult(c, v)] != perm_mult(ce, ext[v]):
                 ok_left = False
-            if perm_extend(perm_mult(v, c), k + 1) != perm_mult(perm_extend(v, k + 1), ce):
+            if ext[perm_mult(v, c)] != perm_mult(ext[v], ce):
                 ok_right = False
         for elem in indres_basis:
             a, _e, b = elem
-            left = canonicalize(indres, (perm_mult(c, a), _e, b))
+            left = canon[perm_mult(c, a), _e, b]
             if m2[left] != perm_mult(ce, m2[elem]):
                 ok_m2_left = False
-            right = canonicalize(indres, (a, _e, perm_mult(b, c)))
+            right = canon[a, _e, perm_mult(b, c)]
             if m2[right] != perm_mult(m2[elem], ce):
                 ok_m2_right = False
     report.check('m1-left-linear', ok_left, 'm1 commutes with left multiplication by A_k')

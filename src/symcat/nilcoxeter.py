@@ -210,6 +210,11 @@ def verify_bimodule_iso(n, max_rank=5):
     compatibility with the left and right N_n-actions on generators (which
     for m_2 also exercises well-definedness over the tensor product).
 
+    Every generator is checked on every basis tensor.  Within one call,
+    m2_image(i, tau), the pushed product u_j u_{r_i} in the free right basis
+    and the slide u_rho u_tau are each computed once, in per-call memos
+    dropped when the call returns.
+
     Raises VerificationFailure naming the first violated check; the full
     report rides on the exception.
     """
@@ -279,22 +284,32 @@ def verify_bimodule_iso(n, max_rank=5):
     report.check('m1-bimodule-map', ok_m1, 'm_1 commutes with both actions on generators')
 
     def m2_linear(tensor_coeffs):
-        return sum((c * m2_image(i, tau) for (i, tau), c in tensor_coeffs.items()),
-                   NilcoxElem._new(m, {}))
+        out = {}
+        for (i, tau), c in tensor_coeffs.items():
+            for sigma, c2 in m2_image(i, tau).coeffs.items():
+                out[sigma] = out.get(sigma, 0) + c * c2
+        return NilcoxElem._new(m, out)
+
+    @functools.cache  # memo for this call, like m2_image
+    def pushed(j, i):
+        """u_j u_{r_i} = sum u_{r_i'} u_{rho}, in the free right basis."""
+        return _factor_right(nc_product(gens[j - 1], NilcoxElem._new(n, {coset_rep(i, n): 1})))
+
+    @functools.cache  # memo for this call, like m2_image
+    def slide(rho, tau):
+        """u_rho u_tau, rho in S_{n-1} read inside N_n."""
+        return nc_product(NilcoxElem._new(n, {perm_extend(rho, n): 1}),
+                          NilcoxElem._new(n, {tau: 1})).coeffs
 
     ok_left = True
     for j in range(1, n):
-        g = gens[j - 1]
         g_top = gens_top[j - 1]
         for i, tau in tensor_basis:
-            # push u_j across the free basis: u_j u_{r_i} = sum u_{r_i'} u_{rho},
-            # then the N_{n-1} factor rho slides through the tensor onto tau
+            # push u_j across the free basis, then the N_{n-1} factor rho
+            # slides through the tensor onto tau
             moved = {}
-            prod = nc_product(g, NilcoxElem._new(n, {coset_rep(i, n): 1}))
-            for (i2, rho), c in _factor_right(prod).items():
-                shifted = nc_product(NilcoxElem._new(n, {perm_extend(rho, n): 1}),
-                                     NilcoxElem._new(n, {tau: 1}))
-                for tau2, c2 in shifted.coeffs.items():
+            for (i2, rho), c in pushed(j, i).items():
+                for tau2, c2 in slide(rho, tau).items():
                     key = (i2, tau2)
                     moved[key] = moved.get(key, 0) + c * c2
             if m2_linear(moved) != nc_product(g_top, m2_image(i, tau)):

@@ -4,9 +4,11 @@ import pytest
 
 import symcat.bimodel as bm
 import symcat.combinatorics as cb
+import symcat.heisenberg as hs
 
 
-KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, cb._inversions, cb.coset_rep)
+KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, bm.path_from_signature,
+                cb._inversions, cb.coset_rep, hs._with_part)
 
 
 def _clear_kernel_memos():

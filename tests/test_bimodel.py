@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symcat.bimodel as bm
+import symcat.heisenberg as hs
 import symcat.nilcoxeter as nx
 from symcat.combinatorics import (
     all_perms,
@@ -77,8 +78,11 @@ def test_path_from_signature():
     assert bm.path_from_signature('DU', 2).levels == (2, 3, 2)
     assert bm.path_from_signature('UD', 2).levels == (2, 1, 2)
     assert bm.path_from_signature('', 4).levels == (4,)
-    with pytest.raises(UnrealizableAtRank):
-        bm.path_from_signature('UDD', 1)
+    for _ in range(2):  # a raised error is not memoised
+        with pytest.raises(UnrealizableAtRank):
+            bm.path_from_signature('UDD', 1)
+        with pytest.raises(ValueError, match="bad signature symbol 'X'"):
+            bm.path_from_signature('UXD', 1)
     with pytest.raises(ValueError):
         bm.BimodulePath((2, 4))
 
@@ -498,6 +502,7 @@ def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_kernel_memos):
 def test_kernel_memos_are_bounded(fresh_kernel_memos):
     bm.verify_local_relation('braid', 2)
     nx.verify_bimodule_iso(3)
+    hs.heis_normalize(hs.parse_heisword('h2* h1* e1 e2'))
     for memo in KERNEL_MEMOS:
         info = memo.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize

@@ -85,6 +85,29 @@ def test_mackey_failure(fresh_kernel_memos, monkeypatch):
     assert all(set(e) == {'check', 'k', 'pass', 'detail'} for e in report)
 
 
+def test_mackey_catches_a_wrong_canonical_form(fresh_kernel_memos, monkeypatch):
+    bm.mackey_check(3)  # clean first: a canonical form kept across calls would hide the fault
+    true_canonicalize = bm.canonicalize
+    path = bm.path_from_signature('UD', 3)
+    target = bm.tensor_basis(path)[0]
+
+    def corrupted(p, elem):
+        # one basis tensor gets the reversed permutation in its free factor
+        out = true_canonicalize(p, elem)
+        if p == path and out == target:
+            return out[:-1] + (tuple(reversed(out[-1])),)
+        return out
+
+    monkeypatch.setattr(bm, 'canonicalize', corrupted)
+    message, report = _failure(bm.mackey_check, 3)
+    assert message == 'Mackey check fails at k = 3: m2-left-linear'
+    assert [(e['check'], e['pass']) for e in report] == [
+        ('dimension', True), ('m1-injective', True), ('m1-image-criterion', True),
+        ('m2-injective', True), ('images-disjoint', True), ('images-span', True),
+        ('m1-left-linear', True), ('m1-right-linear', True), ('m2-left-linear', False),
+        ('m2-right-linear', False), ('m2-well-defined', True)]
+
+
 def test_heis_relation_failure(monkeypatch):
     monkeypatch.setattr(hs, 'fock_apply', lambda a, f: 0 * f)
     message, report = _failure(hs.verify_heis_relation, 1, 1, 1)
@@ -138,6 +161,29 @@ def test_bimodule_iso_failure(monkeypatch):
     assert report[5] == {'check': 'images-span', 'n': 2, 'pass': True,
                          'detail': '2 + 2*2 = 6 (expect 6)'}
     assert all(set(e) == {'check', 'n', 'pass', 'detail'} for e in report)
+
+
+def test_bimodule_iso_catches_a_wrong_slide(monkeypatch):
+    nx.verify_bimodule_iso(3)  # clean first: a product kept across calls would hide the fault
+    true_product = nx.nc_product
+    identity, tau = (1, 2, 3), (3, 2, 1)
+
+    def corrupted(a, b):
+        # the slide u_rho u_tau with rho = 1 and tau the longest element comes out doubled;
+        # no other product of the check has these two factors
+        out = true_product(a, b)
+        if a.n == 3 and a.coeffs == {identity: 1} and b.coeffs == {tau: 1}:
+            return 2 * out
+        return out
+
+    monkeypatch.setattr(nx, 'nc_product', corrupted)
+    message, report = _failure(nx.verify_bimodule_iso, 3)
+    assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=3: "
+                       "m_2 commutes with the left action (well-defined over the tensor)")
+    assert [(e['check'], e['pass']) for e in report] == [
+        ('m1-injective', True), ('m2-basis-to-basis', True), ('m2-injective', True),
+        ('images-disjoint', True), ('m1-image-criterion', True), ('images-span', True),
+        ('m1-bimodule-map', True), ('m2-left-linear', False), ('m2-right-linear', True)]
 
 
 def test_weyl_squares_failure(monkeypatch):
