@@ -211,9 +211,9 @@ def verify_bimodule_iso(n, max_rank=5):
     for m_2 also exercises well-definedness over the tensor product).
 
     Every generator is checked on every basis tensor.  Within one call,
-    m2_image(i, tau), the pushed product u_j u_{r_i} in the free right basis
-    and the slide u_rho u_tau are each computed once, in per-call memos
-    dropped when the call returns.
+    m2_image(i, tau), the pushed product u_j u_{r_i} in the free right basis,
+    the slide u_rho u_tau and the right product u_tau u_j are each computed
+    once, in per-call memos dropped when the call returns.
 
     Raises VerificationFailure naming the first violated check; the full
     report rides on the exception.
@@ -317,13 +317,16 @@ def verify_bimodule_iso(n, max_rank=5):
     report.check('m2-left-linear', ok_left,
                  'm_2 commutes with the left action (well-defined over the tensor)')
 
+    @functools.cache  # memo for this call, like m2_image
+    def shifted(tau, j):
+        """u_tau u_j in N_n."""
+        return nc_product(NilcoxElem._new(n, {tau: 1}), gens[j - 1]).coeffs
+
     ok_right = True
     for j in range(1, n):
-        g = gens[j - 1]
         g_top = gens_top[j - 1]
         for i, tau in tensor_basis:
-            shifted = nc_product(NilcoxElem._new(n, {tau: 1}), g)
-            moved = {(i, tau2): c for tau2, c in shifted.coeffs.items()}
+            moved = {(i, tau2): c for tau2, c in shifted(tau, j).items()}
             if m2_linear(moved) != nc_product(m2_image(i, tau), g_top):
                 ok_right = False
     report.check('m2-right-linear', ok_right, 'm_2 commutes with the right action')

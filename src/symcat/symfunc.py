@@ -14,19 +14,21 @@ the n-strips of `_strips` (Macdonald, ch. I section 5), and `_skew`
 expands one Schur factor in h by Jacobi-Trudi (section 3) into Pieri
 chains; so products of e, h and s factors, `lr_coefficients` and
 `dual_apply` never touch m.  A product with a factor in p concatenates
-partitions in p; one with a factor in m stays an orbit-counted m product
-(`_m_mult_basis`), since m_lam is dense in s.
+partitions in p; one with a factor in m stays in m, since m_lam is dense in
+s: `_p_times` multiplies by p_n, which raises one part of m_lam by n, and
+`_m_mult_basis` reads one factor in p and applies it to the other.
 
 Basis changes read rows of the transition matrices M(X, Y) (section 6),
 each built once and cached by `_row`.  Read directly are s -> m (Kostka
 numbers, by peeling horizontal strips), e/h -> s (strips grown on s_()),
 s -> h (the Jacobi-Trudi determinant, which keeps `schur` fast at high
-degree), p -> m (products of parts), e <-> h (e_n = sum_i (-1)^(i-1) h_i
-e_(n-i), which omega turns into the same rule for h_n in e) and m -> s/e/p
-(each row solved from the row it inverts: s_lam and e_lam' are m_lam plus
-terms strictly lower in dominance order, p_lam a positive multiple of m_lam
-plus terms strictly higher, and the m rows of those terms are read back
-through `_row`).  Any other row composes two of these.
+degree), p -> m (`_p_times` on the row of lam less its last part), e <-> h
+(e_n = sum_i (-1)^(i-1) h_i e_(n-i), which omega turns into the same rule
+for h_n in e) and m -> s/e/p (each row solved from the row it inverts: s_lam
+and e_lam' are m_lam plus terms strictly lower in dominance order, p_lam a
+positive multiple of m_lam plus terms strictly higher, and the m rows of
+those terms are read back through `_row`).  Any other row composes two of
+these.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -63,7 +65,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from operator import sub
 
 from .combinatorics import (
@@ -75,7 +77,7 @@ from .combinatorics import (
     render_partition,
 )
 from .errors import InsufficientVariables, NonIntegralResult, ParseError
-from .linalg import LinComb, render_terms, scalar as _scalar, split_terms
+from .linalg import LinComb, common_denominator, render_terms, scalar as _scalar, split_terms
 
 __all__ = [
     'BASES',
@@ -211,54 +213,31 @@ def _sorted_items(acc):
                         key=lambda kv: partition_key(kv[0])))
 
 
-def _distinct_perms(pool):
-    """Distinct orderings of a multiset, as tuples.
+def _orbit_count(lam):
+    """Number of distinct orderings of the parts of lam (compositions sorting to lam)."""
+    out = math.factorial(len(lam))
+    for part in set(lam):
+        out //= math.factorial(lam.count(part))
+    return out
 
-    The most frequent value is written into every position; the copies of
-    each other value then go onto a combination of the positions still free,
-    so each ordering is built once, with a recursion as deep as the number
-    of distinct values.
+
+def _p_times(coeffs, parts):
+    """sum c m_lam over the items lam -> c of coeffs, times p_n for each part
+    n of parts: m_lam p_n raises one part value v of lam by n (v = 0 opens a
+    new part), and the m_nu so reached has the number of parts of nu equal
+    to v + n as its coefficient (Macdonald, ch. I sections 2 and 6).
+    Unchecked like `_pieri`.
     """
-    counts = {}
-    for x in pool:
-        counts[x] = counts.get(x, 0) + 1
-    if not counts:
-        yield ()
-        return
-    fill = max(counts, key=counts.get)
-    rest = [(x, k) for x, k in counts.items() if x != fill]
-    out = [fill] * len(pool)
-    if not rest:
-        yield tuple(out)
-        return
-
-    def rec(i, free):
-        x, k = rest[i]
-        last = i == len(rest) - 1
-        for chosen in combinations(free, k):
-            for pos in chosen:
-                out[pos] = x
-            if last:
-                yield tuple(out)
-            else:
-                yield from rec(i + 1, [pos for pos in free if out[pos] == fill])
-            for pos in chosen:
-                out[pos] = fill
-
-    yield from rec(0, range(len(pool)))
-
-
-def _orbit_count(lam, nvars):
-    """Number of distinct rearrangements of lam padded with zeros to nvars."""
-    if len(lam) > nvars:
-        return 0
-    denom = math.factorial(nvars - len(lam))
-    mult = {}
-    for p in lam:
-        mult[p] = mult.get(p, 0) + 1
-    for m in mult.values():
-        denom *= math.factorial(m)
-    return math.factorial(nvars) // denom
+    for n in parts:
+        out = {}
+        get = out.get
+        for lam, c in coeffs.items():
+            for v in dict.fromkeys(lam + (0,)):
+                i = lam.index(v) if v else len(lam)
+                nu = tuple(sorted(lam[:i] + (v + n,) + lam[i + 1:], reverse=True))
+                out[nu] = get(nu, 0) + c * nu.count(v + n)
+        coeffs = out
+    return coeffs
 
 
 _PAIR_CACHE = 1 << 12  # entries per memo keyed by a pair of partitions
@@ -266,32 +245,27 @@ _PAIR_CACHE = 1 << 12  # entries per memo keyed by a pair of partitions
 
 @lru_cache(maxsize=_PAIR_CACHE)
 def _m_mult_basis(lam, mu):
-    """m_lam * m_mu as sorted ((nu, coeff), ...) items, via orbit counting.
+    """m_lam * m_mu as sorted ((nu, coeff), ...) items, via powersums.
 
-    Counts pairs of rearrangements summing into each orbit: the coefficient
-    of m_nu equals R(lam) * #{beta rearranged from mu : sort(lam+beta) = nu}
-    / R(nu), computed in len(lam)+len(mu) variables where the expansion is
-    faithful.  This is the grouped-by-orbit form of the polynomial product.
-    Keeps up to _PAIR_CACHE (4096) pairs, more than the 3,132 ordered pairs
-    of total degree <= 12.
+    The factor with fewer parts, say mu, is read in p: its m -> p row lives
+    on the shapes that dominate mu, none longer than mu.  Cleared to ints
+    k_rho over one denominator D, it gives m_lam m_mu = sum k_rho m_lam p_rho
+    / D, each m_lam p_rho by `_p_times`, and D divides every coefficient
+    exactly (a remainder raises).  Keeps up to _PAIR_CACHE (4096) pairs,
+    more than the 3,132 ordered pairs of total degree <= 12; `verify-all`
+    at its defaults fills 40 of them.
     """
-    if _orbit_count(mu, len(lam) + len(mu)) > _orbit_count(lam, len(lam) + len(mu)):
+    if len(mu) > len(lam):
         lam, mu = mu, lam
-    nv = len(lam) + len(mu)
-    lam_pad = tuple(lam) + (0,) * (nv - len(lam))
-    counts = {}
-    for beta in _distinct_perms(tuple(mu) + (0,) * (nv - len(mu))):
-        nu = tuple(sorted((a + b for a, b in zip(lam_pad, beta)), reverse=True))
-        nu = tuple(x for x in nu if x)
-        counts[nu] = counts.get(nu, 0) + 1
-    r_lam = _orbit_count(lam, nv)
-    out = []
-    for nu, c in sorted(counts.items(), key=lambda kv: partition_key(kv[0])):
-        num = r_lam * c
-        den = _orbit_count(nu, nv)
-        assert num % den == 0
-        out.append((nu, num // den))
-    return tuple(out)
+    row = _row('m', 'p', mu)
+    nums, den = common_denominator(c for _, c in row)
+    out = {}
+    for (rho, _), k in zip(row, nums):
+        for nu, c in _p_times({lam: 1}, rho).items():
+            out[nu] = out.get(nu, 0) + k * c
+    if any(c % den for c in out.values()):
+        raise ArithmeticError(f'm{lam} m{mu}: a coefficient is not a multiple of {den}')
+    return _sorted_items({nu: c // den for nu, c in out.items()})
 
 
 def _m_mult_raw(a, b):
@@ -426,10 +400,8 @@ def _row(src, dst, lam):
                         out[(r,) + mu] = out.get((r,) + mu, 0) + k
         return _sorted_items(out)
     if (src, dst) == ('p', 'm'):
-        out = {(): 1}
-        for part in lam:
-            out = _m_mult_raw(out, {(part,): 1})
-        return _sorted_items(out)
+        prefix = dict(_row('p', 'm', lam[:-1])) if lam else {(): 1}
+        return _sorted_items(_p_times(prefix, lam[-1:]))
     if (src, dst) == ('s', 'h'):
         # det(h_{lam_i-i+j}), with an extra unit row and column; each of
         # the 2^n minors, expanded along its top row, is memoised on its
@@ -472,7 +444,7 @@ def _row(src, dst, lam):
         # and a longer lam multiplies the rows of its parts
         out = {(): 1}
         for n in lam:
-            out = _concat(out, {mu: (-1) ** (n - len(mu)) * _orbit_count(mu, len(mu))
+            out = _concat(out, {mu: (-1) ** (n - len(mu)) * _orbit_count(mu)
                                 for mu in partitions_of(n)})
         return _sorted_items(out)
     if src == 'm' and dst != 'h':
@@ -527,9 +499,10 @@ def multiply(f, g):
 
     The route follows the bases of the factors.  With a powersum factor the
     product is taken in p (partition concatenation), which keeps rational
-    powersum elements multipliable; with a monomial factor in m, by orbit
-    counting (`_m_mult_basis`), since m_lam is dense in s; otherwise in s,
-    by Jacobi-Trudi and Pieri (`_skew`).
+    powersum elements multipliable; with a monomial factor in m, where
+    `_m_mult_basis` reads one factor of each pair in p and raises the parts
+    of the other, since m_lam is dense in s; otherwise in s, by Jacobi-Trudi
+    and Pieri (`_skew`).
     """
     if f.basis == 'p' or g.basis == 'p':
         prod = _concat(convert(f, 'p').coeffs, convert(g, 'p').coeffs)

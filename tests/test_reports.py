@@ -186,6 +186,27 @@ def test_bimodule_iso_catches_a_wrong_slide(monkeypatch):
         ('m1-bimodule-map', True), ('m2-left-linear', False), ('m2-right-linear', True)]
 
 
+def test_bimodule_iso_catches_a_wrong_right_product(monkeypatch):
+    nx.verify_bimodule_iso(3)  # clean first: a product kept across calls would hide the fault
+    true_product = nx.nc_product
+    longest, u1 = nx.NilcoxElem(3, {(3, 2, 1): 1}), nx.nc_generator(1, 3)
+
+    def corrupted(a, b):
+        # u_w0 u_1 is 0, not u_w0; the slides and pushes of the check never form it,
+        # but m_1 compatibility multiplies the same two basis elements
+        out = true_product(a, b)
+        return out + longest if (a, b) == (longest, u1) else out
+
+    monkeypatch.setattr(nx, 'nc_product', corrupted)
+    message, report = _failure(nx.verify_bimodule_iso, 3)
+    assert message == ("bimodule decomposition check 'm1-bimodule-map' failed at n=3: "
+                       "m_1 commutes with both actions on generators")
+    assert [(e['check'], e['pass']) for e in report] == [
+        ('m1-injective', True), ('m2-basis-to-basis', True), ('m2-injective', True),
+        ('images-disjoint', True), ('m1-image-criterion', True), ('images-span', True),
+        ('m1-bimodule-map', False), ('m2-left-linear', True), ('m2-right-linear', False)]
+
+
 def test_weyl_squares_failure(monkeypatch):
     monkeypatch.setattr(nx, 'res_K', lambda v: nx.KVector(v.flavor, {}))
     message, report = _failure(nx.verify_weyl_squares, 2)

@@ -306,6 +306,28 @@ def test_multiply_against_polynomial_oracle():
         assert direct == via_polys
 
 
+def test_monomial_products_of_degree_6_to_8_match_the_dominant_oracle():
+    # every ordered pair of m basis elements above the product-oracle cap;
+    # in d variables, d the total degree, every m_nu of the product shows
+    for d in range(6, 9):
+        expanded = {lam: sf.monomial_expand(be(M, lam), d)
+                    for k in range(d + 1) for lam in partitions_of(k)}
+        for a in range(d + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(d - a):
+                    want = sf.dominant_product(expanded[lam], expanded[mu], (d,))
+                    got = sf.multiply(be(M, lam), be(M, mu))
+                    assert sf.dominant_expand(got, d) == want, (lam, mu)
+
+
+def test_powersum_to_monomial_rows_to_degree_10_match_the_definition():
+    # p_lam has at most l(lam) parts in each monomial
+    for d in range(11):
+        for lam in partitions_of(d):
+            assert dict(sf._row(P, M, lam)) == \
+                sf.dominant_expand(be(P, lam), max(len(lam), 1)), lam
+
+
 def test_multiply_commutative_and_degree_additive():
     f = sf.parse_symfunc('s[2,1] + s[1]')
     g = sf.parse_symfunc('2 e[2] + e[1,1]')
@@ -500,7 +522,7 @@ def test_monomial_expand_matches_definitions():
 
 
 _SYM_KERNELS = ('_row', '_strips', '_pieri', '_skew', '_m_mult_basis', '_m_mult_raw',
-                '_distinct_perms', 'convert', 'multiply')
+                '_p_times', 'convert', 'multiply')
 
 
 def _clear_symfunc_caches():
@@ -620,6 +642,32 @@ def test_product_oracle_catches_a_wrong_monomial_product(monkeypatch):
     monkeypatch.setattr(sf, '_m_mult_basis', corrupted)
     try:
         assert sf.multiply(be(M, (2,)), be(M, (1,))).coeffs == {(3,): 1, (2, 1): 2}
+        with pytest.raises(VerificationFailure):
+            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
+    finally:
+        monkeypatch.undo()
+        _clear_symfunc_caches()
+
+
+def test_product_oracle_catches_a_wrong_powersum_step(monkeypatch):
+    from symcat import cli
+    from symcat.errors import VerificationFailure
+
+    true_p_times = sf._p_times
+
+    def corrupted(coeffs, parts):
+        # m1 p1 is m2 + 2 m11, not m2 + m11
+        for n in parts:
+            out = true_p_times(coeffs, (n,))
+            if n == 1 and (1,) in coeffs:
+                out[(1, 1)] -= coeffs[(1,)]
+            coeffs = out
+        return coeffs
+
+    _clear_symfunc_caches()
+    monkeypatch.setattr(sf, '_p_times', corrupted)
+    try:
+        assert sf.multiply(be(M, (1,)), be(M, (1,))).coeffs == {(2,): 1, (1, 1): 1}
         with pytest.raises(VerificationFailure):
             cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
     finally:
