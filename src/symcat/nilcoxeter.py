@@ -1,13 +1,14 @@
 r"""Nilcoxeter algebras N_n, their induction/restriction bimodules, and K-theory.
 
 N_n has Z-basis {u_s : s in S_n} with u_s u_t = u_{st} when lengths add and 0
-otherwise; in particular u_i^2 = 0 for the generators u_i = u_{s_i}.  The
-module provides the algebra arithmetic, the explicit free right-module basis
-of N_{n+1} over N_n, a mechanical check of the bimodule decomposition
-N_{n+1} (x)_{N_{n-1}} ... behind the categorified relation d x = x d + 1, and
-the Grothendieck-group model: induction/restriction on classes of simples and
-projectives matches multiplication by x and differentiation d on the two
-polynomial lattices of the weyl module.
+otherwise (the one rule `_times`, None for 0); in particular u_i^2 = 0 for the
+generators u_i = u_{s_i}.  From that rule the module reads the algebra
+arithmetic, the action matrices and a mechanical check of the bimodule
+decomposition N_{n+1} = N_n (+) N_n (x)_{N_{n-1}} N_n behind the categorified
+relation d x = x d + 1, on the explicit free right-module basis of N_{n+1}
+over N_n.  It also holds the Grothendieck-group model: induction/restriction
+on classes of simples and projectives matches multiplication by x and
+differentiation d on the two polynomial lattices of the weyl module.
 
 >>> u1, u2 = nc_generator(1, 3), nc_generator(2, 3)
 >>> nc_product(u1, u1).is_zero()
@@ -18,7 +19,6 @@ True
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 
@@ -48,6 +48,7 @@ from .linalg import LinComb, matrix_rank, render_terms, split_terms
 from .weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement, weyl_apply
 
 __all__ = [
+    'MAX_RANK',
     'G_SIMPLES',
     'K_PROJECTIVES',
     'NilcoxElem',
@@ -116,8 +117,22 @@ def nc_generator(i, n):
     return NilcoxElem(n, {simple_transposition(i, n): 1})
 
 
+def _times(s, t):
+    """u_s u_t = u_{st} when l(st) = l(s) + l(t), else 0: st, or None for 0.
+
+    A None factor is 0 too, so products chain.
+
+    >>> _times((2, 1, 3), (1, 3, 2)), _times((2, 1, 3), (2, 1, 3))
+    ((2, 3, 1), None)
+    """
+    if s is None or t is None:
+        return None
+    st = perm_mult(s, t)
+    return st if perm_length(st) == perm_length(s) + perm_length(t) else None
+
+
 def nc_product(a, b):
-    """u_s u_t = u_{st} when l(st) = l(s) + l(t), else 0, extended bilinearly.
+    """The basis product rule `_times`, extended bilinearly.
 
     >>> nc_product(nc_generator(1, 3), nc_generator(1, 3)).is_zero()
     True
@@ -125,12 +140,10 @@ def nc_product(a, b):
     if a.n != b.n:
         raise RankMismatch(f'cannot multiply N_{a.n} by N_{b.n}')
     out = {}
-    right = [(tau, c2, perm_length(tau)) for tau, c2 in b.coeffs.items()]
     for sigma, c1 in a.coeffs.items():
-        ls = perm_length(sigma)
-        for tau, c2, lt in right:
-            st = perm_mult(sigma, tau)
-            if perm_length(st) == ls + lt:
+        for tau, c2 in b.coeffs.items():
+            st = _times(sigma, tau)
+            if st is not None:
                 out[st] = out.get(st, 0) + c1 * c2
     return NilcoxElem._new(a.n, out)
 
@@ -187,21 +200,14 @@ def x_right_basis(n):
             for i in range(n + 1, 0, -1)]
 
 
-def _factor_right(elem):
-    """Write an element of N_m in the free right N_{m-1}-basis.
-
-    Returns a map (i, sigma') -> coeff with u_s = u_{r_i} u_{sigma'},
-    sigma' in S_{m-1}; the coset factorization is always length-additive.
-    """
-    out = {}
-    for sigma, c in elem.coeffs.items():
-        i, rest = coset_decompose(sigma)
-        key = (i, rest)
-        out[key] = out.get(key, 0) + c
-    return out
+# Ceiling checked before any work, timed on a 2-core VM: verify_bimodule_iso(5)
+# takes 25-50 ms in process.  Rank 6 takes 0.60-0.67 s, but it looks up the
+# lengths of all 7! = 5040 permutations of rank 7, more than the 4096 that
+# combinatorics keeps, so the ceiling stays at 5.
+MAX_RANK = 5
 
 
-def verify_bimodule_iso(n, max_rank=5):
+def verify_bimodule_iso(n):
     """Check N_{n+1} = m_1(N_n) (+) m_2(N_n (x)_{N_{n-1}} N_n) explicitly.
 
     m_1 is the unit inclusion and m_2(a (x) b) = a u_n b.  The report covers
@@ -210,53 +216,38 @@ def verify_bimodule_iso(n, max_rank=5):
     compatibility with the left and right N_n-actions on generators (which
     for m_2 also exercises well-definedness over the tensor product).
 
-    Every generator is checked on every basis tensor.  Within one call,
-    m2_image(i, tau), the pushed product u_j u_{r_i} in the free right basis,
-    the slide u_rho u_tau and the right product u_tau u_j are each computed
-    once, in per-call memos dropped when the call returns.
+    A product of basis elements is a basis element or 0 (`_times`), so the
+    check runs on permutations with None for 0, as bimodel.mackey_check does
+    for the group algebra.  Every generator is checked on every basis tensor.
 
     Raises VerificationFailure naming the first violated check; the full
     report rides on the exception.
     """
-    if not 1 <= n <= max_rank:
-        raise BoundExceeded(f'rank {n} outside verified range 1..{max_rank}')
+    if not 1 <= n <= MAX_RANK:
+        raise BoundExceeded(f'rank {n} outside verified range 1..{MAX_RANK}')
     report = Report(n=n)
     m = n + 1
     sn = list(all_perms(n))
-    u_n_top = nc_generator(n, m)
-
-    def m1(elem):
-        return NilcoxElem._new(m, {perm_extend(s, m): c for s, c in elem.coeffs.items()})
+    m1 = {s: perm_extend(s, m) for s in sn}
+    m1_images = set(m1.values())
+    report.check('m1-injective', len(m1_images) == len(sn),
+                 f'{len(m1_images)} distinct images of {len(sn)} basis vectors')
 
     # free basis of the tensor square: (i, tau) with b_i = u_{r_i} in N_n
     # running over x_right_basis(n-1) and tau over S_n
     tensor_basis = [(i, tau) for i in range(n, 0, -1) for tau in sn]
-
-    @functools.cache  # memo for this call; NilcoxElem is immutable, so sharing is safe
-    def m2_image(i, tau):
-        left = NilcoxElem._new(m, {perm_extend(coset_rep(i, n), m): 1})
-        right = NilcoxElem._new(m, {perm_extend(tau, m): 1})
-        return nc_product(left, nc_product(u_n_top, right))
-
-    m1_images = {next(iter(m1(NilcoxElem._new(n, {s: 1})).coeffs)) for s in sn}
-    report.check('m1-injective', len(m1_images) == len(sn),
-                 f'{len(m1_images)} distinct images of {len(sn)} basis vectors')
-
-    m2_images = {}
-    single = True
-    for i, tau in tensor_basis:
-        img = m2_image(i, tau)
-        if len(img.coeffs) != 1 or set(img.coeffs.values()) != {1}:
-            single = False
-            break
-        m2_images[(i, tau)] = next(iter(img.coeffs))
+    u_n_top = simple_transposition(n, m)
+    m2 = {(i, tau): _times(m1[coset_rep(i, n)], _times(u_n_top, m1[tau]))
+          for i, tau in tensor_basis}
+    images = list(m2.values())
+    single = None not in images  # else the image checks read the tensors before the first 0
+    m2_images = set(images if single else images[:images.index(None)])
     report.check('m2-basis-to-basis', single,
                  'every basis tensor maps to a single u_sigma with coefficient 1')
-    report.check('m2-injective', single and len(set(m2_images.values())) == len(tensor_basis),
-                 f'{len(set(m2_images.values()))} distinct images of '
-                 f'{len(tensor_basis)} tensors')
+    report.check('m2-injective', single and len(m2_images) == len(tensor_basis),
+                 f'{len(m2_images)} distinct images of {len(tensor_basis)} tensors')
 
-    overlap = m1_images & set(m2_images.values())
+    overlap = m1_images & m2_images
     report.check('images-disjoint', single and not overlap,
                  f'{len(overlap)} common basis vectors')
 
@@ -264,71 +255,34 @@ def verify_bimodule_iso(n, max_rank=5):
     report.check('m1-image-criterion', m1_images == fixed_top,
                  'u_sigma lies in the m_1 image exactly when sigma fixes the top letter')
 
-    total = len(m1_images) + len(set(m2_images.values()))
-    spanned = single and (m1_images | set(m2_images.values())) == set(all_perms(m))
+    total = len(m1_images) + len(m2_images)
+    spanned = single and (m1_images | m2_images) == set(all_perms(m))
     report.check('images-span', spanned and total == math.factorial(m),
                  f'{math.factorial(n)} + {n}*{math.factorial(n)} = {total} '
                  f'(expect {math.factorial(m)})')
 
-    gens = [nc_generator(j, n) for j in range(1, n)]
-    gens_top = [nc_generator(j, m) for j in range(1, n)]
-
-    ok_m1 = True
-    for g, g_top in zip(gens, gens_top):
-        for s in sn:
-            e = NilcoxElem._new(n, {s: 1})
-            if m1(nc_product(g, e)) != nc_product(g_top, m1(e)):
-                ok_m1 = False
-            if m1(nc_product(e, g)) != nc_product(m1(e), g_top):
-                ok_m1 = False
+    gens = [simple_transposition(j, n) for j in range(1, n)]
+    ok_m1 = all(m1.get(_times(g, s)) == _times(m1[g], m1[s])
+                and m1.get(_times(s, g)) == _times(m1[s], m1[g])
+                for g in gens for s in sn)
     report.check('m1-bimodule-map', ok_m1, 'm_1 commutes with both actions on generators')
 
-    def m2_linear(tensor_coeffs):
-        out = {}
-        for (i, tau), c in tensor_coeffs.items():
-            for sigma, c2 in m2_image(i, tau).coeffs.items():
-                out[sigma] = out.get(sigma, 0) + c * c2
-        return NilcoxElem._new(m, out)
+    # left action: u_j u_{r_i} = u_{r_i'} u_rho with rho in S_{n-1}, and rho
+    # slides through the tensor onto tau; a zero slide is no key of m2, so 0
+    def left(g, i, tau):
+        pushed = _times(g, coset_rep(i, n))
+        if pushed is None:
+            return None
+        i2, rho = coset_decompose(pushed)
+        return m2.get((i2, _times(perm_extend(rho, n), tau)))
 
-    @functools.cache  # memo for this call, like m2_image
-    def pushed(j, i):
-        """u_j u_{r_i} = sum u_{r_i'} u_{rho}, in the free right basis."""
-        return _factor_right(nc_product(gens[j - 1], NilcoxElem._new(n, {coset_rep(i, n): 1})))
-
-    @functools.cache  # memo for this call, like m2_image
-    def slide(rho, tau):
-        """u_rho u_tau, rho in S_{n-1} read inside N_n."""
-        return nc_product(NilcoxElem._new(n, {perm_extend(rho, n): 1}),
-                          NilcoxElem._new(n, {tau: 1})).coeffs
-
-    ok_left = True
-    for j in range(1, n):
-        g_top = gens_top[j - 1]
-        for i, tau in tensor_basis:
-            # push u_j across the free basis, then the N_{n-1} factor rho
-            # slides through the tensor onto tau
-            moved = {}
-            for (i2, rho), c in pushed(j, i).items():
-                for tau2, c2 in slide(rho, tau).items():
-                    key = (i2, tau2)
-                    moved[key] = moved.get(key, 0) + c * c2
-            if m2_linear(moved) != nc_product(g_top, m2_image(i, tau)):
-                ok_left = False
+    ok_left = all(left(g, i, tau) == _times(m1[g], m2[i, tau])
+                  for g in gens for i, tau in tensor_basis)
     report.check('m2-left-linear', ok_left,
                  'm_2 commutes with the left action (well-defined over the tensor)')
 
-    @functools.cache  # memo for this call, like m2_image
-    def shifted(tau, j):
-        """u_tau u_j in N_n."""
-        return nc_product(NilcoxElem._new(n, {tau: 1}), gens[j - 1]).coeffs
-
-    ok_right = True
-    for j in range(1, n):
-        g_top = gens_top[j - 1]
-        for i, tau in tensor_basis:
-            moved = {(i, tau2): c for tau2, c in shifted(tau, j).items()}
-            if m2_linear(moved) != nc_product(m2_image(i, tau), g_top):
-                ok_right = False
+    ok_right = all(m2.get((i, _times(tau, g))) == _times(m2[i, tau], m1[g])
+                   for g in gens for i, tau in tensor_basis)
     report.check('m2-right-linear', ok_right, 'm_2 commutes with the right action')
     return report.close(('bimodule decomposition check {check!r} failed at n={n}: '
                          '{detail}').format_map)
@@ -384,7 +338,8 @@ def _ind_multiplicity(flavor, n):
         return rank * 1
     dim_ind = rank * math.factorial(n)
     mult, rem = divmod(dim_ind, math.factorial(n + 1))
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f'dim Ind N_{n} = {dim_ind} is not a multiple of {n + 1}!')
     return mult
 
 
@@ -428,21 +383,12 @@ def k_pairing(a, b):
 def regular_action_matrices(n):
     """Left-multiplication matrices of the generators u_i on the u_sigma basis.
 
-    Basis order is all_perms(n); entry [r][c] is the coefficient of basis
-    vector r in u_i * (basis vector c).
+    Basis order is all_perms(n); entry [r][c] is 1 when u_i times basis
+    vector c is basis vector r, else 0.
     """
     basis = list(all_perms(n))
-    index = {s: k for k, s in enumerate(basis)}
-    mats = []
-    for i in range(1, n):
-        g = nc_generator(i, n)
-        mat = [[0] * len(basis) for _ in basis]
-        for c, s in enumerate(basis):
-            img = nc_product(g, NilcoxElem._new(n, {s: 1}))
-            for t, coeff in img.coeffs.items():
-                mat[index[t]][c] = coeff
-        mats.append(mat)
-    return mats
+    images = [[_times(simple_transposition(i, n), s) for s in basis] for i in range(1, n)]
+    return [[[int(t == r) for t in row] for r in basis] for row in images]
 
 
 def simple_action_matrices(n):

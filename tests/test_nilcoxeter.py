@@ -17,6 +17,7 @@ from symcat.combinatorics import (
     perm_extend,
     perm_length,
     perm_mult,
+    reduced_word,
 )
 from symcat.errors import (
     BoundExceeded,
@@ -158,9 +159,29 @@ def test_bimodule_iso_dimension_identity():
 
 def test_bimodule_iso_bound():
     with pytest.raises(BoundExceeded):
+        nx.verify_bimodule_iso(6)
+    with pytest.raises(BoundExceeded):
         nx.verify_bimodule_iso(7)
     with pytest.raises(BoundExceeded):
         nx.verify_bimodule_iso(0)
+
+
+def test_basis_product_rule_matches_word_rewriting():
+    # every ordered pair in S_1..S_4: _times against the string-rewriting oracle
+    for n in range(1, 5):
+        for s in all_perms(n):
+            for t in all_perms(n):
+                expect = nx.nc_word_eval(reduced_word(s) + reduced_word(t), n)
+                st = nx._times(s, t)
+                assert expect == (nx.NilcoxElem(n, {}) if st is None
+                                  else nx.NilcoxElem(n, {st: 1}))
+
+
+def test_ind_multiplicity_rejects_a_wrong_basis_length(monkeypatch):
+    # a free basis of length 2 gives dim Ind N_2 = 4, not a multiple of 3! = 6
+    monkeypatch.setattr(nx, 'x_right_basis', lambda n: [nx.nc_unit(n + 1)] * 2)
+    with pytest.raises(ArithmeticError):
+        nx.ind_K(nx.projective_class(2))
 
 
 def test_ind_res_examples():

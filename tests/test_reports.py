@@ -150,7 +150,8 @@ def test_weak_fock_failure(monkeypatch):
 
 
 def test_bimodule_iso_failure(monkeypatch):
-    monkeypatch.setattr(nx, '_factor_right', lambda elem: {})
+    # every push u_j u_{r_i} splits with r_n = 1 and rho = 1, so the left tensor factor is lost
+    monkeypatch.setattr(nx, 'coset_decompose', lambda w: (len(w), tuple(range(1, len(w)))))
     message, report = _failure(nx.verify_bimodule_iso, 2)
     assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=2: "
                        "m_2 commutes with the left action (well-defined over the tensor)")
@@ -165,18 +166,14 @@ def test_bimodule_iso_failure(monkeypatch):
 
 def test_bimodule_iso_catches_a_wrong_slide(monkeypatch):
     nx.verify_bimodule_iso(3)  # clean first: a product kept across calls would hide the fault
-    true_product = nx.nc_product
-    identity, tau = (1, 2, 3), (3, 2, 1)
+    true_times = nx._times
 
-    def corrupted(a, b):
-        # the slide u_rho u_tau with rho = 1 and tau the longest element comes out doubled;
+    def corrupted(s, t):
+        # the slide u_rho u_tau with rho = 1 and tau the longest element comes out 0;
         # no other product of the check has these two factors
-        out = true_product(a, b)
-        if a.n == 3 and a.coeffs == {identity: 1} and b.coeffs == {tau: 1}:
-            return 2 * out
-        return out
+        return None if (s, t) == ((1, 2, 3), (3, 2, 1)) else true_times(s, t)
 
-    monkeypatch.setattr(nx, 'nc_product', corrupted)
+    monkeypatch.setattr(nx, '_times', corrupted)
     message, report = _failure(nx.verify_bimodule_iso, 3)
     assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=3: "
                        "m_2 commutes with the left action (well-defined over the tensor)")
@@ -188,16 +185,15 @@ def test_bimodule_iso_catches_a_wrong_slide(monkeypatch):
 
 def test_bimodule_iso_catches_a_wrong_right_product(monkeypatch):
     nx.verify_bimodule_iso(3)  # clean first: a product kept across calls would hide the fault
-    true_product = nx.nc_product
-    longest, u1 = nx.NilcoxElem(3, {(3, 2, 1): 1}), nx.nc_generator(1, 3)
+    true_times = nx._times
+    longest, u1 = (3, 2, 1), (2, 1, 3)
 
-    def corrupted(a, b):
+    def corrupted(s, t):
         # u_w0 u_1 is 0, not u_w0; the slides and pushes of the check never form it,
         # but m_1 compatibility multiplies the same two basis elements
-        out = true_product(a, b)
-        return out + longest if (a, b) == (longest, u1) else out
+        return longest if (s, t) == (longest, u1) else true_times(s, t)
 
-    monkeypatch.setattr(nx, 'nc_product', corrupted)
+    monkeypatch.setattr(nx, '_times', corrupted)
     message, report = _failure(nx.verify_bimodule_iso, 3)
     assert message == ("bimodule decomposition check 'm1-bimodule-map' failed at n=3: "
                        "m_1 commutes with both actions on generators")
@@ -205,6 +201,26 @@ def test_bimodule_iso_catches_a_wrong_right_product(monkeypatch):
         ('m1-injective', True), ('m2-basis-to-basis', True), ('m2-injective', True),
         ('images-disjoint', True), ('m1-image-criterion', True), ('images-span', True),
         ('m1-bimodule-map', False), ('m2-left-linear', True), ('m2-right-linear', False)]
+
+
+def test_bimodule_iso_catches_a_tensor_sent_to_zero(monkeypatch):
+    true_times = nx._times
+
+    def corrupted(s, t):
+        # u_2 u_{(2,1,3)} in N_3 comes out 0, so m_2 sends the tensor (2, (2,1)) to 0;
+        # the image checks count only the one image formed before it
+        return None if (s, t) == ((1, 3, 2), (2, 1, 3)) else true_times(s, t)
+
+    monkeypatch.setattr(nx, '_times', corrupted)
+    message, report = _failure(nx.verify_bimodule_iso, 2)
+    assert message == ("bimodule decomposition check 'm2-basis-to-basis' failed at n=2: "
+                       "every basis tensor maps to a single u_sigma with coefficient 1")
+    assert [(e['check'], e['pass']) for e in report] == [
+        ('m1-injective', True), ('m2-basis-to-basis', False), ('m2-injective', False),
+        ('images-disjoint', False), ('m1-image-criterion', True), ('images-span', False),
+        ('m1-bimodule-map', True), ('m2-left-linear', True), ('m2-right-linear', False)]
+    assert report[2]['detail'] == '1 distinct images of 4 tensors'
+    assert report[5]['detail'] == '2 + 2*2 = 3 (expect 6)'
 
 
 def test_weyl_squares_failure(monkeypatch):
