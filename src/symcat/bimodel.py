@@ -39,6 +39,7 @@ from .combinatorics import (
     perm_length,
     perm_mult,
     render_permutation,
+    right_composer,
     transposition,
 )
 from .diagcat import Diagram, Morphism, compose, parse_diagram
@@ -112,7 +113,8 @@ def ga_perm(w):
 
 
 def ga_product(a, b):
-    """Linear extension of group multiplication, on int numerators over the LCMs.
+    """Linear extension of group multiplication, on int numerators over the LCMs;
+    each right factor v is composed through its `right_composer`, built once.
 
     >>> s1 = ga_perm((2, 1))
     >>> ga_product(s1, s1) == ga_unit(2)
@@ -122,10 +124,11 @@ def ga_product(a, b):
         raise RankMismatch('group-algebra ranks differ')
     a_nums, a_den = common_denominator(a.coeffs.values())
     b_nums, b_den = common_denominator(b.coeffs.values())
+    right = [(right_composer(v), cv) for v, cv in zip(b.coeffs, b_nums)]
     out = {}
     for u, cu in zip(a.coeffs, a_nums):
-        for v, cv in zip(b.coeffs, b_nums):
-            w = perm_mult(u, v)
+        for times_v, cv in right:
+            w = times_v(u)
             out[w] = out.get(w, 0) + cu * cv
     den = a_den * b_den
     return GroupAlgElem._new(a.n, out if den == 1 else
@@ -150,13 +153,15 @@ def render_groupalg(a):
 
 
 def right_mult_matrix(a):
-    """Dense matrix of x -> x*a on A_n over the permutation basis."""
+    """Dense matrix of x -> x*a on A_n over the permutation basis, filled one
+    term v of a at a time through its `right_composer` (v -> u*v is injective)."""
     basis = list(all_perms(a.n))
     index = {w: i for i, w in enumerate(basis)}
     rows = [[0] * len(basis) for _ in basis]
-    for row, u in zip(rows, basis):
-        for v, c in a.coeffs.items():
-            row[index[perm_mult(u, v)]] = c  # v -> u*v is injective
+    for v, c in a.coeffs.items():
+        times_v = right_composer(v)
+        for row, u in zip(rows, basis):
+            row[index[times_v(u)]] = c
     return rows
 
 

@@ -601,16 +601,27 @@ def _case_heis_confluence(rng, samples, max_len, max_index):
 
 def _case_heis_faithful(rng, max_bidegree, max_state):
     small = [lam for d in range(max_bidegree + 1) for lam in cb.partitions_of(d)]
-    inputs = [sf.basis_element('s', lam)
-              for d in range(max_state + 1) for lam in cb.partitions_of(d)]
+    states = [lam for d in range(max_state + 1) for lam in cb.partitions_of(d)]
+    inputs = [sf.basis_element('s', lam) for lam in states]
+    # e_lam h_mu* s_nu = e_lam (h_mu* s_nu): lower each state once per mu, raise
+    # each once per lam (h_()* lowers none, so all are reached), sum the images
+    lowered = {mu: [hs.fock_apply_schur(hs.heis_hstar(mu), f).coeffs for f in inputs] for mu in small}
     seen = {}
     for lam in small:
+        e_lam = hs.heis_e(lam)
+        raised = {kappa: hs.fock_apply_schur(e_lam, f).coeffs for kappa, f in zip(states, inputs)}
         for mu in small:
-            elem = hs.HeisNormal({(lam, mu): 1})
-            # flat (partition, coefficient, ...) runs: as exact as the sorted
-            # items, without one pair object per term held in `seen`
-            fingerprint = tuple(tuple(itertools.chain.from_iterable(sorted(
-                hs.fock_apply_schur(elem, f).coeffs.items()))) for f in inputs)
+            fingerprint = []
+            for state in lowered[mu]:
+                out = {}
+                for kappa, c in state.items():
+                    for nu, k in raised[kappa].items():
+                        out[nu] = out.get(nu, 0) + c * k
+                # flat (partition, coefficient, ...) runs: as exact as the
+                # sorted items, without one pair object per term held in `seen`
+                fingerprint.append(tuple(itertools.chain.from_iterable(sorted(
+                    (nu, c) for nu, c in out.items() if c))))
+            fingerprint = tuple(fingerprint)
             if fingerprint in seen:
                 raise VerificationFailure(
                     f'basis operators {seen[fingerprint]} and {(lam, mu)} act identically')

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ParseError
 
@@ -38,13 +39,13 @@ __all__ = [
     'identity_perm',
     'is_permutation',
     'perm_mult',
+    'right_composer',
     'perm_inverse',
     'perm_length',
     'perm_extend',
     'transposition',
     'simple_transposition',
     'all_perms',
-    'descents',
     'word_eval',
     'is_reduced',
     'reduced_word',
@@ -215,6 +216,12 @@ def perm_mult(u, v) -> tuple:
     return tuple([u[j - 1] for j in v])
 
 
+def right_composer(v):
+    """u -> perm_mult(u, v) for a fixed v, built once to compose many u of its rank."""
+    # itemgetter of one index returns a scalar and of none raises
+    return itemgetter(*[j - 1 for j in v]) if len(v) > 1 else tuple
+
+
 def perm_inverse(w) -> tuple:
     """Inverse permutation.
 
@@ -288,15 +295,6 @@ def all_perms(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
-def descents(w):
-    """Positions i with w(i) > w(i+1).
-
-    >>> descents((3, 2, 1))
-    [1, 2]
-    """
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-
-
 ###################
 # generator words #
 ###################
@@ -305,7 +303,8 @@ def word_eval(word, n: int) -> tuple:
     """Evaluate a word in the simple transpositions s_1..s_{n-1} of S_n.
 
     Letters are 1-based and multiply left to right as written:
-    word [i1, i2, ..., ik] gives s_{i1} ∘ s_{i2} ∘ ... ∘ s_{ik}.
+    word [i1, i2, ..., ik] gives s_{i1} ∘ s_{i2} ∘ ... ∘ s_{ik}: letter i swaps
+    positions i and i + 1 of the one-line form, in place.
 
     >>> word_eval([], 3)
     (1, 2, 3)
@@ -314,12 +313,12 @@ def word_eval(word, n: int) -> tuple:
     >>> word_eval([1, 2, 1], 3) == word_eval([2, 1, 2], 3)
     True
     """
-    w = identity_perm(n)
+    w = list(range(1, n + 1))
     for letter in word:
         if not 1 <= letter <= n - 1:
             raise ValueError(f'letter {letter} out of range for S_{n}')
-        w = perm_mult(w, simple_transposition(letter, n))
-    return w
+        w[letter - 1], w[letter] = w[letter], w[letter - 1]
+    return tuple(w)
 
 
 def is_reduced(word, n: int) -> bool:
@@ -338,7 +337,8 @@ def reduced_word(w) -> list:
 
     Deterministic: at each step the smallest i whose value i+1 precedes i in
     one-line form (a left descent) is recorded and s_i stripped from the left,
-    so the word accumulates in reading order.
+    so the word accumulates in reading order.  Stripping s_i swaps entries i
+    and i+1 of the inverse in place, so the next descent is at i-1 or later.
 
     >>> reduced_word((1, 2, 3))
     []
@@ -347,18 +347,16 @@ def reduced_word(w) -> list:
     >>> all(word_eval(reduced_word(w), 4) == w for w in all_perms(4))
     True
     """
-    w = tuple(w)
-    n = len(w)
+    pos = list(perm_inverse(w))
     word = []
-    while True:
-        pos = perm_inverse(w)
-        left_descents = [i for i in range(1, n) if pos[i] < pos[i - 1]]
-        if not left_descents:
-            break
-        i = left_descents[0]
-        word.append(i)
-        # strip s_i from the left: w = s_i * rest, so rest = s_i * w
-        w = perm_mult(simple_transposition(i, n), w)
+    i = 1
+    while i < len(pos):
+        if pos[i] < pos[i - 1]:
+            word.append(i)
+            pos[i - 1], pos[i] = pos[i], pos[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
     return word
 
 

@@ -396,6 +396,23 @@ def test_ga_product_matches_fraction_double_loop():
                 assert bm.ga_product(a, b).coeffs == naive_ga_product(a, b)
 
 
+def naive_right_mult_matrix(a):
+    """Oracle: row u holds the coefficients of u*a from `naive_ga_product`."""
+    basis = list(all_perms(a.n))
+    return [[naive_ga_product(bm.ga_perm(u), a).get(w, 0) for w in basis] for u in basis]
+
+
+def test_group_algebra_kernels_match_the_oracles_from_rank_zero():
+    # at ranks 0 and 1 a right factor composes through `tuple`, not itemgetter
+    for n in range(5):
+        elems = [bm.GroupAlgElem(n, {}), Fraction(-2, 3) * bm.ga_unit(n),
+                 bm.symmetrizer(n), bm.antisymmetrizer(n), bm.ga_perm(list(all_perms(n))[-1])]
+        for a in elems:
+            assert bm.right_mult_matrix(a) == naive_right_mult_matrix(a)
+            for b in elems:
+                assert bm.ga_product(a, b).coeffs == naive_ga_product(a, b)
+
+
 def test_group_algebra_coefficients_are_int_first():
     a = bm.GroupAlgElem(2, {(1, 2): Fraction(4, 2), (2, 1): Fraction(1, 3)})
     assert type(a.coeffs[(1, 2)]) is int

@@ -26,6 +26,7 @@ from symcat.combinatorics import (
     reduced_word,
     render_partition,
     render_permutation,
+    right_composer,
     simple_transposition,
     word_eval,
 )
@@ -125,6 +126,51 @@ def test_reduced_word_round_trip():
             assert word_eval(word, n) == w
             assert len(word) == perm_length(w)
             assert is_reduced(word, n)
+
+
+def perm_mult_word_eval(word, n):
+    """Oracle: compose s_i on the right, one `perm_mult` per letter."""
+    w = identity_perm(n)
+    for letter in word:
+        w = perm_mult(w, simple_transposition(letter, n))
+    return w
+
+
+def perm_mult_reduced_word(w):
+    """Oracle: recompute the inverse and strip the leftmost left descent
+    s_i with `perm_mult`, one letter at a time."""
+    n = len(w)
+    word = []
+    while True:
+        pos = perm_inverse(w)
+        left_descents = [i for i in range(1, n) if pos[i] < pos[i - 1]]
+        if not left_descents:
+            return word
+        word.append(left_descents[0])
+        w = perm_mult(simple_transposition(left_descents[0], n), w)
+
+
+def test_in_place_words_match_the_perm_mult_definitions():
+    for n in range(8):
+        for w in all_perms(n):
+            word = reduced_word(w)
+            assert word == perm_mult_reduced_word(w)
+            # a non-reduced word too: the letters again, reversed
+            for letters in (word, word + word[::-1]):
+                assert word_eval(letters, n) == perm_mult_word_eval(letters, n)
+
+
+@pytest.mark.parametrize('letter, n', [(0, 3), (3, 3), (0, 0), (1, 1), (-1, 4)])
+def test_word_eval_rejects_a_letter_out_of_range(letter, n):
+    with pytest.raises(ValueError, match=rf'^letter {letter} out of range for S_{n}$'):
+        word_eval([1, letter] if n > 1 else [letter], n)
+
+
+def test_right_composer_is_perm_mult_on_the_right():
+    for n in range(5):
+        for v in all_perms(n):
+            times_v = right_composer(v)
+            assert all(times_v(u) == perm_mult(u, v) for u in all_perms(n))
 
 
 def test_longest_element_s3():

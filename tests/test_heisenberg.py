@@ -337,6 +337,27 @@ def test_faithfulness_spot_check():
     assert len(fingerprints) == len(small) ** 2
 
 
+@pytest.mark.parametrize('grow, message', [
+    (False, 'basis operators ((), (2,)) and ((), (1, 1)) act identically'),
+    (True, 'basis operators ((2,), ()) and ((1, 1), ()) act identically'),
+])
+def test_faithfulness_case_catches_a_misread_part(monkeypatch, grow, message):
+    # h_2* (grow False) or e_2 (grow True) applied as two steps of size 1;
+    # the messages are those of a sweep that applies each e_lam h_mu* whole
+    from symcat import cli
+    true_pieri = hs._pieri
+
+    def misread(coeffs, parts, grow_, vertical=False):
+        if parts == (2,) and grow_ == grow:
+            parts = (1, 1)
+        return true_pieri(coeffs, parts, grow_, vertical)
+
+    monkeypatch.setattr(hs, '_pieri', misread)
+    with pytest.raises(VerificationFailure) as info:
+        cli._case_heis_faithful(None, 4, 8)
+    assert str(info.value) == message
+
+
 def test_word_literals():
     w = word('e3 h2* e1')
     assert w.letters == (('e', 3), ('h*', 2), ('e', 1))
