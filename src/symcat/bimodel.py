@@ -72,6 +72,7 @@ __all__ = [
     'diagram_to_map',
     'matrix_text',
     'verify_local_relation',
+    'verify_local_relations',
     'LOCAL_RELATIONS',
     'MAX_LEVEL',
     'MAX_K',
@@ -614,6 +615,12 @@ def verify_local_relation(rel, n, max_level=3):
                                          'left curl acts as 0'))
     return report.close(
         'local relation {relation!r} fails at level {level}: {detail}'.format_map)
+
+
+def verify_local_relations(relations, max_level):
+    """The entries of verify_local_relation for each family at levels 0..max_level."""
+    return [entry for rel in relations for level in range(max_level + 1)
+            for entry in verify_local_relation(rel, level, max_level=max_level)]
 
 
 def compose_morphisms(lower_text, upper_text):

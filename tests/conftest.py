@@ -7,8 +7,8 @@ import symcat.combinatorics as cb
 import symcat.heisenberg as hs
 
 
-KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, bm.path_from_signature,
-                cb._inversions, cb.coset_rep, hs._with_part)
+KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, bm.path_from_signature, bm._mn_character,
+                cb._inversions, cb.coset_rep, hs._with_part, hs._hstar_past_e)
 
 
 def _clear_kernel_memos():
@@ -18,7 +18,7 @@ def _clear_kernel_memos():
 
 @pytest.fixture
 def fresh_kernel_memos():
-    """Clear the permutation and slice-step memos before and after a test;
+    """Clear the kernel memos (KERNEL_MEMOS) before and after a test;
     the fixture's value clears them again when called.
 
     A test that monkeypatches a kernel these memos read (such as

@@ -258,9 +258,9 @@ def test_local_relation_level_ceiling():
     assert bm.MAX_LEVEL == 4
     with pytest.raises(BoundExceeded, match='outside 0..4'):
         bm.verify_local_relation('up-double', bm.MAX_LEVEL + 1, max_level=9)
-    from symcat import cli
+    from symcat import cases
     with pytest.raises(BoundExceeded):
-        cli._case_bm_local_relations(random.Random(0), max_level=bm.MAX_LEVEL + 1)
+        cases.run_case('bimodel/local-relations', max_level=bm.MAX_LEVEL + 1)
 
 
 def test_mackey_check():
@@ -494,11 +494,11 @@ def _fresh_walk(m, base):
 
 
 def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_kernel_memos):
-    from symcat import cli
+    from symcat import cases
     rng = random.Random(16)
     compared = 0
     for _ in range(60):
-        m = Morphism.from_diagram(cli._random_diagram(rng, max_sig=3, max_slices=4))
+        m = Morphism.from_diagram(cases.random_diagram(rng, max_sig=3, max_slices=4))
         base = rng.randint(0, 2)
         try:
             memoised = bm.diagram_to_map(m, base)
@@ -520,6 +520,7 @@ def test_kernel_memos_are_bounded(fresh_kernel_memos):
     bm.verify_local_relation('braid', 2)
     nx.verify_bimodule_iso(3)
     hs.heis_normalize(hs.parse_heisword('h2* h1* e1 e2'))
+    bm.character_value((2, 1), (3,))
     for memo in KERNEL_MEMOS:
         info = memo.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import symcat
-from symcat import cli
+from symcat import bimodel as bm, cases, cli, heisenberg as hs, symfunc as sf
 from symcat.errors import VerificationFailure
 
 
@@ -158,7 +158,7 @@ def test_fock_intertwines_induction_uses_the_character_oracle(monkeypatch):
         raise AssertionError('the induction check reached the LR kernel')
     monkeypatch.setattr(sf, 'lr_coefficients', blocked)
     # the oracle's size bound is the case's max_degree, so degree 8 is checked
-    assert cli._case_heis_intertwine(None, max_degree=8, max_n=3) == \
+    assert cases.run_case('heisenberg/fock-intertwines-induction', max_degree=8, max_n=3) == \
         '94 raising actions match the coefficient oracle up to degree 8'
 
 
@@ -319,13 +319,76 @@ def test_verify_all_negative_bounds_exit_2(capsys):
 
 def test_verify_all_runners_take_exactly_their_parameters():
     import inspect
-    for module, cid, _, params_fn, run in cli._CASES:
+    for case_id, (params_fn, run) in cases.CASES.items():
         params = inspect.signature(run).parameters
-        assert list(params) == ['rng', *params_fn(6, 3)], (module, cid)
-        assert all(p.default is inspect.Parameter.empty for p in params.values()), cid
+        rng = ['rng'] if cases.seeded(case_id) else []
+        assert list(params) == rng + list(params_fn(6, 3)), case_id
+        assert all(p.default is inspect.Parameter.empty for p in params.values()), case_id
+    assert sum(map(cases.seeded, cases.CASES)) == 6
+
+
+def test_run_case_unknown_id_raises():
+    with pytest.raises(KeyError):
+        cases.run_case('symfunc/no-such-case')
+    # an id is module/name, as verify-all prints it
+    with pytest.raises(KeyError):
+        cases.run_case('product-oracle', max_degree=1, nvars=2)
+
+
+# (module, memoised kernel, the arguments of the entry to corrupt, corruption,
+#  the case that must then raise VerificationFailure, its bounds, the message)
+FAULT_ROWS = [
+    (sf, '_skew', ((1,), (1,), True),  # s1 s1 without s[1,1]
+     lambda items: tuple(item for item in items if item[0] != (1, 1)),
+     'symfunc/pairing-hopf-duality', {'max_degree': 4},
+     '<ab,c> != <a(x)b, Delta c> at ([1], [1], [1, 1])'),
+    (sf, '_coproduct_h', ((2,),),  # the last coefficient of Delta(h2) + 1
+     lambda items: items[:-1] + ((items[-1][0], items[-1][1] + 1),),
+     'symfunc/pairing-hopf-duality', {'max_degree': 4},
+     '<ab,c> != <a(x)b, Delta c> at ([2], [], [2])'),
+    (hs, '_hstar_past_e', ((1,), 1),  # every multiplicity of h1* e1 + 1
+     lambda terms: tuple((k, parts, c + 1) for k, parts, c in terms),
+     'heisenberg/normalize-confluence', {'samples': 40, 'max_len': 6, 'max_index': 4},
+     "closed-form normal form differs from single-step rewriting for "
+     "[('e', 2), ('h*', 1), ('e', 1)]"),
+    (bm, '_mn_character', ((1, 3), (3,)),  # chi^(2,1) at a 3-cycle, negated
+     lambda value: -value,
+     'bimodel/character-vs-lr', {'max_size': 4},
+     'non-integral multiplicity 2/3 for (4,)'),
+]
+
+
+@pytest.mark.parametrize('module, kernel, key, corrupt, case_id, bounds, message', FAULT_ROWS,
+                         ids=[row[1] for row in FAULT_ROWS])
+def test_fault_row_makes_its_case_raise(fresh_kernel_memos, monkeypatch,
+                                        module, kernel, key, corrupt, case_id, bounds, message):
+    true_kernel = getattr(module, kernel)
+    reads = []
+
+    def corrupted(*args):
+        out = true_kernel(*args)
+        if args == key:
+            reads.append(args)
+            return corrupt(out)
+        return out
+
+    sf_memos = [memo for memo in vars(sf).values() if hasattr(memo, 'cache_clear')]
+    for memo in sf_memos:  # no cached row hides the corrupted entry
+        memo.cache_clear()
+    monkeypatch.setattr(module, kernel, corrupted)
+    try:
+        with pytest.raises(VerificationFailure) as info:
+            cases.run_case(case_id, seed=0, **bounds)
+    finally:
+        monkeypatch.undo()  # the true memos hold entries built on the wrong one
+        fresh_kernel_memos()
+        for memo in sf_memos:
+            memo.cache_clear()
+    assert reads, 'the corrupted entry was never read'
+    assert str(info.value) == message
 
 
 def test_verify_all_runner_above_its_cli_bound():
     # --max-degree caps character-vs-lr at size 6; a direct call goes past it
-    assert cli._case_bm_characters(None, max_size=8) == \
+    assert cases.run_case('bimodel/character-vs-lr', max_size=8) == \
         '434 induced-module decompositions match the coefficient oracle, sizes <= 8'

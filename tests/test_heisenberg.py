@@ -344,7 +344,7 @@ def test_faithfulness_spot_check():
 def test_faithfulness_case_catches_a_misread_part(monkeypatch, grow, message):
     # h_2* (grow False) or e_2 (grow True) applied as two steps of size 1;
     # the messages are those of a sweep that applies each e_lam h_mu* whole
-    from symcat import cli
+    from symcat import cases
     true_pieri = hs._pieri
 
     def misread(coeffs, parts, grow_, vertical=False):
@@ -354,7 +354,7 @@ def test_faithfulness_case_catches_a_misread_part(monkeypatch, grow, message):
 
     monkeypatch.setattr(hs, '_pieri', misread)
     with pytest.raises(VerificationFailure) as info:
-        cli._case_heis_faithful(None, 4, 8)
+        cases.run_case('heisenberg/fock-faithful-spot', max_bidegree=4, max_state=8)
     assert str(info.value) == message
 
 

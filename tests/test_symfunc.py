@@ -578,7 +578,7 @@ def test_insufficient_variables_decided_after_cancellation(monkeypatch):
 
 
 def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
-    from symcat import cli
+    from symcat import cases
     from symcat.errors import VerificationFailure
 
     true_row = sf._row
@@ -597,14 +597,14 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
         # which compose the m -> s rows with it
         assert sf.convert(be(S, (2, 1)), H).coeffs == {(2, 1): -1, (1, 1, 1): 1}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
+            cases.run_case('symfunc/product-oracle', max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
 
 
 def test_product_oracle_catches_a_wrong_kostka_row(monkeypatch):
-    from symcat import cli
+    from symcat import cases
     from symcat.errors import VerificationFailure
 
     true_row = sf._row
@@ -620,14 +620,14 @@ def test_product_oracle_catches_a_wrong_kostka_row(monkeypatch):
     try:
         assert sf.convert(be(S, (2, 1)), M).coeffs == {(2, 1): 1, (1, 1, 1): 3}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
+            cases.run_case('symfunc/product-oracle', max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()  # the true memo holds rows built on the wrong one
         _clear_symfunc_caches()
 
 
 def test_product_oracle_catches_a_wrong_monomial_product(monkeypatch):
-    from symcat import cli
+    from symcat import cases
     from symcat.errors import VerificationFailure
 
     true_mult = sf._m_mult_basis
@@ -643,14 +643,14 @@ def test_product_oracle_catches_a_wrong_monomial_product(monkeypatch):
     try:
         assert sf.multiply(be(M, (2,)), be(M, (1,))).coeffs == {(3,): 1, (2, 1): 2}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
+            cases.run_case('symfunc/product-oracle', max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
 
 
 def test_product_oracle_catches_a_wrong_powersum_step(monkeypatch):
-    from symcat import cli
+    from symcat import cases
     from symcat.errors import VerificationFailure
 
     true_p_times = sf._p_times
@@ -669,14 +669,14 @@ def test_product_oracle_catches_a_wrong_powersum_step(monkeypatch):
     try:
         assert sf.multiply(be(M, (1,)), be(M, (1,))).coeffs == {(2,): 1, (1, 1): 1}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
+            cases.run_case('symfunc/product-oracle', max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
 
 
 def test_product_oracle_catches_a_wrong_pieri_strip(monkeypatch):
-    from symcat import cli
+    from symcat import cases
     from symcat.errors import VerificationFailure
 
     true_strips = sf._strips
@@ -691,7 +691,7 @@ def test_product_oracle_catches_a_wrong_pieri_strip(monkeypatch):
     try:
         assert sf.multiply(be(S, (1,)), be(H, (1,))).coeffs == {(1, 1): 1}
         with pytest.raises(VerificationFailure):
-            cli._case_product_oracle(random.Random(0), max_degree=5, nvars=10)
+            cases.run_case('symfunc/product-oracle', max_degree=5, nvars=10)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
@@ -765,7 +765,7 @@ def test_antipode_axiom():
 
 
 def test_antipode_axiom_catches_a_wrong_e_to_h_row(monkeypatch):
-    from symcat import cli
+    from symcat import cases
     from symcat.errors import VerificationFailure
 
     true_row = sf._row
@@ -781,7 +781,7 @@ def test_antipode_axiom_catches_a_wrong_e_to_h_row(monkeypatch):
     try:
         assert sf.antipode(be(H, (2, 1))).coeffs == {(3,): -1, (2, 1): 2, (1, 1, 1): -1}
         with pytest.raises(VerificationFailure):
-            cli._case_antipode_axiom(None, max_degree=5)
+            cases.run_case('symfunc/antipode-axiom', max_degree=5)
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
