@@ -26,6 +26,7 @@ import itertools
 import math
 
 from fractions import Fraction
+from operator import methodcaller
 
 from .combinatorics import (
     all_perms,
@@ -531,8 +532,10 @@ LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 # takes 0.5-0.6 s and 26 MB ru_maxrss; level 5, by a direct call, takes 2.9 s
 # and 82 MB, still over the 2 s budget of one ceiling step, so the level
 # ceiling stays at 4.  mackey_check: (k!)^2 distinct canonical forms and
-# k (k!)^2 comparisons per side; `bimod mackey --k 5` takes 0.50-0.88 s, and
-# k = 6 makes 43 times the comparisons, so the rank ceiling stays at 5.
+# k (k!)^2 comparisons per side; `bimod mackey --k 5` takes 0.25-0.46 s and
+# the call itself 0.14 s, but k = 6 is about 43 times the work of k = 5
+# (3.1 M comparisons per side, 518,400 canonical forms; about 6 s by that
+# ratio), over the 2 s budget, so the rank ceiling stays at 5.
 MAX_LEVEL = 4
 MAX_K = 5
 
@@ -642,8 +645,11 @@ def mackey_check(k):
     comparisons per side.  Within one call each v in S_k is extended to
     S_{k+1} once, and `canonicalize` runs once on each of the (k!)^2
     distinct pure tensors (g, 1, h), g and h in S_k, that the two sides
-    move basis tensors to; the dict of these forms is dropped when the
-    call returns.
+    move basis tensors to; these are kept as (g, h) -> m2 image in a dict
+    dropped when the call returns.  Each side is one list comparison per c:
+    right products map `right_composer(c)` over the factors and images,
+    left products c y call the composers of the y, built once per call.
+    k = 4 takes about 5 ms and k = 5 about 0.14 s on a 2-core VM.
     """
     if k < 1:
         raise ValueError('mackey_check needs k >= 1')
@@ -681,26 +687,31 @@ def mackey_check(k):
                  len(m2_images) + len(m1_images) == dim_resind,
                  'together the images exhaust A_{k+1}')
 
-    # every moved tensor (c a, 1, b) or (a, 1, b c) is some (g, 1, h), g, h in S_k
+    # every moved tensor (c a, 1, b) or (a, 1, b c) is some (g, 1, h), g, h in S_k;
+    # it is read as the m2 image of its canonical form
     one = indres_basis[0][1]
-    canon = {(g, one, h): canonicalize(indres, (g, one, h)) for g in sk for h in sk}
+    m2_of = {(g, h): m2[canonicalize(indres, (g, one, h))] for g in sk for h in sk}.__getitem__
+    ext_of = ext.__getitem__
+    sk_ext = list(ext.values())
+    factors_a = [a for a, _e, _b in indres_basis]
+    factors_b = [b for _a, _e, b in indres_basis]
+    images = list(m2.values())
+    # x -> x y for each y of a list: the left products c y are these at x = c
+    times_sk, times_sk_ext, times_a, times_images = (
+        [right_composer(y) for y in ys] for ys in (sk, sk_ext, factors_a, images))
     ok_left = ok_right = True
     ok_m2_left = ok_m2_right = True
     for c in sk:
         ce = ext[c]
-        for v in sk:
-            if ext[perm_mult(c, v)] != perm_mult(ce, ext[v]):
-                ok_left = False
-            if ext[perm_mult(v, c)] != perm_mult(ext[v], ce):
-                ok_right = False
-        for elem in indres_basis:
-            a, _e, b = elem
-            left = canon[perm_mult(c, a), _e, b]
-            if m2[left] != perm_mult(ce, m2[elem]):
-                ok_m2_left = False
-            right = canon[a, _e, perm_mult(b, c)]
-            if m2[right] != perm_mult(m2[elem], ce):
-                ok_m2_right = False
+        at_c, at_ce = methodcaller('__call__', c), methodcaller('__call__', ce)
+        times_c, times_ce = right_composer(c), right_composer(ce)
+        ok_left &= (list(map(ext_of, map(at_c, times_sk)))
+                    == list(map(at_ce, times_sk_ext)))
+        ok_right &= list(map(ext_of, map(times_c, sk))) == list(map(times_ce, sk_ext))
+        ok_m2_left &= (list(map(m2_of, zip(map(at_c, times_a), factors_b)))
+                       == list(map(at_ce, times_images)))
+        ok_m2_right &= (list(map(m2_of, zip(factors_a, map(times_c, factors_b))))
+                        == list(map(times_ce, images)))
     report.check('m1-left-linear', ok_left, 'm1 commutes with left multiplication by A_k')
     report.check('m1-right-linear', ok_right, 'm1 commutes with right multiplication by A_k')
     report.check('m2-left-linear', ok_m2_left,

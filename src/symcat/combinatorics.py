@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import itemgetter
+from operator import gt, itemgetter
 
 from .errors import ParseError
 
@@ -206,19 +206,26 @@ def is_permutation(w) -> bool:
 
 
 def perm_mult(u, v) -> tuple:
-    """Compose permutations: (u∘v)(i) = u(v(i)).
+    """Compose permutations: (u∘v)(i) = u(v(i)), one itemgetter of v's
+    entries over u behind a 0 pad, so the 1-based entries index it as they are.
 
     >>> perm_mult((2, 1, 3), (1, 3, 2))
     (2, 3, 1)
+    >>> perm_mult((), ())
+    ()
+    >>> perm_mult((1,), (1,))
+    (1,)
     """
     if len(u) != len(v):
         raise ValueError('rank mismatch in perm_mult')
-    return tuple([u[j - 1] for j in v])
+    # itemgetter of one index returns a scalar and of none raises
+    return itemgetter(*v)((0,) + tuple(u)) if len(v) > 1 else tuple(u)
 
 
 def right_composer(v):
-    """u -> perm_mult(u, v) for a fixed v, built once to compose many u of its rank."""
-    # itemgetter of one index returns a scalar and of none raises
+    """u -> perm_mult(u, v) for a fixed v, built once to compose many u of its
+    rank: `perm_mult`'s getter with v's entries moved to 0-based once, so each
+    call reads u without the pad."""
     return itemgetter(*[j - 1 for j in v]) if len(v) > 1 else tuple
 
 
@@ -237,7 +244,9 @@ def perm_inverse(w) -> tuple:
 def perm_length(w) -> int:
     """Inversion count, which equals the minimal word length.
 
-    Accepts any sequence; the count is read from the `_inversions` memo.
+    Accepts any sequence.  Below rank 7 the count is read from the
+    `_inversions` memo; from rank 7 it is counted afresh, since S_7 alone
+    (5,040) would evict every length the memo keeps.
 
     >>> perm_length((1, 2, 3, 4))
     0
@@ -245,8 +254,11 @@ def perm_length(w) -> int:
     6
     >>> perm_length(word_eval([1, 2], 3))
     2
+    >>> perm_length((8, 7, 6, 5, 4, 3, 2, 1))
+    28
     """
-    return _inversions(tuple(w))
+    w = tuple(w)
+    return _inversions(w) if len(w) < 7 else _inversions.__wrapped__(w)
 
 
 _LENGTH_CACHE = 1 << 12  # permutations whose lengths `_inversions` keeps
@@ -256,11 +268,10 @@ _LENGTH_CACHE = 1 << 12  # permutations whose lengths `_inversions` keeps
 def _inversions(w):
     """Inversion count of a one-line tuple.
 
-    Keeps up to _LENGTH_CACHE (4096) lengths; `verify-all` at its defaults
-    fills 873 of them.
+    Keeps up to _LENGTH_CACHE (4096) lengths, all of rank below 7 (see
+    `perm_length`); `verify-all` at its defaults fills 873 of them.
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return sum(itertools.starmap(gt, itertools.combinations(w, 2)))
 
 
 def perm_extend(w, n: int) -> tuple:

@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures and oracles."""
 
 import pytest
 
@@ -9,6 +9,11 @@ import symcat.heisenberg as hs
 
 KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, bm.path_from_signature, bm._mn_character,
                 cb._inversions, cb.coset_rep, hs._with_part, hs._hstar_past_e)
+
+
+def compose_by_definition(u, v):
+    """Oracle: (u∘v)(i) = u(v(i)), read entry by entry."""
+    return tuple(u[j - 1] for j in v)
 
 
 def _clear_kernel_memos():

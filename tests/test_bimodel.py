@@ -20,6 +20,7 @@ from symcat.combinatorics import (
     partitions_of,
     perm_extend,
     perm_mult,
+    transposition,
 )
 from symcat.diagcat import Morphism, parse_diagram
 from symcat.errors import (
@@ -29,7 +30,7 @@ from symcat.errors import (
     VerificationFailure,
 )
 
-from conftest import KERNEL_MEMOS
+from conftest import KERNEL_MEMOS, compose_by_definition
 
 
 def mor(text):
@@ -274,6 +275,76 @@ def test_mackey_check():
         bm.mackey_check(0)
 
 
+MACKEY_LINEARITY = ('m1-left-linear', 'm1-right-linear', 'm2-left-linear', 'm2-right-linear')
+
+
+def naive_mackey_linearity(k):
+    """Oracle: the four linearity flags of mackey_check, one comparison per
+    (c, basis element) at a time, composing by the definition."""
+    mult = compose_by_definition
+    t = transposition(k, k + 1, k + 1)
+    sk = list(all_perms(k))
+    ext = {v: bm.perm_extend(v, k + 1) for v in sk}
+    indres = bm.path_from_signature('UD', k)
+    basis = bm.tensor_basis(indres)
+    m2 = {elem: mult(mult(ext[elem[0]], t), ext[elem[2]]) for elem in basis}
+    ok = dict.fromkeys(MACKEY_LINEARITY, True)
+    for c in sk:
+        ce = ext[c]
+        for v in sk:
+            if ext[mult(c, v)] != mult(ce, ext[v]):
+                ok['m1-left-linear'] = False
+            if ext[mult(v, c)] != mult(ext[v], ce):
+                ok['m1-right-linear'] = False
+        for elem in basis:
+            a, e, b = elem
+            if m2[bm.canonicalize(indres, (mult(c, a), e, b))] != mult(ce, m2[elem]):
+                ok['m2-left-linear'] = False
+            if m2[bm.canonicalize(indres, (a, e, mult(b, c)))] != mult(m2[elem], ce):
+                ok['m2-right-linear'] = False
+    return ok
+
+
+def _linearity_flags(k):
+    try:
+        report = bm.mackey_check(k)
+    except VerificationFailure as exc:
+        report = exc.report
+    flags = {e['check']: e['pass'] for e in report}
+    return {check: flags[check] for check in MACKEY_LINEARITY}
+
+
+def test_mackey_linearity_matches_the_per_element_loop():
+    for k in range(1, 5):
+        assert _linearity_flags(k) == naive_mackey_linearity(k)
+
+
+def _swapped_extension(true_extend):
+    # the images of the identity and s_1 in S_4 trade places
+    swap = {(1, 2, 3): (2, 1, 3), (2, 1, 3): (1, 2, 3)}
+    return lambda w, n: true_extend(swap.get(tuple(w), w) if n == 4 else w, n)
+
+
+def _reversed_free_factor(true_canonicalize):
+    # the first basis tensor at k = 3 gets the reversed permutation in its free factor
+    target = bm.tensor_basis(bm.path_from_signature('UD', 3))[0]
+
+    def corrupted(path, elem):
+        out = true_canonicalize(path, elem)
+        return out[:-1] + (tuple(reversed(out[-1])),) if out == target else out
+    return corrupted
+
+
+@pytest.mark.parametrize('attr, corrupt', [('perm_extend', _swapped_extension),
+                                           ('canonicalize', _reversed_free_factor)])
+def test_mackey_linearity_matches_the_per_element_loop_on_a_fault(
+        fresh_kernel_memos, monkeypatch, attr, corrupt):
+    monkeypatch.setattr(bm, attr, corrupt(getattr(bm, attr)))
+    flags = _linearity_flags(3)
+    assert flags == naive_mackey_linearity(3)
+    assert not all(flags.values())
+
+
 def test_character_values():
     # hook lengths of (2,1) give dimension 2; sign and trivial are pinned
     assert bm.character_value((2, 1), (1, 1, 1)) == 2
@@ -365,11 +436,11 @@ def test_report_json_deterministic():
 
 
 def naive_ga_product(a, b):
-    """Oracle: the Fraction double loop over both supports."""
+    """Oracle: the Fraction double loop over both supports, composing by the definition."""
     out = {}
     for u, cu in a.coeffs.items():
         for v, cv in b.coeffs.items():
-            w = perm_mult(u, v)
+            w = compose_by_definition(u, v)
             out[w] = out.get(w, Fraction(0)) + Fraction(cu) * Fraction(cv)
     return {w: c for w, c in out.items() if c}
 

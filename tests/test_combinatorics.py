@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import symcat.combinatorics as cb
 from symcat.combinatorics import (
     all_perms,
     conjugate,
@@ -31,6 +32,8 @@ from symcat.combinatorics import (
     word_eval,
 )
 from symcat.errors import ParseError
+
+from conftest import compose_by_definition
 
 
 def brute_force_partitions(n):
@@ -106,6 +109,21 @@ def test_perm_length_is_the_inversion_count():
         assert perm_length(w) == sum(1 for a, b in itertools.combinations(w, 2) if a > b)
 
 
+def test_rank_seven_lengths_leave_the_memo_alone(fresh_kernel_memos):
+    # S_7 (5,040) is larger than the memo (4,096): its lengths are counted afresh
+    s5 = list(all_perms(5))
+    for w in s5:
+        perm_length(w)
+    before = cb._inversions.cache_info()
+    for w in all_perms(7):
+        assert perm_length(w) == sum(1 for a, b in itertools.combinations(w, 2) if a > b)
+    after = cb._inversions.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    for w in s5:
+        perm_length(w)
+    assert cb._inversions.cache_info().hits == after.hits + len(s5)
+
+
 def test_perm_length_accepts_any_sequence():
     assert perm_length([3, 1, 2]) == perm_length((3, 1, 2)) == 2
     assert perm_length(range(1, 5)) == 0
@@ -167,10 +185,21 @@ def test_word_eval_rejects_a_letter_out_of_range(letter, n):
 
 
 def test_right_composer_is_perm_mult_on_the_right():
-    for n in range(5):
-        for v in all_perms(n):
+    # both kernels share one itemgetter rule, so each is checked against the definition
+    for n in range(7):
+        perms = list(all_perms(n))
+        for v in perms:
             times_v = right_composer(v)
-            assert all(times_v(u) == perm_mult(u, v) for u in all_perms(n))
+            expected = [compose_by_definition(u, v) for u in perms]
+            assert list(map(times_v, perms)) == expected
+            assert [perm_mult(u, v) for u in perms] == expected
+    assert perm_mult([2, 3, 1], (3, 1, 2)) == (1, 2, 3)
+
+
+@pytest.mark.parametrize('u, v', [((1,), ()), ((), (1,)), ((2, 1), (1, 2, 3))])
+def test_perm_mult_rejects_a_rank_mismatch(u, v):
+    with pytest.raises(ValueError, match=r'^rank mismatch in perm_mult$'):
+        perm_mult(u, v)
 
 
 def test_longest_element_s3():

@@ -108,6 +108,41 @@ def test_mackey_catches_a_wrong_canonical_form(fresh_kernel_memos, monkeypatch):
         ('m2-right-linear', False), ('m2-well-defined', True)]
 
 
+_S2 = (2, 1, 3)  # s_1 in S_3
+
+
+@pytest.mark.parametrize('corrupt, first, failing', [
+    # one image moved off the permutations fixing 4
+    ({_S2: (2, 1, 4, 3)}, 'm1-image-criterion',
+     {'m1-image-criterion', 'images-disjoint'}),
+    # one image collides with the identity's
+    ({_S2: (1, 2, 3, 4)}, 'm1-injective',
+     {'m1-injective', 'm1-image-criterion', 'm2-injective', 'images-span'}),
+    # two images swapped: still a bijection onto the stabilizer of 4, so only
+    # linearity sees it
+    ({_S2: (1, 2, 3, 4), (1, 2, 3): (2, 1, 3, 4)}, 'm1-left-linear', set()),
+])
+def test_mackey_catches_a_wrong_inclusion(fresh_kernel_memos, monkeypatch,
+                                          corrupt, first, failing):
+    # Over all pairs (c, v) the left and right equations m1(c v) = m1(c) m1(v) are the
+    # same set, so a wrong extension fails both m1 sides, and m2 = m1(a) t m1(b) with them.
+    true_extend = bm.perm_extend
+
+    def corrupted(w, n):
+        return corrupt[tuple(w)] if n == 4 and tuple(w) in corrupt else true_extend(w, n)
+
+    monkeypatch.setattr(bm, 'perm_extend', corrupted)
+    message, report = _failure(bm.mackey_check, 3)
+    assert message == f'Mackey check fails at k = 3: {first}'
+    failing = failing | {'m1-left-linear', 'm1-right-linear', 'm2-left-linear',
+                         'm2-right-linear'}
+    assert [(e['check'], e['pass']) for e in report] == [
+        (check, check not in failing) for check in (
+            'dimension', 'm1-injective', 'm1-image-criterion', 'm2-injective',
+            'images-disjoint', 'images-span', 'm1-left-linear', 'm1-right-linear',
+            'm2-left-linear', 'm2-right-linear', 'm2-well-defined')]
+
+
 def test_heis_relation_failure(monkeypatch):
     monkeypatch.setattr(hs, 'fock_apply', lambda a, f: 0 * f)
     message, report = _failure(hs.verify_heis_relation, 1, 1, 1)
