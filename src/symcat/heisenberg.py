@@ -294,9 +294,11 @@ def fock_apply_word(w, f):
 
 
 # Ceiling on the degree cutoff D of the three relation verifiers, checked
-# before any work: each walks every s_lambda with |lambda| <= D.  As CLI runs
-# with m = n = 1 on a 2-core VM, boson takes 4.7 s at D = 12 and 23 s at
-# D = 14, and weak-fock 1.3 s at D = 12 and 24 s at D = 16.
+# before any work: each walks every s_lambda with |lambda| <= D.  With
+# m = n = 1 on a 2-core VM, boson takes 0.7-1.0 s at D = 12 as a CLI run, and
+# 2.8-3.0 s at D = 14 and 8.4-10 s at D = 16 by a direct call with the
+# ceiling lifted; weak-fock takes 1.3 s at D = 12 and 24 s at D = 16 as CLI
+# runs.
 MAX_DEGREE = 12
 
 

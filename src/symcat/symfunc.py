@@ -4,8 +4,12 @@ Elements are `SymFunc` values: a basis tag ('m', 'e', 'h', 'p', 's') plus a
 sparse partition -> coefficient map.  Arithmetic is integer-first: integral
 coefficients are stored as `int`, and `Fraction` appears only for the
 non-integral coefficients of the powersum basis, the one basis that spans
-merely over Q.  The pairings, which sum looked-up coefficients in int,
-`counit` and the `coproduct` coefficients are returned as `Fraction`.
+merely over Q.  Even there the work is in int: a row into p holds the
+pairings <X_lam, p_rho>, integers since p_rho and the dual basis of X (h,
+m, the forgotten functions or s for X = m, h, e, s) lie in Sym over Z, and
+X_lam = sum <X_lam, p_rho> / z_rho p_rho is divided out once per term of a
+result.  The pairings, which sum looked-up coefficients in int, `counit`
+and the `coproduct` coefficients are returned as `Fraction`.
 
 The Schur basis is the hub, as in the categorified Fock space, where
 induction adds Pieri strips and restriction removes them.  `_pieri`
@@ -13,19 +17,24 @@ multiplies a Schur combination by h_n or e_n, or applies the adjoint, by
 the n-strips of `_strips` (Macdonald, ch. I section 5), and `_skew`
 expands one Schur factor in h by Jacobi-Trudi (section 3) into Pieri
 chains; so products of e, h and s factors, `lr_coefficients` and
-`dual_apply` never touch m.  A product with a factor in p concatenates
-partitions in p; one with a factor in m stays in m, since m_lam is dense in
-s: `_p_times` multiplies by p_n, which raises one part of m_lam by n, and
-`_m_mult_basis` reads one factor in p and applies it to the other.
+`dual_apply` never touch m.  `_mn` multiplies a Schur combination by p_n
+through the signed border strips of `_hooks` (the Murnaghan-Nakayama rule,
+section 7), which is how a product with one factor in p is taken in s when
+the result is read outside p; with the result in p it concatenates
+partitions in p.  A product with a factor in m stays in m, since m_lam is
+dense in s: `_p_times` multiplies by p_n, which raises one part of m_lam by
+n, and `_m_mult_basis` reads one factor in p and applies it to the other.
 
 Basis changes read rows of the transition matrices M(X, Y) (section 6),
 each built once and cached by `_row`.  Read directly are s -> m (Kostka
-numbers, by peeling horizontal strips), e/h -> s (strips grown on s_()),
-s -> h (the Jacobi-Trudi determinant, which keeps `schur` fast at high
-degree), p -> m (`_p_times` on the row of lam less its last part), e <-> h
-(e_n = sum_i (-1)^(i-1) h_i e_(n-i), which omega turns into the same rule
-for h_n in e) and m -> s/e/p (each row solved from the row it inverts: s_lam
-and e_lam' are m_lam plus terms strictly lower in dominance order, p_lam a
+numbers, by peeling horizontal strips), s -> p (the characters
+chi^lam(rho) = <s_lam, p_rho>, by peeling border strips), e/h -> s (strips
+grown on s_()), p -> s and p -> m (border strips grown, or `_p_times`
+applied, on the row of lam less its last part), s -> h (the Jacobi-Trudi
+determinant, which keeps `schur` fast at high degree), e <-> h (e_n =
+sum_i (-1)^(i-1) h_i e_(n-i), which omega turns into the same rule for h_n
+in e) and m -> s/e/p (each row solved from the row it inverts: s_lam and
+e_lam' are m_lam plus terms strictly lower in dominance order, p_lam a
 positive multiple of m_lam plus terms strictly higher, and the m rows of
 those terms are read back through `_row`).  Any other row composes two of
 these.
@@ -77,7 +86,7 @@ from .combinatorics import (
     render_partition,
 )
 from .errors import InsufficientVariables, NonIntegralResult, ParseError
-from .linalg import LinComb, common_denominator, render_terms, scalar as _scalar, split_terms
+from .linalg import LinComb, render_terms, split_terms
 
 __all__ = [
     'BASES',
@@ -208,9 +217,11 @@ def degree(f):
 #############################################
 
 def _sorted_items(acc):
-    """Nonzero items of a partition -> coeff map, in display order."""
-    return tuple(sorted(((lam, c) for lam, c in acc.items() if c),
-                        key=lambda kv: partition_key(kv[0])))
+    """Nonzero items of a partition -> coeff map, in display order: among
+    partitions of one size, reverse-lex is descending tuple order."""
+    items = sorted(((lam, c) for lam, c in acc.items() if c), reverse=True)
+    items.sort(key=lambda kv: sum(kv[0]))
+    return tuple(items)
 
 
 def _orbit_count(lam):
@@ -247,20 +258,22 @@ _PAIR_CACHE = 1 << 12  # entries per memo keyed by a pair of partitions
 def _m_mult_basis(lam, mu):
     """m_lam * m_mu as sorted ((nu, coeff), ...) items, via powersums.
 
-    The factor with fewer parts, say mu, is read in p: its m -> p row lives
-    on the shapes that dominate mu, none longer than mu.  Cleared to ints
-    k_rho over one denominator D, it gives m_lam m_mu = sum k_rho m_lam p_rho
-    / D, each m_lam p_rho by `_p_times`, and D divides every coefficient
-    exactly (a remainder raises).  Keeps up to _PAIR_CACHE (4096) pairs,
+    The factor with fewer parts, say mu, is read in p: its m -> p row, the
+    pairings t_rho = <m_mu, p_rho>, lives on the shapes that dominate mu,
+    none longer than mu.  Over D, the least common multiple of the z_rho,
+    it gives m_lam m_mu = sum t_rho (D / z_rho) m_lam p_rho / D, each
+    m_lam p_rho by `_p_times`, and D divides every coefficient exactly (a
+    remainder raises).  Keeps up to _PAIR_CACHE (4096) pairs,
     more than the 3,132 ordered pairs of total degree <= 12; `verify-all`
     at its defaults fills 40 of them.
     """
     if len(mu) > len(lam):
         lam, mu = mu, lam
     row = _row('m', 'p', mu)
-    nums, den = common_denominator(c for _, c in row)
+    den = math.lcm(*(_z(rho) for rho, _ in row))
     out = {}
-    for (rho, _), k in zip(row, nums):
+    for rho, k in row:
+        k *= den // _z(rho)
         for nu, c in _p_times({lam: 1}, rho).items():
             out[nu] = out.get(nu, 0) + k * c
     if any(c % den for c in out.values()):
@@ -340,6 +353,51 @@ def _pieri(coeffs, parts, grow, vertical=False):
     return coeffs
 
 
+@lru_cache(maxsize=_STRIP_CACHE)
+def _hooks(lam, n, grow):
+    """The partitions nu with nu/lam (grow) or lam/nu (not grow) a border
+    strip of n boxes, as (nu, (-1)^height) pairs, the height being the
+    number of rows of the strip less one.
+
+    On the beta-numbers lam_i + l - i of lam, padded with n zero parts when
+    growing (a strip opens at most n rows), a border strip moves one bead
+    n places to an empty place, and the beads it passes over are its height
+    (Macdonald, ch. I section 1, the examples on cores and quotients).
+    These are the steps of the Murnaghan-Nakayama rule: p_n s_lam sums
+    (-1)^height s_nu over the strips grown on lam (section 3 ex. 11).
+    Keeps up to _STRIP_CACHE (4096) lists.
+    """
+    rows = lam + (0,) * n if grow else lam
+    top = len(rows) - 1
+    beta = [part + top - i for i, part in enumerate(rows)]
+    taken = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        to = b + n if grow else b - n
+        if to < 0 or to in taken:
+            continue
+        passed = sum(1 for x in beta if b < x < to or to < x < b)
+        moved = sorted(beta[:i] + [to] + beta[i + 1:], reverse=True)
+        nu = tuple(x - top + j for j, x in enumerate(moved) if x - top + j)
+        out.append((nu, -1 if passed % 2 else 1))
+    return tuple(out)
+
+
+def _mn(coeffs, parts):
+    """sum c s_lam over the items lam -> c of coeffs, times p_n for each
+    part n of parts: each step adds the signed border strips of `_hooks`.
+    Unchecked like `_pieri`.
+    """
+    for n in parts:
+        out = {}
+        get = out.get
+        for lam, c in coeffs.items():
+            for nu, sign in _hooks(lam, n, True):
+                out[nu] = get(nu, 0) + (c if sign > 0 else -c)
+        coeffs = out
+    return coeffs
+
+
 @lru_cache(maxsize=_PAIR_CACHE)
 def _skew(kappa, mu, grow):
     """s_kappa s_mu (grow) or s_kappa^*(s_mu) (not grow) in the Schur basis,
@@ -384,8 +442,10 @@ def _row(src, dst, lam):
     The rows that the module docstring lists are read directly, an m -> X
     row by solving it from the X -> m row with the other m -> X rows that
     it needs, which this memo keeps once; any other row composes two rows
-    once, through m when s or p is an end, else through s.  Keeps up to
-    _ROW_CACHE (8192) rows, more than the 2,780 rows of degree <= 10
+    once, through m when s is an end, else through s.  A row into p holds
+    the pairings <X_lam, p_rho>, integers whatever X is, so no row holds a
+    Fraction; the coefficient of p_rho is the pairing over z_rho.  Keeps up
+    to _ROW_CACHE (8192) rows, more than the 2,780 rows of degree <= 10
     between the five bases.
     """
     if (src, dst) == ('s', 'm'):
@@ -399,9 +459,23 @@ def _row(src, dst, lam):
                     if not mu or mu[0] <= r:
                         out[(r,) + mu] = out.get((r,) + mu, 0) + k
         return _sorted_items(out)
-    if (src, dst) == ('p', 'm'):
-        prefix = dict(_row('p', 'm', lam[:-1])) if lam else {(): 1}
-        return _sorted_items(_p_times(prefix, lam[-1:]))
+    if src == 'p' and dst in 'ms':
+        prefix = dict(_row(src, dst, lam[:-1])) if lam else {(): 1}
+        return _sorted_items(_p_times(prefix, lam[-1:]) if dst == 'm'
+                             else _mn(prefix, lam[-1:]))
+    if (src, dst) == ('s', 'p'):
+        # chi^lam(rho) removes a border strip of rho_1 boxes from lam and
+        # reads chi^nu on the rest of rho, whose parts are at most rho_1:
+        # a suffix of the row of nu, which display order sorts by its
+        # first part, largest first
+        out = {} if lam else {(): 1}
+        for n in range(1, lam[0] + len(lam) if lam else 1):
+            for nu, sign in _hooks(lam, n, False):
+                for rho, k in reversed(_row('s', 'p', nu)):
+                    if rho and rho[0] > n:
+                        break
+                    out[(n,) + rho] = out.get((n,) + rho, 0) + sign * k
+        return _sorted_items(out)
     if (src, dst) == ('s', 'h'):
         # det(h_{lam_i-i+j}), with an extra unit row and column; each of
         # the 2^n minors, expanded along its top row, is memoised on its
@@ -451,34 +525,65 @@ def _row(src, dst, lam):
         # s_lam and e_lam' are m_lam plus terms strictly dominated by lam,
         # p_lam a positive multiple of m_lam plus terms strictly dominating
         # it; so m_lam is that X row less the other terms, each rewritten by
-        # its own m row, over the diagonal entry
+        # its own m row, over the diagonal entry.  In p the rows are the
+        # pairings, and <p_lam, p_rho> is z_lam at rho = lam, else 0
         top = conjugate(lam) if dst == 'e' else lam
-        out, diag = {top: 1}, 1
+        out, diag = {top: _z(top) if dst == 'p' else 1}, 1
         for nu, c in _row(dst, 'm', top):
             if nu == lam:
                 diag = c
                 continue
             for mu, k in _row('m', dst, nu):
                 out[mu] = out.get(mu, 0) - c * k
-        return _sorted_items({mu: _scalar(Fraction(c, diag)) for mu, c in out.items()})
-    via = 'm' if {src, dst} & {'s', 'p'} else 's'
+        if any(c % diag for c in out.values()):
+            raise ArithmeticError(f'm{lam} in {dst}: a coefficient is not a multiple of {diag}')
+        return _sorted_items({mu: c // diag for mu, c in out.items()})
+    via = 'm' if 's' in (src, dst) else 's'
     return _sorted_items(_sum_rows(dict(_row(src, via, lam)), via, dst))
 
 
 def _sum_rows(coeffs, src, dst):
-    """sum c X_lam over the items lam -> c of coeffs (X = src), in basis dst.
+    """sum c X_lam over the items lam -> c of coeffs (X = src), in basis dst;
+    into p (from another basis) the sum of the pairings <X_lam, p_rho>.
 
     Unchecked: a rational coefficient passes and cancelled terms stay as
     zeros, which `SymFunc._new` drops; with src = dst it is coeffs itself.
+    Rational powersum coefficients are scaled to ints by the least common
+    multiple of their denominators, which divides each sum once.
     """
     if src == dst:
         return coeffs
+    den = math.lcm(*(c.denominator for c in coeffs.values())) if src == 'p' else 1
+    if den > 1:
+        ints = {lam: c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
+        return {mu: Fraction(t, den) for mu, t in _sum_rows(ints, src, dst).items()}
     out = {}
     get = out.get
     for lam, c in coeffs.items():
         for mu, k in _row(src, dst, lam):
             out[mu] = get(mu, 0) + c * k
     return out
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _z(rho):
+    """z_rho = prod_i i^(m_i) m_i!, m_i parts equal to i: <p_rho, p_rho>.
+    Keeps up to _ROW_CACHE (8192) partitions."""
+    return math.prod(part ** rho.count(part) * math.factorial(rho.count(part))
+                     for part in set(rho))
+
+
+def _from_pairings(pairings):
+    """sum t_rho / z_rho p_rho over the items rho -> t_rho of pairings: each
+    term is divided by z_rho once, here."""
+    return SymFunc._new('p', {rho: Fraction(t, _z(rho)) if t % _z(rho) else t // _z(rho)
+                              for rho, t in pairings.items()})
+
+
+def _in_basis(basis, coeffs, src):
+    """The SymFunc in basis of the combination coeffs in basis src."""
+    out = _sum_rows(coeffs, src, basis)
+    return _from_pairings(out) if basis == 'p' != src else SymFunc._new(basis, out)
 
 
 def convert(f, target):
@@ -491,22 +596,39 @@ def convert(f, target):
     target = _check_basis(target)
     if f.basis == target:
         return f
-    return SymFunc._new(target, _sum_rows(f.coeffs, f.basis, target))
+    return _in_basis(target, f.coeffs, f.basis)
 
 
 def multiply(f, g):
     """Product in Sym, returned in the basis of f.
 
-    The route follows the bases of the factors.  With a powersum factor the
-    product is taken in p (partition concatenation), which keeps rational
-    powersum elements multipliable; with a monomial factor in m, where
-    `_m_mult_basis` reads one factor of each pair in p and raises the parts
-    of the other, since m_lam is dense in s; otherwise in s, by Jacobi-Trudi
-    and Pieri (`_skew`).
+    The route follows the bases of the factors.  With f in p the product is
+    taken in p: partitions concatenate, g read by its pairings; with only g
+    in p, each p_rho of g adds border strips to f read in s (`_mn`); either
+    way a rational powersum factor multiplies, and only the result is
+    checked in its basis.  With a monomial factor the product is taken in m,
+    where `_m_mult_basis` reads one factor of each pair in p and raises the
+    parts of the other, since m_lam is dense in s; otherwise in s, by
+    Jacobi-Trudi and Pieri (`_skew`).
     """
-    if f.basis == 'p' or g.basis == 'p':
-        prod = _concat(convert(f, 'p').coeffs, convert(g, 'p').coeffs)
-        return convert(SymFunc._new('p', prod), f.basis)
+    if f.basis == 'p':
+        if g.basis == 'p':
+            return SymFunc._new('p', _concat(f.coeffs, g.coeffs))
+        # p_rho (t / z_sigma) p_sigma has the pairing t z_nu / z_sigma at
+        # nu = rho + sigma, and z_sigma divides z_nu
+        prod = {}
+        for sigma, t in _sum_rows(g.coeffs, g.basis, 'p').items():
+            for rho, c in f.coeffs.items():
+                nu = tuple(sorted(rho + sigma, reverse=True))
+                prod[nu] = prod.get(nu, 0) + c * t * (_z(nu) // _z(sigma))
+        return _from_pairings(prod)
+    if g.basis == 'p':
+        fs = _sum_rows(f.coeffs, f.basis, 's')
+        prod = {}
+        for rho, c in g.coeffs.items():
+            for nu, k in _mn(fs, rho).items():
+                prod[nu] = prod.get(nu, 0) + c * k
+        return _in_basis(f.basis, prod, 's')
     pivot = 'm' if 'm' in (f.basis, g.basis) else 's'
     fx, gx = _sum_rows(f.coeffs, f.basis, pivot), _sum_rows(g.coeffs, g.basis, pivot)
     prod = _m_mult_raw(fx, gx) if pivot == 'm' else _skew_sum(fx, gx, True)
@@ -752,9 +874,26 @@ def dominant_product(P, Q, degrees):
 _HOPF_CACHE = 1 << 12  # entries per Hopf memo below; degree <= 10 needs 139
 
 
+_RANK_BITS = 32  # ranks of the partitions of size <= 100 fit in this many bits
+_RANK_MASK = (1 << _RANK_BITS) - 1
+# Fraction is immutable, so coproducts share the scalars they return
+_fraction = lru_cache(maxsize=_HOPF_CACHE)(Fraction)
+
+
+@lru_cache(maxsize=_HOPF_CACHE)
+def _ranks(n):
+    """Partition of n -> its rank in display order: every partition of a
+    smaller size first, then the order of `partitions_of(n)`.  Keeps up to
+    _HOPF_CACHE (4096) sizes."""
+    start = sum(len(partitions_of(k)) for k in range(n))
+    return {lam: start + i for i, lam in enumerate(partitions_of(n))}
+
+
 @lru_cache(maxsize=_HOPF_CACHE)
 def _coproduct_h(lam):
-    """Delta(h_lam) as sorted (((alpha, beta), coeff), ...) items.
+    """Delta(h_lam) as sorted ((key, coeff), ...) items, where the term
+    h_alpha (x) h_beta has the key rank(alpha) << _RANK_BITS | rank(beta)
+    (ranks by `_ranks`), so that int order is display order on the pairs.
 
     Computed multiplicatively from Delta(h_n) = sum_i h_i (x) h_{n-i}.
     Keeps up to _HOPF_CACHE (4096) partitions.
@@ -769,18 +908,21 @@ def _coproduct_h(lam):
                                    reverse=True))
                 nxt[(al2, be2)] = nxt.get((al2, be2), 0) + c
         pairs = nxt
-    return tuple(sorted(pairs.items(),
-                        key=lambda kv: (partition_key(kv[0][0]),
-                                        partition_key(kv[0][1]))))
+    return tuple(sorted((_ranks(sum(al))[al] << _RANK_BITS | _ranks(sum(be))[be], c)
+                        for (al, be), c in pairs.items()))
 
 
 @lru_cache(maxsize=_HOPF_CACHE)
-def _h_leg(lam):
-    """(display key of lam, h_lam), one per partition: SymFunc is immutable,
-    so every coproduct shares its tensor legs.  Keeps up to _HOPF_CACHE
-    (4096) partitions.
+def _h_leg(rank):
+    """h_lam for the partition lam of this rank in display order, one per
+    partition: SymFunc is immutable, so every coproduct shares its tensor
+    legs.  Keeps up to _HOPF_CACHE (4096) partitions.
     """
-    return partition_key(lam), SymFunc._new('h', {lam: 1})
+    n = 0
+    while rank >= len(partitions_of(n)):
+        rank -= len(partitions_of(n))
+        n += 1
+    return SymFunc._new('h', {partitions_of(n)[rank]: 1})
 
 
 def coproduct(f):
@@ -790,12 +932,12 @@ def coproduct(f):
     scalars (including any rational powersum content of f) live in coeff.
     """
     acc = {}
+    get = acc.get
     for lam, c in _sum_rows(f.coeffs, f.basis, 'h').items():
-        for pair, k in _coproduct_h(lam):
-            acc[pair] = acc.get(pair, 0) + c * k
-    legs = [(_h_leg(al), _h_leg(be), c) for (al, be), c in acc.items() if c]
-    legs.sort(key=lambda t: (t[0][0], t[1][0]))
-    return [(Fraction(c), left, right) for (_, left), (_, right), c in legs]
+        for key, k in _coproduct_h(lam):
+            acc[key] = get(key, 0) + c * k
+    return [(_fraction(acc[key]), _h_leg(key >> _RANK_BITS), _h_leg(key & _RANK_MASK))
+            for key in sorted(acc) if acc[key]]
 
 
 def counit(f):
@@ -874,7 +1016,7 @@ def dual_apply(f, g):
     removals (`_skew`); returned in the basis of g.
     """
     fs, gs = convert(f, 's').coeffs, convert(g, 's').coeffs
-    return SymFunc._new(g.basis, _sum_rows(_skew_sum(fs, gs, False), 's', g.basis))
+    return _in_basis(g.basis, _skew_sum(fs, gs, False), 's')
 
 
 #############################################

@@ -168,8 +168,11 @@ def test_row_and_hopf_memos_are_bounded():
     # vertical n-strips (a list and its conjugate) grown up to degree 11
     strips = 4 * sum(len(partitions_of(d)) for d in range(9)) + \
         2 * 4 * sum(len(partitions_of(d)) for d in range(12))
+    # border strips of every size removed from and grown on degree <= 10
+    hooks = 2 * sum(d * sizes[d] for d in range(11))
     for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._h_leg, 139),
-                       (sf._strips, strips), (cb.partitions_of, 11),
+                       (sf._strips, strips), (sf._hooks, hooks), (cb.partitions_of, 11),
+                       (sf._ranks, 11), (sf._z, sum(sizes)),
                        (sf._m_mult_basis, pairs), (sf._skew, pairs + skews)):
         size = memo.cache_parameters()['maxsize']
         assert size is not None and size >= need and f'({size})' in memo.__doc__
@@ -214,6 +217,41 @@ def test_strips_match_a_brute_force_filter():
                                             if _is_strip(lam, nu, vertical)}
 
 
+def _border_strip_sign(outer, inner):
+    # (-1)^(rows - 1) when outer/inner is a border strip: inner fits in
+    # outer and the skew cells are edge-connected with no 2x2 block; else None
+    big, small = _cells(outer), _cells(inner)
+    skew = big - small
+    if not small <= big or not skew:
+        return None
+    if any({(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)} <= skew for i, j in skew):
+        return None
+    seen, todo = set(), [min(skew)]
+    while todo:
+        i, j = todo.pop()
+        if (i, j) in skew and (i, j) not in seen:
+            seen.add((i, j))
+            todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+    if seen != skew:
+        return None
+    return -1 if len({i for i, _ in skew}) % 2 == 0 else 1
+
+
+def test_hooks_match_the_border_strip_definition():
+    for d in range(8):
+        for lam in partitions_of(d):
+            for n in range(1, 8):
+                grown = sf._hooks(lam, n, True)
+                assert len(grown) == len({nu for nu, _ in grown})
+                want = {(nu, _border_strip_sign(nu, lam)) for nu in partitions_of(d + n)}
+                assert set(grown) == {pair for pair in want if pair[1]}, (lam, n)
+                removed = sf._hooks(lam, n, False)
+                assert len(removed) == len({nu for nu, _ in removed})
+                want = {(nu, _border_strip_sign(lam, nu))
+                        for nu in (partitions_of(d - n) if n <= d else ())}
+                assert set(removed) == {pair for pair in want if pair[1]}, (lam, n)
+
+
 def _ssyt_count(shape, content):
     # fill the cells row by row: each entry at least its left neighbour,
     # above the entry over it, and each value used as often as content says
@@ -247,14 +285,28 @@ def test_kostka_rows_count_tableaux_and_match_the_oracle():
                 assert row.get(mu, 0) == _ssyt_count(lam, mu), (lam, mu)
 
 
+def _z(rho):
+    # z_rho = prod_i i^(m_i) m_i!, the norm <p_rho, p_rho>
+    return math.prod(part ** rho.count(part) * math.factorial(rho.count(part))
+                     for part in set(rho))
+
+
+def _row_element(src, dst, lam):
+    # a row into p holds the pairings <X_lam, p_rho>, the coefficients times z_rho
+    row = sf._row(src, dst, lam)
+    assert all(type(c) is int for _, c in row), (src, dst, lam)
+    if dst == P:
+        return sf.SymFunc(P, {rho: Fraction(t, _z(rho)) for rho, t in row})
+    return sf.SymFunc(dst, dict(row))
+
+
 def test_m_to_basis_tables_invert_under_polynomial_oracle():
     # each row m_mu = sum c X_lam must expand to the polynomial of m_mu
     for d in range(9):
         nvars = max(d, 1)
         for basis in (S, E, H, P):
             for mu in partitions_of(d):
-                row = sf._row(M, basis, mu)
-                assert sf.monomial_expand(sf.SymFunc(basis, dict(row)), nvars) == \
+                assert sf.monomial_expand(_row_element(M, basis, mu), nvars) == \
                     sf.monomial_expand(be(M, mu), nvars)
 
 
@@ -266,6 +318,65 @@ def test_e_and_h_rows_expand_to_their_source_under_polynomial_oracle():
                 row = sf._row(src, dst, lam)
                 assert sf.monomial_expand(sf.SymFunc(dst, dict(row)), nvars) == \
                     sf.monomial_expand(be(src, lam), nvars), (src, lam)
+
+
+def _powersum_row_mismatches(max_degree):
+    """(src, dst, lam) of every row into or out of p, up to max_degree,
+    whose element differs from the polynomial of its source."""
+    bad = []
+    for d in range(max_degree + 1):
+        nvars = max(d, 1)
+        for lam in partitions_of(d):
+            for other in (M, E, H, S):
+                for src, dst in ((other, P), (P, other)):
+                    if sf.monomial_expand(_row_element(src, dst, lam), nvars) != \
+                            sf.monomial_expand(be(src, lam), nvars):
+                        bad.append((src, dst, lam))
+    return bad
+
+
+def test_powersum_rows_expand_to_their_source_under_polynomial_oracle():
+    # rows into p are integer pairings over z_rho, rows out of p are integral
+    _clear_symfunc_caches()
+    assert _powersum_row_mismatches(8) == []
+
+
+def test_schur_to_powersum_rows_are_the_character_table():
+    # chi^lam(rho) = <s_lam, p_rho>, against the character oracle of bimodel,
+    # which symfunc does not import
+    from symcat import bimodel as bm
+    with open(sf.__file__) as source:
+        tree = ast.parse(source.read())
+    imported = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, 'module', None)] + [a.name for a in node.names]]
+    assert not any(name and 'bimodel' in name for name in imported)
+    for d in range(9):
+        for lam in partitions_of(d):
+            row = dict(sf._row(S, P, lam))
+            for rho in partitions_of(d):
+                assert row.get(rho, 0) == bm.character_value(lam, rho), (lam, rho)
+
+
+def test_powersum_rows_catch_a_wrong_border_strip_sign(monkeypatch):
+    true_hooks = sf._hooks
+
+    def corrupted(lam, n, grow):
+        # p1 s2 is s3 + s21, not s3 - s21
+        hooks = true_hooks(lam, n, grow)
+        if (lam, n, grow) == ((2,), 1, True):
+            return tuple((nu, -sign if nu == (2, 1) else sign) for nu, sign in hooks)
+        return hooks
+
+    _clear_symfunc_caches()
+    monkeypatch.setattr(sf, '_hooks', corrupted)
+    try:
+        # p21 = p1 (s2 - s11) is s3 - s111
+        assert sf.convert(be(P, (2, 1)), S).coeffs == {(3,): 1, (2, 1): -2, (1, 1, 1): -1}
+        bad = _powersum_row_mismatches(4)
+    finally:
+        monkeypatch.undo()
+        _clear_symfunc_caches()
+    assert (P, S, (2, 1)) in bad and (P, H, (2, 1)) in bad
 
 
 @pytest.mark.parametrize('lam, dst', [((1,) * 16, S), ((2,) * 8, E), ((6, 4, 3, 2, 1), P)])
@@ -344,6 +455,57 @@ def test_multiply_powersum_route():
     assert sf.multiply(half, be(P, (1,))) == sf.SymFunc(P, {(1, 1): Fraction(1, 2)})
     # integral cross-family product routed through p stays correct
     assert sf.multiply(be(H, (1,)), be(P, (1,))) == be(H, (1, 1))
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives: its basis and typed coefficients, or the text of its error."""
+    try:
+        f = fn(*args)
+    except NonIntegralResult as exc:
+        return 'raised', str(exc)
+    return f.basis, {lam: (type(c), c) for lam, c in f.coeffs.items()}
+
+
+def _convert_term_by_term(f, dst):
+    # a powersum element read term by term through the integral p rows; the
+    # public constructor names the first non-integral coefficient, if any
+    out = {}
+    for lam, c in f.coeffs.items():
+        for nu, k in sf.convert(be(P, lam), dst).coeffs.items():
+            out[nu] = out.get(nu, 0) + c * k
+    return sf.SymFunc(dst, out)
+
+
+def _multiply_by_concatenation(f, g):
+    # both factors read in p, partitions concatenated, the product read in
+    # the basis of f
+    fp, gp = sf.convert(f, P).coeffs, sf.convert(g, P).coeffs
+    prod = {}
+    for lam, x in fp.items():
+        for mu, y in gp.items():
+            nu = tuple(sorted(lam + mu, reverse=True))
+            prod[nu] = prod.get(nu, 0) + x * y
+    return sf.convert(sf.SymFunc(P, prod), f.basis)
+
+
+def test_rational_powersum_input_keeps_its_results_and_error_texts():
+    rng = random.Random(10)
+    rational = _mixed_elements(P, rng, 12, (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
+                                            Fraction(1, 6), 1, -2))
+    raised = 0
+    for f in rational:
+        for dst in (M, E, H, S):
+            want = _outcome(_convert_term_by_term, f, dst)
+            assert _outcome(sf.convert, f, dst) == want, (sf.render(f), dst)
+            raised += want[0] == 'raised'
+    others = [g for basis in (M, E, H, S) for g in _mixed_elements(basis, rng, 2)]
+    for f in rational[::2]:
+        for g in others:
+            for a, b in ((f, g), (g, f)):
+                want = _outcome(_multiply_by_concatenation, a, b)
+                assert _outcome(sf.multiply, a, b) == want, (sf.render(a), sf.render(b))
+                raised += want[0] == 'raised'
+    assert raised >= 60
 
 
 ##########################
@@ -727,6 +889,42 @@ def test_coproduct_h_and_e_series():
             bt = (n - i,) if n - i else ()
             want[(al, bt)] = 1
         assert {k: int(v) for k, v in terms.items()} == want
+
+
+def _coproduct_by_partition_pairs(f):
+    # Delta(f) with every tensor term keyed by its pair of partitions and
+    # sorted by (partition_key alpha, partition_key beta)
+    fh = {}  # f in h, unchecked: a rational powersum f has rational h terms
+    for mu, c in f.coeffs.items():
+        for lam, k in sf.convert(be(f.basis, mu), H).coeffs.items():
+            fh[lam] = fh.get(lam, 0) + c * k
+    acc = {}
+    for lam, c in fh.items():
+        pairs = {((), ()): 1}
+        for part in lam:
+            nxt = {}
+            for (al, bt), k in pairs.items():
+                for i in range(part + 1):
+                    key = (tuple(sorted(al + ((i,) if i else ()), reverse=True)),
+                           tuple(sorted(bt + ((part - i,) if part - i else ()), reverse=True)))
+                    nxt[key] = nxt.get(key, 0) + k
+            pairs = nxt
+        for key, k in pairs.items():
+            acc[key] = acc.get(key, 0) + c * k
+    order = sorted(acc, key=lambda key: (partition_key(key[0]), partition_key(key[1])))
+    return [(Fraction(acc[key]), be(H, key[0]), be(H, key[1])) for key in order if acc[key]]
+
+
+def test_coproduct_order_and_types_match_sorting_by_partition_pairs():
+    rng = random.Random(11)
+    elems = [f for basis in sf.BASES for f in _mixed_elements(basis, rng, 4)]
+    elems.append(sf.parse_symfunc('1/2p[2] + p[1]'))
+    assert sum(len(f.homogeneous_parts()) > 1 for f in elems) >= 10
+    for f in elems:
+        got, want = sf.coproduct(f), _coproduct_by_partition_pairs(f)
+        assert got == want, sf.render(f)
+        assert all(type(c) is Fraction and left.basis == right.basis == H
+                   for c, left, right in got)
 
 
 def test_counit():
