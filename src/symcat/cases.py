@@ -6,6 +6,7 @@ mismatch.  CASES maps each id to its bounds, derived from (--max-degree,
 --max-rank), and its runner; `verify-all` prints the bounds as parameters.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -105,20 +106,36 @@ def _case_basis_round_trip(max_degree):
 
 
 def _case_hopf_pairing(max_degree):
+    # <ab, h_nu> = <a (x) b, Delta h_nu> for every nu of one degree at once:
+    # the right side sums (s_lam)_alpha (e_mu)_beta, read in m, through an
+    # index of the terms h_alpha (x) h_beta of each Delta h_nu; the left pairs
+    # s_lam e_mu in s with the h -> s rows, never the s -> m rows of the right.
     checked = 0
     for total in range(max_degree + 1):
-        for nu in cb.partitions_of(total):
-            c = sf.basis_element('h', nu)
-            cop = sf.coproduct(c)
-            for da in range(total + 1):
-                for lam in cb.partitions_of(da):
-                    a = sf.basis_element('s', lam)
-                    for mu in cb.partitions_of(total - da):
-                        b = sf.basis_element('e', mu)
-                        if sf.hall_pairing(sf.multiply(a, b), c) != sf.tensor_pairing(a, b, cop):
-                            raise VerificationFailure(
-                                f'<ab,c> != <a(x)b, Delta c> at ({list(lam)}, {list(mu)}, {list(nu)})')
-                        checked += 1
+        nus, cop, rows, sides = cb.partitions_of(total), {}, {}, {}
+        for j, nu in enumerate(nus):
+            for k, left, right in sf.coproduct(sf.basis_element('h', nu)):
+                k = k.numerator if k.denominator == 1 else k  # summed in int when integral
+                cop.setdefault((*left.coeffs, *right.coeffs), []).append((j, k))
+            for kappa, k in sf.convert(sf.basis_element('h', nu), 's').coeffs.items():
+                rows.setdefault(kappa, []).append((j, k))
+        for da in range(total + 1):
+            for lam, mu in itertools.product(cb.partitions_of(da), cb.partitions_of(total - da)):
+                a, b = sf.basis_element('s', lam), sf.basis_element('e', mu)
+                lhs, rhs = sides[lam, mu] = [0] * len(nus), [0] * len(nus)
+                for kappa, x in sf.multiply(a, b).coeffs.items():
+                    for j, k in rows.get(kappa, ()):
+                        lhs[j] += x * k
+                for (alpha, x), (beta, y) in itertools.product(
+                        sf.convert(a, 'm').coeffs.items(), sf.convert(b, 'm').coeffs.items()):
+                    for j, k in cop.get((alpha, beta), ()):
+                        rhs[j] += x * y * k
+        checked += len(nus) * len(sides)
+        for j, nu in enumerate(nus):  # the first failing triple in the order (nu, lam, mu)
+            for (lam, mu), (lhs, rhs) in sides.items():
+                if lhs[j] != rhs[j]:
+                    raise VerificationFailure(
+                        f'<ab,c> != <a(x)b, Delta c> at ({list(lam)}, {list(mu)}, {list(nu)})')
     return f'{checked} triples satisfy the product/coproduct adjunction up to degree {max_degree}'
 
 
@@ -278,34 +295,40 @@ def _case_heis_confluence(rng, samples, max_len, max_index):
     return f'{samples} random words normalize independently of commuting-letter order'
 
 
+_weight = hash  # w_nu: CPython's hash of an int tuple does not depend on PYTHONHASHSEED
+
+
 def _case_heis_faithful(max_bidegree, max_state):
     small = [lam for d in range(max_bidegree + 1) for lam in cb.partitions_of(d)]
     states = [lam for d in range(max_state + 1) for lam in cb.partitions_of(d)]
     inputs = [sf.basis_element('s', lam) for lam in states]
     # e_lam h_mu* s_nu = e_lam (h_mu* s_nu): lower each state once per mu, raise
-    # each once per lam (h_()* lowers none, so all are reached), sum the images
+    # each once per lam (h_()* lowers none, so all are reached)
     lowered = {mu: [hs.fock_apply_schur(hs.heis_hstar(mu), f).coeffs for f in inputs] for mu in small}
+    raised = {lam: {kappa: hs.fock_apply_schur(e_lam, f) for kappa, f in zip(states, inputs)}
+              for lam, e_lam in zip(small, map(hs.heis_e, small))}
+
+    @functools.cache
+    def images(lam, mu):  # e_lam h_mu* on each state
+        return [sum((c * raised[lam][kappa] for kappa, c in state.items()), sf.zero('s'))
+                for state in lowered[mu]]
+
+    # The key of e_lam h_mu* lists sum_nu f_nu w_nu over the images f of the
+    # states.  It is linear in f, so equal operators have equal keys: distinct
+    # keys prove two operators distinct, and only operators with one key are
+    # compared by their images.  The verdict is exact for any weights.
     seen = {}
     for lam in small:
-        e_lam = hs.heis_e(lam)
-        raised = {kappa: hs.fock_apply_schur(e_lam, f).coeffs for kappa, f in zip(states, inputs)}
+        w = {kappa: sum(k * _weight(nu) for nu, k in image.coeffs.items())
+             for kappa, image in raised[lam].items()}
         for mu in small:
-            fingerprint = []
-            for state in lowered[mu]:
-                out = {}
-                for kappa, c in state.items():
-                    for nu, k in raised[kappa].items():
-                        out[nu] = out.get(nu, 0) + c * k
-                # flat (partition, coefficient, ...) runs: as exact as the
-                # sorted items, without one pair object per term held in `seen`
-                fingerprint.append(tuple(itertools.chain.from_iterable(sorted(
-                    (nu, c) for nu, c in out.items() if c))))
-            fingerprint = tuple(fingerprint)
-            if fingerprint in seen:
-                raise VerificationFailure(
-                    f'basis operators {seen[fingerprint]} and {(lam, mu)} act identically')
-            seen[fingerprint] = (lam, mu)
-    return (f'{len(seen)} basis operators of bidegree <= ({max_bidegree},{max_bidegree}) '
+            key = tuple(sum(c * w[kappa] for kappa, c in state.items()) for state in lowered[mu])
+            for pair in seen.setdefault(key, []):
+                if images(*pair) == images(lam, mu):
+                    raise VerificationFailure(
+                        f'basis operators {pair} and {(lam, mu)} act identically')
+            seen[key].append((lam, mu))
+    return (f'{len(small) ** 2} basis operators of bidegree <= ({max_bidegree},{max_bidegree}) '
             f'are separated by states of size <= {max_state}')
 
 

@@ -105,7 +105,6 @@ __all__ = [
     'counit',
     'antipode',
     'hall_pairing',
-    'tensor_pairing',
     'schur',
     'lr_coefficients',
     'dual_apply',
@@ -969,27 +968,6 @@ def hall_pairing(f, g):
                + (g.basis != xy[1]) * len(g.coeffs))
     fx, gy = _sum_rows(f.coeffs, f.basis, x), _sum_rows(g.coeffs, g.basis, y)
     return Fraction(sum(c * gy.get(lam, 0) for lam, c in fx.items()))
-
-
-def tensor_pairing(a, b, triples):
-    """<a (x) b, sum c_i left_i (x) right_i> with the componentwise pairing:
-    a and b are read in m once, so a one-term leg k h_alpha pairs by lookup
-    as k (a in m)_alpha; a triple whose left leg pairs to 0 is skipped, and
-    any other leg goes to `hall_pairing`.
-    """
-    def pair(x, xm, leg):
-        if leg.basis == 'h' and len(leg.coeffs) == 1:
-            (alpha, k), = leg.coeffs.items()
-            return k * xm.get(alpha, 0)
-        return hall_pairing(x, leg)
-
-    am, bm = convert(a, 'm').coeffs, convert(b, 'm').coeffs
-    total = 0
-    for c, left, right in triples:
-        x = pair(a, am, left)
-        if x:
-            total += (c.numerator if c.denominator == 1 else c) * x * pair(b, bm, right)
-    return Fraction(total)
 
 
 def schur(lam):

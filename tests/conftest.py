@@ -8,7 +8,7 @@ import symcat.heisenberg as hs
 
 
 KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, bm.path_from_signature, bm._mn_character,
-                cb._inversions, cb.coset_rep, hs._with_part, hs._hstar_past_e)
+                bm._class_weights, cb._inversions, cb.coset_rep, hs._with_part, hs._hstar_past_e)
 
 
 def compose_by_definition(u, v):

@@ -346,6 +346,14 @@ FAULT_ROWS = [
      lambda items: items[:-1] + ((items[-1][0], items[-1][1] + 1),),
      'symfunc/pairing-hopf-duality', {'max_degree': 4},
      '<ab,c> != <a(x)b, Delta c> at ([2], [], [2])'),
+    (sf, '_row', ('h', 's', (1,)),  # h1 = 2 s1: the left side's h -> s row
+     lambda items: ((items[0][0], items[0][1] + 1),),
+     'symfunc/pairing-hopf-duality', {'max_degree': 4},
+     '<ab,c> != <a(x)b, Delta c> at ([], [1], [1])'),
+    (sf, '_row', ('s', 'h', (2,)),  # s2 = 2 h2 in products: pairs fail at several nu,
+     lambda items: ((items[0][0], items[0][1] + 1),),  # so this pins the (nu, lam, mu) order
+     'symfunc/pairing-hopf-duality', {'max_degree': 4},
+     '<ab,c> != <a(x)b, Delta c> at ([2], [1, 1], [4])'),
     (hs, '_hstar_past_e', ((1,), 1),  # every multiplicity of h1* e1 + 1
      lambda terms: tuple((k, parts, c + 1) for k, parts, c in terms),
      'heisenberg/normalize-confluence', {'samples': 40, 'max_len': 6, 'max_index': 4},

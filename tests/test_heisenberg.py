@@ -337,14 +337,14 @@ def test_faithfulness_spot_check():
     assert len(fingerprints) == len(small) ** 2
 
 
-@pytest.mark.parametrize('grow, message', [
+_MISREADS = [
     (False, 'basis operators ((), (2,)) and ((), (1, 1)) act identically'),
     (True, 'basis operators ((2,), ()) and ((1, 1), ()) act identically'),
-])
-def test_faithfulness_case_catches_a_misread_part(monkeypatch, grow, message):
-    # h_2* (grow False) or e_2 (grow True) applied as two steps of size 1;
-    # the messages are those of a sweep that applies each e_lam h_mu* whole
-    from symcat import cases
+]
+
+
+def _misread_part(monkeypatch, grow):
+    # h_2* (grow False) or e_2 (grow True) applied as two steps of size 1
     true_pieri = hs._pieri
 
     def misread(coeffs, parts, grow_, vertical=False):
@@ -353,9 +353,34 @@ def test_faithfulness_case_catches_a_misread_part(monkeypatch, grow, message):
         return true_pieri(coeffs, parts, grow_, vertical)
 
     monkeypatch.setattr(hs, '_pieri', misread)
+
+
+@pytest.mark.parametrize('grow, message', _MISREADS)
+def test_faithfulness_case_catches_a_misread_part(monkeypatch, grow, message):
+    # the messages are those of a sweep that applies each e_lam h_mu* whole
+    from symcat import cases
+    _misread_part(monkeypatch, grow)
     with pytest.raises(VerificationFailure) as info:
         cases.run_case('heisenberg/fock-faithful-spot', max_bidegree=4, max_state=8)
     assert str(info.value) == message
+
+
+def test_faithfulness_case_settles_repeated_keys_exactly(monkeypatch):
+    # with every weight 0 all 144 operators share one key, so each is told
+    # apart from the earlier ones only by comparing their images exactly:
+    # the verdict and the misread messages stay those of the default weights
+    from symcat import cases
+    monkeypatch.setattr(cases, '_weight', lambda nu: 0)
+    bounds = {'max_bidegree': 4, 'max_state': 8}
+    assert cases.run_case('heisenberg/fock-faithful-spot', **bounds) == \
+        '144 basis operators of bidegree <= (4,4) are separated by states of size <= 8'
+    true_pieri = hs._pieri
+    for grow, message in _MISREADS:
+        _misread_part(monkeypatch, grow)
+        with pytest.raises(VerificationFailure) as info:
+            cases.run_case('heisenberg/fock-faithful-spot', **bounds)
+        assert str(info.value) == message
+        monkeypatch.setattr(hs, '_pieri', true_pieri)
 
 
 def test_word_literals():

@@ -875,7 +875,7 @@ def test_coproduct_pinned():
             for d2 in range(3):
                 for mu in partitions_of(d2):
                     want = sf.hall_pairing(sf.multiply(be(H, lam), be(H, mu)), e2)
-                    got = sf.tensor_pairing(be(H, lam), be(H, mu), tri)
+                    got = _reference_tensor_pairing(be(H, lam), be(H, mu), tri)
                     assert got == want
 
 
@@ -1035,7 +1035,7 @@ def test_hopf_pairing_identity():
                             triples.append((be(S, lam), be(E, mu), be(H, nu)))
     for a, b, c in triples:
         lhs = sf.hall_pairing(sf.multiply(a, b), c)
-        rhs = sf.tensor_pairing(a, b, sf.coproduct(c))
+        rhs = _reference_tensor_pairing(a, b, sf.coproduct(c))
         assert lhs == rhs
 
 
@@ -1080,44 +1080,6 @@ def test_hall_pairing_rational_powersum_messages_pinned():
         assert str(err.value) == f'coefficient {where}'
     assert sf.hall_pairing(sf.parse_symfunc('p[2,1]'), be(E, (3,))) == -1
     assert sf.hall_pairing(be(S, (3, 1)), sf.parse_symfunc('s[3,1] - 2 s[2,2]')) == 1
-
-
-def test_tensor_pairing_matches_the_convert_definition():
-    # on coproducts, whose legs are unit h elements read by lookup
-    pairs = ((S, E), (M, H), (P, S), (H, M), (E, P))
-    for d in range(5):
-        for basis in sf.BASES:
-            for nu in partitions_of(d):
-                cop = sf.coproduct(be(basis, nu))
-                for da in range(d + 1):
-                    for ba, bb in pairs:
-                        for lam in partitions_of(da):
-                            for mu in partitions_of(d - da):
-                                a, b = be(ba, lam), be(bb, mu)
-                                got = sf.tensor_pairing(a, b, cop)
-                                assert type(got) is Fraction
-                                assert got == _reference_tensor_pairing(a, b, cop)
-    # on hand-built triples whose legs are not unit h elements: other bases,
-    # several terms, a coefficient other than 1, and legs that pair to zero
-    parse = sf.parse_symfunc
-    triples = [(Fraction(1, 2), be(S, (2, 1)), be(E, (1,))),
-               (3, parse('h[2] + h[1,1]'), parse('p[2] - 2 m[1,1]')),
-               (Fraction(-2), parse('2 h[2]'), be(M, (1, 1))),
-               (Fraction(5), be(P, (1, 1)), parse('1/2 p[2] + 1/2 p[1,1]')),
-               (Fraction(1, 3), be(H, (3,)), be(H, (2,))), (1, sf.zero(H), be(S, (2,)))]
-    for a_text, b_text in (('s[2,1] - e[3]', 'h[2]'), ('m[2]', 'p[1,1] + s[2]'),
-                           ('1/2 p[2] + 1/2 p[1,1]', 'e[2] + 2 e[1,1]'), ('h[1,1]', 'm[1,1]')):
-        a, b = parse(a_text), parse(b_text)
-        assert sf.tensor_pairing(a, b, triples) == _reference_tensor_pairing(a, b, triples)
-        assert sf.tensor_pairing(a, b, []) == 0
-    # a rational side raises as the definition does, from its conversion to m
-    half = sf.parse_symfunc('1/2p[2]')
-    for a, b in ((half, be(E, (1,))), (be(S, (1,)), half)):
-        with pytest.raises(NonIntegralResult) as err:
-            sf.tensor_pairing(a, b, sf.coproduct(be(H, (3,))))
-        with pytest.raises(NonIntegralResult) as want:
-            _reference_tensor_pairing(a, b, sf.coproduct(be(H, (3,))))
-        assert str(err.value) == str(want.value)
 
 
 ##########################
@@ -1258,7 +1220,6 @@ def test_rational_scalars_stay_fractions():
     assert type(sf.counit(sf.one(S))) is Fraction
     triples = sf.coproduct(f)
     assert triples and all(type(c) is Fraction for c, _, _ in triples)
-    assert type(sf.tensor_pairing(be(S, (1,)), be(S, (2,)), sf.coproduct(g))) is Fraction
 
 
 def test_public_constructor_rejects_non_partitions():
