@@ -14,30 +14,31 @@ and the `coproduct` coefficients are returned as `Fraction`.
 The Schur basis is the hub, as in the categorified Fock space, where
 induction adds Pieri strips and restriction removes them.  `_pieri`
 multiplies a Schur combination by h_n or e_n, or applies the adjoint, by
-the n-strips of `_strips` (Macdonald, ch. I section 5), and `_skew`
-expands one Schur factor in h by Jacobi-Trudi (section 3) into Pieri
-chains; so products of e, h and s factors, `lr_coefficients` and
-`dual_apply` never touch m.  `_mn` multiplies a Schur combination by p_n
-through the signed border strips of `_hooks` (the Murnaghan-Nakayama rule,
-section 7), which is how a product with one factor in p is taken in s when
-the result is read outside p; with the result in p it concatenates
-partitions in p.  A product with a factor in m stays in m, since m_lam is
-dense in s: `_p_times` multiplies by p_n, which raises one part of m_lam by
-n, and `_m_mult_basis` reads one factor in p and applies it to the other.
+the n-strips of `_strips` (Macdonald, ch. I section 5), and `_skew` expands
+one Schur factor in h (its s -> h row) into Pieri chains; so products of e,
+h and s factors, `lr_coefficients` and `dual_apply` never touch m.  `_mn`
+multiplies a Schur combination by p_n through the signed border strips of
+`_hooks` (the Murnaghan-Nakayama rule, section 7), which is how a product
+with one factor in p is taken in s when the result is read outside p; with
+the result in p it concatenates partitions in p.  A product with a factor
+in m stays in m, since m_lam is dense in s: `_p_times` multiplies by p_n,
+which raises one part of m_lam by n, and `_m_mult_basis` reads one factor
+in p and applies it to the other.
 
 Basis changes read rows of the transition matrices M(X, Y) (section 6),
 each built once and cached by `_row`.  Read directly are s -> m (Kostka
 numbers, by peeling horizontal strips), s -> p (the characters
-chi^lam(rho) = <s_lam, p_rho>, by peeling border strips), e/h -> s (strips
-grown on s_()), p -> s and p -> m (border strips grown, or `_p_times`
-applied, on the row of lam less its last part), s -> h (the Jacobi-Trudi
-determinant, which keeps `schur` fast at high degree), e <-> h (e_n =
-sum_i (-1)^(i-1) h_i e_(n-i), which omega turns into the same rule for h_n
-in e) and m -> s/e/p (each row solved from the row it inverts: s_lam and
-e_lam' are m_lam plus terms strictly lower in dominance order, p_lam a
-positive multiple of m_lam plus terms strictly higher, and the m rows of
-those terms are read back through `_row`).  Any other row composes two of
-these.
+chi^lam(rho) = <s_lam, p_rho>, by peeling border strips), s -> h (the
+inverse Kostka numbers, by peeling special rim hooks, the border strips
+through the first column: Egecioglu and Remmel, 1990), s -> e (the s -> h
+row of lam' under omega), e/h -> s (strips grown on s_()), p -> s and
+p -> m (border strips grown, or `_p_times` applied, on the row of lam less
+its last part), m -> s (the transpose of s -> h, since m and h are dual
+and s is self-dual), e <-> h (e_n = sum_i (-1)^(i-1) h_i e_(n-i), which
+omega turns into the same rule for h_n in e) and m -> p, the one row
+solved: p_lam is a positive multiple of m_lam plus terms strictly higher
+in dominance order, whose m rows are read back through `_row`.  Any other
+row, m -> e among them, composes two of these through s.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -79,6 +80,7 @@ from operator import sub
 
 from .combinatorics import (
     conjugate,
+    dominates,
     is_partition,
     parse_partition,
     partition_key,
@@ -402,13 +404,13 @@ def _skew(kappa, mu, grow):
     """s_kappa s_mu (grow) or s_kappa^*(s_mu) (not grow) in the Schur basis,
     as sorted items.
 
-    Jacobi-Trudi writes s_kappa = sum c_alpha h_alpha (`_row('s', 'h',
+    The s -> h row writes s_kappa = sum c_alpha h_alpha (`_row('s', 'h',
     kappa)`), so the product is sum c_alpha h_alpha s_mu and the skew
     sum c_alpha h_alpha^* s_mu, each a chain of Pieri steps on s_mu.  A
-    product expands the factor with fewer parts, whose determinant is the
-    smaller.  Keeps up to _PAIR_CACHE (4096) pairs, more than the 1,215
-    products of total degree <= 10 and the 973 skews by |kappa| <= 3 on
-    degree <= 10 together.
+    product expands the factor with fewer parts l, whose row sums at most
+    l! special rim hook tabloids.  Keeps up to _PAIR_CACHE (4096) pairs,
+    more than the 1,215 products of total degree <= 10 and the 973 skews by
+    |kappa| <= 3 on degree <= 10 together.
     """
     if grow and (len(mu), sum(mu)) < (len(kappa), sum(kappa)):
         kappa, mu = mu, kappa
@@ -438,14 +440,13 @@ def _row(src, dst, lam):
     """X_lam in basis Y (X = src, Y = dst) as sorted items: one row of the
     transition matrix M(X, Y) of Macdonald, ch. I section 6.
 
-    The rows that the module docstring lists are read directly, an m -> X
-    row by solving it from the X -> m row with the other m -> X rows that
+    The rows that the module docstring lists are read directly, the m -> p
+    row by solving it from the p -> m row with the other m -> p rows that
     it needs, which this memo keeps once; any other row composes two rows
-    once, through m when s is an end, else through s.  A row into p holds
-    the pairings <X_lam, p_rho>, integers whatever X is, so no row holds a
-    Fraction; the coefficient of p_rho is the pairing over z_rho.  Keeps up
-    to _ROW_CACHE (8192) rows, more than the 2,780 rows of degree <= 10
-    between the five bases.
+    once, through s.  A row into p holds the pairings <X_lam, p_rho>,
+    integers whatever X is, so no row holds a Fraction; the coefficient of
+    p_rho is the pairing over z_rho.  Keeps up to _ROW_CACHE (8192) rows,
+    more than the 2,780 rows of degree <= 10 between the five bases.
     """
     if (src, dst) == ('s', 'm'):
         # the r largest entries of a tableau fill a horizontal strip
@@ -476,38 +477,28 @@ def _row(src, dst, lam):
                     out[(n,) + rho] = out.get((n,) + rho, 0) + sign * k
         return _sorted_items(out)
     if (src, dst) == ('s', 'h'):
-        # det(h_{lam_i-i+j}), with an extra unit row and column; each of
-        # the 2^n minors, expanded along its top row, is memoised on its
-        # columns, h_0 is an empty factor and a negative subscript prunes
-        n = len(lam) + 1
-        lamp = tuple(lam) + (0,)
-
-        @lru_cache(maxsize=None)
-        def minor(mask):
-            # determinant of the submatrix on the columns in mask and the
-            # last popcount(mask) rows, as a map monomial -> coefficient
-            row = n - bin(mask).count('1')
-            if row == n:
-                return {(): 1}
-            out = {}
-            pos = 0  # index of column j within mask, fixing the cofactor sign
-            for j in range(n):
-                bit = 1 << j
-                if not mask & bit:
-                    continue
-                k = lamp[row] + j - row
-                if k >= 0:
-                    sign = -1 if pos % 2 else 1
-                    for mon, c in minor(mask & ~bit).items():
-                        key = mon if k == 0 else tuple(
-                            sorted(mon + (k,), reverse=True))
-                        out[key] = out.get(key, 0) + sign * c
-                pos += 1
-            return out
-
-        acc = minor((1 << n) - 1)
-        minor.cache_clear()
-        return _sorted_items(acc)
+        # s_lam sums sign(T) h_type(T) over the special rim hook tabloids T
+        # of shape lam (Egecioglu-Remmel); the strip of T through the cell
+        # (l, 1) empties the last row, moving one bead b of the beta-numbers
+        # lam_i + l - i to 0, so it has b boxes, and the rest of T is a
+        # tabloid of the shorter shape nu
+        out = {} if lam else {(): 1}
+        for i, part in enumerate(lam):
+            n = part + len(lam) - 1 - i
+            for nu, sign in _hooks(lam, n, False):
+                if len(nu) < len(lam):
+                    for mu, k in _row('s', 'h', nu):
+                        key = tuple(sorted(mu + (n,), reverse=True))
+                        out[key] = out.get(key, 0) + sign * k
+        return _sorted_items(out)
+    if (src, dst) == ('s', 'e'):
+        return _row('s', 'h', conjugate(lam))  # omega s_lam' = s_lam, omega h = e
+    if (src, dst) == ('m', 's'):
+        # m is dual to h and s to itself, so [s_nu] m_lam = <m_lam, s_nu> =
+        # [h_lam] s_nu: M(m, s) is the transpose of M(s, h), and s_nu is h_nu
+        # plus terms h_mu with mu dominating nu
+        return _sorted_items({nu: dict(_row('s', 'h', nu)).get(lam, 0)
+                              for nu in partitions_of(sum(lam)) if dominates(lam, nu)})
     if dst == 's' and src in 'eh':
         return _sorted_items(_pieri({(): 1}, lam, True, src == 'e'))
     if {src, dst} == {'e', 'h'}:
@@ -520,25 +511,22 @@ def _row(src, dst, lam):
             out = _concat(out, {mu: (-1) ** (n - len(mu)) * _orbit_count(mu)
                                 for mu in partitions_of(n)})
         return _sorted_items(out)
-    if src == 'm' and dst != 'h':
-        # s_lam and e_lam' are m_lam plus terms strictly dominated by lam,
-        # p_lam a positive multiple of m_lam plus terms strictly dominating
-        # it; so m_lam is that X row less the other terms, each rewritten by
-        # its own m row, over the diagonal entry.  In p the rows are the
-        # pairings, and <p_lam, p_rho> is z_lam at rho = lam, else 0
-        top = conjugate(lam) if dst == 'e' else lam
-        out, diag = {top: _z(top) if dst == 'p' else 1}, 1
-        for nu, c in _row(dst, 'm', top):
+    if (src, dst) == ('m', 'p'):
+        # p_lam is a positive multiple of m_lam plus terms strictly
+        # dominating it, so m_lam is the p row of lam less the other terms,
+        # each rewritten by its own m row, over the diagonal entry; the rows
+        # are the pairings, and <p_lam, p_rho> is z_lam at rho = lam, else 0
+        out, diag = {lam: _z(lam)}, 1
+        for nu, c in _row('p', 'm', lam):
             if nu == lam:
                 diag = c
                 continue
-            for mu, k in _row('m', dst, nu):
+            for mu, k in _row('m', 'p', nu):
                 out[mu] = out.get(mu, 0) - c * k
         if any(c % diag for c in out.values()):
-            raise ArithmeticError(f'm{lam} in {dst}: a coefficient is not a multiple of {diag}')
+            raise ArithmeticError(f'm{lam} in p: a coefficient is not a multiple of {diag}')
         return _sorted_items({mu: c // diag for mu, c in out.items()})
-    via = 'm' if 's' in (src, dst) else 's'
-    return _sorted_items(_sum_rows(dict(_row(src, via, lam)), via, dst))
+    return _sorted_items(_sum_rows(dict(_row(src, 's', lam)), 's', dst))
 
 
 def _sum_rows(coeffs, src, dst):
@@ -607,8 +595,8 @@ def multiply(f, g):
     way a rational powersum factor multiplies, and only the result is
     checked in its basis.  With a monomial factor the product is taken in m,
     where `_m_mult_basis` reads one factor of each pair in p and raises the
-    parts of the other, since m_lam is dense in s; otherwise in s, by
-    Jacobi-Trudi and Pieri (`_skew`).
+    parts of the other, since m_lam is dense in s; otherwise in s, by the
+    s -> h rows and Pieri (`_skew`).
     """
     if f.basis == 'p':
         if g.basis == 'p':
@@ -971,7 +959,8 @@ def hall_pairing(f, g):
 
 
 def schur(lam):
-    """s_lam in the complete basis (Jacobi-Trudi determinant)."""
+    """s_lam in the complete basis: the inverse Kostka numbers, read by
+    peeling special rim hooks (the s -> h row)."""
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f'not a partition: {lam!r}')
@@ -980,8 +969,8 @@ def schur(lam):
 
 def lr_coefficients(lam, mu):
     """Littlewood-Richardson coefficients c^nu_{lam,mu} as a sparse map: the
-    Schur expansion of s_lam s_mu, by Jacobi-Trudi and Pieri (`_skew`),
-    without the monomial basis.
+    Schur expansion of s_lam s_mu, by the s -> h row of one factor and
+    Pieri (`_skew`), without the monomial basis.
     """
     return dict(_skew(tuple(lam), tuple(mu), True))
 
@@ -990,8 +979,8 @@ def dual_apply(f, g):
     """f^*(g): the adjoint of multiplication by f, applied to g.
 
     Characterized by <a, f^*(g)> = <f a, g>.  Both sides are read in the
-    Schur basis, where s_kappa^* is the Jacobi-Trudi sum of Pieri strip
-    removals (`_skew`); returned in the basis of g.
+    Schur basis, where s_kappa^* is the sum of Pieri strip removals that
+    the s -> h row of kappa gives (`_skew`); returned in the basis of g.
     """
     fs, gs = convert(f, 's').coeffs, convert(g, 's').coeffs
     return _in_basis(g.basis, _skew_sum(fs, gs, False), 's')

@@ -354,6 +354,10 @@ FAULT_ROWS = [
      lambda items: ((items[0][0], items[0][1] + 1),),  # so this pins the (nu, lam, mu) order
      'symfunc/pairing-hopf-duality', {'max_degree': 4},
      '<ab,c> != <a(x)b, Delta c> at ([2], [1, 1], [4])'),
+    (sf, '_hooks', ((1, 1), 1, False),  # the one-box special rim hook of s11 negated,
+     lambda hooks: tuple((nu, -sign) for nu, sign in hooks),  # so s11 -> h reads -h11 - h2
+     'symfunc/basis-round-trip', {'max_degree': 4},
+     'm->e->m moves m[2]'),
     (hs, '_hstar_past_e', ((1,), 1),  # every multiplicity of h1* e1 + 1
      lambda terms: tuple((k, parts, c + 1) for k, parts, c in terms),
      'heisenberg/normalize-confluence', {'samples': 40, 'max_len': 6, 'max_index': 4},

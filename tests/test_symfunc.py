@@ -6,6 +6,7 @@ into explicit polynomials first, then frozen.
 """
 
 import ast
+import functools
 import itertools
 import math
 import random
@@ -313,11 +314,51 @@ def test_m_to_basis_tables_invert_under_polynomial_oracle():
 def test_e_and_h_rows_expand_to_their_source_under_polynomial_oracle():
     for d in range(9):
         nvars = max(d, 1)
-        for src, dst in ((E, H), (H, E)):
+        for src, dst in ((E, H), (H, E), (S, H), (S, E)):
             for lam in partitions_of(d):
                 row = sf._row(src, dst, lam)
                 assert sf.monomial_expand(sf.SymFunc(dst, dict(row)), nvars) == \
                     sf.monomial_expand(be(src, lam), nvars), (src, lam)
+
+
+def _jacobi_trudi(lam):
+    """det(h_{lam_i-i+j}) (Macdonald, ch. I (3.4)) as a map h-partition ->
+    coefficient, with an extra unit row and column: each of the 2^(l+1)
+    minors, expanded along its top row, is memoised on its columns, h_0 is
+    an empty factor and a negative subscript prunes."""
+    n = len(lam) + 1
+    lamp = tuple(lam) + (0,)
+
+    @functools.lru_cache(maxsize=None)
+    def minor(mask):
+        # determinant of the submatrix on the columns in mask and the last
+        # popcount(mask) rows, as a map monomial -> coefficient
+        row = n - bin(mask).count('1')
+        if row == n:
+            return {(): 1}
+        out = {}
+        pos = 0  # index of column j within mask, fixing the cofactor sign
+        for j in range(n):
+            bit = 1 << j
+            if not mask & bit:
+                continue
+            k = lamp[row] + j - row
+            if k >= 0:
+                sign = -1 if pos % 2 else 1
+                for mon, c in minor(mask & ~bit).items():
+                    key = mon if k == 0 else tuple(sorted(mon + (k,), reverse=True))
+                    out[key] = out.get(key, 0) + sign * c
+            pos += 1
+        return out
+
+    return {mu: c for mu, c in minor((1 << n) - 1).items() if c}
+
+
+def test_schur_to_h_rows_match_the_jacobi_trudi_determinant():
+    # the rows peel special rim hooks; the determinant shares no kernel with them
+    shapes = [lam for d in range(11) for lam in partitions_of(d)]
+    for lam in shapes + [(1,) * k for k in range(11, 15)]:
+        assert dict(sf._row(S, H, lam)) == _jacobi_trudi(lam), lam
 
 
 def _powersum_row_mismatches(max_degree):
@@ -381,8 +422,9 @@ def test_powersum_rows_catch_a_wrong_border_strip_sign(monkeypatch):
 
 @pytest.mark.parametrize('lam, dst', [((1,) * 16, S), ((2,) * 8, E), ((6, 4, 3, 2, 1), P)])
 def test_cold_m_conversion_solves_only_its_side_of_the_dominance_order(lam, dst):
-    # m_lam in s or e needs the m rows of the shapes below lam, in p those
-    # above it: fewer than the p(16) = 231 shapes of its degree
+    # m_lam in s reads the s -> h rows of the shapes below lam (it is their
+    # transpose), in e also those of their conjugates (omega), in p it
+    # solves the m rows of those above it: fewer than p(16) = 231 rows
     _clear_symfunc_caches()
     sf.convert(be(M, lam), dst)
     assert sf._row.cache_info().currsize < 231
@@ -755,8 +797,8 @@ def test_product_oracle_catches_a_wrong_jacobi_trudi_entry(monkeypatch):
     monkeypatch.setattr(sf, '_row', corrupted)
     try:
         # the wrong entry reaches products through Schur products, which
-        # expand one factor by Jacobi-Trudi, and through the m -> h rows,
-        # which compose the m -> s rows with it
+        # expand one factor by its s -> h row, and through the m -> s rows,
+        # its transpose, which the m -> h rows compose with it
         assert sf.convert(be(S, (2, 1)), H).coeffs == {(2, 1): -1, (1, 1, 1): 1}
         with pytest.raises(VerificationFailure):
             cases.run_case('symfunc/product-oracle', max_degree=5, nvars=10)
