@@ -40,6 +40,14 @@ solved: p_lam is a positive multiple of m_lam plus terms strictly higher
 in dominance order, whose m rows are read back through `_row`.  Any other
 row, m -> e among them, composes two of these through s.
 
+A sum of rows, sum c_lam X_lam in basis Y, ends nearly every answer; on a
+degree dense enough to pay it is taken on packed ints (Kronecker
+substitution), as are the sums of Delta(h_lam) in `coproduct`: each row is
+one int with a signed 64-bit slot per partition (per pair of partitions
+for Delta), so the sum is one big-int multiply-add per term, read back
+once per degree.  The slot bound sum |c| max|row| < 2^63 is checked before
+each packed sum; sparse, rational and over-bound sums take the dict loop.
+
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
 shares no kernel with `convert` or `multiply`: each basis element is read
@@ -73,10 +81,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from operator import sub
+from functools import lru_cache, partial
+from itertools import compress, product
+from operator import mul, sub
 
 from .combinatorics import (
     conjugate,
@@ -533,10 +543,14 @@ def _sum_rows(coeffs, src, dst):
     """sum c X_lam over the items lam -> c of coeffs (X = src), in basis dst;
     into p (from another basis) the sum of the pairings <X_lam, p_rho>.
 
-    Unchecked: a rational coefficient passes and cancelled terms stay as
-    zeros, which `SymFunc._new` drops; with src = dst it is coeffs itself.
-    Rational powersum coefficients are scaled to ints by the least common
-    multiple of their denominators, which divides each sum once.
+    A degree of coeffs that is dense enough, with int coefficients under
+    the slot bound, is summed as packed rows (`_add_packed`); the rest row
+    by row in a dict.  Unchecked: a rational coefficient passes, and a
+    cancelled term may stay as a zero (the dict loop) or be left out (a
+    packed sum), which `SymFunc._new` drops either way; with src = dst it
+    is coeffs itself.  Rational powersum coefficients are scaled to ints by
+    the least common multiple of their denominators, which divides each sum
+    once.
     """
     if src == dst:
         return coeffs
@@ -545,11 +559,117 @@ def _sum_rows(coeffs, src, dst):
         ints = {lam: c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
         return {mu: Fraction(t, den) for mu, t in _sum_rows(ints, src, dst).items()}
     out = {}
+    if len(coeffs) >= _PACK_MIN_ROWS:
+        coeffs = _packed_part(coeffs, partial(_packed_row, src, dst), _row_layout, out)
     get = out.get
     for lam, c in coeffs.items():
         for mu, k in _row(src, dst, lam):
             out[mu] = get(mu, 0) + c * k
     return out
+
+
+#############################################
+# packed sums (Kronecker substitution)      #
+#############################################
+# A vector of ints indexed by an ordered key list is packed into one int
+# with a signed 64-bit slot per key: the slots are laid out as an
+# array('Q') read in native byte order, and the int is (positive part) -
+# (negative part).  A sum of packed rows times int coefficients is then one
+# multiply-add per row on big ints, and its slots are read back once:
+# adding the bias B, which holds 2^63 in every slot, lifts each slot into
+# [0, 2^64) without carries exactly when every slot of the sum lies in
+# [-2^63, 2^63), and xor with B restores the two's complement bytes
+# (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).  The
+# decode never fails, so an overflowing slot would be silently wrong: the
+# bound |slot| <= sum |c| max|row| < 2^63 is checked before every packed
+# sum, from the max|row| stored with each row.
+
+_SLOT_LIMIT = 1 << 63  # every slot of a packed sum stays below this in absolute value
+# Below either floor a packed sum costs more than the dict loop: in timings
+# of single sums the crossover sat near 50 row entries, so 4 rows of size
+# 10 (42 slots) already pay, while rows of size 6 or less mostly do not.
+_PACK_MIN_ROWS = 4  # fewer rows of one degree are summed by the dict loop
+_PACK_MIN_CELLS = 150  # and so are rows x slots of one degree below this
+
+
+def _layout(keys):
+    """(keys, key -> slot, the bias B with 2^63 in each of their slots)."""
+    bias = array('Q', [_SLOT_LIMIT]) * len(keys)
+    return keys, {key: i for i, key in enumerate(keys)}, int.from_bytes(bias, sys.byteorder)
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _row_layout(n):
+    """The slots of a packed transition row of size n: `partitions_of(n)`,
+    which is display order.  Keeps up to _ROW_CACHE (8192) sizes."""
+    return _layout(partitions_of(n))
+
+
+def _pack(items, layout):
+    """The (key, int) items in the slots of layout, as (packed int, max
+    |entry|).  An entry of 2^63 or more packs nothing: the row is kept as 0
+    with its true maximum, so any sum that takes it with a nonzero
+    coefficient fails the slot bound and runs the dict loop."""
+    keys, index, _ = layout
+    slots = [0] * len(keys)
+    for key, c in items:
+        slots[index[key]] = c
+    top = max(map(abs, slots))
+    if top >= _SLOT_LIMIT:
+        return 0, top
+    pos = array('Q', [c if c > 0 else 0 for c in slots])
+    neg = array('Q', [-c if c < 0 else 0 for c in slots])
+    return int.from_bytes(pos, sys.byteorder) - int.from_bytes(neg, sys.byteorder), top
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _packed_row(src, dst, lam):
+    """`_row(src, dst, lam)` packed in the slots of `_row_layout(|lam|)`.
+
+    Reads `_row` through the module, so a patched row is packed as it
+    reads.  Keeps up to _ROW_CACHE (8192) rows; a row of size n holds
+    8 p(n) bytes of slots, 336 at n = 10 and 1,080 at n = 14, so a full
+    memo of size-14 rows holds about 11 MB (8.8 MB of slots), less than
+    the `_row` entries it packs when they are dense.
+    """
+    return _pack(_row(src, dst, lam), _row_layout(sum(lam)))
+
+
+def _packed_part(coeffs, packed, layout, out):
+    """Add to out the packed sum of each degree of coeffs that `_add_packed`
+    takes, and return the items left for the dict loop: coeffs itself when
+    no degree is taken.  Callers skip it below _PACK_MIN_ROWS terms."""
+    degrees = set(map(sum, coeffs))
+    if len(degrees) == 1:
+        return {} if _add_packed(coeffs, degrees.pop(), packed, layout, out) else coeffs
+    by_degree = {}
+    for lam, c in coeffs.items():
+        by_degree.setdefault(sum(lam), {})[lam] = c
+    rest = {}
+    for n, part in by_degree.items():
+        if not _add_packed(part, n, packed, layout, out):
+            rest.update(part)
+    return rest
+
+
+def _add_packed(part, n, packed, layout, out):
+    """Add sum c packed(lam) over the items of part, all of size n, to out,
+    when they are at least _PACK_MIN_ROWS ints that fill at least
+    _PACK_MIN_CELLS slots of layout(n) (terms times slots) and the bound
+    sum |c| max|row| < 2^63 holds; return whether it did.  The nonzero
+    slots enter out in layout order.
+    """
+    keys, _, bias = layout(n)
+    if (len(part) < _PACK_MIN_ROWS or len(part) * len(keys) < _PACK_MIN_CELLS
+            or set(map(type, part.values())) != {int}):
+        return False
+    values, tops = zip(*map(packed, part))
+    if sum(map(mul, map(abs, part.values()), tops)) >= _SLOT_LIMIT:
+        return False
+    total = sum(map(mul, part.values(), values))
+    slots = array('q', ((total + bias) ^ bias).to_bytes(8 * len(keys), sys.byteorder))
+    out.update(zip(compress(keys, slots), compress(slots, slots)))
+    return True
 
 
 @lru_cache(maxsize=_ROW_CACHE)
@@ -900,6 +1020,28 @@ def _coproduct_h(lam):
 
 
 @lru_cache(maxsize=_HOPF_CACHE)
+def _pair_layout(n):
+    """The slots of a packed Delta(h_lam), |lam| = n: the keys of
+    `_coproduct_h` of every pair (alpha, beta) with |alpha| + |beta| = n,
+    in int order.  Keeps up to _HOPF_CACHE (4096) sizes."""
+    return _layout(tuple(a << _RANK_BITS | b for k in range(n + 1)
+                         for a in _ranks(k).values() for b in _ranks(n - k).values()))
+
+
+@lru_cache(maxsize=_HOPF_CACHE)
+def _packed_coproduct_h(lam):
+    """`_coproduct_h(lam)` packed in the slots of `_pair_layout(|lam|)`.
+
+    Reads `_coproduct_h` through the module, like `_packed_row`.  Keeps up
+    to _HOPF_CACHE (4096) partitions; one of size n holds 8 bytes of slots
+    per pair of partitions of total size n: 3,848 at n = 10, 21,320 at
+    n = 14.  The 139 partitions of size <= 10 fill 0.29 MB, the 508 of size
+    <= 14 5.7 MB, and 4096 entries of size 14 would fill 87 MB.
+    """
+    return _pack(_coproduct_h(lam), _pair_layout(sum(lam)))
+
+
+@lru_cache(maxsize=_HOPF_CACHE)
 def _h_leg(rank):
     """h_lam for the partition lam of this rank in display order, one per
     partition: SymFunc is immutable, so every coproduct shares its tensor
@@ -917,10 +1059,17 @@ def coproduct(f):
 
     Left/right factors are unit-coefficient complete-basis elements; all
     scalars (including any rational powersum content of f) live in coeff.
+    f is read in h, and sum c Delta(h_lam) over each degree dense enough
+    for a packed sum, with int coefficients under the slot bound, is one
+    multiply-add per term on the packed Delta(h_lam) (`_add_packed`); other
+    degrees are summed term by term.
     """
     acc = {}
     get = acc.get
-    for lam, c in _sum_rows(f.coeffs, f.basis, 'h').items():
+    fh = _sum_rows(f.coeffs, f.basis, 'h')
+    if len(fh) >= _PACK_MIN_ROWS:
+        fh = _packed_part(fh, _packed_coproduct_h, _pair_layout, acc)
+    for lam, c in fh.items():
         for key, k in _coproduct_h(lam):
             acc[key] = get(key, 0) + c * k
     return [(_fraction(acc[key]), _h_leg(key >> _RANK_BITS), _h_leg(key & _RANK_MASK))

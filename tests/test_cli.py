@@ -358,6 +358,10 @@ FAULT_ROWS = [
      lambda hooks: tuple((nu, -sign) for nu, sign in hooks),  # so s11 -> h reads -h11 - h2
      'symfunc/basis-round-trip', {'max_degree': 4},
      'm->e->m moves m[2]'),
+    (sf, '_packed_row', ('s', 'e', (4, 3)),  # packed s43 -> e + 1: its lowest slot, e[7] on
+     lambda packed: (packed[0] + 1, packed[1]),  # little-endian bytes, read by the m -> e rows
+     'symfunc/basis-round-trip', {'max_degree': 7},
+     'm->e->m moves m[5, 2]'),
     (hs, '_hstar_past_e', ((1,), 1),  # every multiplicity of h1* e1 + 1
      lambda terms: tuple((k, parts, c + 1) for k, parts, c in terms),
      'heisenberg/normalize-confluence', {'samples': 40, 'max_len': 6, 'max_index': 4},

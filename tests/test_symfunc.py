@@ -171,7 +171,9 @@ def test_row_and_hopf_memos_are_bounded():
         2 * 4 * sum(len(partitions_of(d)) for d in range(12))
     # border strips of every size removed from and grown on degree <= 10
     hooks = 2 * sum(d * sizes[d] for d in range(11))
-    for memo, need in ((sf._row, rows), (sf._coproduct_h, 139), (sf._h_leg, 139),
+    for memo, need in ((sf._row, rows), (sf._packed_row, rows), (sf._row_layout, 11),
+                       (sf._coproduct_h, 139), (sf._packed_coproduct_h, 139),
+                       (sf._pair_layout, 11), (sf._h_leg, 139),
                        (sf._strips, strips), (sf._hooks, hooks), (cb.partitions_of, 11),
                        (sf._ranks, 11), (sf._z, sum(sizes)),
                        (sf._m_mult_basis, pairs), (sf._skew, pairs + skews)):
@@ -726,7 +728,8 @@ def test_monomial_expand_matches_definitions():
 
 
 _SYM_KERNELS = ('_row', '_strips', '_pieri', '_skew', '_m_mult_basis', '_m_mult_raw',
-                '_p_times', 'convert', 'multiply')
+                '_p_times', 'convert', 'multiply', '_packed_row', '_packed_coproduct_h',
+                '_add_packed')
 
 
 def _clear_symfunc_caches():
@@ -899,6 +902,161 @@ def test_product_oracle_catches_a_wrong_pieri_strip(monkeypatch):
     finally:
         monkeypatch.undo()
         _clear_symfunc_caches()
+
+
+##########################
+# packed sums            #
+##########################
+
+def _dict_sum(coeffs, src, dst):
+    # sum c X_lam in dst one row entry at a time, cancelled terms dropped
+    out = {}
+    for lam, c in coeffs.items():
+        for mu, k in sf._row(src, dst, lam):
+            out[mu] = out.get(mu, 0) + c * k
+    return {mu: c for mu, c in out.items() if c}
+
+
+def _nonzero(coeffs):
+    return {key: c for key, c in coeffs.items() if c}
+
+
+@pytest.fixture
+def packed_sums(monkeypatch):
+    """The sizes of the degrees that `_add_packed` summed packed, in call
+    order; the symfunc memos are cleared before and after the test."""
+    taken = []
+    true_add = sf._add_packed
+
+    def counted(part, n, *rest):
+        done = true_add(part, n, *rest)
+        if done:
+            taken.append(n)
+        return done
+
+    _clear_symfunc_caches()
+    monkeypatch.setattr(sf, '_add_packed', counted)
+    yield taken
+    monkeypatch.undo()
+    _clear_symfunc_caches()
+
+
+def test_packed_sums_match_the_dict_sum_on_all_basis_pairs(packed_sums):
+    rng = random.Random(27)
+    for d in range(13):
+        lams = partitions_of(d)
+        for src, dst in itertools.permutations(sf.BASES, 2):
+            coeffs = {lam: rng.randint(-3, 3) for lam in lams}
+            want = _dict_sum(coeffs, src, dst)  # builds the rows, packing some
+            del packed_sums[:]
+            assert _nonzero(sf._sum_rows(coeffs, src, dst)) == want
+            # every partition of d: the rows x slots floor alone decides
+            assert packed_sums == ([d] if len(lams) ** 2 >= sf._PACK_MIN_CELLS else [])
+
+
+def _synthetic_rows(monkeypatch, entries):
+    """Patch `_row` so that the s -> m row of the i-th partition of 10 is
+    entries[i] on the first two partitions of 10 (every other row is kept);
+    return those source partitions and a list of the synthetic rows read."""
+    lams, reads = partitions_of(10)[:len(entries)], []
+    first, second = partitions_of(10)[:2]
+    rows = {lam: ((first, a), (second, b)) for lam, (a, b) in zip(lams, entries)}
+    true_row = sf._row
+
+    def row(src, dst, lam):
+        if (src, dst) == (S, M) and lam in rows:
+            reads.append(lam)
+            return rows[lam]
+        return true_row(src, dst, lam)
+
+    sf._packed_row.cache_clear()
+    monkeypatch.setattr(sf, '_row', row)
+    return lams, reads
+
+
+def test_packed_slots_at_plus_and_minus_2_63_less_1_decode_exactly(packed_sums, monkeypatch):
+    top = 2 ** 63 - 1
+    lams, reads = _synthetic_rows(monkeypatch, [(2 ** 61, -2 ** 61)] * 3
+                                  + [(2 ** 61 - 1, 1 - 2 ** 61)])
+    assert 4 * len(partitions_of(10)) >= sf._PACK_MIN_CELLS
+    first, second = partitions_of(10)[:2]
+    for sign in (1, -1):
+        coeffs = dict.fromkeys(lams, sign)
+        sf._sum_rows(coeffs, S, M)  # packs the rows
+        del reads[:], packed_sums[:]
+        assert sf._sum_rows(coeffs, S, M) == {first: sign * top, second: -sign * top}
+        assert packed_sums == [10] and reads == []
+
+
+def test_a_sum_whose_bound_reaches_2_63_takes_the_dict_loop(packed_sums, monkeypatch):
+    lams, reads = _synthetic_rows(monkeypatch, [(2 ** 61, -2 ** 61)] * 4)
+    first, second = partitions_of(10)[:2]
+    for sign in (1, -1):
+        coeffs = dict.fromkeys(lams, sign)
+        sf._sum_rows(coeffs, S, M)
+        del reads[:]
+        assert sf._sum_rows(coeffs, S, M) == {first: sign * 2 ** 63, second: -sign * 2 ** 63}
+        assert packed_sums == [] and reads == list(lams)  # the dict loop reads every row
+    # a coefficient of 2^62 against rows whose largest entry is 2
+    lams, reads = _synthetic_rows(monkeypatch, [(2, -1)] * 4)
+    coeffs = {lam: 2 ** 62 if i == 0 else 1 for i, lam in enumerate(lams)}
+    assert sf._sum_rows(coeffs, S, M) == {first: 2 ** 63 + 6, second: -2 ** 62 - 3}
+    assert packed_sums == [] and reads.count(lams[0]) == 2  # packed, then read by the loop
+
+
+@pytest.mark.parametrize('big', [2 ** 63, 2 ** 64 + 1])
+def test_a_row_entry_of_2_63_or_more_is_never_packed(packed_sums, monkeypatch, big):
+    lams, reads = _synthetic_rows(monkeypatch, [(big, -1)] + [(1, -1)] * 3)
+    first, second = partitions_of(10)[:2]
+    coeffs = dict.fromkeys(lams, 1)
+    assert sf._sum_rows(coeffs, S, M) == {first: big + 3, second: -4}
+    assert packed_sums == []
+    # with a zero coefficient the big row adds nothing, so the sum packs
+    coeffs[lams[0]] = 0
+    assert _nonzero(sf._sum_rows(coeffs, S, M)) == {first: 3, second: -3}
+    assert packed_sums == [10]
+
+
+def test_packed_sums_keep_rational_empty_and_inhomogeneous_inputs_exact(packed_sums):
+    rng = random.Random(5)
+    lams10 = partitions_of(10)
+    assert sf._sum_rows({}, S, M) == {}
+    # rational powersum coefficients are scaled to ints, summed packed, divided once
+    coeffs = {lam: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for lam in lams10}
+    for dst in (M, E, H, S):
+        want = _dict_sum(coeffs, P, dst)
+        del packed_sums[:]
+        got = sf._sum_rows(coeffs, P, dst)
+        assert _nonzero(got) == want
+        assert packed_sums == [10] and all(type(c) is Fraction for c in got.values())
+    # integral Fractions (as a literal parses) are not ints: the dict loop
+    coeffs = {lam: Fraction(rng.randint(-5, 5)) for lam in lams10}
+    want = _dict_sum(coeffs, S, H)
+    del packed_sums[:]
+    assert _nonzero(sf._sum_rows(coeffs, S, H)) == want
+    assert packed_sums == []
+    # a dense degree packs, a sparse one beside it takes the loop
+    coeffs = {lam: rng.randint(1, 4) for lam in lams10[::2] + partitions_of(3)}
+    for src, dst in ((S, M), (M, E), (E, P)):
+        want = _dict_sum(coeffs, src, dst)
+        del packed_sums[:]
+        assert _nonzero(sf._sum_rows(coeffs, src, dst)) == want
+        assert packed_sums == [10]
+
+
+def test_packed_coproduct_of_inhomogeneous_and_rational_elements(packed_sums, monkeypatch):
+    dense = sf.parse_symfunc('m[4,3,2,1] - 2 m[5,5] + 3 s[3,3,2] - e[2,1] + 4 m[]')
+    rational = sf.parse_symfunc('1/2p[4,2,2] - 2/3p[3,3,1,1] + p[6,2] + 3 p[2,1] - 1/5p[]')
+    reads = []
+    true_packed = sf._packed_coproduct_h
+    monkeypatch.setattr(sf, '_packed_coproduct_h', lambda lam: reads.append(lam) or true_packed(lam))
+    # the dense element's Delta is summed packed at degrees 8 and 10; the
+    # rational one has Fraction coefficients in h, so its Delta is not
+    for f, degrees in ((dense, {8, 10}), (rational, set())):
+        assert len(f.homogeneous_parts()) > 1
+        del reads[:]
+        assert sf.coproduct(f) == _coproduct_by_partition_pairs(f), sf.render(f)
+        assert set(map(sum, reads)) == degrees
 
 
 ##########################
