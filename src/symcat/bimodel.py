@@ -7,11 +7,12 @@ becomes a composite bimodule: each up step tensors with A_{n+1} as an
 subalgebras.  Every such composite has a canonical basis built from minimal
 coset representatives with one free group-algebra factor at the base, and
 diagram_to_map turns a planar diagram into the corresponding bimodule map,
-stored as the BimoduleElem image of each basis tensor.  verify_local_relation
-/ mackey_check replay the graphical relations as identities of such maps, and
-induced_character_decomposition provides the character-theoretic multiplicity
-oracle.  Arithmetic is integer-first: coefficients are exact, int unless
-non-integral (then Fraction, as the 1/n! of e(n)).
+stored as one sparse row per basis tensor, with basis tensors keyed by
+their integer rank in the canonical basis.  verify_local_relation /
+mackey_check replay the graphical relations as identities of such maps, and
+induced_character_decomposition provides the character-theoretic
+multiplicity oracle.  Arithmetic is integer-first: coefficients are exact,
+int unless non-integral (then Fraction, as the 1/n! of e(n)).
 
 >>> ga_product(symmetrizer(2), symmetrizer(2)) == symmetrizer(2)
 True
@@ -25,6 +26,7 @@ import functools
 import itertools
 import math
 
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import methodcaller
 
@@ -52,7 +54,7 @@ from .errors import (
     VerificationFailure,
     report_json,
 )
-from .linalg import LinComb, common_denominator, matrix_rank, render_terms
+from .linalg import LinComb, common_denominator, matrix_rank, render_terms, scalar
 
 __all__ = [
     'GroupAlgElem',
@@ -269,6 +271,9 @@ def tensor_basis(path):
     """Ordered canonical basis: coset representatives in the up slots, identity
     in the down slots, a free S_{n_0} factor at the end.
 
+    Position r of this list is the rank r of `_rank` and `_unrank`, which
+    read it arithmetically; the list itself is built afresh on each call.
+
     >>> len(tensor_basis(path_from_signature('DU', 2)))
     6
     >>> len(tensor_basis(path_from_signature('UD', 2)))
@@ -278,6 +283,58 @@ def tensor_basis(path):
                for up, m in _layout(path)]
     choices.append(list(all_perms(path.base)))
     return [tuple(elem) for elem in itertools.product(*choices)]
+
+
+def _size(path):
+    """len(tensor_basis(path)), without building it."""
+    return math.prod(m for up, m in _layout(path) if up) * math.factorial(path.base)
+
+
+def _rank(path, elem):
+    """Position of a canonical tensor in tensor_basis(path): a mixed radix of
+    the coset index g[-1] of each up slot g (radix its rank m), then the
+    lexicographic index of the free factor.
+
+    >>> path = path_from_signature('DU', 2)
+    >>> [_rank(path, e) for e in tensor_basis(path)]
+    [0, 1, 2, 3, 4, 5]
+    """
+    r = 0
+    for g, (up, m) in zip(elem, _layout(path)):
+        if up:
+            r = r * m + g[-1] - 1
+    rest = sorted(elem[-1])
+    for x in elem[-1]:
+        j = rest.index(x)
+        r = r * len(rest) + j
+        del rest[j]
+    return r
+
+
+def _unrank(path, r):
+    """The tensor at position r of tensor_basis(path); inverse of `_rank`.
+
+    >>> path = path_from_signature('DU', 2)
+    >>> [_unrank(path, r) for r in range(6)] == tensor_basis(path)
+    True
+    """
+    digits = []
+    for radix in range(1, path.base + 1):  # the free factor's Lehmer code, last digit first
+        r, j = divmod(r, radix)
+        digits.append(j)
+    digits.reverse()
+    rest = list(range(1, path.base + 1))
+    w = tuple([rest.pop(j) for j in digits])
+    slots = []
+    for up, m in reversed(_layout(path)):
+        if up:
+            r, j = divmod(r, m)
+            slots.append(coset_rep(j + 1, m))
+        else:
+            slots.append(identity_perm(m))
+    slots.reverse()
+    slots.append(w)
+    return tuple(slots)
 
 
 def canonicalize(path, elem):
@@ -403,52 +460,102 @@ def _frame(path_below, slice_):
                                           path_below.base)
 
 
-_STEP_CACHE = 1 << 17  # (path, slice, tensor) entries kept by `_step`
+_STEP_CACHE = 1 << 17  # entries, filled or not, kept over all slice tables
 
 
-@functools.lru_cache(maxsize=_STEP_CACHE)
-def _step(path_below, slice_, elem):
-    """The canonical images of a pure tensor under one slice: canonicalize
-    applied to each of _slice_images, which all have coefficient 1.
-
-    diagram_to_map reads every slice through this memo, so one slice on one
-    basis tensor is rewritten once across diagrams, relation sides and
-    queries.  Keeps up to _STEP_CACHE (131072) entries, more than the 80,640
-    (8! tensors under x1 and under x2) of the level-5 braid check, which
-    runs in 82 MB ru_maxrss with the memo full.  `verify-all` at its
-    defaults fills 2,719 entries and `bimod verify-relations --max-level 4
-    --relation braid` 11,820.
-    """
+def _slice_ranks(path_below, slice_, r):
+    """The ranks in the path above of the canonical images of basis tensor r
+    under one slice: canonicalize applied to each of _slice_images, which
+    all have coefficient 1."""
     sig_below, path_above = _frame(path_below, slice_)
-    return tuple(canonicalize(path_above, image) for image in
-                 _slice_images(path_below, path_above, sig_below, slice_, elem))
+    return tuple(_rank(path_above, canonicalize(path_above, image)) for image in
+                 _slice_images(path_below, path_above, sig_below, slice_,
+                               _unrank(path_below, r)))
+
+
+SliceTableInfo = namedtuple('SliceTableInfo', 'tables maxsize currsize')
+
+
+class _SliceTables:
+    """One table per (path, slice): a list indexed by domain rank whose entry
+    r is None until diagram_to_map first reads it, and then the tuple
+    _slice_ranks(path, slice, r).  One slice on one basis tensor is thus
+    rewritten once across diagrams, relation sides and queries.
+
+    Keeps up to _STEP_CACHE (131072) entries, filled or not, over all tables;
+    a table that would pass the bound first drops every table (so a table
+    larger than the bound is kept alone).  The bound is more than the 80,640
+    entries (8! under x1 and under x2) of the level-5 braid check, which
+    runs in 43 MB ru_maxrss with both tables full.  `cache_info` counts the
+    filled entries as `currsize`; `verify-all` at its defaults fills 2,719
+    entries and `bimod verify-relations --max-level 4 --relation braid`
+    11,820.
+    """
+
+    def __init__(self, bound):
+        self.maxsize = bound
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.tables = {}
+        self.slots = 0
+
+    def cache_info(self):
+        return SliceTableInfo(len(self.tables), self.maxsize,
+                              sum(len(t) - t.count(None) for t in self.tables.values()))
+
+    def __call__(self, path, slice_):
+        key = (path.levels, slice_)
+        table = self.tables.get(key)
+        if table is None:
+            size = _size(path)
+            if self.slots + size > self.maxsize:
+                self.cache_clear()
+            table = self.tables[key] = [None] * size
+            self.slots += size
+        return table
+
+
+_slice_table = _SliceTables(_STEP_CACHE)
+
+
+def _clean_row(pairs):
+    """{rank: coefficient} of the nonzero (rank, coefficient) pairs, each
+    coefficient an int when integral (`scalar`, which refuses floats)."""
+    row = {}
+    for r, c in pairs:
+        if type(c) is not int:
+            c = scalar(c)
+        if c:
+            row[r] = c
+    return row
 
 
 class LinearMapRep:
-    """Exact bimodule map: images[r] is the BimoduleElem of the codomain that
-    domain basis tensor r, in tensor_basis order, maps to.
+    """Exact bimodule map: rows[r] maps the codomain ranks that domain basis
+    tensor r, in tensor_basis order, reaches to their nonzero coefficients.
 
-    Coefficients are int when integral, else Fraction.  `matrix` is the dense
-    view, built on each read: row r holds the coordinates of images[r].
+    Coefficients are int when integral, else Fraction.  `images` (one
+    BimoduleElem per domain tensor) and `matrix` (dense, row r holding the
+    coordinates of images[r]) are views built on each read.
     """
 
-    __slots__ = ('domain', 'codomain', 'images')
+    __slots__ = ('domain', 'codomain', 'rows')
 
     def __new__(cls, domain, codomain, matrix):
-        dom, cod = tensor_basis(domain), tensor_basis(codomain)
+        n_dom, n_cod = _size(domain), _size(codomain)
         rows = [tuple(row) for row in matrix]
-        if len(rows) != len(dom) or any(len(row) != len(cod) for row in rows):
-            raise ValueError(f'matrix shape is not {len(dom)} x {len(cod)}')
-        return cls._new(domain, codomain,
-                        tuple(BimoduleElem._new(codomain, dict(zip(cod, row))) for row in rows))
+        if len(rows) != n_dom or any(len(row) != n_cod for row in rows):
+            raise ValueError(f'matrix shape is not {n_dom} x {n_cod}')
+        return cls._new(domain, codomain, tuple(_clean_row(enumerate(row)) for row in rows))
 
     @classmethod
-    def _new(cls, domain, codomain, images):
-        """Internal constructor: trusts one codomain image per domain tensor."""
+    def _new(cls, domain, codomain, rows):
+        """Internal constructor: trusts one clean codomain row per domain tensor."""
         rep = object.__new__(cls)
         object.__setattr__(rep, 'domain', domain)
         object.__setattr__(rep, 'codomain', codomain)
-        object.__setattr__(rep, 'images', images)
+        object.__setattr__(rep, 'rows', rows)
         return rep
 
     def __setattr__(self, *a):
@@ -456,36 +563,52 @@ class LinearMapRep:
 
     def __eq__(self, other):
         return (isinstance(other, LinearMapRep) and self.domain == other.domain
-                and self.codomain == other.codomain and self.images == other.images)
+                and self.codomain == other.codomain and self.rows == other.rows)
 
     def __repr__(self):
         return (f'LinearMapRep({self.domain!r} -> {self.codomain!r}, '
-                f'{len(self.images)} x {len(tensor_basis(self.codomain))})')
+                f'{len(self.rows)} x {_size(self.codomain)})')
+
+    @property
+    def images(self):
+        cod = self.codomain
+        return tuple(BimoduleElem._new(cod, {_unrank(cod, c): x for c, x in row.items()})
+                     for row in self.rows)
 
     @property
     def matrix(self):
-        cod = tensor_basis(self.codomain)
-        return tuple(tuple(im.coeffs.get(e, 0) for e in cod) for im in self.images)
+        zeros = [0] * _size(self.codomain)
+        out = []
+        for row in self.rows:
+            cells = zeros.copy()
+            for c, x in row.items():
+                cells[c] = x
+            out.append(tuple(cells))
+        return tuple(out)
 
     @classmethod
     def identity(cls, path):
-        return cls._new(path, path, tuple(BimoduleElem._new(path, {e: 1})
-                                          for e in tensor_basis(path)))
+        return cls._new(path, path, tuple({r: 1} for r in range(_size(path))))
 
     @classmethod
     def zero(cls, domain, codomain):
-        zero = BimoduleElem._new(codomain, {})
-        return cls._new(domain, codomain, (zero,) * len(tensor_basis(domain)))
+        return cls._new(domain, codomain, ({},) * _size(domain))
 
     def is_identity(self):
-        return self.domain == self.codomain and self == type(self).identity(self.domain)
+        return self.domain == self.codomain and all(
+            row == {r: 1} for r, row in enumerate(self.rows))
 
     def is_zero(self):
-        return all(im.is_zero() for im in self.images)
+        return not any(self.rows)
 
 
 def diagram_to_map(m, base_rank):
     """Exact map of a diagram (or rational combination) at a base rank.
+
+    Each term moves the paths from every domain rank through its slice
+    tables at once, as two flat lists: the rank each path started from and
+    the rank it has reached.  A slice sends a path to each of its images,
+    which have coefficient 1, so a term's row entries are path counts.
 
     >>> circle = parse_diagram('sig:; cup+1; cap+1')
     >>> diagram_to_map(circle, 2).is_identity()
@@ -495,29 +618,45 @@ def diagram_to_map(m, base_rank):
         m = Morphism.from_diagram(m)
     dom_path = path_from_signature(m.domain, base_rank)
     cod_path = path_from_signature(m.codomain, base_rank)
-    images = {start: {} for start in tensor_basis(dom_path)}
+    size = _size(dom_path)
+    rows = None
     for diag, coeff in m.terms.items():
-        steps = [(path_from_signature(diag.sig_below(q), base_rank), sl)
-                 for q, sl in enumerate(diag.slices)]
-        for start, image in images.items():
-            cur = {start: 1}  # path counts: slice images have coefficient 1
-            for path, sl in steps:
-                nxt = {}
-                for elem, c in cur.items():
-                    for elem2 in _step(path, sl, elem):
-                        nxt[elem2] = nxt.get(elem2, 0) + c
-                cur = nxt
-            for elem, c in cur.items():
-                image[elem] = image.get(elem, 0) + coeff * c
+        starts = ends = range(size)
+        for q, sl in enumerate(diag.slices):
+            path = path_from_signature(diag.sig_below(q), base_rank)
+            table = _slice_table(path, sl)
+            images = list(map(table.__getitem__, ends))
+            if None in images:
+                for r in ends:
+                    if table[r] is None:
+                        table[r] = _slice_ranks(path, sl, r)
+                images = list(map(table.__getitem__, ends))
+            counts = list(map(len, images))
+            if counts.count(1) != len(counts):
+                starts = list(itertools.chain.from_iterable(map(itertools.repeat, starts, counts)))
+            ends = list(itertools.chain.from_iterable(images))
+        if len(m.terms) == 1 and type(starts) is range:  # one path from each rank
+            return LinearMapRep._new(dom_path, cod_path, tuple({end: coeff} for end in ends))
+        rows = rows or [{} for _ in range(size)]
+        for (start, end), c in Counter(zip(starts, ends)).items():
+            row = rows[start]
+            row[end] = row.get(end, 0) + coeff * c
+    if rows is None:  # the zero morphism
+        return LinearMapRep.zero(dom_path, cod_path)
     return LinearMapRep._new(dom_path, cod_path,
-                             tuple(BimoduleElem._new(cod_path, im) for im in images.values()))
+                             tuple(_clean_row(row.items()) for row in rows))
 
 
 def matrix_text(rep):
     """Plain-text numerator/denominator grid, one matrix row per line."""
-    return '\n'.join(
-        ' '.join(f'{x.numerator}/{x.denominator}' for x in row)
-        for row in rep.matrix)
+    zeros = ['0/1'] * _size(rep.codomain)
+    lines = []
+    for row in rep.rows:
+        cells = zeros.copy()
+        for c, x in row.items():
+            cells[c] = f'{x.numerator}/{x.denominator}'
+        lines.append(' '.join(cells))
+    return '\n'.join(lines)
 
 
 ######################
@@ -529,10 +668,12 @@ LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 # Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation:
 # the braid family maps (n+3)! basis tensors, and each level multiplies the
 # tensor count by n+4.  `bimod verify-relations --max-level 4 --relation braid`
-# takes 0.5-0.6 s and 26 MB ru_maxrss; level 5, by a direct call, takes 2.9 s
-# and 82 MB, still over the 2 s budget of one ceiling step, so the level
-# ceiling stays at 4.  mackey_check: (k!)^2 distinct canonical forms and
-# k (k!)^2 comparisons per side; `bimod mackey --k 5` takes 0.25-0.46 s and
+# takes 0.3-0.5 s and 21 MB ru_maxrss; level 5, by a direct call, takes
+# 1.3-1.6 s of CPU and 43 MB, with its slice tables full.  That fits the 2 s
+# budget of one ceiling step, but a higher ceiling changes the outputs that
+# CI compares (level 5 is an error exit today), so it stays at 4 until a
+# change of its own raises it.  mackey_check: (k!)^2 distinct canonical
+# forms and k (k!)^2 comparisons per side; `bimod mackey --k 5` takes 0.25-0.46 s and
 # the call itself 0.14 s, but k = 6 is about 43 times the work of k = 5
 # (3.1 M comparisons per side, 518,400 canonical forms; about 6 s by that
 # ratio), over the 2 s budget, so the rank ceiling stays at 5.
@@ -555,13 +696,26 @@ def _compare(lhs, rhs, detail):
     """(lhs == rhs, detail), the detail naming the first differing entry."""
     if lhs == rhs:
         return True, detail
-    for r, (left, right) in enumerate(zip(lhs.images, rhs.images)):
-        if left != right:
-            for c, e in enumerate(tensor_basis(lhs.codomain)):
-                a, b = left.coeffs.get(e, 0), right.coeffs.get(e, 0)
-                if a != b:
-                    return False, f'{detail}; first difference at entry ({r}, {c}): {a} != {b}'
+    for r, (left, right) in enumerate(zip(lhs.rows, rhs.rows)):
+        differ = [c for c in left.keys() | right.keys() if left.get(c, 0) != right.get(c, 0)]
+        if differ:
+            c = min(differ)
+            return False, f'{detail}; first difference at entry ({r}, {c}): ' \
+                          f'{left.get(c, 0)} != {right.get(c, 0)}'
     return False, detail + '; first difference at '
+
+
+@functools.lru_cache(maxsize=16)
+def _relation_morphism(text):
+    """A slice script of verify_local_relation, parsed once; its nine fixed
+    texts are the only keys."""
+    return Morphism.from_diagram(parse_diagram(text))
+
+
+@functools.lru_cache(maxsize=1)
+def _identity_minus_cap_cup():
+    """The right side of the du-double check, built once."""
+    return _relation_morphism('sig:DU') - compose_morphisms('sig:DU; cap+1', 'sig:; cup+1')
 
 
 def verify_local_relation(rel, n, max_level=3):
@@ -578,7 +732,7 @@ def verify_local_relation(rel, n, max_level=3):
     if not 0 <= n <= top:
         raise BoundExceeded(f'level {n} outside 0..{top}')
     report = Report(relation=rel, level=n)
-    mor = lambda text: Morphism.from_diagram(parse_diagram(text))
+    mor = _relation_morphism
     if rel == 'up-double':
         report.check('up-double', *_compare(
             diagram_to_map(mor('sig:UU; x1; x1'), n),
@@ -591,9 +745,8 @@ def verify_local_relation(rel, n, max_level=3):
             'x1 x2 x1 = x2 x1 x2 on UUU'))
     elif rel == 'mixed-double':
         lhs = _map_or_zero(mor('sig:DU; x1; x1'), n)
-        rhs_m = mor('sig:DU') - compose_morphisms('sig:DU; cap+1', 'sig:; cup+1')
         report.check('du-double', *_compare(
-            lhs, diagram_to_map(rhs_m, n),
+            lhs, diagram_to_map(_identity_minus_cap_cup(), n),
             'double crossing on DU equals identity minus cap;cup'))
         try:
             ud_path = path_from_signature('UD', n)

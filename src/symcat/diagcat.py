@@ -417,12 +417,12 @@ def k0_class(kind_seq):
 
 
 def _signature_dimension(sig, base):
-    from .bimodel import BimodulePath, path_from_signature, tensor_basis
+    from .bimodel import _size, path_from_signature
     try:
         path = path_from_signature(sig, base)
     except UnrealizableAtRank:
         return 0
-    return len(tensor_basis(path))
+    return _size(path)
 
 
 def verify_k0_relations(m, n, max_base=3):

@@ -7,7 +7,7 @@ import symcat.combinatorics as cb
 import symcat.heisenberg as hs
 
 
-KERNEL_MEMOS = (bm._step, bm._frame, bm._layout, bm.path_from_signature, bm._mn_character,
+KERNEL_MEMOS = (bm._slice_table, bm._frame, bm._layout, bm.path_from_signature, bm._mn_character,
                 bm._class_weights, cb._inversions, cb.coset_rep, hs._with_part, hs._hstar_past_e)
 
 

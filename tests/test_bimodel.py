@@ -1,5 +1,6 @@
 """Tests for group algebras, composite bimodules, and the diagram functor."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -528,11 +529,29 @@ def test_linear_map_rep_public_constructor():
         bm.LinearMapRep(path, path, [[1, 0], [0]])
     with pytest.raises(ValueError):
         bm.LinearMapRep(path, path, [[1, 0]])
+    with pytest.raises(ValueError, match='matrix shape is not 2 x 2'):
+        bm.LinearMapRep(path, path, [[1, 0], [0, 1], [0, 0]])
+    for bad in (0.5, 1.0, '1'):
+        with pytest.raises(TypeError):
+            bm.LinearMapRep(path, path, [[1, 0], [0, bad]])
     rep = bm.LinearMapRep(path, path, [[Fraction(2, 2), 0], [0, Fraction(1, 2)]])
     assert type(rep.matrix[0][0]) is int and rep.matrix[1][1] == Fraction(1, 2)
+    assert rep.rows == ({0: 1}, {1: Fraction(1, 2)}) and type(rep.rows[0][0]) is int
+    assert bm.LinearMapRep(path, path, [[0, Fraction(0, 3)], [0, 0]]).rows == ({}, {})
     assert bm.LinearMapRep(path, path, [[1, 0], [0, 1]]) == bm.LinearMapRep.identity(path)
     assert bm.LinearMapRep.zero(path, path).is_zero()
     assert cell_types(bm.LinearMapRep.identity(path)) == {int}
+
+
+def test_identity_and_zero_read_every_row():
+    # x1 permutes the basis: one entry per row, but not the identity
+    rep = bm.diagram_to_map(mor('sig:UU; x1'), 2)
+    assert all(len(row) == 1 for row in rep.rows) and not rep.is_identity()
+    assert not bm.diagram_to_map(2 * mor('sig:UU'), 2).is_identity()
+    # the DU crossing sends some basis tensors to 0 and others not
+    rep = bm.diagram_to_map(mor('sig:DU; x1'), 2)
+    assert {} in rep.rows and any(not any(row) for row in rep.matrix)
+    assert not rep.is_zero()
 
 
 def test_character_cache_is_bounded():
@@ -597,8 +616,22 @@ def test_kernel_memos_are_bounded(fresh_kernel_memos):
     for memo in KERNEL_MEMOS:
         info = memo.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
-    # the level-2 braid maps 5! basis tensors under x1 and under x2
-    assert bm._step.cache_info().currsize >= 2 * 120
+    # the level-2 braid fills the x1 and the x2 table of its 5! basis tensors
+    assert bm._slice_table.cache_info().currsize >= 2 * 120
+
+
+def test_slice_tables_keep_their_entry_bound():
+    assert bm._slice_table.maxsize == bm._STEP_CACHE == 131_072
+    tables = bm._SliceTables(130)
+    big, small = bm.path_from_signature('UUU', 2), bm.path_from_signature('UU', 2)
+    table = tables(big, ('x', 1))
+    assert table == [None] * 120 and tables(big, ('x', 1)) is table
+    table[0] = (5,)
+    assert tables.cache_info() == (1, 130, 1)
+    # 120 + 24 entries would pass the bound, so the big table is dropped
+    assert tables(small, ('x', 1)) == [None] * 24
+    assert tables.cache_info() == (1, 130, 0)
+    assert tables(big, ('x', 1))[0] is None
 
 
 def test_local_relation_catches_a_wrong_canonical_slot(fresh_kernel_memos, monkeypatch):
@@ -616,3 +649,56 @@ def test_local_relation_catches_a_wrong_canonical_slot(fresh_kernel_memos, monke
     monkeypatch.setattr(bm, 'canonicalize', corrupted)
     with pytest.raises(VerificationFailure, match="local relation 'braid' fails at level 2"):
         bm.verify_local_relation('braid', 2)
+
+
+def _signatures(max_len):
+    return [''.join(letters) for k in range(max_len + 1)
+            for letters in itertools.product('UD', repeat=k)]
+
+
+def test_rank_and_unrank_follow_tensor_basis_order():
+    paths = 0
+    for sig in _signatures(4):
+        for base in range(4):
+            try:
+                path = bm.path_from_signature(sig, base)
+            except UnrealizableAtRank:
+                continue
+            basis = bm.tensor_basis(path)
+            assert bm._size(path) == len(basis), (sig, base)
+            assert [bm._rank(path, elem) for elem in basis] == list(range(len(basis))), (sig, base)
+            assert [bm._unrank(path, r) for r in range(len(basis))] == basis, (sig, base)
+            paths += 1
+    assert paths == 93
+
+
+def test_half_maps_read_the_same_through_every_view(fresh_kernel_memos):
+    # 1/2 D against the direct walk of D: the images, the dense view, == and
+    # is_zero, with a Fraction cell exactly where 1/2 reaches an odd count
+    from symcat import cases
+    half = Fraction(1, 2)
+    rng = random.Random(28)
+    compared = zeros = 0
+    for _ in range(60):
+        m = Morphism.from_diagram(cases.random_diagram(rng, max_sig=3, max_slices=4))
+        base = rng.randint(0, 2)
+        try:
+            rep = bm.diagram_to_map(half * m, base)
+        except UnrealizableAtRank:
+            continue
+        fresh = _fresh_walk(m, base)
+        want = [{e: half * c for e, c in image.items()} for image in fresh]
+        assert [im.coeffs for im in rep.images] == want
+        for image in rep.images:
+            assert all((type(c) is Fraction) == (c.denominator != 1)
+                       for c in image.coeffs.values())
+        cod = bm.tensor_basis(rep.codomain)
+        assert rep.matrix == tuple(tuple(image.get(e, 0) for e in cod) for image in want)
+        assert all((type(x) is Fraction) == (x.denominator != 1)
+                   for row in rep.matrix for x in row)
+        assert rep == bm.LinearMapRep(rep.domain, rep.codomain, rep.matrix)
+        assert rep != bm.diagram_to_map(m, base) or rep.is_zero()
+        assert rep.is_zero() == (not any(fresh))
+        compared += 1
+        zeros += rep.is_zero()
+    assert compared >= 30 and 0 < zeros < compared
