@@ -22,7 +22,6 @@ True
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -54,7 +53,7 @@ from .errors import (
     VerificationFailure,
     report_json,
 )
-from .linalg import LinComb, common_denominator, matrix_rank, render_terms, scalar
+from .linalg import MEMOS, LinComb, common_denominator, matrix_rank, memo, render_terms, scalar
 
 __all__ = [
     'GroupAlgElem',
@@ -226,18 +225,15 @@ class BimodulePath:
         return max(self.levels[j], self.levels[j - 1])
 
 
-_LAYOUT_CACHE = 1 << 10  # entries kept by `path_from_signature`, `_layout` and `_frame`
-
-
-@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+@memo(1 << 10, 'shared')
 def path_from_signature(sig, base):
     """Levels of the composite bimodule for a strand word at a base rank.
 
     The word is read right to left from the base: U steps up (induction),
     D steps down (restriction).  BimodulePath is immutable, so one path is
     shared by every caller; a raised error is not memoised, and a bad word
-    raises again on every call.  Keeps up to _LAYOUT_CACHE (1024) paths;
-    `verify-all` at its defaults fills 181 of them.
+    raises again on every call.  `verify-all` at its defaults fills 181
+    entries.
 
     >>> path_from_signature('DU', 2).levels
     (2, 3, 2)
@@ -256,12 +252,11 @@ def path_from_signature(sig, base):
     return BimodulePath(levels)
 
 
-@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+@memo(1 << 10, 'shared')
 def _layout(path):
     """(is_up, carrier rank) of each tensor slot of a path, leftmost first.
 
-    Keeps up to _LAYOUT_CACHE (1024) paths; `verify-all` at its defaults
-    fills 180 of them.
+    `verify-all` at its defaults fills 180 entries.
     """
     return tuple((path.is_up(j), path.carrier(j))
                  for j in map(path.step_of_position, range(path.steps)))
@@ -448,19 +443,15 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
     return [tuple(slots) + (w,)]
 
 
-@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+@memo(1 << 10)
 def _frame(path_below, slice_):
     """(signature below, path above) of one slice on a path.
 
-    Keeps up to _LAYOUT_CACHE (1024) pairs; `verify-all` at its defaults
-    fills 183 of them.
+    `verify-all` at its defaults fills 183 entries.
     """
     sig_below = ''.join('U' if up else 'D' for up, _m in _layout(path_below))
     return sig_below, path_from_signature(Diagram(sig_below, (slice_,)).codomain,
                                           path_below.base)
-
-
-_STEP_CACHE = 1 << 17  # entries, filled or not, kept over all slice tables
 
 
 def _slice_ranks(path_below, slice_, r):
@@ -482,11 +473,11 @@ class _SliceTables:
     _slice_ranks(path, slice, r).  One slice on one basis tensor is thus
     rewritten once across diagrams, relation sides and queries.
 
-    Keeps up to _STEP_CACHE (131072) entries, filled or not, over all tables;
-    a table that would pass the bound first drops every table (so a table
-    larger than the bound is kept alone).  The bound is more than the 80,640
-    entries (8! under x1 and under x2) of the level-5 braid check, which
-    runs in 43 MB ru_maxrss with both tables full.  `cache_info` counts the
+    The bound counts entries, filled or not, over all tables; a table that
+    would pass it first drops every table (so a table larger than the bound
+    is kept alone).  The bound is more than the 80,640 entries (8! under x1
+    and under x2) of the level-5 braid check, which runs in 43 MB ru_maxrss
+    with both tables full.  `cache_info` counts the
     filled entries as `currsize`; `verify-all` at its defaults fills 2,719
     entries and `bimod verify-relations --max-level 4 --relation braid`
     11,820.
@@ -516,7 +507,8 @@ class _SliceTables:
         return table
 
 
-_slice_table = _SliceTables(_STEP_CACHE)
+_slice_table = _SliceTables(1 << 17)
+MEMOS[_slice_table] = 'kernel'
 
 
 def _clean_row(pairs):
@@ -705,14 +697,14 @@ def _compare(lhs, rhs, detail):
     return False, detail + '; first difference at '
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _relation_morphism(text):
     """A slice script of verify_local_relation, parsed once; its nine fixed
     texts are the only keys."""
     return Morphism.from_diagram(parse_diagram(text))
 
 
-@functools.lru_cache(maxsize=1)
+@memo(1)
 def _identity_minus_cap_cup():
     """The right side of the du-double check, built once."""
     return _relation_morphism('sig:DU') - compose_morphisms('sig:DU; cap+1', 'sig:; cup+1')
@@ -889,7 +881,7 @@ def _beta_set(lam, rows):
         (lam[i] if i < len(lam) else 0) + (rows - 1 - i) for i in range(rows)))
 
 
-@functools.lru_cache(maxsize=1 << 14)
+@memo(1 << 14, 'oracle')
 def _mn_character(beta, alpha):
     """Irreducible character value from a beta-set by repeated strip removal."""
     if not alpha:
@@ -929,10 +921,10 @@ def _z(alpha):
     return math.prod(p ** alpha.count(p) * math.factorial(alpha.count(p)) for p in set(alpha))
 
 
-@functools.lru_cache(maxsize=1 << 10)
+@memo(1 << 10, 'oracle')
 def _class_weights(lam):
     """Pairs (alpha, chi^lam(alpha) n!/z_alpha) over the classes where chi^lam
-    is nonzero; keeps 1024 shapes, more than the 915 of size <= 16."""
+    is nonzero; the bound is more than the 915 shapes of size <= 16."""
     n = sum(lam)
     out = []
     for alpha in partitions_of(n):

@@ -21,37 +21,7 @@ from . import heisenberg as hs
 from . import nilcoxeter as nc
 from . import symfunc as sf
 from . import weyl as wy
-from .errors import (
-    BoundExceeded,
-    FlavorMismatch,
-    IllFormedSlice,
-    InsufficientVariables,
-    LatticeMismatch,
-    NonIntegralResult,
-    NotBraidOnly,
-    ParseError,
-    RankMismatch,
-    SignatureMismatch,
-    SymcatError,
-    UnrealizableAtRank,
-    VerificationFailure,
-)
-
-# Exceptions that mean the user handed us something malformed or out of range.
-_USAGE_ERRORS = (
-    ParseError,
-    IllFormedSlice,
-    SignatureMismatch,
-    RankMismatch,
-    FlavorMismatch,
-    LatticeMismatch,
-    NotBraidOnly,
-    NonIntegralResult,
-    InsufficientVariables,
-    UnrealizableAtRank,
-    BoundExceeded,
-    ValueError,
-)
+from .errors import BoundExceeded, ParseError, SymcatError, UsageError, VerificationFailure
 
 
 ##########################
@@ -497,7 +467,7 @@ def main(argv=None):
     except VerificationFailure as exc:
         print(f'verification failed: {exc}', file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
+    except (UsageError, ValueError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
     except SymcatError as exc:

@@ -23,10 +23,10 @@ with ``()`` the unique partition of 0.  Permutations are one-line tuples
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import gt, itemgetter
 
 from .errors import ParseError
+from .linalg import memo
 
 __all__ = [
     'is_partition',
@@ -72,15 +72,12 @@ def is_partition(parts) -> bool:
         all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
-_PARTITIONS_CACHE = 64  # sizes n whose lists `partitions_of` keeps
-
-
-@lru_cache(maxsize=_PARTITIONS_CACHE)
+@memo(64, 'shared')
 def partitions_of(n: int) -> tuple:
     """All partitions of n, in reverse lexicographic order (largest first).
 
-    Keeps up to _PARTITIONS_CACHE (64) lists, far more than the 11 sizes
-    that a Sym computation of degree <= 10 reads.
+    The bound is far more than the 11 sizes that a Sym computation of
+    degree <= 10 reads.
 
     >>> partitions_of(0)
     ((),)
@@ -261,15 +258,12 @@ def perm_length(w) -> int:
     return _inversions(w) if len(w) < 7 else _inversions.__wrapped__(w)
 
 
-_LENGTH_CACHE = 1 << 12  # permutations whose lengths `_inversions` keeps
-
-
-@lru_cache(maxsize=_LENGTH_CACHE)
+@memo(1 << 12)
 def _inversions(w):
     """Inversion count of a one-line tuple.
 
-    Keeps up to _LENGTH_CACHE (4096) lengths, all of rank below 7 (see
-    `perm_length`); `verify-all` at its defaults fills 873 of them.
+    Only ranks below 7 enter (see `perm_length`); `verify-all` at its
+    defaults fills 873 entries.
     """
     return sum(itertools.starmap(gt, itertools.combinations(w, 2)))
 
@@ -375,16 +369,13 @@ def reduced_word(w) -> list:
 # coset decompositions  #
 #########################
 
-_COSET_CACHE = 1 << 8  # representatives kept by `coset_rep`
-
-
-@lru_cache(maxsize=_COSET_CACHE)
+@memo(1 << 8, 'shared')
 def coset_rep(i: int, m: int) -> tuple:
     """The minimal coset representative s_i s_{i+1} ... s_{m-1} of S_m over S_{m-1}.
 
     Its one-line form fixes 1..i-1, shifts i..m-1 up by one, and sends m to i.
-    For i = m this is the identity.  Keeps up to _COSET_CACHE (256)
-    representatives; `verify-all` at its defaults fills 66 of them.
+    For i = m this is the identity.  `verify-all` at its defaults fills 66
+    entries of its memo.
 
     >>> coset_rep(1, 3)
     (2, 3, 1)

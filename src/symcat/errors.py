@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to catch gets its own class here;
 modules raise these rather than bare ValueError so the CLI can map them to
-exit codes.
+exit codes: a `UsageError` is bad or oversized input (exit 2), a
+`VerificationFailure` a violated check (exit 1).
 
 `Report` is the one shape of a verifier's result: a list of entries
 {check, <tags>, pass, detail}, where the tags (m, n, k, relation, level and,
@@ -16,6 +17,7 @@ import json
 
 __all__ = [
     'SymcatError',
+    'UsageError',
     'ParseError',
     'NonIntegralResult',
     'InsufficientVariables',
@@ -37,27 +39,31 @@ class SymcatError(Exception):
     """Base class for all workbench errors."""
 
 
-class ParseError(SymcatError):
+class UsageError(SymcatError):
+    """Base class for input that is malformed or out of range."""
+
+
+class ParseError(UsageError):
     """A textual literal does not match its documented grammar."""
 
 
-class NonIntegralResult(SymcatError):
+class NonIntegralResult(UsageError):
     """A conversion out of the powersum basis produced a non-integer coefficient."""
 
 
-class InsufficientVariables(SymcatError):
+class InsufficientVariables(UsageError):
     """A polynomial expansion was requested in fewer variables than the degree."""
 
 
-class LatticeMismatch(SymcatError):
+class LatticeMismatch(UsageError):
     """Operands live in different polynomial lattices (monomial vs divided-power)."""
 
 
-class RankMismatch(SymcatError):
+class RankMismatch(UsageError):
     """Operands belong to algebras of different ranks."""
 
 
-class FlavorMismatch(SymcatError):
+class FlavorMismatch(UsageError):
     """Grothendieck-group vectors of different flavors were combined."""
 
 
@@ -72,23 +78,23 @@ class VerificationFailure(SymcatError):
         self.report = report
 
 
-class BoundExceeded(SymcatError):
+class BoundExceeded(UsageError):
     """A requested computation exceeds the documented size bounds."""
 
 
-class IllFormedSlice(SymcatError):
+class IllFormedSlice(UsageError):
     """A diagram slice does not type-check against the strand configuration."""
 
 
-class SignatureMismatch(SymcatError):
+class SignatureMismatch(UsageError):
     """Diagram composition or addition with incompatible boundary signatures."""
 
 
-class NotBraidOnly(SymcatError):
+class NotBraidOnly(UsageError):
     """A permutation image was requested for a diagram containing cups or caps."""
 
 
-class UnrealizableAtRank(SymcatError):
+class UnrealizableAtRank(UsageError):
     """A diagram or path needs a negative symmetric-group rank at the given level."""
 
 

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
 from math import comb
 
 from .combinatorics import is_partition, partition_key, partitions_of
 from .errors import BoundExceeded, ParseError, Report
-from .linalg import LinComb, render_terms
+from .linalg import LinComb, memo, render_terms
 from .symfunc import SymFunc, _pieri, basis_element, convert, dual_apply, multiply
 
 __all__ = [
@@ -132,17 +131,17 @@ def heis_hstar(mu):
     return HeisNormal({((), tuple(mu)): 1})
 
 
-@lru_cache(maxsize=4096)
+@memo(4096)
 def _with_part(parts, n):
     """The partition parts with one more part n >= 1.
 
-    Keeps up to 4096 inserts; `verify-all` at its defaults fills 91,
-    and a 20 s `operator-session` benchmark run 659.
+    `verify-all` at its defaults fills 91 entries, and a 20 s
+    `operator-session` benchmark run 659.
     """
     return tuple(sorted(parts + (n,), reverse=True))
 
 
-@lru_cache(maxsize=4096)
+@memo(4096)
 def _hstar_past_e(mu, n):
     """The closed form of h_mu* e_n (module docstring) as (n - |S|, mu
     lowered on S, multiplicity) triples; the parts of one value are chosen

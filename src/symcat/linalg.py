@@ -4,7 +4,8 @@
 and class vector in the package is a `LinComb` subclass.  The text format of
 a combination lives here too: every renderer prints the signed sum of
 `render_terms`, and every literal parser splits its input with
-`split_terms`.
+`split_terms`.  Every bounded memo of the package is declared with `memo`,
+which keeps it in one registry, `MEMOS`.
 
 >>> matrix_rank([[1, 2], [2, 4], [0, Fraction(1, 2)]])
 2
@@ -12,6 +13,7 @@ a combination lives here too: every renderer prints the signed sum of
 ([3, 18, -4], 6)
 """
 
+import functools
 import math
 
 from fractions import Fraction
@@ -19,7 +21,28 @@ from fractions import Fraction
 from .errors import NonIntegralResult, ParseError
 
 __all__ = ['scalar', 'common_denominator', 'matrix_rank', 'LinComb', 'render_terms',
-           'split_terms']
+           'split_terms', 'MEMOS', 'memo', 'clear_memos']
+
+# every bounded memo -> its layer: 'kernel' (a fast path), 'oracle' (an
+# independent check, which reads no kernel memo) or 'shared' (read by both)
+MEMOS = {}
+
+
+def memo(maxsize, layer='kernel'):
+    """Decorator: fn under `functools.lru_cache(maxsize=maxsize)`, entered in
+    MEMOS under layer.  It returns the lru_cache wrapper itself, so a call
+    runs no extra Python frame."""
+    def register(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        MEMOS[cached] = layer
+        return cached
+    return register
+
+
+def clear_memos():
+    """Empty every memo in MEMOS."""
+    for cached in MEMOS:
+        cached.cache_clear()
 
 
 def scalar(c):

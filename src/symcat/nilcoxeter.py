@@ -201,9 +201,10 @@ def x_right_basis(n):
 
 
 # Ceiling checked before any work, timed on a 2-core VM: verify_bimodule_iso(5)
-# takes 25-50 ms in process.  Rank 6 takes 0.60-0.67 s, but it looks up the
-# lengths of all 7! = 5040 permutations of rank 7, more than the 4096 that
-# combinatorics keeps, so the ceiling stays at 5.
+# takes 25-50 ms in process and rank 6 0.6-0.7 s, which leaves the lengths
+# memo as it found it (rank-7 lengths are counted outside it, `perm_length`).
+# The ceiling stays at 5 because raising it changes the error exit of
+# `nilcox verify-iso --n 6`, which CI compares with the base commit.
 MAX_RANK = 5
 
 

@@ -84,7 +84,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress, product
 from operator import mul, sub
 
@@ -98,7 +98,7 @@ from .combinatorics import (
     render_partition,
 )
 from .errors import InsufficientVariables, NonIntegralResult, ParseError
-from .linalg import LinComb, render_terms, split_terms
+from .linalg import LinComb, memo, render_terms, split_terms
 
 __all__ = [
     'BASES',
@@ -262,10 +262,7 @@ def _p_times(coeffs, parts):
     return coeffs
 
 
-_PAIR_CACHE = 1 << 12  # entries per memo keyed by a pair of partitions
-
-
-@lru_cache(maxsize=_PAIR_CACHE)
+@memo(1 << 12)
 def _m_mult_basis(lam, mu):
     """m_lam * m_mu as sorted ((nu, coeff), ...) items, via powersums.
 
@@ -274,9 +271,8 @@ def _m_mult_basis(lam, mu):
     none longer than mu.  Over D, the least common multiple of the z_rho,
     it gives m_lam m_mu = sum t_rho (D / z_rho) m_lam p_rho / D, each
     m_lam p_rho by `_p_times`, and D divides every coefficient exactly (a
-    remainder raises).  Keeps up to _PAIR_CACHE (4096) pairs,
-    more than the 3,132 ordered pairs of total degree <= 12; `verify-all`
-    at its defaults fills 40 of them.
+    remainder raises).  The bound is more than the 3,132 ordered pairs of
+    total degree <= 12; `verify-all` at its defaults fills 40 entries.
     """
     if len(mu) > len(lam):
         lam, mu = mu, lam
@@ -313,10 +309,7 @@ def _concat(a, b):
     return out
 
 
-_STRIP_CACHE = 1 << 12  # strip lists kept by `_strips`
-
-
-@lru_cache(maxsize=_STRIP_CACHE)
+@memo(1 << 12)
 def _strips(lam, n, grow, vertical=False):
     """The partitions nu with nu/lam (grow) or lam/nu (not grow) an n-strip.
 
@@ -326,7 +319,7 @@ def _strips(lam, n, grow, vertical=False):
     first row freely and open one new row.  A vertical strip (at most one
     box per row) is a horizontal strip of the conjugate shapes.  These are
     the Pieri rules: h_n s_lam and e_n s_lam sum s_nu over the horizontal
-    and vertical strips grown on lam.  Keeps up to _STRIP_CACHE (4096) lists.
+    and vertical strips grown on lam.
     """
     if vertical:
         return tuple(conjugate(nu) for nu in _strips(conjugate(lam), n, grow))
@@ -364,7 +357,7 @@ def _pieri(coeffs, parts, grow, vertical=False):
     return coeffs
 
 
-@lru_cache(maxsize=_STRIP_CACHE)
+@memo(1 << 12)
 def _hooks(lam, n, grow):
     """The partitions nu with nu/lam (grow) or lam/nu (not grow) a border
     strip of n boxes, as (nu, (-1)^height) pairs, the height being the
@@ -376,7 +369,6 @@ def _hooks(lam, n, grow):
     (Macdonald, ch. I section 1, the examples on cores and quotients).
     These are the steps of the Murnaghan-Nakayama rule: p_n s_lam sums
     (-1)^height s_nu over the strips grown on lam (section 3 ex. 11).
-    Keeps up to _STRIP_CACHE (4096) lists.
     """
     rows = lam + (0,) * n if grow else lam
     top = len(rows) - 1
@@ -409,7 +401,7 @@ def _mn(coeffs, parts):
     return coeffs
 
 
-@lru_cache(maxsize=_PAIR_CACHE)
+@memo(1 << 12)
 def _skew(kappa, mu, grow):
     """s_kappa s_mu (grow) or s_kappa^*(s_mu) (not grow) in the Schur basis,
     as sorted items.
@@ -418,9 +410,9 @@ def _skew(kappa, mu, grow):
     kappa)`), so the product is sum c_alpha h_alpha s_mu and the skew
     sum c_alpha h_alpha^* s_mu, each a chain of Pieri steps on s_mu.  A
     product expands the factor with fewer parts l, whose row sums at most
-    l! special rim hook tabloids.  Keeps up to _PAIR_CACHE (4096) pairs,
-    more than the 1,215 products of total degree <= 10 and the 973 skews by
-    |kappa| <= 3 on degree <= 10 together.
+    l! special rim hook tabloids.  The bound is more than the 1,215 products
+    of total degree <= 10 and the 973 skews by |kappa| <= 3 on degree <= 10
+    together.
     """
     if grow and (len(mu), sum(mu)) < (len(kappa), sum(kappa)):
         kappa, mu = mu, kappa
@@ -442,10 +434,7 @@ def _skew_sum(a, b, grow):
     return out
 
 
-_ROW_CACHE = 1 << 13  # rows kept by `_row`
-
-
-@lru_cache(maxsize=_ROW_CACHE)
+@memo(1 << 13)
 def _row(src, dst, lam):
     """X_lam in basis Y (X = src, Y = dst) as sorted items: one row of the
     transition matrix M(X, Y) of Macdonald, ch. I section 6.
@@ -455,8 +444,8 @@ def _row(src, dst, lam):
     it needs, which this memo keeps once; any other row composes two rows
     once, through s.  A row into p holds the pairings <X_lam, p_rho>,
     integers whatever X is, so no row holds a Fraction; the coefficient of
-    p_rho is the pairing over z_rho.  Keeps up to _ROW_CACHE (8192) rows,
-    more than the 2,780 rows of degree <= 10 between the five bases.
+    p_rho is the pairing over z_rho.  The bound is more than the 2,780 rows
+    of degree <= 10 between the five bases.
     """
     if (src, dst) == ('s', 'm'):
         # the r largest entries of a tableau fill a horizontal strip
@@ -598,10 +587,10 @@ def _layout(keys):
     return keys, {key: i for i, key in enumerate(keys)}, int.from_bytes(bias, sys.byteorder)
 
 
-@lru_cache(maxsize=_ROW_CACHE)
+@memo(1 << 13)
 def _row_layout(n):
     """The slots of a packed transition row of size n: `partitions_of(n)`,
-    which is display order.  Keeps up to _ROW_CACHE (8192) sizes."""
+    which is display order."""
     return _layout(partitions_of(n))
 
 
@@ -622,15 +611,15 @@ def _pack(items, layout):
     return int.from_bytes(pos, sys.byteorder) - int.from_bytes(neg, sys.byteorder), top
 
 
-@lru_cache(maxsize=_ROW_CACHE)
+@memo(1 << 13)
 def _packed_row(src, dst, lam):
     """`_row(src, dst, lam)` packed in the slots of `_row_layout(|lam|)`.
 
     Reads `_row` through the module, so a patched row is packed as it
-    reads.  Keeps up to _ROW_CACHE (8192) rows; a row of size n holds
-    8 p(n) bytes of slots, 336 at n = 10 and 1,080 at n = 14, so a full
-    memo of size-14 rows holds about 11 MB (8.8 MB of slots), less than
-    the `_row` entries it packs when they are dense.
+    reads.  A row of size n holds 8 p(n) bytes of slots, 336 at n = 10 and
+    1,080 at n = 14, so a full memo of 8,192 size-14 rows holds about 11 MB
+    (8.8 MB of slots), less than the `_row` entries it packs when they are
+    dense.
     """
     return _pack(_row(src, dst, lam), _row_layout(sum(lam)))
 
@@ -672,10 +661,9 @@ def _add_packed(part, n, packed, layout, out):
     return True
 
 
-@lru_cache(maxsize=_ROW_CACHE)
+@memo(1 << 13)
 def _z(rho):
-    """z_rho = prod_i i^(m_i) m_i!, m_i parts equal to i: <p_rho, p_rho>.
-    Keeps up to _ROW_CACHE (8192) partitions."""
+    """z_rho = prod_i i^(m_i) m_i!, m_i parts equal to i: <p_rho, p_rho>."""
     return math.prod(part ** rho.count(part) * math.factorial(rho.count(part))
                      for part in set(rho))
 
@@ -749,11 +737,10 @@ def multiply(f, g):
 # definition.  Nothing in this section calls the expansions, products or
 # tables above, so a wrong entry there cannot cancel out against the oracle.
 
-_ORACLE_CACHE = 1 << 14  # entries per memo below
 _CODEC_LIMIT = 1 << 18  # keys and tuples kept per variable count
 
 
-@lru_cache(maxsize=_ORACLE_CACHE)
+@memo(1 << 14, 'oracle')
 def _last_variable(basis, lam):
     """How x_n enters X_lam(x_1..x_n), as (rest, a, count) triples.
 
@@ -787,7 +774,7 @@ def _last_variable(basis, lam):
     return tuple((rest, a, c) for (rest, a), c in ways.items())
 
 
-@lru_cache(maxsize=_ORACLE_CACHE)
+@memo(1 << 14, 'oracle')
 def _dominant(basis, lam, n, floor):
     """Coefficients of X_lam(x_1..x_n) at exponents alpha_1 >= .. >= alpha_n >= floor.
 
@@ -819,7 +806,7 @@ def _m_coefficients(basis, lam):
     return _dominant(basis, lam, len(lam) if basis in 'mp' else sum(lam), 0)
 
 
-@lru_cache(maxsize=4096)
+@memo(4096, 'oracle')
 def _orbit(mu, nvars):
     """Exponent tuples of m_mu(x_1..x_nvars): the distinct placements of mu's parts.
 
@@ -881,7 +868,7 @@ def monomial_expand(f, nvars):
     return out
 
 
-@lru_cache(maxsize=16)
+@memo(16, 'oracle')
 def _codec(nvars):
     """The packed-key memo for nvars variables: [base, tuple -> key, key -> tuple]."""
     return [1, {}, {}]
@@ -978,32 +965,28 @@ def dominant_product(P, Q, degrees):
 # Hopf structure                            #
 #############################################
 
-_HOPF_CACHE = 1 << 12  # entries per Hopf memo below; degree <= 10 needs 139
-
-
 _RANK_BITS = 32  # ranks of the partitions of size <= 100 fit in this many bits
 _RANK_MASK = (1 << _RANK_BITS) - 1
 # Fraction is immutable, so coproducts share the scalars they return
-_fraction = lru_cache(maxsize=_HOPF_CACHE)(Fraction)
+_fraction = memo(1 << 12)(Fraction)
 
 
-@lru_cache(maxsize=_HOPF_CACHE)
+@memo(1 << 12)
 def _ranks(n):
     """Partition of n -> its rank in display order: every partition of a
-    smaller size first, then the order of `partitions_of(n)`.  Keeps up to
-    _HOPF_CACHE (4096) sizes."""
+    smaller size first, then the order of `partitions_of(n)`."""
     start = sum(len(partitions_of(k)) for k in range(n))
     return {lam: start + i for i, lam in enumerate(partitions_of(n))}
 
 
-@lru_cache(maxsize=_HOPF_CACHE)
+@memo(1 << 12)
 def _coproduct_h(lam):
     """Delta(h_lam) as sorted ((key, coeff), ...) items, where the term
     h_alpha (x) h_beta has the key rank(alpha) << _RANK_BITS | rank(beta)
     (ranks by `_ranks`), so that int order is display order on the pairs.
 
-    Computed multiplicatively from Delta(h_n) = sum_i h_i (x) h_{n-i}.
-    Keeps up to _HOPF_CACHE (4096) partitions.
+    Computed multiplicatively from Delta(h_n) = sum_i h_i (x) h_{n-i}.  The
+    bound is more than the 139 partitions of degree <= 10.
     """
     pairs = {((), ()): 1}
     for part in lam:
@@ -1019,33 +1002,32 @@ def _coproduct_h(lam):
                         for (al, be), c in pairs.items()))
 
 
-@lru_cache(maxsize=_HOPF_CACHE)
+@memo(1 << 12)
 def _pair_layout(n):
     """The slots of a packed Delta(h_lam), |lam| = n: the keys of
     `_coproduct_h` of every pair (alpha, beta) with |alpha| + |beta| = n,
-    in int order.  Keeps up to _HOPF_CACHE (4096) sizes."""
+    in int order."""
     return _layout(tuple(a << _RANK_BITS | b for k in range(n + 1)
                          for a in _ranks(k).values() for b in _ranks(n - k).values()))
 
 
-@lru_cache(maxsize=_HOPF_CACHE)
+@memo(1 << 12)
 def _packed_coproduct_h(lam):
     """`_coproduct_h(lam)` packed in the slots of `_pair_layout(|lam|)`.
 
-    Reads `_coproduct_h` through the module, like `_packed_row`.  Keeps up
-    to _HOPF_CACHE (4096) partitions; one of size n holds 8 bytes of slots
-    per pair of partitions of total size n: 3,848 at n = 10, 21,320 at
-    n = 14.  The 139 partitions of size <= 10 fill 0.29 MB, the 508 of size
+    Reads `_coproduct_h` through the module, like `_packed_row`.  One of
+    size n holds 8 bytes of slots per pair of partitions of total size n:
+    3,848 at n = 10, 21,320 at n = 14.  The 139 partitions of size <= 10 fill 0.29 MB, the 508 of size
     <= 14 5.7 MB, and 4096 entries of size 14 would fill 87 MB.
     """
     return _pack(_coproduct_h(lam), _pair_layout(sum(lam)))
 
 
-@lru_cache(maxsize=_HOPF_CACHE)
+@memo(1 << 12)
 def _h_leg(rank):
     """h_lam for the partition lam of this rank in display order, one per
     partition: SymFunc is immutable, so every coproduct shares its tensor
-    legs.  Keeps up to _HOPF_CACHE (4096) partitions.
+    legs.
     """
     n = 0
     while rank >= len(partitions_of(n)):

@@ -3,12 +3,7 @@
 import pytest
 
 import symcat.bimodel as bm
-import symcat.combinatorics as cb
-import symcat.heisenberg as hs
-
-
-KERNEL_MEMOS = (bm._slice_table, bm._frame, bm._layout, bm.path_from_signature, bm._mn_character,
-                bm._class_weights, cb._inversions, cb.coset_rep, hs._with_part, hs._hstar_past_e)
+from symcat.linalg import clear_memos
 
 
 def compose_by_definition(u, v):
@@ -16,22 +11,40 @@ def compose_by_definition(u, v):
     return tuple(u[j - 1] for j in v)
 
 
-def _clear_kernel_memos():
-    for memo in KERNEL_MEMOS:
-        memo.cache_clear()
+def fresh_walk(m, base):
+    """diagram_to_map's images by a direct walk: _slice_images, then
+    canonicalize on each image, with no slice table and no rank."""
+    images = []
+    for start in bm.tensor_basis(bm.path_from_signature(m.domain, base)):
+        image = {}
+        for diag, coeff in m.terms.items():
+            cur = {start: 1}
+            for q, sl in enumerate(diag.slices):
+                below = bm.path_from_signature(diag.sig_below(q), base)
+                above = bm.path_from_signature(diag.sig_below(q + 1), base)
+                nxt = {}
+                for elem, c in cur.items():
+                    for elem2 in bm._slice_images(below, above, diag.sig_below(q), sl, elem):
+                        elem2 = bm.canonicalize(above, elem2)
+                        nxt[elem2] = nxt.get(elem2, 0) + c
+                cur = nxt
+            for elem, c in cur.items():
+                image[elem] = image.get(elem, 0) + coeff * c
+        images.append({e: c for e, c in image.items() if c})
+    return images
 
 
 @pytest.fixture
-def fresh_kernel_memos():
-    """Clear the kernel memos (KERNEL_MEMOS) before and after a test;
-    the fixture's value clears them again when called.
+def fresh_memos():
+    """Clear every memo in `linalg.MEMOS` before and after a test; the
+    fixture's value clears them again when called.
 
-    A test that monkeypatches a kernel these memos read (such as
-    `bm.transposition`, which `_slice_images` calls) would otherwise leave
+    A test that monkeypatches a kernel that a memo reads (such as `sf._row`,
+    or `bm.transposition`, which `_slice_images` calls) would otherwise leave
     entries built on the patched kernel for later tests, or read entries
     built before the patch.  Request this fixture ahead of `monkeypatch`,
     so that the memos are cleared again after the patch is undone.
     """
-    _clear_kernel_memos()
-    yield _clear_kernel_memos
-    _clear_kernel_memos()
+    clear_memos()
+    yield clear_memos
+    clear_memos()

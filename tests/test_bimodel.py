@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symcat.bimodel as bm
+import symcat.combinatorics as cb
 import symcat.heisenberg as hs
 import symcat.nilcoxeter as nx
 from symcat.combinatorics import (
@@ -31,7 +32,7 @@ from symcat.errors import (
     VerificationFailure,
 )
 
-from conftest import KERNEL_MEMOS, compose_by_definition
+from conftest import compose_by_definition, fresh_walk
 
 
 def mor(text):
@@ -339,7 +340,7 @@ def _reversed_free_factor(true_canonicalize):
 @pytest.mark.parametrize('attr, corrupt', [('perm_extend', _swapped_extension),
                                            ('canonicalize', _reversed_free_factor)])
 def test_mackey_linearity_matches_the_per_element_loop_on_a_fault(
-        fresh_kernel_memos, monkeypatch, attr, corrupt):
+        fresh_memos, monkeypatch, attr, corrupt):
     monkeypatch.setattr(bm, attr, corrupt(getattr(bm, attr)))
     flags = _linearity_flags(3)
     assert flags == naive_mackey_linearity(3)
@@ -388,14 +389,14 @@ def test_induced_character_decomposition():
         bm.induced_character_decomposition((4, 2), (2,))
 
 
-def test_induced_decomposition_rejects_a_wrong_class_size(fresh_kernel_memos, monkeypatch):
+def test_induced_decomposition_rejects_a_wrong_class_size(fresh_memos, monkeypatch):
     true_z = bm._z
     # z_(2,1) is 2; 3 keeps 3!/z integral but breaks the inner products
     monkeypatch.setattr(bm, '_z', lambda alpha: 3 if alpha == (2, 1) else true_z(alpha))
     with pytest.raises(VerificationFailure, match=r'non-integral multiplicity 5/6 for \(4,\)'):
         bm.induced_character_decomposition((3,), (1,))
     monkeypatch.setattr(bm, '_z', lambda alpha: 4 if alpha == (2, 1) else true_z(alpha))
-    fresh_kernel_memos()  # the class weights of (3,) were built on the first wrong size
+    fresh_memos()  # the class weights of (3,) were built on the first wrong size
     with pytest.raises(VerificationFailure, match='does not divide 3!'):
         bm.induced_character_decomposition((3,), (1,))
 
@@ -561,30 +562,7 @@ def test_character_cache_is_bounded():
     assert bm._mn_character.cache_info().currsize <= info.maxsize
 
 
-def _fresh_walk(m, base):
-    """diagram_to_map's images by a direct walk: _slice_images, then
-    canonicalize on each image, with no _step memo."""
-    images = []
-    for start in bm.tensor_basis(bm.path_from_signature(m.domain, base)):
-        image = {}
-        for diag, coeff in m.terms.items():
-            cur = {start: 1}
-            for q, sl in enumerate(diag.slices):
-                below = bm.path_from_signature(diag.sig_below(q), base)
-                above = bm.path_from_signature(diag.sig_below(q + 1), base)
-                nxt = {}
-                for elem, c in cur.items():
-                    for elem2 in bm._slice_images(below, above, diag.sig_below(q), sl, elem):
-                        elem2 = bm.canonicalize(above, elem2)
-                        nxt[elem2] = nxt.get(elem2, 0) + c
-                cur = nxt
-            for elem, c in cur.items():
-                image[elem] = image.get(elem, 0) + coeff * c
-        images.append({e: c for e, c in image.items() if c})
-    return images
-
-
-def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_kernel_memos):
+def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_memos):
     from symcat import cases
     rng = random.Random(16)
     compared = 0
@@ -594,26 +572,28 @@ def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_kernel_memos):
         try:
             memoised = bm.diagram_to_map(m, base)
         except UnrealizableAtRank:
-            fresh_kernel_memos()
+            fresh_memos()
             with pytest.raises(UnrealizableAtRank):
-                _fresh_walk(m, base)
+                fresh_walk(m, base)
             continue
         again = bm.diagram_to_map(m, base)  # now read from warm memos
-        fresh_kernel_memos()
-        fresh = _fresh_walk(m, base)
+        fresh_memos()
+        fresh = fresh_walk(m, base)
         assert [im.coeffs for im in memoised.images] == fresh
         assert again == memoised
         compared += 1
     assert compared >= 30
 
 
-def test_kernel_memos_are_bounded(fresh_kernel_memos):
+def test_kernel_memos_are_bounded(fresh_memos):
     bm.verify_local_relation('braid', 2)
     nx.verify_bimodule_iso(3)
     hs.heis_normalize(hs.parse_heisword('h2* h1* e1 e2'))
     bm.character_value((2, 1), (3,))
     bm.induced_character_decomposition((2,), (1,))
-    for memo in KERNEL_MEMOS:
+    for memo in (bm._slice_table, bm._frame, bm._layout, bm.path_from_signature,
+                 bm._mn_character, bm._class_weights, cb._inversions, coset_rep,
+                 hs._with_part, hs._hstar_past_e):
         info = memo.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
     # the level-2 braid fills the x1 and the x2 table of its 5! basis tensors
@@ -621,7 +601,7 @@ def test_kernel_memos_are_bounded(fresh_kernel_memos):
 
 
 def test_slice_tables_keep_their_entry_bound():
-    assert bm._slice_table.maxsize == bm._STEP_CACHE == 131_072
+    assert bm._slice_table.maxsize == 131_072
     tables = bm._SliceTables(130)
     big, small = bm.path_from_signature('UUU', 2), bm.path_from_signature('UU', 2)
     table = tables(big, ('x', 1))
@@ -634,7 +614,7 @@ def test_slice_tables_keep_their_entry_bound():
     assert tables(big, ('x', 1))[0] is None
 
 
-def test_local_relation_catches_a_wrong_canonical_slot(fresh_kernel_memos, monkeypatch):
+def test_local_relation_catches_a_wrong_canonical_slot(fresh_memos, monkeypatch):
     true_canonicalize = bm.canonicalize
     path = bm.path_from_signature('UUU', 2)
     target = bm.tensor_basis(path)[0]
@@ -672,7 +652,7 @@ def test_rank_and_unrank_follow_tensor_basis_order():
     assert paths == 93
 
 
-def test_half_maps_read_the_same_through_every_view(fresh_kernel_memos):
+def test_half_maps_read_the_same_through_every_view(fresh_memos):
     # 1/2 D against the direct walk of D: the images, the dense view, == and
     # is_zero, with a Fraction cell exactly where 1/2 reaches an odd count
     from symcat import cases
@@ -686,7 +666,7 @@ def test_half_maps_read_the_same_through_every_view(fresh_kernel_memos):
             rep = bm.diagram_to_map(half * m, base)
         except UnrealizableAtRank:
             continue
-        fresh = _fresh_walk(m, base)
+        fresh = fresh_walk(m, base)
         want = [{e: half * c for e, c in image.items()} for image in fresh]
         assert [im.coeffs for im in rep.images] == want
         for image in rep.images:

@@ -9,13 +9,20 @@ import pytest
 
 import symcat
 from symcat import bimodel as bm, cases, cli, heisenberg as hs, symfunc as sf
-from symcat.errors import VerificationFailure
+from symcat.errors import (FlavorMismatch, InsufficientVariables, NotBraidOnly, RankMismatch,
+                           SymcatError, UnrealizableAtRank, VerificationFailure)
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _raiser(error):
+    def raiser(*args, **kwargs):
+        raise error
+    return raiser
 
 
 ##########################
@@ -233,17 +240,36 @@ def test_json_flag(capsys):
 # exit codes             #
 ##########################
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     for argv in (('sym', 'convert', 'h[2,1', '--to', 's'),
                  ('diag', 'parse', 'sig:U; x1'),
                  ('weyl', 'pair', 'lattice:R [1]', 'lattice:R [1]'),
                  ('bimod', 'decompose', '[4,2]', '[2]'),
                  ('nilcox', 'mul', 'u[1,1]', 'u[]', '--n', '2'),
-                 ('diag', 'k0', 'Q3')):
+                 ('diag', 'k0', 'Q3'),
+                 ('diag', 'eval', 'sig:U'),  # SignatureMismatch
+                 ('sym', 'pair', 'p[1]', '1/2 p[2]'),  # NonIntegralResult
+                 ('bimod', 'mackey', '--k', '0')):  # ValueError
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith('error:')
         assert out == ''
+    # the usage errors that no command raises on its own input
+    for error in (InsufficientVariables, RankMismatch, FlavorMismatch, NotBraidOnly,
+                  UnrealizableAtRank):
+        monkeypatch.setattr(cli.sf, 'convert', _raiser(error('forced')))
+        assert run_cli(capsys, 'sym', 'convert', 'h[1]', '--to', 'm') == \
+            (2, '', 'error: forced\n'), error
+
+
+def test_unexpected_errors_exit_3(capsys, monkeypatch):
+    for error in (KeyError('forced'), SymcatError('forced')):
+        monkeypatch.setattr(cli.sf, 'convert', _raiser(error))
+        code, out, err = run_cli(capsys, 'sym', 'convert', 'h[1]', '--to', 'm')
+        assert (code, out) == (3, '')
+        assert err.endswith(f'internal error: {error}\n')
+        # a bug outside the error classes prints its traceback first
+        assert err.startswith('Traceback') == (type(error) is KeyError)
 
 
 def test_unknown_command_exits_2():
@@ -263,9 +289,8 @@ def test_failing_report_exits_1(capsys, monkeypatch):
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):
-    def raiser(*args, **kwargs):
-        raise VerificationFailure('forced')
-    monkeypatch.setattr(cli.bm, 'induced_character_decomposition', raiser)
+    monkeypatch.setattr(cli.bm, 'induced_character_decomposition',
+                        _raiser(VerificationFailure('forced')))
     code, _, err = run_cli(capsys, 'bimod', 'decompose', '[1]', '[1]')
     assert code == 1
     assert err.startswith('verification failed:')
@@ -376,12 +401,35 @@ FAULT_ROWS = [
      'bimodel/local-relations', {'max_level': 2},
      "local relation 'braid' fails at level 2: x1 x2 x1 = x2 x1 x2 on UUU; "
      "first difference at entry (0, 54): 0 != 1"),
+    (sf, '_row', ('s', 'h', (2, 1)),  # s21 = h111 - h21 (it is h21 - h3): read by Schur
+     lambda items: (((2, 1), -1), ((1, 1, 1), 1)),  # products and, transposed, by m -> s
+     'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},
+     'e[] * m[3] disagrees with the polynomial product'),
+    (sf, '_row', ('s', 'm', (2, 1)),  # K_{21,111} = 3, not 2: still unitriangular,
+     lambda items: (items[0], (items[1][0], 3)),  # so every m row solves
+     'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},
+     'm[] * e[2, 1] disagrees with the polynomial product'),
+    (sf, '_m_mult_basis', ((1,), (2,)),  # m1 m2 = m3 + 2 m21, not m3 + m21
+     lambda items: (((3,), 1), ((2, 1), 2)),
+     'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},
+     'm[1] * m[2] disagrees with the polynomial product'),
+    (sf, '_p_times', ({(1,): 1}, (1,)),  # m1 p1 = m2 + m11, not m2 + 2 m11
+     lambda coeffs: {**coeffs, (1, 1): coeffs[(1, 1)] - 1},
+     'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},
+     'm[1] * m[1] disagrees with the polynomial product'),
+    (sf, '_strips', ((1,), 1, True, False),  # the horizontal 1-strips grown on s1
+     lambda strips: strips[:1],  # without (2,), so s1 h1 = s11
+     'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},
+     'm[] * h[1, 1] disagrees with the polynomial product'),
+    (sf, '_row', ('e', 'h', (2, 1)),  # e21 = h111 - 2 h21 + h3, which is e3: the
+     lambda items: (((3,), 1), ((2, 1), -2), ((1, 1, 1), 1)),  # antipode reads it
+     'symfunc/antipode-axiom', {'max_degree': 5}, 'antipode axiom fails on m[3]'),
 ]
 
 
 @pytest.mark.parametrize('module, kernel, key, corrupt, case_id, bounds, message', FAULT_ROWS,
                          ids=[row[1] for row in FAULT_ROWS])
-def test_fault_row_makes_its_case_raise(fresh_kernel_memos, monkeypatch,
+def test_fault_row_makes_its_case_raise(fresh_memos, monkeypatch,
                                         module, kernel, key, corrupt, case_id, bounds, message):
     true_kernel = getattr(module, kernel)
     reads = []
@@ -393,18 +441,9 @@ def test_fault_row_makes_its_case_raise(fresh_kernel_memos, monkeypatch,
             return corrupt(out)
         return out
 
-    sf_memos = [memo for memo in vars(sf).values() if hasattr(memo, 'cache_clear')]
-    for memo in sf_memos:  # no cached row hides the corrupted entry
-        memo.cache_clear()
     monkeypatch.setattr(module, kernel, corrupted)
-    try:
-        with pytest.raises(VerificationFailure) as info:
-            cases.run_case(case_id, seed=0, **bounds)
-    finally:
-        monkeypatch.undo()  # the true memos hold entries built on the wrong one
-        fresh_kernel_memos()
-        for memo in sf_memos:
-            memo.cache_clear()
+    with pytest.raises(VerificationFailure) as info:
+        cases.run_case(case_id, seed=0, **bounds)
     assert reads, 'the corrupted entry was never read'
     assert str(info.value) == message
 

@@ -109,7 +109,7 @@ def test_perm_length_is_the_inversion_count():
         assert perm_length(w) == sum(1 for a, b in itertools.combinations(w, 2) if a > b)
 
 
-def test_rank_seven_lengths_leave_the_memo_alone(fresh_kernel_memos):
+def test_rank_seven_lengths_leave_the_memo_alone(fresh_memos):
     # S_7 (5,040) is larger than the memo (4,096): its lengths are counted afresh
     s5 = list(all_perms(5))
     for w in s5:

@@ -1,6 +1,10 @@
-"""Tests for the exact linear-algebra kernel against a Fraction oracle."""
+"""Tests for the exact linear-algebra kernel against a Fraction oracle, and
+for the memo registry."""
 
+import functools
+import importlib
 import math
+import pkgutil
 import random
 
 from decimal import Decimal
@@ -8,16 +12,23 @@ from fractions import Fraction
 
 import pytest
 
+import symcat
+import symcat.bimodel as bm
+import symcat.heisenberg as hs
 import symcat.nilcoxeter as nx
+import symcat.symfunc as sf
+import symcat.weyl as wy
 from symcat.bimodel import BimoduleElem, GroupAlgElem, ga_unit, path_from_signature, \
     render_groupalg, tensor_basis
 from symcat.diagcat import Morphism, parse_diagram, render_morphism
 from symcat.errors import FlavorMismatch, LatticeMismatch, NonIntegralResult, \
     RankMismatch, SignatureMismatch
 from symcat.heisenberg import HeisNormal, heis_e, render_heis
-from symcat.linalg import LinComb, common_denominator, matrix_rank, scalar
+from symcat.linalg import MEMOS, LinComb, common_denominator, matrix_rank, scalar
 from symcat.symfunc import SymFunc, render
 from symcat.weyl import DIVIDED_POWERS, MONOMIALS, PolyVector, WeylElement, render_weyl
+
+from conftest import fresh_walk
 
 
 def fraction_rank(rows):
@@ -316,3 +327,53 @@ def _morphism(domain, terms):
 ])
 def test_renderers_share_one_signed_sum_format(renderer, element, text):
     assert renderer(element) == text
+
+
+##########################
+# memo registry          #
+##########################
+
+def _module_memos():
+    """'module.name' of every module attribute of the package that has
+    cache_clear (classes aside), by the object."""
+    modules = [importlib.import_module(f'symcat.{info.name}')
+               for info in pkgutil.iter_modules(symcat.__path__)]
+    return {obj: f'{mod.__name__}.{name}' for mod in modules for name, obj in vars(mod).items()
+            if hasattr(obj, 'cache_clear') and not isinstance(obj, type)}
+
+
+def test_every_module_memo_is_registered_and_bounded():
+    names = _module_memos()
+    assert sorted(names[m] for m in set(names) - set(MEMOS)) == []
+    assert sorted(names[m] for m in MEMOS if m.cache_info().maxsize is None) == []
+    assert set(MEMOS) <= set(names) and set(MEMOS.values()) == {'kernel', 'oracle', 'shared'}
+    # memo returns the lru_cache wrapper itself: no Python frame per call
+    assert all(type(m) is functools._lru_cache_wrapper for m in MEMOS if m is not bm._slice_table)
+
+
+_F, _G = sf.parse_symfunc('s[2,1] - 2 e[3] + h[2,1]'), sf.parse_symfunc('p[2,1] + m[1,1,1]')
+_DIAGRAMS = [Morphism.from_diagram(parse_diagram(text))
+             for text in ('sig:UUU; x1; x2; x1', 'sig:DU; cap+1', 'sig:; cup+1')]
+
+
+def _polynomial_oracle():
+    P, Q = sf.monomial_expand(_F, 6), sf.monomial_expand(_G, 6)
+    return sf.poly_mult(P, Q), sf.dominant_product(P, Q, (6,))
+
+
+@pytest.mark.parametrize('oracle', [
+    _polynomial_oracle,
+    lambda: bm.induced_character_decomposition((2, 1), (2, 1)),
+    lambda: hs.heis_normalize_single_step(hs.parse_heisword('h2* h1* e1 e2 h1* e3')),
+    lambda: wy.weyl_multiply_single_step(wy.parse_weyl('3 x^2 d^3 - d^1'),
+                                         wy.parse_weyl('x^3 d^1 + 2 x^1')),
+    lambda: nx.nc_word_eval((1, 2, 1, 3, 2, 1), 4),
+    lambda: [fresh_walk(m, 2) for m in _DIAGRAMS],
+], ids=['polynomial', 'character', 'heis-single-step', 'weyl-single-step', 'nc-word',
+        'dense-walk'])
+def test_oracles_read_no_kernel_memo(fresh_memos, oracle):
+    cleared = {memo: memo.cache_info() for memo in MEMOS}
+    oracle()
+    names = _module_memos()
+    assert [names[memo] for memo, layer in MEMOS.items()
+            if layer == 'kernel' and memo.cache_info() != cleared[memo]] == []

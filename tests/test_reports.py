@@ -22,7 +22,7 @@ def _failure(fn, *args):
     return str(info.value), info.value.report
 
 
-def test_local_relation_failure(fresh_kernel_memos, monkeypatch):
+def test_local_relation_failure(fresh_memos, monkeypatch):
     real = bm.diagram_to_map
 
     def broken(m, base):
@@ -44,7 +44,7 @@ def test_local_relation_failure(fresh_kernel_memos, monkeypatch):
     ]
 
 
-def test_local_relation_first_difference_past_the_first_entry(fresh_kernel_memos, monkeypatch):
+def test_local_relation_first_difference_past_the_first_entry(fresh_memos, monkeypatch):
     real = bm.diagram_to_map
 
     def broken(m, base):
@@ -71,7 +71,7 @@ def test_local_relation_first_difference_past_the_first_entry(fresh_kernel_memos
                        'detail': detail}]
 
 
-def test_mackey_failure(fresh_kernel_memos, monkeypatch):
+def test_mackey_failure(fresh_memos, monkeypatch):
     monkeypatch.setattr(bm, 'transposition', lambda i, j, n: tuple(range(1, n + 1)))
     message, report = _failure(bm.mackey_check, 2)
     assert message == 'Mackey check fails at k = 2: m2-injective'
@@ -85,7 +85,7 @@ def test_mackey_failure(fresh_kernel_memos, monkeypatch):
     assert all(set(e) == {'check', 'k', 'pass', 'detail'} for e in report)
 
 
-def test_mackey_catches_a_wrong_canonical_form(fresh_kernel_memos, monkeypatch):
+def test_mackey_catches_a_wrong_canonical_form(fresh_memos, monkeypatch):
     bm.mackey_check(3)  # clean first: a canonical form kept across calls would hide the fault
     true_canonicalize = bm.canonicalize
     path = bm.path_from_signature('UD', 3)
@@ -122,7 +122,7 @@ _S2 = (2, 1, 3)  # s_1 in S_3
     # linearity sees it
     ({_S2: (1, 2, 3, 4), (1, 2, 3): (2, 1, 3, 4)}, 'm1-left-linear', set()),
 ])
-def test_mackey_catches_a_wrong_inclusion(fresh_kernel_memos, monkeypatch,
+def test_mackey_catches_a_wrong_inclusion(fresh_memos, monkeypatch,
                                           corrupt, first, failing):
     # Over all pairs (c, v) the left and right equations m1(c v) = m1(c) m1(v) are the
     # same set, so a wrong extension fails both m1 sides, and m2 = m1(a) t m1(b) with them.
