@@ -179,21 +179,31 @@ class BimodulePath:
     n_0 is the base rank (rightmost tensor factor acts on A_{n_0}); step j
     joins n_{j-1} to n_j and carries the group algebra of the larger rank.
     Signature position p (0-based from the left) corresponds to step k - p,
-    so the leftmost strand is the outermost functor.
+    so the leftmost strand is the outermost functor.  `layout` holds the
+    (is_up, carrier rank) pair of each tensor slot, leftmost first, and
+    `size` is len(tensor_basis(path)); both are set once, here.
     """
 
-    __slots__ = ('levels',)
+    __slots__ = ('levels', 'layout', 'size')
 
     def __init__(self, levels):
-        levels = tuple(int(x) for x in levels)
+        levels = tuple(levels)
         if not levels:
             raise ValueError('a path needs at least the base rank')
+        for x in levels:
+            if type(x) is not int:
+                raise ValueError(f'rank {x!r} is not an int')
         if any(x < 0 for x in levels):
             raise UnrealizableAtRank(f'negative rank in path {levels}')
         for a, b in zip(levels, levels[1:]):
             if abs(a - b) != 1:
                 raise ValueError(f'adjacent ranks must differ by 1: {levels}')
+        rev = levels[::-1]
+        layout = tuple((b > a, max(a, b)) for b, a in zip(rev, rev[1:]))
         object.__setattr__(self, 'levels', levels)
+        object.__setattr__(self, 'layout', layout)
+        object.__setattr__(self, 'size', math.prod(m for up, m in layout if up)
+                           * math.factorial(levels[0]))
 
     def __setattr__(self, *a):
         raise AttributeError('BimodulePath is immutable')
@@ -210,19 +220,6 @@ class BimodulePath:
     @property
     def base(self):
         return self.levels[0]
-
-    @property
-    def steps(self):
-        return len(self.levels) - 1
-
-    def step_of_position(self, p):
-        return self.steps - p
-
-    def is_up(self, j):
-        return self.levels[j] > self.levels[j - 1]
-
-    def carrier(self, j):
-        return max(self.levels[j], self.levels[j - 1])
 
 
 @memo(1 << 10, 'shared')
@@ -252,16 +249,6 @@ def path_from_signature(sig, base):
     return BimodulePath(levels)
 
 
-@memo(1 << 10, 'shared')
-def _layout(path):
-    """(is_up, carrier rank) of each tensor slot of a path, leftmost first.
-
-    `verify-all` at its defaults fills 180 entries.
-    """
-    return tuple((path.is_up(j), path.carrier(j))
-                 for j in map(path.step_of_position, range(path.steps)))
-
-
 def tensor_basis(path):
     """Ordered canonical basis: coset representatives in the up slots, identity
     in the down slots, a free S_{n_0} factor at the end.
@@ -275,14 +262,9 @@ def tensor_basis(path):
     4
     """
     choices = [[coset_rep(i, m) for i in range(1, m + 1)] if up else [identity_perm(m)]
-               for up, m in _layout(path)]
+               for up, m in path.layout]
     choices.append(list(all_perms(path.base)))
     return [tuple(elem) for elem in itertools.product(*choices)]
-
-
-def _size(path):
-    """len(tensor_basis(path)), without building it."""
-    return math.prod(m for up, m in _layout(path) if up) * math.factorial(path.base)
 
 
 def _rank(path, elem):
@@ -295,7 +277,7 @@ def _rank(path, elem):
     [0, 1, 2, 3, 4, 5]
     """
     r = 0
-    for g, (up, m) in zip(elem, _layout(path)):
+    for g, (up, m) in zip(elem, path.layout):
         if up:
             r = r * m + g[-1] - 1
     rest = sorted(elem[-1])
@@ -321,7 +303,7 @@ def _unrank(path, r):
     rest = list(range(1, path.base + 1))
     w = tuple([rest.pop(j) for j in digits])
     slots = []
-    for up, m in reversed(_layout(path)):
+    for up, m in reversed(path.layout):
         if up:
             r, j = divmod(r, m)
             slots.append(coset_rep(j + 1, m))
@@ -337,7 +319,7 @@ def canonicalize(path, elem):
     rightward across the tensor-over-subalgebra relations."""
     slots = []
     push = ()  # the identity of S_0, which extends to every identity
-    for g, (up, m) in zip(elem, _layout(path)):
+    for g, (up, m) in zip(elem, path.layout):
         if push:
             g = perm_mult(perm_extend(push, m), g)
         if up:
@@ -361,7 +343,7 @@ class BimoduleElem(LinComb):
     _RATIONAL = True
 
     def __new__(cls, path, coeffs):
-        ranks = [m for _up, m in _layout(path)]
+        ranks = [m for _up, m in path.layout]
         ranks.append(path.base)
         merged = {}
         for elem, c in coeffs.items():
@@ -378,30 +360,29 @@ class BimoduleElem(LinComb):
 ####################################
 
 
-def _slice_images(path_below, path_above, sig_below, slice_, elem):
+def _slice_images(path_below, path_above, slice_, elem):
     """Images of a pure tensor under one slice; each has coefficient 1."""
     kind, i = slice_
     p = i - 1
     slots = list(elem[:-1])
     w = elem[-1]
-    k = path_below.steps
+    k = len(path_below.layout)
     if kind == 'x':
-        orient = sig_below[p:p + 2]
-        j_right = path_below.step_of_position(p + 1)
-        right_entry = path_below.levels[j_right - 1]
-        if orient == 'UU':
+        right_entry = path_below.levels[k - p - 2]
+        up_left, up_right = path_below.layout[p][0], path_below.layout[p + 1][0]
+        if up_left and up_right:  # UU
             b = right_entry
             t = transposition(b + 1, b + 2, b + 2)
             g = perm_mult(perm_mult(slots[p], perm_extend(slots[p + 1], b + 2)), t)
             slots[p], slots[p + 1] = g, identity_perm(b + 1)
             return [tuple(slots) + (w,)]
-        if orient == 'DD':
+        if not (up_left or up_right):  # DD
             c = right_entry
             t = transposition(c - 1, c, c)
             g = perm_mult(perm_mult(t, perm_extend(slots[p], c)), slots[p + 1])
             slots[p], slots[p + 1] = identity_perm(c - 1), g
             return [tuple(slots) + (w,)]
-        if orient == 'DU':
+        if up_right:  # DU
             a = right_entry
             g = perm_mult(slots[p], slots[p + 1])
             if g[a] == a + 1:
@@ -425,8 +406,7 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
                    for idx in range(1, seam + 1)]
         return [tuple(slots[:p]) + pair + tuple(slots[p:]) + (w,) for pair in ins]
     # caps
-    j_right = path_below.step_of_position(p + 1)
-    c_level = path_below.levels[j_right - 1]
+    c_level = path_below.levels[k - p - 2]
     if kind == 'cap+':
         g = perm_mult(slots[p], slots[p + 1])
         if g[c_level] != c_level + 1:
@@ -436,32 +416,18 @@ def _slice_images(path_below, path_above, sig_below, slice_, elem):
         g = perm_mult(slots[p], slots[p + 1])
     del slots[p:p + 2]
     if p < len(slots):
-        m_next = path_above.carrier(path_above.step_of_position(p))
-        slots[p] = perm_mult(perm_extend(g, m_next), slots[p])
+        slots[p] = perm_mult(perm_extend(g, path_above.layout[p][1]), slots[p])
     else:
         w = perm_mult(g, w)
     return [tuple(slots) + (w,)]
 
 
-@memo(1 << 10)
-def _frame(path_below, slice_):
-    """(signature below, path above) of one slice on a path.
-
-    `verify-all` at its defaults fills 183 entries.
-    """
-    sig_below = ''.join('U' if up else 'D' for up, _m in _layout(path_below))
-    return sig_below, path_from_signature(Diagram(sig_below, (slice_,)).codomain,
-                                          path_below.base)
-
-
-def _slice_ranks(path_below, slice_, r):
-    """The ranks in the path above of the canonical images of basis tensor r
-    under one slice: canonicalize applied to each of _slice_images, which
-    all have coefficient 1."""
-    sig_below, path_above = _frame(path_below, slice_)
+def _slice_ranks(path_below, path_above, slice_, r):
+    """The ranks in path_above of the canonical images of basis tensor r of
+    path_below under one slice: canonicalize applied to each of
+    _slice_images, which all have coefficient 1."""
     return tuple(_rank(path_above, canonicalize(path_above, image)) for image in
-                 _slice_images(path_below, path_above, sig_below, slice_,
-                               _unrank(path_below, r)))
+                 _slice_images(path_below, path_above, slice_, _unrank(path_below, r)))
 
 
 SliceTableInfo = namedtuple('SliceTableInfo', 'tables maxsize currsize')
@@ -476,8 +442,8 @@ class _SliceTables:
     The bound counts entries, filled or not, over all tables; a table that
     would pass it first drops every table (so a table larger than the bound
     is kept alone).  The bound is more than the 80,640 entries (8! under x1
-    and under x2) of the level-5 braid check, which runs in 43 MB ru_maxrss
-    with both tables full.  `cache_info` counts the
+    and under x2) of the level-5 braid check, which takes 1.2-2.3 s of CPU
+    and 42 MB ru_maxrss with both tables full.  `cache_info` counts the
     filled entries as `currsize`; `verify-all` at its defaults fills 2,719
     entries and `bimod verify-relations --max-level 4 --relation braid`
     11,820.
@@ -499,7 +465,7 @@ class _SliceTables:
         key = (path.levels, slice_)
         table = self.tables.get(key)
         if table is None:
-            size = _size(path)
+            size = path.size
             if self.slots + size > self.maxsize:
                 self.cache_clear()
             table = self.tables[key] = [None] * size
@@ -535,7 +501,7 @@ class LinearMapRep:
     __slots__ = ('domain', 'codomain', 'rows')
 
     def __new__(cls, domain, codomain, matrix):
-        n_dom, n_cod = _size(domain), _size(codomain)
+        n_dom, n_cod = domain.size, codomain.size
         rows = [tuple(row) for row in matrix]
         if len(rows) != n_dom or any(len(row) != n_cod for row in rows):
             raise ValueError(f'matrix shape is not {n_dom} x {n_cod}')
@@ -559,7 +525,7 @@ class LinearMapRep:
 
     def __repr__(self):
         return (f'LinearMapRep({self.domain!r} -> {self.codomain!r}, '
-                f'{len(self.rows)} x {_size(self.codomain)})')
+                f'{len(self.rows)} x {self.codomain.size})')
 
     @property
     def images(self):
@@ -569,7 +535,7 @@ class LinearMapRep:
 
     @property
     def matrix(self):
-        zeros = [0] * _size(self.codomain)
+        zeros = [0] * self.codomain.size
         out = []
         for row in self.rows:
             cells = zeros.copy()
@@ -580,11 +546,11 @@ class LinearMapRep:
 
     @classmethod
     def identity(cls, path):
-        return cls._new(path, path, tuple({r: 1} for r in range(_size(path))))
+        return cls._new(path, path, tuple({r: 1} for r in range(path.size)))
 
     @classmethod
     def zero(cls, domain, codomain):
-        return cls._new(domain, codomain, ({},) * _size(domain))
+        return cls._new(domain, codomain, ({},) * domain.size)
 
     def is_identity(self):
         return self.domain == self.codomain and all(
@@ -610,19 +576,21 @@ def diagram_to_map(m, base_rank):
         m = Morphism.from_diagram(m)
     dom_path = path_from_signature(m.domain, base_rank)
     cod_path = path_from_signature(m.codomain, base_rank)
-    size = _size(dom_path)
+    size = dom_path.size
     rows = None
     for diag, coeff in m.terms.items():
         starts = ends = range(size)
+        path = dom_path
         for q, sl in enumerate(diag.slices):
-            path = path_from_signature(diag.sig_below(q), base_rank)
+            above = path_from_signature(diag.sig_below(q + 1), base_rank)
             table = _slice_table(path, sl)
             images = list(map(table.__getitem__, ends))
             if None in images:
                 for r in ends:
                     if table[r] is None:
-                        table[r] = _slice_ranks(path, sl, r)
+                        table[r] = _slice_ranks(path, above, sl, r)
                 images = list(map(table.__getitem__, ends))
+            path = above
             counts = list(map(len, images))
             if counts.count(1) != len(counts):
                 starts = list(itertools.chain.from_iterable(map(itertools.repeat, starts, counts)))
@@ -641,7 +609,7 @@ def diagram_to_map(m, base_rank):
 
 def matrix_text(rep):
     """Plain-text numerator/denominator grid, one matrix row per line."""
-    zeros = ['0/1'] * _size(rep.codomain)
+    zeros = ['0/1'] * rep.codomain.size
     lines = []
     for row in rep.rows:
         cells = zeros.copy()
@@ -660,11 +628,11 @@ LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 # Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation:
 # the braid family maps (n+3)! basis tensors, and each level multiplies the
 # tensor count by n+4.  `bimod verify-relations --max-level 4 --relation braid`
-# takes 0.3-0.5 s and 21 MB ru_maxrss; level 5, by a direct call, takes
-# 1.3-1.6 s of CPU and 43 MB, with its slice tables full.  That fits the 2 s
-# budget of one ceiling step, but a higher ceiling changes the outputs that
-# CI compares (level 5 is an error exit today), so it stays at 4 until a
-# change of its own raises it.  mackey_check: (k!)^2 distinct canonical
+# takes 0.3-0.5 s and 20 MB ru_maxrss, all four families 0.4-0.55 s; level 5,
+# by a direct call, takes 1.2-2.3 s of CPU and 42 MB, with its slice tables
+# full.  That is about the 2 s budget of one ceiling step, and a higher
+# ceiling changes the outputs that CI compares (level 5 is an error exit
+# today), so it stays at 4 until a change of its own raises it.  mackey_check: (k!)^2 distinct canonical
 # forms and k (k!)^2 comparisons per side; `bimod mackey --k 5` takes 0.25-0.46 s and
 # the call itself 0.14 s, but k = 6 is about 43 times the work of k = 5
 # (3.1 M comparisons per side, 518,400 canonical forms; about 6 s by that

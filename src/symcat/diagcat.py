@@ -417,12 +417,11 @@ def k0_class(kind_seq):
 
 
 def _signature_dimension(sig, base):
-    from .bimodel import _size, path_from_signature
+    from .bimodel import path_from_signature
     try:
-        path = path_from_signature(sig, base)
+        return path_from_signature(sig, base).size
     except UnrealizableAtRank:
         return 0
-    return _size(path)
 
 
 def verify_k0_relations(m, n, max_base=3):

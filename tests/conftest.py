@@ -24,7 +24,7 @@ def fresh_walk(m, base):
                 above = bm.path_from_signature(diag.sig_below(q + 1), base)
                 nxt = {}
                 for elem, c in cur.items():
-                    for elem2 in bm._slice_images(below, above, diag.sig_below(q), sl, elem):
+                    for elem2 in bm._slice_images(below, above, sl, elem):
                         elem2 = bm.canonicalize(above, elem2)
                         nxt[elem2] = nxt.get(elem2, 0) + c
                 cur = nxt

@@ -133,10 +133,7 @@ def test_canonicalize_idempotent(seed):
         path = bm.path_from_signature(sig, base)
     except UnrealizableAtRank:
         return
-    slots = []
-    for p in range(path.steps):
-        m = path.carrier(path.step_of_position(p))
-        slots.append(rng.choice(list(all_perms(m))))
+    slots = [rng.choice(list(all_perms(m))) for _up, m in path.layout]
     w = rng.choice(list(all_perms(path.base)))
     elem = tuple(slots) + (w,)
     once = bm.canonicalize(path, elem)
@@ -591,7 +588,7 @@ def test_kernel_memos_are_bounded(fresh_memos):
     hs.heis_normalize(hs.parse_heisword('h2* h1* e1 e2'))
     bm.character_value((2, 1), (3,))
     bm.induced_character_decomposition((2,), (1,))
-    for memo in (bm._slice_table, bm._frame, bm._layout, bm.path_from_signature,
+    for memo in (bm._slice_table, bm.path_from_signature,
                  bm._mn_character, bm._class_weights, cb._inversions, coset_rep,
                  hs._with_part, hs._hstar_past_e):
         info = memo.cache_info()
@@ -631,25 +628,50 @@ def test_local_relation_catches_a_wrong_canonical_slot(fresh_memos, monkeypatch)
         bm.verify_local_relation('braid', 2)
 
 
-def _signatures(max_len):
-    return [''.join(letters) for k in range(max_len + 1)
-            for letters in itertools.product('UD', repeat=k)]
+def _realizable_paths():
+    """(signature, base, path) for every signature of length <= 4 at base <= 3
+    that does not drop below rank 0: 93 paths."""
+    for k in range(5):
+        for letters in itertools.product('UD', repeat=k):
+            sig = ''.join(letters)
+            for base in range(4):
+                try:
+                    yield sig, base, bm.path_from_signature(sig, base)
+                except UnrealizableAtRank:
+                    continue
 
 
 def test_rank_and_unrank_follow_tensor_basis_order():
     paths = 0
-    for sig in _signatures(4):
-        for base in range(4):
-            try:
-                path = bm.path_from_signature(sig, base)
-            except UnrealizableAtRank:
-                continue
-            basis = bm.tensor_basis(path)
-            assert bm._size(path) == len(basis), (sig, base)
-            assert [bm._rank(path, elem) for elem in basis] == list(range(len(basis))), (sig, base)
-            assert [bm._unrank(path, r) for r in range(len(basis))] == basis, (sig, base)
-            paths += 1
+    for sig, base, path in _realizable_paths():
+        basis = bm.tensor_basis(path)
+        assert path.size == len(basis), (sig, base)
+        assert [bm._rank(path, elem) for elem in basis] == list(range(len(basis))), (sig, base)
+        assert [bm._unrank(path, r) for r in range(len(basis))] == basis, (sig, base)
+        paths += 1
     assert paths == 93
+
+
+def test_path_carries_its_layout_and_size():
+    paths = 0
+    for sig, base, path in _realizable_paths():
+        assert ''.join('U' if up else 'D' for up, _m in path.layout) == sig, (sig, base)
+        # slot p lies between levels k - p (on its left) and k - p - 1
+        k, levels = len(sig), path.levels
+        assert [m for _up, m in path.layout] == \
+            [max(levels[k - p], levels[k - p - 1]) for p in range(k)], (sig, base)
+        assert path.size == len(bm.tensor_basis(path)), (sig, base)
+        for name in ('layout', 'size'):
+            with pytest.raises(AttributeError, match='immutable'):
+                setattr(path, name, ())
+        paths += 1
+    assert paths == 93
+
+
+@pytest.mark.parametrize('levels', [(2.7, 3.2), ('2', '3'), (True, 2), (2, 3.0)])
+def test_path_refuses_levels_that_are_not_ints(levels):
+    with pytest.raises(ValueError, match='is not an int'):
+        bm.BimodulePath(levels)
 
 
 def test_half_maps_read_the_same_through_every_view(fresh_memos):
