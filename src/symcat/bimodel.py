@@ -27,7 +27,6 @@ import math
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from operator import methodcaller
 
 from .combinatorics import (
     all_perms,
@@ -42,6 +41,7 @@ from .combinatorics import (
     perm_mult,
     render_permutation,
     right_composer,
+    simple_transposition,
     transposition,
 )
 from .diagcat import Diagram, Morphism, compose, parse_diagram
@@ -632,11 +632,12 @@ LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 # by a direct call, takes 1.2-2.3 s of CPU and 42 MB, with its slice tables
 # full.  That is about the 2 s budget of one ceiling step, and a higher
 # ceiling changes the outputs that CI compares (level 5 is an error exit
-# today), so it stays at 4 until a change of its own raises it.  mackey_check: (k!)^2 distinct canonical
-# forms and k (k!)^2 comparisons per side; `bimod mackey --k 5` takes 0.25-0.46 s and
-# the call itself 0.14 s, but k = 6 is about 43 times the work of k = 5
-# (3.1 M comparisons per side, 518,400 canonical forms; about 6 s by that
-# ratio), over the 2 s budget, so the rank ceiling stays at 5.
+# today), so it stays at 4 until a change of its own raises it.  mackey_check: linearity
+# is checked on the k-1 generators of S_k, 2 (k-1) k k! canonicalize calls in all;
+# `bimod mackey --k 5` takes 0.1-0.13 s and the call itself 0.02-0.03 s of CPU, and
+# k = 6 by a direct call 0.16-0.25 s.  The rank ceiling stays at 5 only because
+# `bimod mackey --k 6` is an error exit that CI compares, so raising it is a
+# change of its own.
 MAX_LEVEL = 4
 MAX_K = 5
 
@@ -754,15 +755,11 @@ def mackey_check(k):
     identity, injectivity, disjointness, spanning, the image characterization
     of m1, and two-sided A_k-linearity of both maps.
 
-    Linearity is compared for every c in S_k on every basis tensor, k (k!)^2
-    comparisons per side.  Within one call each v in S_k is extended to
-    S_{k+1} once, and `canonicalize` runs once on each of the (k!)^2
-    distinct pure tensors (g, 1, h), g and h in S_k, that the two sides
-    move basis tensors to; these are kept as (g, h) -> m2 image in a dict
-    dropped when the call returns.  Each side is one list comparison per c:
-    right products map `right_composer(c)` over the factors and images,
-    left products c y call the composers of the y, built once per call.
-    k = 4 takes about 5 ms and k = 5 about 0.14 s on a 2-core VM.
+    Linearity is compared for each generator s_1 ... s_{k-1} of S_k on every
+    basis tensor, as nilcoxeter.verify_bimodule_iso does; a map that commutes
+    with the generators commutes with all of S_k.  Each v in S_k is extended
+    to S_{k+1} once per call.  k = 5 takes 0.02-0.03 s and k = 6
+    0.16-0.25 s of CPU on a 2-core VM.
     """
     if k < 1:
         raise ValueError('mackey_check needs k >= 1')
@@ -776,8 +773,7 @@ def mackey_check(k):
                  f'{k + 1}! = {k}.{k}! + {k}!: {dim_resind} = {dim_indres} + {dim_id}')
 
     t = transposition(k, k + 1, k + 1)
-    sk = list(all_perms(k))
-    ext = {v: perm_extend(v, k + 1) for v in sk}  # m1, each v extended once
+    ext = {v: perm_extend(v, k + 1) for v in all_perms(k)}  # m1, each v extended once
     m1_images = {g: v for v, g in ext.items()}
     report.check('m1-injective', len(m1_images) == dim_id, 'inclusion of A_k is injective')
     report.check('m1-image-criterion',
@@ -800,31 +796,17 @@ def mackey_check(k):
                  len(m2_images) + len(m1_images) == dim_resind,
                  'together the images exhaust A_{k+1}')
 
-    # every moved tensor (c a, 1, b) or (a, 1, b c) is some (g, 1, h), g, h in S_k;
-    # it is read as the m2 image of its canonical form
-    one = indres_basis[0][1]
-    m2_of = {(g, h): m2[canonicalize(indres, (g, one, h))] for g in sk for h in sk}.__getitem__
-    ext_of = ext.__getitem__
-    sk_ext = list(ext.values())
-    factors_a = [a for a, _e, _b in indres_basis]
-    factors_b = [b for _a, _e, b in indres_basis]
-    images = list(m2.values())
-    # x -> x y for each y of a list: the left products c y are these at x = c
-    times_sk, times_sk_ext, times_a, times_images = (
-        [right_composer(y) for y in ys] for ys in (sk, sk_ext, factors_a, images))
-    ok_left = ok_right = True
-    ok_m2_left = ok_m2_right = True
-    for c in sk:
-        ce = ext[c]
-        at_c, at_ce = methodcaller('__call__', c), methodcaller('__call__', ce)
-        times_c, times_ce = right_composer(c), right_composer(ce)
-        ok_left &= (list(map(ext_of, map(at_c, times_sk)))
-                    == list(map(at_ce, times_sk_ext)))
-        ok_right &= list(map(ext_of, map(times_c, sk))) == list(map(times_ce, sk_ext))
-        ok_m2_left &= (list(map(m2_of, zip(map(at_c, times_a), factors_b)))
-                       == list(map(at_ce, times_images)))
-        ok_m2_right &= (list(map(m2_of, zip(factors_a, map(times_c, factors_b))))
-                        == list(map(times_ce, images)))
+    # S_k is generated by s_1 ... s_{k-1}, so linearity on each generator is
+    # linearity on all of A_k
+    gens = [simple_transposition(i, k) for i in range(1, k)]
+    ok_left = all(ext[perm_mult(c, v)] == perm_mult(ext[c], g)
+                  for c in gens for v, g in ext.items())
+    ok_right = all(ext[perm_mult(v, c)] == perm_mult(g, ext[c])
+                   for c in gens for v, g in ext.items())
+    ok_m2_left = all(m2[canonicalize(indres, (perm_mult(c, a), e, b))] == perm_mult(ext[c], g)
+                     for c in gens for (a, e, b), g in m2.items())
+    ok_m2_right = all(m2[canonicalize(indres, (a, e, perm_mult(b, c)))] == perm_mult(g, ext[c])
+                      for c in gens for (a, e, b), g in m2.items())
     report.check('m1-left-linear', ok_left, 'm1 commutes with left multiplication by A_k')
     report.check('m1-right-linear', ok_right, 'm1 commutes with right multiplication by A_k')
     report.check('m2-left-linear', ok_m2_left,

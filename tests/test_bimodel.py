@@ -274,6 +274,13 @@ def test_mackey_check():
         bm.mackey_check(0)
 
 
+def test_mackey_check_past_the_ceiling(monkeypatch):
+    # the ceiling guards the CLI, not the cost: k = 6 passes in well under a second
+    monkeypatch.setattr(bm, 'MAX_K', 6)
+    report = bm.mackey_check(6)
+    assert len(report) == 11 and all(entry['pass'] for entry in report)
+
+
 MACKEY_LINEARITY = ('m1-left-linear', 'm1-right-linear', 'm2-left-linear', 'm2-right-linear')
 
 
@@ -314,7 +321,8 @@ def _linearity_flags(k):
 
 
 def test_mackey_linearity_matches_the_per_element_loop():
-    for k in range(1, 5):
+    # up to the top rank of the CLI
+    for k in range(1, bm.MAX_K + 1):
         assert _linearity_flags(k) == naive_mackey_linearity(k)
 
 
@@ -342,6 +350,27 @@ def test_mackey_linearity_matches_the_per_element_loop_on_a_fault(
     flags = _linearity_flags(3)
     assert flags == naive_mackey_linearity(3)
     assert not all(flags.values())
+
+
+@pytest.mark.parametrize('i', [1, 2, 3])
+def test_mackey_linearity_checks_every_generator(fresh_memos, monkeypatch, i):
+    # a canonical form corrupted only on the left products s_i a that no other
+    # generator reaches: skipping s_i would hide it from mackey_check
+    k = 4
+    true_canonicalize = bm.canonicalize
+    firsts = {a for a, _e, _b in bm.tensor_basis(bm.path_from_signature('UD', k))}
+    reach = {j: {compose_by_definition(transposition(j, j + 1, k), a) for a in firsts}
+             for j in range(1, k)}
+    only = reach.pop(i) - firsts - set().union(*reach.values())
+
+    def corrupted(path, elem):
+        out = true_canonicalize(path, elem)
+        return out[:-1] + (tuple(reversed(out[-1])),) if elem[0] in only else out
+
+    monkeypatch.setattr(bm, 'canonicalize', corrupted)
+    flags = _linearity_flags(k)
+    assert flags == naive_mackey_linearity(k)
+    assert not flags['m2-left-linear']
 
 
 def test_character_values():

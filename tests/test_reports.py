@@ -124,8 +124,10 @@ _S2 = (2, 1, 3)  # s_1 in S_3
 ])
 def test_mackey_catches_a_wrong_inclusion(fresh_memos, monkeypatch,
                                           corrupt, first, failing):
-    # Over all pairs (c, v) the left and right equations m1(c v) = m1(c) m1(v) are the
-    # same set, so a wrong extension fails both m1 sides, and m2 = m1(a) t m1(b) with them.
+    # On the generators c of S_3 the left equations m1(c v) = m1(c) m1(v) and the right
+    # ones m1(v c) = m1(v) m1(c) are two sets, but each holds for every v exactly when m1
+    # is multiplicative, so a wrong extension fails both m1 sides, and m2 = m1(a) t m1(b)
+    # with them.
     true_extend = bm.perm_extend
 
     def corrupted(w, n):
