@@ -18,12 +18,12 @@ the n-strips of `_strips` (Macdonald, ch. I section 5), and `_skew` expands
 one Schur factor in h (its s -> h row) into Pieri chains; so products of e,
 h and s factors, `lr_coefficients` and `dual_apply` never touch m.  `_mn`
 multiplies a Schur combination by p_n through the signed border strips of
-`_hooks` (the Murnaghan-Nakayama rule, section 7), which is how a product
-with one factor in p is taken in s when the result is read outside p; with
-the result in p it concatenates partitions in p.  A product with a factor
-in m stays in m, since m_lam is dense in s: `_p_times` multiplies by p_n,
-which raises one part of m_lam by n, and `_m_mult_basis` reads one factor
-in p and applies it to the other.
+`_hooks` (the Murnaghan-Nakayama rule, section 7), which is how an m or s
+factor times a p factor is taken in s.  With its left factor in e, h or p a
+product concatenates partitions in that basis; any other product with a
+factor in m stays in m, since m_lam is dense in s: `_p_times` multiplies
+by p_n, which raises one part of m_lam by n, and `_m_mult_basis` reads one
+factor in p and applies it to the other.
 
 Basis changes read rows of the transition matrices M(X, Y) (section 6),
 each built once and cached by `_row`.  Read directly are s -> m (Kostka
@@ -697,15 +697,17 @@ def convert(f, target):
 def multiply(f, g):
     """Product in Sym, returned in the basis of f.
 
-    The route follows the bases of the factors.  With f in p the product is
-    taken in p: partitions concatenate, g read by its pairings; with only g
-    in p, each p_rho of g adds border strips to f read in s (`_mn`); either
-    way a rational powersum factor multiplies, and only the result is
-    checked in its basis.  With a monomial factor the product is taken in m,
-    where `_m_mult_basis` reads one factor of each pair in p and raises the
-    parts of the other, since m_lam is dense in s; otherwise in s, by the
-    s -> h rows and Pieri (`_skew`).
+    The route follows the bases of the factors.  With f in e, h or p the
+    product is taken in that basis, where partitions concatenate, g read in
+    e or h by one row sum, in p by its pairings; with only g in p, each
+    p_rho of g adds border strips to f read in s (`_mn`).  Either way a
+    rational powersum factor multiplies, and only the result is checked in
+    its basis.  With a monomial factor the product is taken in m, where
+    `_m_mult_basis` reads one factor of each pair in p and raises the parts
+    of the other; otherwise in s, by the s -> h rows and Pieri (`_skew`).
     """
+    if f.basis in 'eh':
+        return SymFunc._new(f.basis, _concat(f.coeffs, _sum_rows(g.coeffs, g.basis, f.basis)))
     if f.basis == 'p':
         if g.basis == 'p':
             return SymFunc._new('p', _concat(f.coeffs, g.coeffs))
@@ -1064,11 +1066,22 @@ def counit(f):
 
 
 def antipode(f):
-    """The Hopf antipode of f, returned in the basis of f: f is read in h,
-    where S(h_lam) = (-1)^|lam| e_lam is the e -> h row with its sign."""
-    fh = _sum_rows(f.coeffs, f.basis, 'h')
-    out = _sum_rows({lam: -c if sum(lam) % 2 else c for lam, c in fh.items()}, 'e', 'h')
-    return convert(SymFunc._new('h', out), f.basis)
+    """The Hopf antipode S = (-1)^deg omega of f, in the basis of f: S(s_lam)
+    = (-1)^|lam| s_lam', S(p_lam) = (-1)^l(lam) p_lam, S(e_lam) = (-1)^|lam|
+    h_lam and S(h_lam) = (-1)^|lam| e_lam, read back by one row sum; m is
+    read in e.  A rational p input raises unless S(f) is integral in h.
+    """
+    if f.basis == 's':
+        return SymFunc._new('s', {conjugate(lam): (-1) ** sum(lam) * c
+                                  for lam, c in f.coeffs.items()})
+    if f.basis == 'p':
+        out = SymFunc._new('p', {lam: (-1) ** len(lam) * c for lam, c in f.coeffs.items()})
+        if not all(type(c) is int for c in out.coeffs.values()):
+            convert(out, 'h')
+        return out
+    src, dst = ('h', 'e') if f.basis == 'h' else ('e', 'h')
+    signed = {lam: (-1) ** sum(lam) * c for lam, c in _sum_rows(f.coeffs, f.basis, src).items()}
+    return SymFunc._new(f.basis, _sum_rows(signed, dst, f.basis))
 
 
 #############################################

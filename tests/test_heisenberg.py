@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symcat.heisenberg as hs
+import symcat.symfunc as sf
 from symcat.combinatorics import partitions_of
 from symcat.errors import NonIntegralResult, ParseError, VerificationFailure
 from symcat.symfunc import SymFunc, hall_pairing, lr_coefficients, parse_symfunc, render
@@ -233,6 +234,56 @@ def test_fock_apply_schur_on_linear_combinations():
         f = hs.specht_to_sym(state)
         assert hs.fock_apply_schur(hs.heis_normalize(word(text)), f) == \
             hs.fock_apply_word(word(text), f)
+
+
+def test_e_raise_matches_the_polynomial_product():
+    # m_lam e_n against the product of the two expanded polynomials, in
+    # enough variables for every m_nu of the product to show
+    for d in range(7):
+        for lam in partitions_of(d):
+            for n in range(1, 5):
+                nvars = d + n
+                want = sf.poly_mult(sf.monomial_expand(SymFunc('m', {lam: 1}), nvars),
+                                    sf.monomial_expand(SymFunc('e', {(n,): 1}), nvars))
+                got = sf.monomial_expand(SymFunc('m', dict(hs._e_raise(lam, n))), nvars)
+                assert got == want, (lam, n)
+
+
+_FOCK_OPERATORS = [hs.HeisNormal({(lam, mu): 1}) for lam, mu in itertools.product(
+    [lam for d in range(4) for lam in partitions_of(d)], repeat=2)]
+_FOCK_STATES = [SymFunc(basis, {lam: 1}) for basis in 'mehps'
+                for d in range(8) for lam in partitions_of(d)]
+
+
+def _first_fock_disagreement():
+    # fock_apply (parts of m removed and raised) against fock_apply_schur
+    # (Pieri strips on s), which share no kernel
+    for op in _FOCK_OPERATORS:
+        for f in _FOCK_STATES:
+            got = hs.fock_apply(op, f)
+            if got.basis != 'm' or got.coeffs != sf.convert(hs.fock_apply_schur(op, f), 'm').coeffs:
+                return op, f
+    return None
+
+
+def test_fock_apply_matches_the_schur_action_in_every_basis():
+    assert _first_fock_disagreement() is None
+
+
+def test_fock_comparison_catches_a_wrong_e_raise_coefficient(monkeypatch):
+    true_raise = hs._e_raise
+    reads = []
+
+    def corrupted(lam, n):
+        out = true_raise(lam, n)
+        if (lam, n) == ((2, 1), 1):  # m21 e1 = m31 + 2 m22 + 2 m211
+            reads.append(lam)
+            return tuple((nu, c + 1 if nu == (2, 1, 1) else c) for nu, c in out)
+        return out
+
+    monkeypatch.setattr(hs, '_e_raise', corrupted)
+    assert _first_fock_disagreement() is not None
+    assert reads, 'the corrupted entry was never read'
 
 
 def test_fock_apply_rejects_a_state_not_integral_in_m():

@@ -546,6 +546,73 @@ def test_rational_powersum_input_keeps_its_results_and_error_texts():
     assert raised >= 60
 
 
+def _multiply_through_a_pivot(f, g):
+    # the product by a pivot basis: border strips on f in s when g is in p,
+    # else m-products with a monomial factor and Pieri chains in s otherwise
+    if g.basis == P:
+        fs = sf._sum_rows(f.coeffs, f.basis, S)
+        prod = {}
+        for rho, c in g.coeffs.items():
+            for nu, k in sf._mn(fs, rho).items():
+                prod[nu] = prod.get(nu, 0) + c * k
+        return sf._in_basis(f.basis, prod, S)
+    pivot = M if M in (f.basis, g.basis) else S
+    fx, gx = sf._sum_rows(f.coeffs, f.basis, pivot), sf._sum_rows(g.coeffs, g.basis, pivot)
+    prod = sf._m_mult_raw(fx, gx) if pivot == M else sf._skew_sum(fx, gx, True)
+    return sf.SymFunc._new(f.basis, sf._sum_rows(prod, pivot, f.basis))
+
+
+def _antipode_through_h(f):
+    # f read in h, S(h_lam) = (-1)^|lam| e_lam read back in h by the e -> h
+    # row, and the result converted to the basis of f
+    fh = sf._sum_rows(f.coeffs, f.basis, H)
+    out = sf._sum_rows({lam: -c if sum(lam) % 2 else c for lam, c in fh.items()}, E, H)
+    return sf.convert(sf.SymFunc._new(H, out), f.basis)
+
+
+def test_products_with_an_e_or_h_left_factor_match_the_pivot_route():
+    # concatenation in e or h against m-products and Pieri chains, on every
+    # pair of basis elements of total degree <= 8
+    for n in range(9):
+        for a in range(n + 1):
+            for lam, mu in itertools.product(partitions_of(a), partitions_of(n - a)):
+                for left, right in itertools.product((E, H), sf.BASES):
+                    f, g = be(left, lam), be(right, mu)
+                    assert _outcome(sf.multiply, f, g) == \
+                        _outcome(_multiply_through_a_pivot, f, g), (f, g)
+
+
+def test_antipode_as_signed_omega_matches_the_route_through_h():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for basis in sf.BASES:
+                f = be(basis, lam)
+                assert _outcome(sf.antipode, f) == _outcome(_antipode_through_h, f), f
+
+
+def test_rational_powersum_products_and_antipodes_keep_their_results_and_error_texts():
+    rng = random.Random(11)
+    rational = _mixed_elements(P, rng, 12, (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
+                                            Fraction(1, 6), 1, -2))
+    rational.append(sf.parse_symfunc('1/2 p[2] + 1/2 p[1,1]'))  # h[2], integral
+    raised = 0
+    for g in rational:
+        want = _outcome(_antipode_through_h, g)
+        assert _outcome(sf.antipode, g) == want, sf.render(g)
+        raised += want[0] == 'raised'
+        for f in _mixed_elements(E, rng, 2) + _mixed_elements(H, rng, 2):
+            want = _outcome(_multiply_through_a_pivot, f, g)
+            assert _outcome(sf.multiply, f, g) == want, (sf.render(f), sf.render(g))
+            raised += want[0] == 'raised'
+    assert raised >= 40
+    # the rational factor is checked only in the result
+    assert sf.multiply(sf.parse_symfunc('2 h[1]'), sf.parse_symfunc('1/2p[2]')) == \
+        sf.parse_symfunc('2 h[2,1] - h[1,1,1]')
+    with pytest.raises(NonIntegralResult,
+                       match=re.escape("coefficient 1/2 of (1, 1) is not an integer in basis 'h'")):
+        sf.antipode(sf.parse_symfunc('1/2p[2]'))
+
+
 ##########################
 # monomial_expand        #
 ##########################
