@@ -668,15 +668,16 @@ def _compare(lhs, rhs, detail):
 
 @memo(16)
 def _relation_morphism(text):
-    """A slice script of verify_local_relation, parsed once; its nine fixed
-    texts are the only keys."""
+    """A slice script of verify_local_relation, parsed once; its eleven
+    fixed texts are the only keys."""
     return Morphism.from_diagram(parse_diagram(text))
 
 
 @memo(1)
 def _identity_minus_cap_cup():
     """The right side of the du-double check, built once."""
-    return _relation_morphism('sig:DU') - compose_morphisms('sig:DU; cap+1', 'sig:; cup+1')
+    cap_cup = compose(_relation_morphism('sig:; cup+1'), _relation_morphism('sig:DU; cap+1'))
+    return _relation_morphism('sig:DU') - cap_cup
 
 
 def verify_local_relation(rel, n, max_level=3):
@@ -738,13 +739,6 @@ def verify_local_relations(relations, max_level):
     """The entries of verify_local_relation for each family at levels 0..max_level."""
     return [entry for rel in relations for level in range(max_level + 1)
             for entry in verify_local_relation(rel, level, max_level=max_level)]
-
-
-def compose_morphisms(lower_text, upper_text):
-    """Glue two slice scripts, the first applied first."""
-    lower = Morphism.from_diagram(parse_diagram(lower_text))
-    upper = Morphism.from_diagram(parse_diagram(upper_text))
-    return compose(upper, lower)
 
 
 def mackey_check(k):

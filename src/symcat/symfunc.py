@@ -40,13 +40,16 @@ solved: p_lam is a positive multiple of m_lam plus terms strictly higher
 in dominance order, whose m rows are read back through `_row`.  Any other
 row, m -> e among them, composes two of these through s.
 
-A sum of rows, sum c_lam X_lam in basis Y, ends nearly every answer; on a
-degree dense enough to pay it is taken on packed ints (Kronecker
-substitution), as are the sums of Delta(h_lam) in `coproduct`: each row is
-one int with a signed 64-bit slot per partition (per pair of partitions
-for Delta), so the sum is one big-int multiply-add per term, read back
-once per degree.  The slot bound sum |c| max|row| < 2^63 is checked before
-each packed sum; sparse, rational and over-bound sums take the dict loop.
+Delta(h_lam), multiplicative from Delta(h_n) = sum_i h_i (x) h_(n-i), is
+one more row of the same table, h -> h (x) h, keyed by pairs of ranks.  A
+sum of rows, sum c_lam X_lam in basis Y (`_sum_rows`), ends nearly every
+answer, `coproduct` included; on a degree dense enough to pay it is taken
+on packed ints (Kronecker substitution): each row is one int with a signed
+64-bit slot per partition (per pair of partitions for Delta), so the sum
+is one big-int multiply-add per term, read back once per degree.  The slot
+bound sum |c| max|row| < 2^63 is checked before each packed sum; sparse,
+rational and over-bound sums take the dict loop.  A bilinear sum, sum a_lam
+b_mu K(lam, mu), runs through `_pair_sum` over an m-product or Schur kernel.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -84,7 +87,6 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from functools import partial
 from itertools import compress, product
 from operator import mul, sub
 
@@ -128,6 +130,9 @@ __all__ = [
 
 # basis tags: monomial, elementary, complete, powersum, schur
 BASES = ('m', 'e', 'h', 'p', 's')
+# the tag of the rows of the coproduct, h -> h (x) h, keyed by rank pairs;
+# not a basis, so `convert` refuses it
+_TENSOR = 'h(x)h'
 
 _LONG_NAMES = {
     'monomial': 'm', 'elementary': 'e', 'complete': 'h',
@@ -288,17 +293,6 @@ def _m_mult_basis(lam, mu):
     return _sorted_items({nu: c // den for nu, c in out.items()})
 
 
-def _m_mult_raw(a, b):
-    """Product of two partition->coeff maps, both in the monomial basis."""
-    out = {}
-    for lam, ca in a.items():
-        for mu, cb in b.items():
-            scale = ca * cb
-            for nu, k in _m_mult_basis(lam, mu):
-                out[nu] = out.get(nu, 0) + scale * k
-    return {nu: c for nu, c in out.items() if c != 0}
-
-
 def _concat(a, b):
     """Product of two partition -> coeff maps in a multiplicative basis: e, h or p."""
     out = {}
@@ -423,18 +417,24 @@ def _skew(kappa, mu, grow):
     return _sorted_items(out)
 
 
-def _skew_sum(a, b, grow):
-    """sum a_kappa b_mu `_skew(kappa, mu, grow)` over two Schur maps."""
+def _pair_sum(a, b, kernel, *args):
+    """sum a_lam b_mu kernel(lam, mu, *args) over two partition -> coeff
+    maps, each kernel value being (nu, coeff) items: `_m_mult_basis` for a
+    product in m, `_skew` for a product or a skew in s.  Unchecked like
+    `_sum_rows`: a cancelled term may stay as a zero.
+    """
     out = {}
-    for kappa, ca in a.items():
+    get = out.get
+    for lam, ca in a.items():
         for mu, cb in b.items():
-            if ca and cb:
-                for nu, k in _skew(kappa, mu, grow):
-                    out[nu] = out.get(nu, 0) + ca * cb * k
+            scale = ca * cb
+            if scale:
+                for nu, k in kernel(lam, mu, *args):
+                    out[nu] = get(nu, 0) + scale * k
     return out
 
 
-@memo(1 << 13)
+@memo(3 << 12)
 def _row(src, dst, lam):
     """X_lam in basis Y (X = src, Y = dst) as sorted items: one row of the
     transition matrix M(X, Y) of Macdonald, ch. I section 6.
@@ -444,8 +444,11 @@ def _row(src, dst, lam):
     it needs, which this memo keeps once; any other row composes two rows
     once, through s.  A row into p holds the pairings <X_lam, p_rho>,
     integers whatever X is, so no row holds a Fraction; the coefficient of
-    p_rho is the pairing over z_rho.  The bound is more than the 2,780 rows
-    of degree <= 10 between the five bases.
+    p_rho is the pairing over z_rho.  The row h -> _TENSOR is
+    Delta(h_lam), keyed by rank pairs.  The bound is more than the 2,919
+    rows of degree <= 10: 2,780 between the five bases and 139 of Delta,
+    and than the 11,909 rows that `verify-all --max-degree 16` reads, 915
+    of them Delta's.
     """
     if (src, dst) == ('s', 'm'):
         # the r largest entries of a tableau fill a horizontal strip
@@ -525,6 +528,22 @@ def _row(src, dst, lam):
         if any(c % diag for c in out.values()):
             raise ArithmeticError(f'm{lam} in p: a coefficient is not a multiple of {diag}')
         return _sorted_items({mu: c // diag for mu, c in out.items()})
+    if dst == _TENSOR:
+        # Delta(h_lam) from Delta(h_n) = sum_i h_i (x) h_(n-i), Delta being
+        # multiplicative; h_alpha (x) h_beta has the key rank(alpha) <<
+        # _RANK_BITS | rank(beta) (ranks by `_ranks`), so that int order is
+        # display order on the pairs
+        pairs = {((), ()): 1}
+        for part in lam:
+            nxt = {}
+            for (al, be), c in pairs.items():
+                for i in range(part + 1):
+                    key = (tuple(sorted(al + (i,), reverse=True)) if i else al,
+                           tuple(sorted(be + (part - i,), reverse=True)) if i < part else be)
+                    nxt[key] = nxt.get(key, 0) + c
+            pairs = nxt
+        return tuple(sorted((_ranks(sum(al))[al] << _RANK_BITS | _ranks(sum(be))[be], c)
+                            for (al, be), c in pairs.items()))
     return _sorted_items(_sum_rows(dict(_row(src, 's', lam)), 's', dst))
 
 
@@ -549,7 +568,7 @@ def _sum_rows(coeffs, src, dst):
         return {mu: Fraction(t, den) for mu, t in _sum_rows(ints, src, dst).items()}
     out = {}
     if len(coeffs) >= _PACK_MIN_ROWS:
-        coeffs = _packed_part(coeffs, partial(_packed_row, src, dst), _row_layout, out)
+        coeffs = _packed_part(coeffs, src, dst, out)
     get = out.get
     for lam, c in coeffs.items():
         for mu, k in _row(src, dst, lam):
@@ -588,9 +607,13 @@ def _layout(keys):
 
 
 @memo(1 << 13)
-def _row_layout(n):
-    """The slots of a packed transition row of size n: `partitions_of(n)`,
-    which is display order."""
+def _row_layout(dst, n):
+    """The slots of a packed row of size n into dst: `partitions_of(n)`,
+    which is display order, or into _TENSOR the rank-pair keys of every
+    pair (alpha, beta) with |alpha| + |beta| = n, in int order."""
+    if dst == _TENSOR:
+        return _layout(tuple(a << _RANK_BITS | b for k in range(n + 1)
+                             for a in _ranks(k).values() for b in _ranks(n - k).values()))
     return _layout(partitions_of(n))
 
 
@@ -611,48 +634,51 @@ def _pack(items, layout):
     return int.from_bytes(pos, sys.byteorder) - int.from_bytes(neg, sys.byteorder), top
 
 
-@memo(1 << 13)
+@memo(3 << 12)
 def _packed_row(src, dst, lam):
-    """`_row(src, dst, lam)` packed in the slots of `_row_layout(|lam|)`.
+    """`_row(src, dst, lam)` packed in the slots of `_row_layout(dst, |lam|)`.
 
     Reads `_row` through the module, so a patched row is packed as it
-    reads.  A row of size n holds 8 p(n) bytes of slots, 336 at n = 10 and
-    1,080 at n = 14, so a full memo of 8,192 size-14 rows holds about 11 MB
-    (8.8 MB of slots), less than the `_row` entries it packs when they are
-    dense.
+    reads.  A row of size n between bases holds 8 p(n) bytes of slots, 336
+    at n = 10 and 1,080 at n = 14, so a full memo of 12,288 size-14 rows
+    holds about 17 MB (13 MB of slots), less than the `_row` entries it
+    packs when they are dense.  A Delta row of size n holds 8 bytes per
+    pair slot: 481 slots (3,848 bytes) at n = 10 and 2,665 (21,320 bytes)
+    at n = 14, one row per partition, so the 139 of size <= 10 fill 0.29
+    MB and the 508 of size <= 14 5.7 MB.
     """
-    return _pack(_row(src, dst, lam), _row_layout(sum(lam)))
+    return _pack(_row(src, dst, lam), _row_layout(dst, sum(lam)))
 
 
-def _packed_part(coeffs, packed, layout, out):
+def _packed_part(coeffs, src, dst, out):
     """Add to out the packed sum of each degree of coeffs that `_add_packed`
     takes, and return the items left for the dict loop: coeffs itself when
     no degree is taken.  Callers skip it below _PACK_MIN_ROWS terms."""
     degrees = set(map(sum, coeffs))
     if len(degrees) == 1:
-        return {} if _add_packed(coeffs, degrees.pop(), packed, layout, out) else coeffs
+        return {} if _add_packed(coeffs, degrees.pop(), src, dst, out) else coeffs
     by_degree = {}
     for lam, c in coeffs.items():
         by_degree.setdefault(sum(lam), {})[lam] = c
     rest = {}
     for n, part in by_degree.items():
-        if not _add_packed(part, n, packed, layout, out):
+        if not _add_packed(part, n, src, dst, out):
             rest.update(part)
     return rest
 
 
-def _add_packed(part, n, packed, layout, out):
-    """Add sum c packed(lam) over the items of part, all of size n, to out,
-    when they are at least _PACK_MIN_ROWS ints that fill at least
-    _PACK_MIN_CELLS slots of layout(n) (terms times slots) and the bound
-    sum |c| max|row| < 2^63 holds; return whether it did.  The nonzero
-    slots enter out in layout order.
+def _add_packed(part, n, src, dst, out):
+    """Add sum c `_packed_row(src, dst, lam)` over the items lam -> c of
+    part, all of size n, to out, when they are at least _PACK_MIN_ROWS ints
+    that fill at least _PACK_MIN_CELLS slots of `_row_layout(dst, n)`
+    (terms times slots) and the bound sum |c| max|row| < 2^63 holds;
+    return whether it did.  The nonzero slots enter out in layout order.
     """
-    keys, _, bias = layout(n)
+    keys, _, bias = _row_layout(dst, n)
     if (len(part) < _PACK_MIN_ROWS or len(part) * len(keys) < _PACK_MIN_CELLS
             or set(map(type, part.values())) != {int}):
         return False
-    values, tops = zip(*map(packed, part))
+    values, tops = zip(*(_packed_row(src, dst, lam) for lam in part))
     if sum(map(mul, map(abs, part.values()), tops)) >= _SLOT_LIMIT:
         return False
     total = sum(map(mul, part.values(), values))
@@ -728,7 +754,7 @@ def multiply(f, g):
         return _in_basis(f.basis, prod, 's')
     pivot = 'm' if 'm' in (f.basis, g.basis) else 's'
     fx, gx = _sum_rows(f.coeffs, f.basis, pivot), _sum_rows(g.coeffs, g.basis, pivot)
-    prod = _m_mult_raw(fx, gx) if pivot == 'm' else _skew_sum(fx, gx, True)
+    prod = _pair_sum(fx, gx, _m_mult_basis) if pivot == 'm' else _pair_sum(fx, gx, _skew, True)
     return SymFunc._new(f.basis, _sum_rows(prod, pivot, f.basis))
 
 
@@ -982,50 +1008,6 @@ def _ranks(n):
 
 
 @memo(1 << 12)
-def _coproduct_h(lam):
-    """Delta(h_lam) as sorted ((key, coeff), ...) items, where the term
-    h_alpha (x) h_beta has the key rank(alpha) << _RANK_BITS | rank(beta)
-    (ranks by `_ranks`), so that int order is display order on the pairs.
-
-    Computed multiplicatively from Delta(h_n) = sum_i h_i (x) h_{n-i}.  The
-    bound is more than the 139 partitions of degree <= 10.
-    """
-    pairs = {((), ()): 1}
-    for part in lam:
-        nxt = {}
-        for (al, be), c in pairs.items():
-            for i in range(part + 1):
-                al2 = tuple(sorted(al + ((i,) if i else ()), reverse=True))
-                be2 = tuple(sorted(be + ((part - i,) if part - i else ()),
-                                   reverse=True))
-                nxt[(al2, be2)] = nxt.get((al2, be2), 0) + c
-        pairs = nxt
-    return tuple(sorted((_ranks(sum(al))[al] << _RANK_BITS | _ranks(sum(be))[be], c)
-                        for (al, be), c in pairs.items()))
-
-
-@memo(1 << 12)
-def _pair_layout(n):
-    """The slots of a packed Delta(h_lam), |lam| = n: the keys of
-    `_coproduct_h` of every pair (alpha, beta) with |alpha| + |beta| = n,
-    in int order."""
-    return _layout(tuple(a << _RANK_BITS | b for k in range(n + 1)
-                         for a in _ranks(k).values() for b in _ranks(n - k).values()))
-
-
-@memo(1 << 12)
-def _packed_coproduct_h(lam):
-    """`_coproduct_h(lam)` packed in the slots of `_pair_layout(|lam|)`.
-
-    Reads `_coproduct_h` through the module, like `_packed_row`.  One of
-    size n holds 8 bytes of slots per pair of partitions of total size n:
-    3,848 at n = 10, 21,320 at n = 14.  The 139 partitions of size <= 10 fill 0.29 MB, the 508 of size
-    <= 14 5.7 MB, and 4096 entries of size 14 would fill 87 MB.
-    """
-    return _pack(_coproduct_h(lam), _pair_layout(sum(lam)))
-
-
-@memo(1 << 12)
 def _h_leg(rank):
     """h_lam for the partition lam of this rank in display order, one per
     partition: SymFunc is immutable, so every coproduct shares its tensor
@@ -1043,19 +1025,10 @@ def coproduct(f):
 
     Left/right factors are unit-coefficient complete-basis elements; all
     scalars (including any rational powersum content of f) live in coeff.
-    f is read in h, and sum c Delta(h_lam) over each degree dense enough
-    for a packed sum, with int coefficients under the slot bound, is one
-    multiply-add per term on the packed Delta(h_lam) (`_add_packed`); other
-    degrees are summed term by term.
+    f is read in h, and sum c Delta(h_lam) is the row sum of f into
+    _TENSOR (`_sum_rows`), whose keys are pairs of ranks.
     """
-    acc = {}
-    get = acc.get
-    fh = _sum_rows(f.coeffs, f.basis, 'h')
-    if len(fh) >= _PACK_MIN_ROWS:
-        fh = _packed_part(fh, _packed_coproduct_h, _pair_layout, acc)
-    for lam, c in fh.items():
-        for key, k in _coproduct_h(lam):
-            acc[key] = get(key, 0) + c * k
+    acc = _sum_rows(_sum_rows(f.coeffs, f.basis, 'h'), 'h', _TENSOR)
     return [(_fraction(acc[key]), _h_leg(key >> _RANK_BITS), _h_leg(key & _RANK_MASK))
             for key in sorted(acc) if acc[key]]
 
@@ -1127,7 +1100,7 @@ def dual_apply(f, g):
     the s -> h row of kappa gives (`_skew`); returned in the basis of g.
     """
     fs, gs = convert(f, 's').coeffs, convert(g, 's').coeffs
-    return _in_basis(g.basis, _skew_sum(fs, gs, False), 's')
+    return _in_basis(g.basis, _pair_sum(fs, gs, _skew, False), 's')
 
 
 #############################################
@@ -1156,7 +1129,10 @@ def parse_symfunc(text):
         if not mo:
             raise ParseError(f'bad term {chunk.strip()!r}')
         coeff_text = mo.group('coeff')
-        coeff = Fraction(coeff_text.replace(' ', '')) if coeff_text else Fraction(1)
+        try:
+            coeff = Fraction(coeff_text.replace(' ', '')) if coeff_text else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f'zero denominator in {chunk.strip()!r}') from None
         lam = parse_partition('[' + mo.group('parts').strip() + ']')
         parts.append((sign * coeff, mo.group('basis'), lam))
     bases = {b for _, b, _ in parts}
@@ -1197,7 +1173,7 @@ def from_json(obj):
         coeffs = {tuple(t['partition']): Fraction(t['num'], t['den'])
                   for t in obj['terms']}
         return SymFunc(obj['basis'], coeffs)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f'bad SymFunc JSON: {exc}') from None
 
 

@@ -180,6 +180,12 @@ def test_bimod_commands(capsys):
     assert code == 0 and '0 failed' in out
 
 
+def test_zero_denominator_in_a_sym_literal_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, 'sym', 'convert', '1/0 m[1]', '--to', 's')
+    assert (code, out) == (2, '')
+    assert err == "error: zero denominator in '1/0 m[1]'\n"
+
+
 def test_verify_relations_level_ceiling_fails_fast(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, 'bimod', 'verify-relations', '--max-level', '5')
@@ -367,10 +373,6 @@ FAULT_ROWS = [
      lambda items: tuple(item for item in items if item[0] != (1, 1)),
      'symfunc/pairing-hopf-duality', {'max_degree': 4},
      '<ab,c> != <a(x)b, Delta c> at ([1], [1], [1, 1])'),
-    (sf, '_coproduct_h', ((2,),),  # the last coefficient of Delta(h2) + 1
-     lambda items: items[:-1] + ((items[-1][0], items[-1][1] + 1),),
-     'symfunc/pairing-hopf-duality', {'max_degree': 4},
-     '<ab,c> != <a(x)b, Delta c> at ([2], [], [2])'),
     (sf, '_row', ('h', 's', (1,)),  # h1 = 2 s1: the left side's h -> s row
      lambda items: ((items[0][0], items[0][1] + 1),),
      'symfunc/pairing-hopf-duality', {'max_degree': 4},
@@ -425,6 +427,10 @@ FAULT_ROWS = [
     (sf, '_row', ('e', 'h', (2, 1)),  # e21 = h111 - 2 h21 + h3, which is e3: the
      lambda items: (((3,), 1), ((2, 1), -2), ((1, 1, 1), 1)),  # antipode reads it
      'symfunc/antipode-axiom', {'max_degree': 5}, 'antipode axiom fails on m[3]'),
+    (sf, '_row', ('h', sf._TENSOR, (2,)),  # the last coefficient of Delta(h2) + 1
+     lambda items: items[:-1] + ((items[-1][0], items[-1][1] + 1),),
+     'symfunc/pairing-hopf-duality', {'max_degree': 4},
+     '<ab,c> != <a(x)b, Delta c> at ([2], [], [2])'),
 ]
 
 
