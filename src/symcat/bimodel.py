@@ -39,9 +39,10 @@ from .combinatorics import (
     perm_inverse,
     perm_length,
     perm_mult,
+    perm_table,
+    reduced_word,
     render_permutation,
     right_composer,
-    simple_transposition,
     transposition,
 )
 from .diagcat import Diagram, Morphism, compose, parse_diagram
@@ -633,9 +634,9 @@ LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 # full.  That is about the 2 s budget of one ceiling step, and a higher
 # ceiling changes the outputs that CI compares (level 5 is an error exit
 # today), so it stays at 4 until a change of its own raises it.  mackey_check: linearity
-# is checked on the k-1 generators of S_k, 2 (k-1) k k! canonicalize calls in all;
-# `bimod mackey --k 5` takes 0.1-0.13 s and the call itself 0.02-0.03 s of CPU, and
-# k = 6 by a direct call 0.16-0.25 s.  The rank ceiling stays at 5 only because
+# is checked on the k-1 generators of S_k on integer ranks, one lookup per step;
+# `bimod mackey --k 5` takes 0.13-0.14 s, nearly all start-up, the call itself 2-4 ms
+# of CPU, and k = 6 by a direct call 0.02-0.05 s.  The rank ceiling stays at 5 only because
 # `bimod mackey --k 6` is an error exit that CI compares, so raising it is a
 # change of its own.
 MAX_LEVEL = 4
@@ -751,9 +752,9 @@ def mackey_check(k):
 
     Linearity is compared for each generator s_1 ... s_{k-1} of S_k on every
     basis tensor, as nilcoxeter.verify_bimodule_iso does; a map that commutes
-    with the generators commutes with all of S_k.  Each v in S_k is extended
-    to S_{k+1} once per call.  k = 5 takes 0.02-0.03 s and k = 6
-    0.16-0.25 s of CPU on a 2-core VM.
+    with the generators commutes with all of S_k.  Both run on the ranks of
+    `perm_table(k)` and `perm_table(k + 1)`, where a generator acts by one
+    lookup; k = 5 takes 2-4 ms and k = 6 0.02-0.05 s of CPU on a 2-core VM.
     """
     if k < 1:
         raise ValueError('mackey_check needs k >= 1')
@@ -767,40 +768,39 @@ def mackey_check(k):
                  f'{k + 1}! = {k}.{k}! + {k}!: {dim_resind} = {dim_indres} + {dim_id}')
 
     t = transposition(k, k + 1, k + 1)
-    ext = {v: perm_extend(v, k + 1) for v in all_perms(k)}  # m1, each v extended once
-    m1_images = {g: v for v, g in ext.items()}
+    small, big = perm_table(k), perm_table(k + 1)
+    ext = [big.rank[v + (k + 1,)] for v in small.perms]  # m1 on ranks
+    m1_images = set(ext)
     report.check('m1-injective', len(m1_images) == dim_id, 'inclusion of A_k is injective')
     report.check('m1-image-criterion',
-                 all(g[k] == k + 1 for g in m1_images)
-                 and sum(1 for g in all_perms(k + 1) if g[k] == k + 1) == len(m1_images),
+                 all(big.perms[g][k] == k + 1 for g in m1_images)
+                 and sum(1 for g in big.perms if g[k] == k + 1) == len(m1_images),
                  'image of m1 is exactly the permutations fixing k+1')
 
-    indres = path_from_signature('UD', k)
-    indres_basis = tensor_basis(indres)
-    m2 = {}
-    for elem in indres_basis:
-        a, _e, b = elem
-        m2[elem] = perm_mult(perm_mult(ext[a], t), ext[b])
+    # the basis r_i (x) 1 (x) b of path_from_signature('UD', k), keyed (i, b);
+    # m2 sends it to r_i.t.b, r_i = s_i ... s_{k-1}: left steps from b
+    t_steps = reduced_word(t)[::-1]
+    m2 = {(i, b): _left_steps(big, t_steps + list(range(k - 1, i - 1, -1)), g)
+          for i in range(1, k + 1) for b, g in enumerate(ext)}
     m2_images = set(m2.values())
     report.check('m2-injective', len(m2_images) == dim_indres,
                  'a (x) b -> a.t.b is injective on the coset basis')
-    report.check('images-disjoint', not (m2_images & set(m1_images)),
+    report.check('images-disjoint', not (m2_images & m1_images),
                  'the two images meet only in 0')
     report.check('images-span',
                  len(m2_images) + len(m1_images) == dim_resind,
                  'together the images exhaust A_{k+1}')
 
-    # S_k is generated by s_1 ... s_{k-1}, so linearity on each generator is
-    # linearity on all of A_k
-    gens = [simple_transposition(i, k) for i in range(1, k)]
-    ok_left = all(ext[perm_mult(c, v)] == perm_mult(ext[c], g)
-                  for c in gens for v, g in ext.items())
-    ok_right = all(ext[perm_mult(v, c)] == perm_mult(g, ext[c])
-                   for c in gens for v, g in ext.items())
-    ok_m2_left = all(m2[canonicalize(indres, (perm_mult(c, a), e, b))] == perm_mult(ext[c], g)
-                     for c in gens for (a, e, b), g in m2.items())
-    ok_m2_right = all(m2[canonicalize(indres, (a, e, perm_mult(b, c)))] == perm_mult(g, ext[c])
-                      for c in gens for (a, e, b), g in m2.items())
+    # S_k is generated by s_1 ... s_{k-1}; canonicalization rewrites s_j r_i (x) 1 (x) b
+    # as r_i' (x) 1 (x) rho b, where s_j r_i = r_i' rho (`perm_table`'s slide)
+    gens, slide = range(1, k), small.slide
+    ok_left = all(ext[small.left[j][v]] == big.left[j][g] for j in gens for v, g in enumerate(ext))
+    ok_right = all(ext[small.right[j][v]] == big.right[j][g]
+                   for j in gens for v, g in enumerate(ext))
+    ok_m2_left = all(m2[slide[j, i][0], _left_steps(small, slide[j, i][1], b)] == big.left[j][g]
+                     for j in gens for (i, b), g in m2.items())
+    ok_m2_right = all(m2[i, small.right[j][b]] == big.right[j][g]
+                      for j in gens for (i, b), g in m2.items())
     report.check('m1-left-linear', ok_left, 'm1 commutes with left multiplication by A_k')
     report.check('m1-right-linear', ok_right, 'm1 commutes with right multiplication by A_k')
     report.check('m2-left-linear', ok_m2_left,
@@ -808,11 +808,18 @@ def mackey_check(k):
     report.check('m2-right-linear', ok_m2_right,
                  'm2 commutes with right multiplication on the free factor')
 
-    wd = all(perm_mult(t, perm_extend(d, k + 1)) == perm_mult(perm_extend(d, k + 1), t)
-             for d in all_perms(k - 1))
+    tr = big.rank[t]  # A_{k-1} is generated by s_1 ... s_{k-2}
+    wd = all(big.left[j][tr] == big.right[j][tr] for j in range(1, k - 1))
     report.check('m2-well-defined', wd,
                  'the middle subalgebra A_{k-1} commutes with t, so a.t.b is balanced')
     return report.close('Mackey check fails at k = {k}: {check}'.format_map)
+
+
+def _left_steps(table, steps, r):
+    """r under the left steps table.left[j] for j in steps, in order."""
+    for j in steps:
+        r = table.left[j][r]
+    return r
 
 
 ##############################

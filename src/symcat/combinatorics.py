@@ -23,6 +23,7 @@ with ``()`` the unique partition of 0.  Permutations are one-line tuples
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from operator import gt, itemgetter
 
 from .errors import ParseError
@@ -46,6 +47,7 @@ __all__ = [
     'transposition',
     'simple_transposition',
     'all_perms',
+    'perm_table',
     'word_eval',
     'is_reduced',
     'reduced_word',
@@ -298,6 +300,36 @@ def simple_transposition(i: int, n: int) -> tuple:
 def all_perms(n: int):
     """All elements of S_n as one-line tuples, in lexicographic order."""
     return itertools.permutations(range(1, n + 1))
+
+
+PermTable = namedtuple('PermTable', 'perms rank length left right slide')
+
+
+@memo(8)
+def perm_table(n: int) -> PermTable:
+    """S_n by rank, the position in `all_perms`: the one-line `perms`, their `rank`
+    dict and `length`s, the ranks of s_j w (`left[j]`) and w s_j (`right[j]`), and
+    `slide[j, i]` = (i', the left steps that build rho, in order) for s_j r_i = r_i' rho,
+    r_i = coset_rep(i, n) and rho in S_{n-1}.  The bound holds S_0 ... S_7.
+
+    >>> t = perm_table(3)
+    >>> t.perms[t.left[1][t.rank[(1, 3, 2)]]], t.length[5]
+    ((2, 3, 1), 3)
+    """
+    perms = tuple(all_perms(n))
+    rank = {w: r for r, w in enumerate(perms)}
+    length = (0,)  # a rank's factorial digits are the Lehmer code, which sums to l(w)
+    for m in range(2, n + 1):
+        length = tuple(d + x for d in range(m) for x in length)
+    # s_j w swaps the values j and j+1 of w; w s_j swaps its positions j and j+1
+    left = {j: tuple(rank[tuple(j + 1 if x == j else j if x == j + 1 else x for x in w)]
+                     for w in perms) for j in range(1, n)}
+    right = {j: tuple(rank[w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]] for w in perms)
+             for j in range(1, n)}
+    split = {(j, i): coset_decompose(perms[left[j][rank[coset_rep(i, n)]]])
+             for j in range(1, n) for i in range(1, n + 1)}
+    slide = {key: (i2, tuple(reduced_word(rho)[::-1])) for key, (i2, rho) in split.items()}
+    return PermTable(perms, rank, length, left, right, slide)
 
 
 ###################

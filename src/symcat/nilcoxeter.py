@@ -24,14 +24,13 @@ import re
 
 from .combinatorics import (
     all_perms,
-    coset_decompose,
     coset_rep,
     identity_perm,
     is_permutation,
     is_reduced,
-    perm_extend,
     perm_length,
     perm_mult,
+    perm_table,
     reduced_word,
     simple_transposition,
     word_eval,
@@ -120,13 +119,9 @@ def nc_generator(i, n):
 def _times(s, t):
     """u_s u_t = u_{st} when l(st) = l(s) + l(t), else 0: st, or None for 0.
 
-    A None factor is 0 too, so products chain.
-
     >>> _times((2, 1, 3), (1, 3, 2)), _times((2, 1, 3), (2, 1, 3))
     ((2, 3, 1), None)
     """
-    if s is None or t is None:
-        return None
     st = perm_mult(s, t)
     return st if perm_length(st) == perm_length(s) + perm_length(t) else None
 
@@ -200,12 +195,24 @@ def x_right_basis(n):
             for i in range(n + 1, 0, -1)]
 
 
-# Ceiling checked before any work, timed on a 2-core VM: verify_bimodule_iso(5)
-# takes 25-50 ms in process and rank 6 0.6-0.7 s, which leaves the lengths
-# memo as it found it (rank-7 lengths are counted outside it, `perm_length`).
-# The ceiling stays at 5 because raising it changes the error exit of
-# `nilcox verify-iso --n 6`, which CI compares with the base commit.
+# Ceiling checked before any work, timed on a 2-core VM on integer ranks: verify_bimodule_iso(5)
+# takes 2-4 ms in process, rank 6 0.07-0.1 s with the S_7 table built.  It stays at 5 because
+# raising it changes the error exit of `nilcox verify-iso --n 6`, which CI compares.
 MAX_RANK = 5
+
+
+def _nil_actions(table):
+    """(left, right): u_j u_w and u_w u_j on a `perm_table` as {j: {rank of w: rank
+    of product}}, less those where the length drops (`_times`): .get maps 0 and None to None."""
+    return tuple({j: {r: s for r, s in enumerate(row) if table.length[s] > table.length[r]}
+                  for j, row in action.items()} for action in (table.left, table.right))
+
+
+def _steps(action, word, r):
+    """r under action[j] for j in word, in order."""
+    for j in word:
+        r = action[j].get(r)
+    return r
 
 
 def verify_bimodule_iso(n):
@@ -217,9 +224,9 @@ def verify_bimodule_iso(n):
     compatibility with the left and right N_n-actions on generators (which
     for m_2 also exercises well-definedness over the tensor product).
 
-    A product of basis elements is a basis element or 0 (`_times`), so the
-    check runs on permutations with None for 0, as bimodel.mackey_check does
-    for the group algebra.  Every generator is checked on every basis tensor.
+    A product of basis elements is a basis element or 0, so the check runs on
+    the ranks of `perm_table(n)` and `perm_table(n + 1)` with None for 0, as
+    bimodel.mackey_check does.  Every generator is checked on every basis tensor.
 
     Raises VerificationFailure naming the first violated check; the full
     report rides on the exception.
@@ -228,62 +235,55 @@ def verify_bimodule_iso(n):
         raise BoundExceeded(f'rank {n} outside verified range 1..{MAX_RANK}')
     report = Report(n=n)
     m = n + 1
-    sn = list(all_perms(n))
-    m1 = {s: perm_extend(s, m) for s in sn}
+    small, big = perm_table(n), perm_table(m)
+    (sl, sr), (bl, br) = _nil_actions(small), _nil_actions(big)
+    m1 = {r: big.rank[s + (m,)] for r, s in enumerate(small.perms)}
     m1_images = set(m1.values())
-    report.check('m1-injective', len(m1_images) == len(sn),
-                 f'{len(m1_images)} distinct images of {len(sn)} basis vectors')
+    report.check('m1-injective', len(m1_images) == len(m1),
+                 f'{len(m1_images)} distinct images of {len(m1)} basis vectors')
 
-    # free basis of the tensor square: (i, tau) with b_i = u_{r_i} in N_n
-    # running over x_right_basis(n-1) and tau over S_n
-    tensor_basis = [(i, tau) for i in range(n, 0, -1) for tau in sn]
-    u_n_top = simple_transposition(n, m)
-    m2 = {(i, tau): _times(m1[coset_rep(i, n)], _times(u_n_top, m1[tau]))
-          for i, tau in tensor_basis}
+    # free basis of the tensor square: (i, tau) with b_i = u_{r_i} in N_n running over
+    # x_right_basis(n-1) and tau over S_n; m_2 sends it to u_{s_i} ... u_{s_n} u_tau
+    m2 = {(i, t): _steps(bl, range(n, i - 1, -1), m1[t]) for i in range(n, 0, -1) for t in m1}
     images = list(m2.values())
     single = None not in images  # else the image checks read the tensors before the first 0
     m2_images = set(images if single else images[:images.index(None)])
     report.check('m2-basis-to-basis', single,
                  'every basis tensor maps to a single u_sigma with coefficient 1')
-    report.check('m2-injective', single and len(m2_images) == len(tensor_basis),
-                 f'{len(m2_images)} distinct images of {len(tensor_basis)} tensors')
+    report.check('m2-injective', single and len(m2_images) == len(m2),
+                 f'{len(m2_images)} distinct images of {len(m2)} tensors')
 
     overlap = m1_images & m2_images
     report.check('images-disjoint', single and not overlap,
                  f'{len(overlap)} common basis vectors')
 
-    fixed_top = {s for s in all_perms(m) if s[m - 1] == m}
+    fixed_top = {r for r, s in enumerate(big.perms) if s[-1] == m}
     report.check('m1-image-criterion', m1_images == fixed_top,
                  'u_sigma lies in the m_1 image exactly when sigma fixes the top letter')
 
     total = len(m1_images) + len(m2_images)
-    spanned = single and (m1_images | m2_images) == set(all_perms(m))
+    spanned = single and len(m1_images | m2_images) == len(big.perms)
     report.check('images-span', spanned and total == math.factorial(m),
                  f'{math.factorial(n)} + {n}*{math.factorial(n)} = {total} '
                  f'(expect {math.factorial(m)})')
 
-    gens = [simple_transposition(j, n) for j in range(1, n)]
-    ok_m1 = all(m1.get(_times(g, s)) == _times(m1[g], m1[s])
-                and m1.get(_times(s, g)) == _times(m1[s], m1[g])
-                for g in gens for s in sn)
+    gens = range(1, n)
+    ok_m1 = all(m1.get(sl[j].get(r)) == bl[j].get(g) and m1.get(sr[j].get(r)) == br[j].get(g)
+                for j in gens for r, g in m1.items())
     report.check('m1-bimodule-map', ok_m1, 'm_1 commutes with both actions on generators')
 
-    # left action: u_j u_{r_i} = u_{r_i'} u_rho with rho in S_{n-1}, and rho
-    # slides through the tensor onto tau; a zero slide is no key of m2, so 0
-    def left(g, i, tau):
-        pushed = _times(g, coset_rep(i, n))
-        if pushed is None:
-            return None
-        i2, rho = coset_decompose(pushed)
-        return m2.get((i2, _times(perm_extend(rho, n), tau)))
-
-    ok_left = all(left(g, i, tau) == _times(m1[g], m2[i, tau])
-                  for g in gens for i, tau in tensor_basis)
+    # left action: u_j u_{r_i} = u_{r_i'} u_rho (`perm_table`'s slide) when the
+    # length goes up, and rho slides through the tensor onto tau; a zero slide
+    # (i' = None), or a zero u_rho u_tau, is no key of m2, so 0
+    slides = {(j, i): slide if sl[j].get(small.rank[coset_rep(i, n)]) is not None
+              else (None, ()) for (j, i), slide in small.slide.items()}
+    ok_left = all(m2.get((slides[j, i][0], _steps(sl, slides[j, i][1], t))) == bl[j].get(g)
+                  for j in gens for (i, t), g in m2.items())
     report.check('m2-left-linear', ok_left,
                  'm_2 commutes with the left action (well-defined over the tensor)')
 
-    ok_right = all(m2.get((i, _times(tau, g))) == _times(m2[i, tau], m1[g])
-                   for g in gens for i, tau in tensor_basis)
+    ok_right = all(m2.get((i, sr[j].get(t))) == br[j].get(g)
+                   for j in gens for (i, t), g in m2.items())
     report.check('m2-right-linear', ok_right, 'm_2 commutes with the right action')
     return report.close(('bimodule decomposition check {check!r} failed at n={n}: '
                          '{detail}').format_map)

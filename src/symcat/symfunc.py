@@ -607,11 +607,12 @@ def _layout(keys):
 
 
 @memo(1 << 13)
-def _row_layout(dst, n):
-    """The slots of a packed row of size n into dst: `partitions_of(n)`,
-    which is display order, or into _TENSOR the rank-pair keys of every
-    pair (alpha, beta) with |alpha| + |beta| = n, in int order."""
-    if dst == _TENSOR:
+def _row_layout(tensor, n):
+    """The slots of a packed row of size n, one layout per size and kind:
+    `partitions_of(n)`, which is display order, for the five bases, or for
+    a row into _TENSOR (tensor true) the rank-pair keys of every pair
+    (alpha, beta) with |alpha| + |beta| = n, in int order."""
+    if tensor:
         return _layout(tuple(a << _RANK_BITS | b for k in range(n + 1)
                              for a in _ranks(k).values() for b in _ranks(n - k).values()))
     return _layout(partitions_of(n))
@@ -636,7 +637,7 @@ def _pack(items, layout):
 
 @memo(3 << 12)
 def _packed_row(src, dst, lam):
-    """`_row(src, dst, lam)` packed in the slots of `_row_layout(dst, |lam|)`.
+    """`_row(src, dst, lam)` packed in the slots of its `_row_layout`.
 
     Reads `_row` through the module, so a patched row is packed as it
     reads.  A row of size n between bases holds 8 p(n) bytes of slots, 336
@@ -647,7 +648,7 @@ def _packed_row(src, dst, lam):
     at n = 14, one row per partition, so the 139 of size <= 10 fill 0.29
     MB and the 508 of size <= 14 5.7 MB.
     """
-    return _pack(_row(src, dst, lam), _row_layout(dst, sum(lam)))
+    return _pack(_row(src, dst, lam), _row_layout(dst == _TENSOR, sum(lam)))
 
 
 def _packed_part(coeffs, src, dst, out):
@@ -670,11 +671,11 @@ def _packed_part(coeffs, src, dst, out):
 def _add_packed(part, n, src, dst, out):
     """Add sum c `_packed_row(src, dst, lam)` over the items lam -> c of
     part, all of size n, to out, when they are at least _PACK_MIN_ROWS ints
-    that fill at least _PACK_MIN_CELLS slots of `_row_layout(dst, n)`
+    that fill at least _PACK_MIN_CELLS slots of the `_row_layout` of size n
     (terms times slots) and the bound sum |c| max|row| < 2^63 holds;
     return whether it did.  The nonzero slots enter out in layout order.
     """
-    keys, _, bias = _row_layout(dst, n)
+    keys, _, bias = _row_layout(dst == _TENSOR, n)
     if (len(part) < _PACK_MIN_ROWS or len(part) * len(keys) < _PACK_MIN_CELLS
             or set(map(type, part.values())) != {int}):
         return False

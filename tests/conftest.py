@@ -34,6 +34,25 @@ def fresh_walk(m, base):
     return images
 
 
+def patch_table(monkeypatch, module, n, **edits):
+    """Have `module` read a copy of `perm_table(n)` with some entries replaced:
+    each keyword names a field, and `rank` takes {perm: rank}, `slide`
+    {(j, i): slide}, and `left` and `right` {(j, rank): rank}.  The memoised
+    table itself is left as it is."""
+    true_table = module.perm_table
+    table = true_table(n)
+    fields = {}
+    for field, changes in edits.items():
+        old = getattr(table, field)
+        if field in ('left', 'right'):
+            fields[field] = {j: tuple(changes.get((j, r), x) for r, x in enumerate(row))
+                             for j, row in old.items()}
+        else:
+            fields[field] = {**old, **changes}
+    fake = table._replace(**fields)
+    monkeypatch.setattr(module, 'perm_table', lambda m: fake if m == n else true_table(m))
+
+
 @pytest.fixture
 def fresh_memos():
     """Clear every memo in `linalg.MEMOS` before and after a test; the

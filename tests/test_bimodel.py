@@ -32,7 +32,7 @@ from symcat.errors import (
     VerificationFailure,
 )
 
-from conftest import compose_by_definition, fresh_walk
+from conftest import compose_by_definition, fresh_walk, patch_table
 
 
 def mor(text):
@@ -326,9 +326,14 @@ def test_mackey_linearity_matches_the_per_element_loop():
         assert _linearity_flags(k) == naive_mackey_linearity(k)
 
 
+# Each fault below is made twice: in a kernel that naive_mackey_linearity reads,
+# and at the equivalent entries of the table of S_4 that mackey_check reads.
+
 def _swapped_extension(true_extend):
-    # the images of the identity and s_1 in S_4 trade places
-    swap = {(1, 2, 3): (2, 1, 3), (2, 1, 3): (1, 2, 3)}
+    # the images of s_1 and s_2 in S_4 trade places.  (A swap of the identity's
+    # and s_1's is left multiplication by s_1 on {1, s_1}: m2 = a t m1(b) stays
+    # left linear, while the loop, which extends a and c as well, sees it.)
+    swap = {(2, 1, 3): (1, 3, 2), (1, 3, 2): (2, 1, 3)}
     return lambda w, n: true_extend(swap.get(tuple(w), w) if n == 4 else w, n)
 
 
@@ -342,11 +347,26 @@ def _reversed_free_factor(true_canonicalize):
     return corrupted
 
 
+def _table_faults():
+    rank = cb.perm_table(4).rank
+    image = rank[(2, 3, 4, 1)]  # m2 of the first basis tensor, s_1 s_2 s_3
+    products = {(j, image): image for j in (1, 2)}
+    return {
+        # the ranks of the extensions of s_1 and s_2 trade places
+        'perm_extend': {'rank': {(2, 1, 3, 4): rank[(1, 3, 2, 4)],
+                                 (1, 3, 2, 4): rank[(2, 1, 3, 4)]}},
+        # the first basis tensor's image times s_1 or s_2, on either side, is itself:
+        # as with its reversed free factor, both m2 sides read it wrong
+        'canonicalize': {'left': products, 'right': products},
+    }
+
+
 @pytest.mark.parametrize('attr, corrupt', [('perm_extend', _swapped_extension),
                                            ('canonicalize', _reversed_free_factor)])
 def test_mackey_linearity_matches_the_per_element_loop_on_a_fault(
         fresh_memos, monkeypatch, attr, corrupt):
     monkeypatch.setattr(bm, attr, corrupt(getattr(bm, attr)))
+    patch_table(monkeypatch, bm, 4, **_table_faults()[attr])
     flags = _linearity_flags(3)
     assert flags == naive_mackey_linearity(3)
     assert not all(flags.values())
@@ -355,7 +375,8 @@ def test_mackey_linearity_matches_the_per_element_loop_on_a_fault(
 @pytest.mark.parametrize('i', [1, 2, 3])
 def test_mackey_linearity_checks_every_generator(fresh_memos, monkeypatch, i):
     # a canonical form corrupted only on the left products s_i a that no other
-    # generator reaches: skipping s_i would hide it from mackey_check
+    # generator reaches, and in mackey_check the slides of those s_i a: skipping
+    # s_i would hide the fault
     k = 4
     true_canonicalize = bm.canonicalize
     firsts = {a for a, _e, _b in bm.tensor_basis(bm.path_from_signature('UD', k))}
@@ -368,6 +389,12 @@ def test_mackey_linearity_checks_every_generator(fresh_memos, monkeypatch, i):
         return out[:-1] + (tuple(reversed(out[-1])),) if elem[0] in only else out
 
     monkeypatch.setattr(bm, 'canonicalize', corrupted)
+    # each s_i a of `only` is no coset representative, so its slide has rho != 1
+    slides = {(i, c): (i2, ()) for (j, c), (i2, _rho) in cb.perm_table(k).slide.items()
+              if j == i and compose_by_definition(transposition(i, i + 1, k),
+                                                  cb.coset_rep(c, k)) in only}
+    assert slides
+    patch_table(monkeypatch, bm, k, slide=slides)
     flags = _linearity_flags(k)
     assert flags == naive_mackey_linearity(k)
     assert not flags['m2-left-linear']
@@ -614,12 +641,13 @@ def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_memos):
 def test_kernel_memos_are_bounded(fresh_memos):
     bm.verify_local_relation('braid', 2)
     nx.verify_bimodule_iso(3)
+    nx.nc_product(nx.nc_generator(1, 3), nx.nc_generator(2, 3))  # lengths, by `_times`
     hs.heis_normalize(hs.parse_heisword('h2* h1* e1 e2'))
     bm.character_value((2, 1), (3,))
     bm.induced_character_decomposition((2,), (1,))
     for memo in (bm._slice_table, bm.path_from_signature,
                  bm._mn_character, bm._class_weights, cb._inversions, coset_rep,
-                 hs._with_part, hs._hstar_past_e):
+                 cb.perm_table, hs._with_part, hs._hstar_past_e):
         info = memo.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
     # the level-2 braid fills the x1 and the x2 table of its 5! basis tensors

@@ -239,6 +239,40 @@ def test_coset_decompose_bijection():
         assert len(seen) == (n + 1) * len(list(all_perms(n)))
 
 
+def _check_table_entries(table, n, ranks):
+    """The table of S_n at the given ranks against perm_mult and perm_length."""
+    gens = {j: simple_transposition(j, n) for j in range(1, n)}
+    for r in ranks:
+        w = table.perms[r]
+        assert table.length[r] == perm_length(w)
+        for j, s in gens.items():
+            assert table.perms[table.left[j][r]] == perm_mult(s, w)
+            assert table.perms[table.right[j][r]] == perm_mult(w, s)
+
+
+@pytest.mark.parametrize('n', range(6))
+def test_perm_table_matches_the_tuple_kernels(fresh_memos, n):
+    table = cb.perm_table(n)
+    assert table.perms == tuple(all_perms(n))
+    assert table.rank == {w: r for r, w in enumerate(all_perms(n))}
+    assert set(table.left) == set(table.right) == set(range(1, n))
+    _check_table_entries(table, n, range(len(table.perms)))
+    # s_j r_i = r_i' rho, with rho in S_{n-1} spelled by the slide's reduced steps
+    assert set(table.slide) == set(itertools.product(range(1, n), range(1, n + 1)))
+    for (j, i), (i2, steps) in table.slide.items():
+        rho = word_eval(steps[::-1], n)
+        assert rho[-1] == n and perm_length(rho) == len(steps)
+        assert perm_mult(coset_rep(i2, n), rho) == perm_mult(simple_transposition(j, n),
+                                                              coset_rep(i, n))
+
+
+def test_perm_table_spot_check_at_rank_6(fresh_memos):
+    table = cb.perm_table(6)
+    assert len(table.perms) == len(table.rank) == 720 and table.perms[-1] == (6, 5, 4, 3, 2, 1)
+    _check_table_entries(table, 6, range(0, 720, 37))
+    assert cb.perm_table.cache_info().maxsize == 8
+
+
 @given(st.permutations(list(range(1, 7))))
 def test_inverse_and_composition(one_line):
     w = tuple(one_line)

@@ -157,6 +157,13 @@ def test_bimodule_iso_dimension_identity():
     assert math.factorial(3) + 3 * math.factorial(3) == math.factorial(4)
 
 
+def test_bimodule_iso_past_the_ceiling(monkeypatch):
+    # the ceiling guards the CLI, not the cost: n = 6 passes in well under a second
+    monkeypatch.setattr(nx, 'MAX_RANK', 6)
+    report = nx.verify_bimodule_iso(6)
+    assert len(report) == 9 and all(entry['pass'] for entry in report)
+
+
 def test_bimodule_iso_bound():
     with pytest.raises(BoundExceeded):
         nx.verify_bimodule_iso(6)

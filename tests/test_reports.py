@@ -13,7 +13,10 @@ import symcat.bimodel as bm
 import symcat.diagcat as dg
 import symcat.heisenberg as hs
 import symcat.nilcoxeter as nx
+from symcat.combinatorics import perm_table
 from symcat.errors import VerificationFailure
+
+from conftest import patch_table
 
 
 def _failure(fn, *args):
@@ -85,20 +88,13 @@ def test_mackey_failure(fresh_memos, monkeypatch):
     assert all(set(e) == {'check', 'k', 'pass', 'detail'} for e in report)
 
 
-def test_mackey_catches_a_wrong_canonical_form(fresh_memos, monkeypatch):
-    bm.mackey_check(3)  # clean first: a canonical form kept across calls would hide the fault
-    true_canonicalize = bm.canonicalize
-    path = bm.path_from_signature('UD', 3)
-    target = bm.tensor_basis(path)[0]
-
-    def corrupted(p, elem):
-        # one basis tensor gets the reversed permutation in its free factor
-        out = true_canonicalize(p, elem)
-        if p == path and out == target:
-            return out[:-1] + (tuple(reversed(out[-1])),)
-        return out
-
-    monkeypatch.setattr(bm, 'canonicalize', corrupted)
+def test_mackey_catches_a_wrong_product_on_an_image(fresh_memos, monkeypatch):
+    # In A_4, s_1 and s_2 times u = s_1 s_2 s_3, the m2 image of the first basis tensor
+    # r_1 (x) 1 (x) 1, come out as u on both sides.  u moves 4, so no m1 check reads it,
+    # and no m2 image is built through it, so only the two m2 linearity checks do.
+    u = perm_table(4).rank[(2, 3, 4, 1)]
+    edits = {(j, u): u for j in (1, 2)}
+    patch_table(monkeypatch, bm, 4, left=edits, right=edits)
     message, report = _failure(bm.mackey_check, 3)
     assert message == 'Mackey check fails at k = 3: m2-left-linear'
     assert [(e['check'], e['pass']) for e in report] == [
@@ -114,30 +110,28 @@ _S2 = (2, 1, 3)  # s_1 in S_3
 @pytest.mark.parametrize('corrupt, first, failing', [
     # one image moved off the permutations fixing 4
     ({_S2: (2, 1, 4, 3)}, 'm1-image-criterion',
-     {'m1-image-criterion', 'images-disjoint'}),
+     {'m1-image-criterion', 'images-disjoint', 'm2-left-linear'}),
     # one image collides with the identity's
     ({_S2: (1, 2, 3, 4)}, 'm1-injective',
-     {'m1-injective', 'm1-image-criterion', 'm2-injective', 'images-span'}),
+     {'m1-injective', 'm1-image-criterion', 'm2-injective', 'images-span', 'm2-left-linear'}),
     # two images swapped: still a bijection onto the stabilizer of 4, so only
-    # linearity sees it
+    # linearity sees it.  The swap is left multiplication by s_1 on {1, s_1},
+    # and every slide's rho lies in S_2 = {1, s_1}, so m2 = a t m1(b) stays left
+    # linear
     ({_S2: (1, 2, 3, 4), (1, 2, 3): (2, 1, 3, 4)}, 'm1-left-linear', set()),
 ])
 def test_mackey_catches_a_wrong_inclusion(fresh_memos, monkeypatch,
                                           corrupt, first, failing):
-    # On the generators c of S_3 the left equations m1(c v) = m1(c) m1(v) and the right
-    # ones m1(v c) = m1(v) m1(c) are two sets, but each holds for every v exactly when m1
-    # is multiplicative, so a wrong extension fails both m1 sides, and m2 = m1(a) t m1(b)
-    # with them.
-    true_extend = bm.perm_extend
-
-    def corrupted(w, n):
-        return corrupt[tuple(w)] if n == 4 and tuple(w) in corrupt else true_extend(w, n)
-
-    monkeypatch.setattr(bm, 'perm_extend', corrupted)
+    # m1 reads the rank of v extended by 4 in the table of S_4, so the fault moves
+    # those ranks.  On the generators c of S_3 the left equations m1(c v) = m1(c) m1(v)
+    # and the right ones m1(v c) = m1(v) m1(c) are two sets, but each holds for every v
+    # exactly when m1 is multiplicative, so a wrong extension fails both m1 sides, and
+    # m2 = a t m1(b) on the right with them.
+    rank = perm_table(4).rank
+    patch_table(monkeypatch, bm, 4, rank={v + (4,): rank[w] for v, w in corrupt.items()})
     message, report = _failure(bm.mackey_check, 3)
     assert message == f'Mackey check fails at k = 3: {first}'
-    failing = failing | {'m1-left-linear', 'm1-right-linear', 'm2-left-linear',
-                         'm2-right-linear'}
+    failing = failing | {'m1-left-linear', 'm1-right-linear', 'm2-right-linear'}
     assert [(e['check'], e['pass']) for e in report] == [
         (check, check not in failing) for check in (
             'dimension', 'm1-injective', 'm1-image-criterion', 'm2-injective',
@@ -188,7 +182,7 @@ def test_weak_fock_failure(monkeypatch):
 
 def test_bimodule_iso_failure(monkeypatch):
     # every push u_j u_{r_i} splits with r_n = 1 and rho = 1, so the left tensor factor is lost
-    monkeypatch.setattr(nx, 'coset_decompose', lambda w: (len(w), tuple(range(1, len(w)))))
+    patch_table(monkeypatch, nx, 2, slide={key: (2, ()) for key in perm_table(2).slide})
     message, report = _failure(nx.verify_bimodule_iso, 2)
     assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=2: "
                        "m_2 commutes with the left action (well-defined over the tensor)")
@@ -202,15 +196,10 @@ def test_bimodule_iso_failure(monkeypatch):
 
 
 def test_bimodule_iso_catches_a_wrong_slide(monkeypatch):
-    nx.verify_bimodule_iso(3)  # clean first: a product kept across calls would hide the fault
-    true_times = nx._times
-
-    def corrupted(s, t):
-        # the slide u_rho u_tau with rho = 1 and tau the longest element comes out 0;
-        # no other product of the check has these two factors
-        return None if (s, t) == ((1, 2, 3), (3, 2, 1)) else true_times(s, t)
-
-    monkeypatch.setattr(nx, '_times', corrupted)
+    # u_1 u_{r_2} = u_{s_1 s_2} is u_{r_1} with rho = 1, but the slide gives rho = s_1;
+    # only the left action reads slides
+    assert perm_table(3).slide[1, 2] == (1, ())
+    patch_table(monkeypatch, nx, 3, slide={(1, 2): (1, (1,))})
     message, report = _failure(nx.verify_bimodule_iso, 3)
     assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=3: "
                        "m_2 commutes with the left action (well-defined over the tensor)")
@@ -221,16 +210,10 @@ def test_bimodule_iso_catches_a_wrong_slide(monkeypatch):
 
 
 def test_bimodule_iso_catches_a_wrong_right_product(monkeypatch):
-    nx.verify_bimodule_iso(3)  # clean first: a product kept across calls would hide the fault
-    true_times = nx._times
-    longest, u1 = (3, 2, 1), (2, 1, 3)
-
-    def corrupted(s, t):
-        # u_w0 u_1 is 0, not u_w0; the slides and pushes of the check never form it,
-        # but m_1 compatibility multiplies the same two basis elements
-        return longest if (s, t) == (longest, u1) else true_times(s, t)
-
-    monkeypatch.setattr(nx, '_times', corrupted)
+    # u_[] u_1 in N_3 comes out u_2: the right action of N_3 is read by m_1
+    # compatibility and by the right action on the free factor tau, nowhere else
+    rank = perm_table(3).rank
+    patch_table(monkeypatch, nx, 3, right={(1, rank[(1, 2, 3)]): rank[(1, 3, 2)]})
     message, report = _failure(nx.verify_bimodule_iso, 3)
     assert message == ("bimodule decomposition check 'm1-bimodule-map' failed at n=3: "
                        "m_1 commutes with both actions on generators")
@@ -241,14 +224,11 @@ def test_bimodule_iso_catches_a_wrong_right_product(monkeypatch):
 
 
 def test_bimodule_iso_catches_a_tensor_sent_to_zero(monkeypatch):
-    true_times = nx._times
-
-    def corrupted(s, t):
-        # u_2 u_{(2,1,3)} in N_3 comes out 0, so m_2 sends the tensor (2, (2,1)) to 0;
-        # the image checks count only the one image formed before it
-        return None if (s, t) == ((1, 3, 2), (2, 1, 3)) else true_times(s, t)
-
-    monkeypatch.setattr(nx, '_times', corrupted)
+    # u_2 u_{(2,1,3)} in N_3 comes out 0 (a step down to the identity), so m_2 sends
+    # the tensors (2, (2,1)) and (1, (2,1)) to 0; the image checks count only the one
+    # image formed before the first of them
+    rank = perm_table(3).rank
+    patch_table(monkeypatch, nx, 3, left={(2, rank[(2, 1, 3)]): rank[(1, 2, 3)]})
     message, report = _failure(nx.verify_bimodule_iso, 2)
     assert message == ("bimodule decomposition check 'm2-basis-to-basis' failed at n=2: "
                        "every basis tensor maps to a single u_sigma with coefficient 1")

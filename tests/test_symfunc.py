@@ -160,7 +160,7 @@ def test_convert_rational_powersum_message_ignores_insertion_order():
 def test_row_and_hopf_memos_are_bounded():
     # every row of degree <= 10 fits, so none is evicted: the 2,919 rows
     # between the five bases and of Delta(h_lam) into h (x) h, and their
-    # layouts, one per size and destination
+    # layouts, one per size and kind (partitions or pairs)
     sizes = [len(partitions_of(d)) for d in range(11)]
     rows = 21 * sum(sizes)
     # ordered pairs of total degree <= 10: products in m and in s
@@ -174,7 +174,7 @@ def test_row_and_hopf_memos_are_bounded():
         2 * 4 * sum(len(partitions_of(d)) for d in range(12))
     # border strips of every size removed from and grown on degree <= 10
     hooks = 2 * sum(d * sizes[d] for d in range(11))
-    for memo, need in ((sf._row, rows), (sf._packed_row, rows), (sf._row_layout, 6 * 11),
+    for memo, need in ((sf._row, rows), (sf._packed_row, rows), (sf._row_layout, 2 * 11),
                        (sf._h_leg, 139), (sf._strips, strips), (sf._hooks, hooks),
                        (cb.partitions_of, 11), (sf._ranks, 11), (sf._z, sum(sizes)),
                        (sf._m_mult_basis, pairs), (sf._skew, pairs + skews)):
