@@ -8,8 +8,9 @@ subalgebras.  Every such composite has a canonical basis built from minimal
 coset representatives with one free group-algebra factor at the base, and
 diagram_to_map turns a planar diagram into the corresponding bimodule map,
 stored as one sparse row per basis tensor, with basis tensors keyed by
-their integer rank in the canonical basis.  verify_local_relation /
-mackey_check replay the graphical relations as identities of such maps, and
+their integer rank in the canonical basis.  verify_local_relation replays
+the graphical relations as identities of such maps, mackey_check reads Res
+Ind = Id + Ind Res off `combinatorics.coset_split`, and
 induced_character_decomposition provides the character-theoretic
 multiplicity oracle.  Arithmetic is integer-first: coefficients are exact,
 int unless non-integral (then Fraction, as the 1/n! of e(n)).
@@ -25,13 +26,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 
 from .combinatorics import (
     all_perms,
     coset_decompose,
     coset_rep,
+    coset_split,
     identity_perm,
     is_permutation,
     partitions_of,
@@ -39,8 +41,6 @@ from .combinatorics import (
     perm_inverse,
     perm_length,
     perm_mult,
-    perm_table,
-    reduced_word,
     render_permutation,
     right_composer,
     transposition,
@@ -54,7 +54,7 @@ from .errors import (
     VerificationFailure,
     report_json,
 )
-from .linalg import MEMOS, LinComb, common_denominator, matrix_rank, memo, render_terms, scalar
+from .linalg import LinComb, common_denominator, matrix_rank, memo, render_terms, scalar
 
 __all__ = [
     'GroupAlgElem',
@@ -431,51 +431,15 @@ def _slice_ranks(path_below, path_above, slice_, r):
                  _slice_images(path_below, path_above, slice_, _unrank(path_below, r)))
 
 
-SliceTableInfo = namedtuple('SliceTableInfo', 'tables maxsize currsize')
-
-
-class _SliceTables:
-    """One table per (path, slice): a list indexed by domain rank whose entry
-    r is None until diagram_to_map first reads it, and then the tuple
-    _slice_ranks(path, slice, r).  One slice on one basis tensor is thus
-    rewritten once across diagrams, relation sides and queries.
-
-    The bound counts entries, filled or not, over all tables; a table that
-    would pass it first drops every table (so a table larger than the bound
-    is kept alone).  The bound is more than the 80,640 entries (8! under x1
-    and under x2) of the level-5 braid check, which takes 1.2-2.3 s of CPU
-    and 42 MB ru_maxrss with both tables full.  `cache_info` counts the
-    filled entries as `currsize`; `verify-all` at its defaults fills 2,719
-    entries and `bimod verify-relations --max-level 4 --relation braid`
-    11,820.
+@memo(1 << 8)
+def _slice_table(levels, slice_):
+    """One slice on the path with these levels: a list by domain rank whose entry r
+    is None until diagram_to_map first reads it, then _slice_ranks(path, slice, r),
+    so a slice rewrites a basis tensor once across diagrams, sides and queries.
+    The bound counts tables: `verify-all` at its defaults reads 183 and
+    `bimod verify-relations --max-level 4` 58, the largest of 5,040 entries.
     """
-
-    def __init__(self, bound):
-        self.maxsize = bound
-        self.cache_clear()
-
-    def cache_clear(self):
-        self.tables = {}
-        self.slots = 0
-
-    def cache_info(self):
-        return SliceTableInfo(len(self.tables), self.maxsize,
-                              sum(len(t) - t.count(None) for t in self.tables.values()))
-
-    def __call__(self, path, slice_):
-        key = (path.levels, slice_)
-        table = self.tables.get(key)
-        if table is None:
-            size = path.size
-            if self.slots + size > self.maxsize:
-                self.cache_clear()
-            table = self.tables[key] = [None] * size
-            self.slots += size
-        return table
-
-
-_slice_table = _SliceTables(1 << 17)
-MEMOS[_slice_table] = 'kernel'
+    return [None] * BimodulePath(levels).size
 
 
 def _clean_row(pairs):
@@ -584,7 +548,7 @@ def diagram_to_map(m, base_rank):
         path = dom_path
         for q, sl in enumerate(diag.slices):
             above = path_from_signature(diag.sig_below(q + 1), base_rank)
-            table = _slice_table(path, sl)
+            table = _slice_table(path.levels, sl)
             images = list(map(table.__getitem__, ends))
             if None in images:
                 for r in ends:
@@ -628,16 +592,11 @@ LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 
 # Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation:
 # the braid family maps (n+3)! basis tensors, and each level multiplies the
-# tensor count by n+4.  `bimod verify-relations --max-level 4 --relation braid`
-# takes 0.3-0.5 s and 20 MB ru_maxrss, all four families 0.4-0.55 s; level 5,
-# by a direct call, takes 1.2-2.3 s of CPU and 42 MB, with its slice tables
-# full.  That is about the 2 s budget of one ceiling step, and a higher
-# ceiling changes the outputs that CI compares (level 5 is an error exit
-# today), so it stays at 4 until a change of its own raises it.  mackey_check: linearity
-# is checked on the k-1 generators of S_k on integer ranks, one lookup per step;
-# `bimod mackey --k 5` takes 0.13-0.14 s, nearly all start-up, the call itself 2-4 ms
-# of CPU, and k = 6 by a direct call 0.02-0.05 s.  The rank ceiling stays at 5 only because
-# `bimod mackey --k 6` is an error exit that CI compares, so raising it is a
+# tensor count by n+4.  `bimod verify-relations --max-level 4` takes 0.2 s and
+# 21 MB ru_maxrss; the level-5 braid, by a direct call, 1.1-1.8 s of CPU and
+# 42 MB, its two 8!-entry slice tables filled.  mackey_check: `bimod mackey --k 5`
+# takes 0.08-0.09 s, nearly all start-up, and k = 6 by a direct call 0.045 s.
+# A higher ceiling changes error exits that CI compares, so each raise is a
 # change of its own.
 MAX_LEVEL = 4
 MAX_K = 5
@@ -750,11 +709,9 @@ def mackey_check(k):
     identity, injectivity, disjointness, spanning, the image characterization
     of m1, and two-sided A_k-linearity of both maps.
 
-    Linearity is compared for each generator s_1 ... s_{k-1} of S_k on every
-    basis tensor, as nilcoxeter.verify_bimodule_iso does; a map that commutes
-    with the generators commutes with all of S_k.  Both run on the ranks of
-    `perm_table(k)` and `perm_table(k + 1)`, where a generator acts by one
-    lookup; k = 5 takes 2-4 ms and k = 6 0.02-0.05 s of CPU on a 2-core VM.
+    Both maps and the linearity verdicts are `combinatorics.coset_split(k)`, on
+    the ranks of S_k and S_(k+1), as in nilcoxeter.verify_bimodule_iso; k = 5
+    takes 1.5 ms warm and 5-6 ms with its tables built, k = 6 0.045 s, on a 2-core VM.
     """
     if k < 1:
         raise ValueError('mackey_check needs k >= 1')
@@ -767,22 +724,16 @@ def mackey_check(k):
     report.check('dimension', dim_resind == dim_id + dim_indres,
                  f'{k + 1}! = {k}.{k}! + {k}!: {dim_resind} = {dim_indres} + {dim_id}')
 
-    t = transposition(k, k + 1, k + 1)
-    small, big = perm_table(k), perm_table(k + 1)
-    ext = [big.rank[v + (k + 1,)] for v in small.perms]  # m1 on ranks
-    m1_images = set(ext)
+    split = coset_split(k)
+    big = split.table
+    m1_images = set(split.m1)
     report.check('m1-injective', len(m1_images) == dim_id, 'inclusion of A_k is injective')
     report.check('m1-image-criterion',
-                 all(big.perms[g][k] == k + 1 for g in m1_images)
-                 and sum(1 for g in big.perms if g[k] == k + 1) == len(m1_images),
+                 m1_images == {g for g, w in enumerate(big.perms) if w[k] == k + 1},
                  'image of m1 is exactly the permutations fixing k+1')
 
-    # the basis r_i (x) 1 (x) b of path_from_signature('UD', k), keyed (i, b);
-    # m2 sends it to r_i.t.b, r_i = s_i ... s_{k-1}: left steps from b
-    t_steps = reduced_word(t)[::-1]
-    m2 = {(i, b): _left_steps(big, t_steps + list(range(k - 1, i - 1, -1)), g)
-          for i in range(1, k + 1) for b, g in enumerate(ext)}
-    m2_images = set(m2.values())
+    # m2 of the basis r_i (x) 1 (x) b of path_from_signature('UD', k); t = s_k
+    m2_images = set(split.m2.values())
     report.check('m2-injective', len(m2_images) == dim_indres,
                  'a (x) b -> a.t.b is injective on the coset basis')
     report.check('images-disjoint', not (m2_images & m1_images),
@@ -791,35 +742,18 @@ def mackey_check(k):
                  len(m2_images) + len(m1_images) == dim_resind,
                  'together the images exhaust A_{k+1}')
 
-    # S_k is generated by s_1 ... s_{k-1}; canonicalization rewrites s_j r_i (x) 1 (x) b
-    # as r_i' (x) 1 (x) rho b, where s_j r_i = r_i' rho (`perm_table`'s slide)
-    gens, slide = range(1, k), small.slide
-    ok_left = all(ext[small.left[j][v]] == big.left[j][g] for j in gens for v, g in enumerate(ext))
-    ok_right = all(ext[small.right[j][v]] == big.right[j][g]
-                   for j in gens for v, g in enumerate(ext))
-    ok_m2_left = all(m2[slide[j, i][0], _left_steps(small, slide[j, i][1], b)] == big.left[j][g]
-                     for j in gens for (i, b), g in m2.items())
-    ok_m2_right = all(m2[i, small.right[j][b]] == big.right[j][g]
-                      for j in gens for (i, b), g in m2.items())
-    report.check('m1-left-linear', ok_left, 'm1 commutes with left multiplication by A_k')
-    report.check('m1-right-linear', ok_right, 'm1 commutes with right multiplication by A_k')
-    report.check('m2-left-linear', ok_m2_left,
+    report.check('m1-left-linear', split.m1_left, 'm1 commutes with left multiplication by A_k')
+    report.check('m1-right-linear', split.m1_right, 'm1 commutes with right multiplication by A_k')
+    report.check('m2-left-linear', split.m2_left,
                  'm2 commutes with left multiplication through canonicalization')
-    report.check('m2-right-linear', ok_m2_right,
+    report.check('m2-right-linear', split.m2_right,
                  'm2 commutes with right multiplication on the free factor')
 
-    tr = big.rank[t]  # A_{k-1} is generated by s_1 ... s_{k-2}
-    wd = all(big.left[j][tr] == big.right[j][tr] for j in range(1, k - 1))
+    t = big.left[k][0]  # s_k times the identity (rank 0); s_1 ... s_{k-2} generate A_{k-1}
+    wd = all(big.left[j][t] == big.right[j][t] for j in range(1, k - 1))
     report.check('m2-well-defined', wd,
                  'the middle subalgebra A_{k-1} commutes with t, so a.t.b is balanced')
     return report.close('Mackey check fails at k = {k}: {check}'.format_map)
-
-
-def _left_steps(table, steps, r):
-    """r under the left steps table.left[j] for j in steps, in order."""
-    for j in steps:
-        r = table.left[j][r]
-    return r
 
 
 ##############################

@@ -4,6 +4,8 @@ These are the indexing combinatorics for every basis in the workbench:
 partitions index symmetric functions and Heisenberg monomials, permutations
 index nilcoxeter and group-algebra bases, and the coset decomposition of
 S_{n+1} over S_n underlies the induction/restriction bimodule bases.
+`coset_split` checks Res Ind = Id (+) Ind Res on the integer ranks of
+`perm_table`, in the group algebra and in the nilCoxeter algebra.
 
 Partitions are plain tuples of weakly decreasing positive ints, e.g. ``(3, 1, 1)``,
 with ``()`` the unique partition of 0.  Permutations are one-line tuples
@@ -48,6 +50,7 @@ __all__ = [
     'simple_transposition',
     'all_perms',
     'perm_table',
+    'coset_split',
     'word_eval',
     'is_reduced',
     'reduced_word',
@@ -302,19 +305,20 @@ def all_perms(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
-PermTable = namedtuple('PermTable', 'perms rank length left right slide')
+PermTable = namedtuple('PermTable', 'perms rank length left right nil_left nil_right slide')
 
 
 @memo(8)
 def perm_table(n: int) -> PermTable:
     """S_n by rank, the position in `all_perms`: the one-line `perms`, their `rank`
-    dict and `length`s, the ranks of s_j w (`left[j]`) and w s_j (`right[j]`), and
+    dict and `length`s, the ranks of s_j w (`left[j]`) and w s_j (`right[j]`), the
+    same rows with None for a nilCoxeter product 0 (`nil_left`, `nil_right`), and
     `slide[j, i]` = (i', the left steps that build rho, in order) for s_j r_i = r_i' rho,
     r_i = coset_rep(i, n) and rho in S_{n-1}.  The bound holds S_0 ... S_7.
 
     >>> t = perm_table(3)
-    >>> t.perms[t.left[1][t.rank[(1, 3, 2)]]], t.length[5]
-    ((2, 3, 1), 3)
+    >>> t.perms[t.left[1][t.rank[(1, 3, 2)]]], t.length[5], t.nil_left[1][t.rank[(2, 1, 3)]]
+    ((2, 3, 1), 3, None)
     """
     perms = tuple(all_perms(n))
     rank = {w: r for r, w in enumerate(perms)}
@@ -326,10 +330,62 @@ def perm_table(n: int) -> PermTable:
                      for w in perms) for j in range(1, n)}
     right = {j: tuple(rank[w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]] for w in perms)
              for j in range(1, n)}
+    nil_left, nil_right = ({j: tuple(s if length[s] > length[r] else None
+                                     for r, s in enumerate(row)) for j, row in action.items()}
+                           for action in (left, right))
     split = {(j, i): coset_decompose(perms[left[j][rank[coset_rep(i, n)]]])
              for j in range(1, n) for i in range(1, n + 1)}
     slide = {key: (i2, tuple(reduced_word(rho)[::-1])) for key, (i2, rho) in split.items()}
-    return PermTable(perms, rank, length, left, right, slide)
+    return PermTable(perms, rank, length, left, right, nil_left, nil_right, slide)
+
+
+CosetSplit = namedtuple('CosetSplit', 'table m1 m2 m1_left m1_right m2_left m2_right')
+
+
+def coset_split(n: int, nil: bool = False) -> CosetSplit:
+    """Res Ind = Id (+) Ind Res for S_n < S_(n+1) on `perm_table` ranks, in the group
+    algebra or, with `nil`, the nilCoxeter algebra (a product whose length drops is 0).
+
+    `table` is perm_table(n + 1); m1[r] is the rank of w = perms[r] extended by n+1,
+    and m2[i, r], i = n ... 1 in that order, the image s_i ... s_n w of r_i (x) w.
+    The verdicts compare both maps with left and right multiplication by the
+    generators s_1 ... s_(n-1); on the left of m2, s_j r_i = r_i' rho (the slide)
+    moves rho across the tensor.
+
+    >>> split = coset_split(2)
+    >>> [split.table.perms[g] for g in split.m1]
+    [(1, 2, 3), (2, 1, 3)]
+    >>> {key: split.table.perms[g] for key, g in split.m2.items()}
+    {(2, 0): (1, 3, 2), (2, 1): (3, 1, 2), (1, 0): (2, 3, 1), (1, 1): (3, 2, 1)}
+    >>> split[3:], coset_split(2, nil=True)[3:]
+    ((True, True, True, True), (True, True, True, True))
+    """
+    small, big = perm_table(n), perm_table(n + 1)
+    (sl, sr), (bl, br) = ((t.nil_left, t.nil_right) if nil else (t.left, t.right)
+                          for t in (small, big))
+    m1 = [big.rank[w + (n + 1,)] for w in small.perms]
+    m2 = {(i, r): _walk(bl, range(n, i - 1, -1), g)
+          for i in range(n, 0, -1) for r, g in enumerate(m1)}
+    gens, ext = range(1, n), dict(enumerate(m1))
+    m1_left = all(ext.get(sl[j][r]) == bl[j][g] for j in gens for r, g in ext.items())
+    m1_right = all(ext.get(sr[j][r]) == br[j][g] for j in gens for r, g in ext.items())
+    # a zero s_j r_i (i' = None), rho w or w s_j is no key of m2, so 0; a 0 image stays 0
+    slides = {(j, i): slide if sl[j][small.rank[coset_rep(i, n)]] is not None else (None, ())
+              for (j, i), slide in small.slide.items()}
+    m2_left = all(m2.get((slides[j, i][0], _walk(sl, slides[j, i][1], r)))
+                  == (g if g is None else bl[j][g]) for j in gens for (i, r), g in m2.items())
+    m2_right = all(m2.get((i, sr[j][r])) == (g if g is None else br[j][g])
+                   for j in gens for (i, r), g in m2.items())
+    return CosetSplit(big, m1, m2, m1_left, m1_right, m2_left, m2_right)
+
+
+def _walk(rows, word, r):
+    """r under rows[j] for j in word, in order; a product that is 0 (None) stays 0."""
+    for j in word:
+        if r is None:
+            return None
+        r = rows[j][r]
+    return r
 
 
 ###################

@@ -3,12 +3,13 @@ r"""Nilcoxeter algebras N_n, their induction/restriction bimodules, and K-theory
 N_n has Z-basis {u_s : s in S_n} with u_s u_t = u_{st} when lengths add and 0
 otherwise (the one rule `_times`, None for 0); in particular u_i^2 = 0 for the
 generators u_i = u_{s_i}.  From that rule the module reads the algebra
-arithmetic, the action matrices and a mechanical check of the bimodule
+arithmetic and the action matrices; the mechanical check of the bimodule
 decomposition N_{n+1} = N_n (+) N_n (x)_{N_{n-1}} N_n behind the categorified
 relation d x = x d + 1, on the explicit free right-module basis of N_{n+1}
-over N_n.  It also holds the Grothendieck-group model: induction/restriction
-on classes of simples and projectives matches multiplication by x and
-differentiation d on the two polynomial lattices of the weyl module.
+over N_n, reads the same rule off `combinatorics.coset_split`.  The module
+also holds the Grothendieck-group model: induction/restriction on classes of
+simples and projectives matches multiplication by x and differentiation d on
+the two polynomial lattices of the weyl module.
 
 >>> u1, u2 = nc_generator(1, 3), nc_generator(2, 3)
 >>> nc_product(u1, u1).is_zero()
@@ -25,12 +26,12 @@ import re
 from .combinatorics import (
     all_perms,
     coset_rep,
+    coset_split,
     identity_perm,
     is_permutation,
     is_reduced,
     perm_length,
     perm_mult,
-    perm_table,
     reduced_word,
     simple_transposition,
     word_eval,
@@ -196,23 +197,9 @@ def x_right_basis(n):
 
 
 # Ceiling checked before any work, timed on a 2-core VM on integer ranks: verify_bimodule_iso(5)
-# takes 2-4 ms in process, rank 6 0.07-0.1 s with the S_7 table built.  It stays at 5 because
+# takes 1.5 ms warm and 5-6 ms with its tables built, rank 6 0.045 s.  It stays at 5 because
 # raising it changes the error exit of `nilcox verify-iso --n 6`, which CI compares.
 MAX_RANK = 5
-
-
-def _nil_actions(table):
-    """(left, right): u_j u_w and u_w u_j on a `perm_table` as {j: {rank of w: rank
-    of product}}, less those where the length drops (`_times`): .get maps 0 and None to None."""
-    return tuple({j: {r: s for r, s in enumerate(row) if table.length[s] > table.length[r]}
-                  for j, row in action.items()} for action in (table.left, table.right))
-
-
-def _steps(action, word, r):
-    """r under action[j] for j in word, in order."""
-    for j in word:
-        r = action[j].get(r)
-    return r
 
 
 def verify_bimodule_iso(n):
@@ -224,9 +211,8 @@ def verify_bimodule_iso(n):
     compatibility with the left and right N_n-actions on generators (which
     for m_2 also exercises well-definedness over the tensor product).
 
-    A product of basis elements is a basis element or 0, so the check runs on
-    the ranks of `perm_table(n)` and `perm_table(n + 1)` with None for 0, as
-    bimodel.mackey_check does.  Every generator is checked on every basis tensor.
+    Both maps and the linearity verdicts are `combinatorics.coset_split(n, nil=True)`,
+    on the ranks of S_n and S_(n+1) with None for 0, as in bimodel.mackey_check.
 
     Raises VerificationFailure naming the first violated check; the full
     report rides on the exception.
@@ -235,23 +221,20 @@ def verify_bimodule_iso(n):
         raise BoundExceeded(f'rank {n} outside verified range 1..{MAX_RANK}')
     report = Report(n=n)
     m = n + 1
-    small, big = perm_table(n), perm_table(m)
-    (sl, sr), (bl, br) = _nil_actions(small), _nil_actions(big)
-    m1 = {r: big.rank[s + (m,)] for r, s in enumerate(small.perms)}
-    m1_images = set(m1.values())
-    report.check('m1-injective', len(m1_images) == len(m1),
-                 f'{len(m1_images)} distinct images of {len(m1)} basis vectors')
+    split = coset_split(n, nil=True)
+    big = split.table
+    m1_images = set(split.m1)
+    report.check('m1-injective', len(m1_images) == len(split.m1),
+                 f'{len(m1_images)} distinct images of {len(split.m1)} basis vectors')
 
-    # free basis of the tensor square: (i, tau) with b_i = u_{r_i} in N_n running over
-    # x_right_basis(n-1) and tau over S_n; m_2 sends it to u_{s_i} ... u_{s_n} u_tau
-    m2 = {(i, t): _steps(bl, range(n, i - 1, -1), m1[t]) for i in range(n, 0, -1) for t in m1}
-    images = list(m2.values())
+    # m_2 of the free basis (i, tau) of the tensor square: b_i = u_{r_i} in N_n, i = n ... 1
+    images = list(split.m2.values())
     single = None not in images  # else the image checks read the tensors before the first 0
     m2_images = set(images if single else images[:images.index(None)])
     report.check('m2-basis-to-basis', single,
                  'every basis tensor maps to a single u_sigma with coefficient 1')
-    report.check('m2-injective', single and len(m2_images) == len(m2),
-                 f'{len(m2_images)} distinct images of {len(m2)} tensors')
+    report.check('m2-injective', single and len(m2_images) == len(images),
+                 f'{len(m2_images)} distinct images of {len(images)} tensors')
 
     overlap = m1_images & m2_images
     report.check('images-disjoint', single and not overlap,
@@ -267,24 +250,11 @@ def verify_bimodule_iso(n):
                  f'{math.factorial(n)} + {n}*{math.factorial(n)} = {total} '
                  f'(expect {math.factorial(m)})')
 
-    gens = range(1, n)
-    ok_m1 = all(m1.get(sl[j].get(r)) == bl[j].get(g) and m1.get(sr[j].get(r)) == br[j].get(g)
-                for j in gens for r, g in m1.items())
-    report.check('m1-bimodule-map', ok_m1, 'm_1 commutes with both actions on generators')
-
-    # left action: u_j u_{r_i} = u_{r_i'} u_rho (`perm_table`'s slide) when the
-    # length goes up, and rho slides through the tensor onto tau; a zero slide
-    # (i' = None), or a zero u_rho u_tau, is no key of m2, so 0
-    slides = {(j, i): slide if sl[j].get(small.rank[coset_rep(i, n)]) is not None
-              else (None, ()) for (j, i), slide in small.slide.items()}
-    ok_left = all(m2.get((slides[j, i][0], _steps(sl, slides[j, i][1], t))) == bl[j].get(g)
-                  for j in gens for (i, t), g in m2.items())
-    report.check('m2-left-linear', ok_left,
+    report.check('m1-bimodule-map', split.m1_left and split.m1_right,
+                 'm_1 commutes with both actions on generators')
+    report.check('m2-left-linear', split.m2_left,
                  'm_2 commutes with the left action (well-defined over the tensor)')
-
-    ok_right = all(m2.get((i, sr[j].get(t))) == br[j].get(g)
-                   for j in gens for (i, t), g in m2.items())
-    report.check('m2-right-linear', ok_right, 'm_2 commutes with the right action')
+    report.check('m2-right-linear', split.m2_right, 'm_2 commutes with the right action')
     return report.close(('bimodule decomposition check {check!r} failed at n={n}: '
                          '{detail}').format_map)
 

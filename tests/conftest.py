@@ -37,14 +37,14 @@ def fresh_walk(m, base):
 def patch_table(monkeypatch, module, n, **edits):
     """Have `module` read a copy of `perm_table(n)` with some entries replaced:
     each keyword names a field, and `rank` takes {perm: rank}, `slide`
-    {(j, i): slide}, and `left` and `right` {(j, rank): rank}.  The memoised
-    table itself is left as it is."""
+    {(j, i): slide}, and `left`, `right`, `nil_left` and `nil_right`
+    {(j, rank): rank or None}.  The memoised table itself is left as it is."""
     true_table = module.perm_table
     table = true_table(n)
     fields = {}
     for field, changes in edits.items():
         old = getattr(table, field)
-        if field in ('left', 'right'):
+        if field in ('left', 'right', 'nil_left', 'nil_right'):
             fields[field] = {j: tuple(changes.get((j, r), x) for r, x in enumerate(row))
                              for j, row in old.items()}
         else:

@@ -1,5 +1,6 @@
 """Tests for group algebras, composite bimodules, and the diagram functor."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -281,6 +282,20 @@ def test_mackey_check_past_the_ceiling(monkeypatch):
     assert len(report) == 11 and all(entry['pass'] for entry in report)
 
 
+def test_coset_split_reports_match_the_pinned_digests(monkeypatch):
+    # every entry of both checks at ranks 1..6, ceilings lifted, against the
+    # reports of the two separate implementations that `coset_split` replaced
+    monkeypatch.setattr(bm, 'MAX_K', 6)
+    monkeypatch.setattr(nx, 'MAX_RANK', 6)
+    digests = {
+        bm.mackey_check: 'bf5dbdd91fc5b8ba05a65a42f814aaae556ed899b74ae06f101105be482a701e',
+        nx.verify_bimodule_iso: 'ffa4a7feaefdceeeccca02c3273d2cfe7d82a78c09ea6fc8d3a9fa77875daedd',
+    }
+    for check, digest in digests.items():
+        text = repr([check(k) for k in range(1, 7)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 MACKEY_LINEARITY = ('m1-left-linear', 'm1-right-linear', 'm2-left-linear', 'm2-right-linear')
 
 
@@ -366,7 +381,7 @@ def _table_faults():
 def test_mackey_linearity_matches_the_per_element_loop_on_a_fault(
         fresh_memos, monkeypatch, attr, corrupt):
     monkeypatch.setattr(bm, attr, corrupt(getattr(bm, attr)))
-    patch_table(monkeypatch, bm, 4, **_table_faults()[attr])
+    patch_table(monkeypatch, cb, 4, **_table_faults()[attr])
     flags = _linearity_flags(3)
     assert flags == naive_mackey_linearity(3)
     assert not all(flags.values())
@@ -394,7 +409,7 @@ def test_mackey_linearity_checks_every_generator(fresh_memos, monkeypatch, i):
               if j == i and compose_by_definition(transposition(i, i + 1, k),
                                                   cb.coset_rep(c, k)) in only}
     assert slides
-    patch_table(monkeypatch, bm, k, slide=slides)
+    patch_table(monkeypatch, cb, k, slide=slides)
     flags = _linearity_flags(k)
     assert flags == naive_mackey_linearity(k)
     assert not flags['m2-left-linear']
@@ -650,22 +665,33 @@ def test_kernel_memos_are_bounded(fresh_memos):
                  cb.perm_table, hs._with_part, hs._hstar_past_e):
         info = memo.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
-    # the level-2 braid fills the x1 and the x2 table of its 5! basis tensors
-    assert bm._slice_table.cache_info().currsize >= 2 * 120
+    # both sides of the level-2 braid read one x1 and one x2 table of its 5! basis
+    # tensors, and fill them: every slice of a crossing word reaches every tensor
+    info = bm._slice_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+    levels = bm.path_from_signature('UUU', 2).levels
+    for j in (1, 2):
+        table = bm._slice_table(levels, ('x', j))
+        assert len(table) == 120 and None not in table
 
 
-def test_slice_tables_keep_their_entry_bound():
-    assert bm._slice_table.maxsize == 131_072
-    tables = bm._SliceTables(130)
-    big, small = bm.path_from_signature('UUU', 2), bm.path_from_signature('UU', 2)
-    table = tables(big, ('x', 1))
-    assert table == [None] * 120 and tables(big, ('x', 1)) is table
-    table[0] = (5,)
-    assert tables.cache_info() == (1, 130, 1)
-    # 120 + 24 entries would pass the bound, so the big table is dropped
-    assert tables(small, ('x', 1)) == [None] * 24
-    assert tables.cache_info() == (1, 130, 0)
-    assert tables(big, ('x', 1))[0] is None
+def test_slice_tables_keep_their_table_bound(fresh_memos):
+    bm.diagram_to_map(mor('sig:; cup+1; cap+1'), 2)
+    assert bm._slice_table.cache_info().currsize == 2
+    cup = bm._slice_table((2,), ('cup+', 1))
+    assert len(cup) == 2 and None not in cup
+    # a table is filled only where it is read: the cap on DU (3 * 2! tensors) at
+    # the two images of the cup
+    cap = bm._slice_table((2, 3, 2), ('cap+', 1))
+    assert len(cap) == 6 and cap.count(None) == 4
+    assert [cap[r] for r in itertools.chain.from_iterable(cup)] == [(0,), (1,)]
+    # the bound counts tables, whatever their sizes, and drops the least recently read
+    assert bm._slice_table.cache_info().maxsize == 256
+    for j in range(255):
+        bm._slice_table((0, 1), ('x', j))  # one-entry tables; the memo reads no slice
+    assert bm._slice_table.cache_info().currsize == 256
+    assert bm._slice_table((2, 3, 2), ('cap+', 1)) is cap
+    assert bm._slice_table((2,), ('cup+', 1)) is not cup
 
 
 def test_local_relation_catches_a_wrong_canonical_slot(fresh_memos, monkeypatch):

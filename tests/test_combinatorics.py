@@ -32,6 +32,7 @@ from symcat.combinatorics import (
     word_eval,
 )
 from symcat.errors import ParseError
+from symcat.nilcoxeter import _times
 
 from conftest import compose_by_definition
 
@@ -240,7 +241,8 @@ def test_coset_decompose_bijection():
 
 
 def _check_table_entries(table, n, ranks):
-    """The table of S_n at the given ranks against perm_mult and perm_length."""
+    """The table of S_n at the given ranks against perm_mult and perm_length, and
+    its nilCoxeter rows against the product rule `_times` (None for 0)."""
     gens = {j: simple_transposition(j, n) for j in range(1, n)}
     for r in ranks:
         w = table.perms[r]
@@ -248,6 +250,9 @@ def _check_table_entries(table, n, ranks):
         for j, s in gens.items():
             assert table.perms[table.left[j][r]] == perm_mult(s, w)
             assert table.perms[table.right[j][r]] == perm_mult(w, s)
+            for row, product in ((table.nil_left[j], _times(s, w)),
+                                 (table.nil_right[j], _times(w, s))):
+                assert (None if row[r] is None else table.perms[row[r]]) == product
 
 
 @pytest.mark.parametrize('n', range(6))
@@ -256,6 +261,7 @@ def test_perm_table_matches_the_tuple_kernels(fresh_memos, n):
     assert table.perms == tuple(all_perms(n))
     assert table.rank == {w: r for r, w in enumerate(all_perms(n))}
     assert set(table.left) == set(table.right) == set(range(1, n))
+    assert set(table.nil_left) == set(table.nil_right) == set(range(1, n))
     _check_table_entries(table, n, range(len(table.perms)))
     # s_j r_i = r_i' rho, with rho in S_{n-1} spelled by the slide's reduced steps
     assert set(table.slide) == set(itertools.product(range(1, n), range(1, n + 1)))

@@ -348,7 +348,7 @@ def test_every_module_memo_is_registered_and_bounded():
     assert sorted(names[m] for m in MEMOS if m.cache_info().maxsize is None) == []
     assert set(MEMOS) <= set(names) and set(MEMOS.values()) == {'kernel', 'oracle', 'shared'}
     # memo returns the lru_cache wrapper itself: no Python frame per call
-    assert all(type(m) is functools._lru_cache_wrapper for m in MEMOS if m is not bm._slice_table)
+    assert all(type(m) is functools._lru_cache_wrapper for m in MEMOS)
 
 
 _F, _G = sf.parse_symfunc('s[2,1] - 2 e[3] + h[2,1]'), sf.parse_symfunc('p[2,1] + m[1,1,1]')

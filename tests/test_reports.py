@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import symcat.bimodel as bm
+import symcat.combinatorics as cb
 import symcat.diagcat as dg
 import symcat.heisenberg as hs
 import symcat.nilcoxeter as nx
@@ -75,7 +76,8 @@ def test_local_relation_first_difference_past_the_first_entry(fresh_memos, monke
 
 
 def test_mackey_failure(fresh_memos, monkeypatch):
-    monkeypatch.setattr(bm, 'transposition', lambda i, j, n: tuple(range(1, n + 1)))
+    # t = s_2 in S_3 acts as the identity, so m2 sends r_i (x) 1 (x) b to r_i b
+    patch_table(monkeypatch, cb, 3, left={(2, r): r for r in range(6)})
     message, report = _failure(bm.mackey_check, 2)
     assert message == 'Mackey check fails at k = 2: m2-injective'
     assert [(e['check'], e['pass']) for e in report] == [
@@ -94,7 +96,7 @@ def test_mackey_catches_a_wrong_product_on_an_image(fresh_memos, monkeypatch):
     # and no m2 image is built through it, so only the two m2 linearity checks do.
     u = perm_table(4).rank[(2, 3, 4, 1)]
     edits = {(j, u): u for j in (1, 2)}
-    patch_table(monkeypatch, bm, 4, left=edits, right=edits)
+    patch_table(monkeypatch, cb, 4, left=edits, right=edits)
     message, report = _failure(bm.mackey_check, 3)
     assert message == 'Mackey check fails at k = 3: m2-left-linear'
     assert [(e['check'], e['pass']) for e in report] == [
@@ -128,7 +130,7 @@ def test_mackey_catches_a_wrong_inclusion(fresh_memos, monkeypatch,
     # exactly when m1 is multiplicative, so a wrong extension fails both m1 sides, and
     # m2 = a t m1(b) on the right with them.
     rank = perm_table(4).rank
-    patch_table(monkeypatch, bm, 4, rank={v + (4,): rank[w] for v, w in corrupt.items()})
+    patch_table(monkeypatch, cb, 4, rank={v + (4,): rank[w] for v, w in corrupt.items()})
     message, report = _failure(bm.mackey_check, 3)
     assert message == f'Mackey check fails at k = 3: {first}'
     failing = failing | {'m1-left-linear', 'm1-right-linear', 'm2-right-linear'}
@@ -182,7 +184,7 @@ def test_weak_fock_failure(monkeypatch):
 
 def test_bimodule_iso_failure(monkeypatch):
     # every push u_j u_{r_i} splits with r_n = 1 and rho = 1, so the left tensor factor is lost
-    patch_table(monkeypatch, nx, 2, slide={key: (2, ()) for key in perm_table(2).slide})
+    patch_table(monkeypatch, cb, 2, slide={key: (2, ()) for key in perm_table(2).slide})
     message, report = _failure(nx.verify_bimodule_iso, 2)
     assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=2: "
                        "m_2 commutes with the left action (well-defined over the tensor)")
@@ -199,7 +201,7 @@ def test_bimodule_iso_catches_a_wrong_slide(monkeypatch):
     # u_1 u_{r_2} = u_{s_1 s_2} is u_{r_1} with rho = 1, but the slide gives rho = s_1;
     # only the left action reads slides
     assert perm_table(3).slide[1, 2] == (1, ())
-    patch_table(monkeypatch, nx, 3, slide={(1, 2): (1, (1,))})
+    patch_table(monkeypatch, cb, 3, slide={(1, 2): (1, (1,))})
     message, report = _failure(nx.verify_bimodule_iso, 3)
     assert message == ("bimodule decomposition check 'm2-left-linear' failed at n=3: "
                        "m_2 commutes with the left action (well-defined over the tensor)")
@@ -213,7 +215,7 @@ def test_bimodule_iso_catches_a_wrong_right_product(monkeypatch):
     # u_[] u_1 in N_3 comes out u_2: the right action of N_3 is read by m_1
     # compatibility and by the right action on the free factor tau, nowhere else
     rank = perm_table(3).rank
-    patch_table(monkeypatch, nx, 3, right={(1, rank[(1, 2, 3)]): rank[(1, 3, 2)]})
+    patch_table(monkeypatch, cb, 3, nil_right={(1, rank[(1, 2, 3)]): rank[(1, 3, 2)]})
     message, report = _failure(nx.verify_bimodule_iso, 3)
     assert message == ("bimodule decomposition check 'm1-bimodule-map' failed at n=3: "
                        "m_1 commutes with both actions on generators")
@@ -224,11 +226,11 @@ def test_bimodule_iso_catches_a_wrong_right_product(monkeypatch):
 
 
 def test_bimodule_iso_catches_a_tensor_sent_to_zero(monkeypatch):
-    # u_2 u_{(2,1,3)} in N_3 comes out 0 (a step down to the identity), so m_2 sends
-    # the tensors (2, (2,1)) and (1, (2,1)) to 0; the image checks count only the one
-    # image formed before the first of them
+    # u_2 u_{(2,1,3)} in N_3 comes out 0, so m_2 sends the tensors (2, (2,1)) and
+    # (1, (2,1)) to 0; the image checks count only the one image formed before the
+    # first of them
     rank = perm_table(3).rank
-    patch_table(monkeypatch, nx, 3, left={(2, rank[(2, 1, 3)]): rank[(1, 2, 3)]})
+    patch_table(monkeypatch, cb, 3, nil_left={(2, rank[(2, 1, 3)]): None})
     message, report = _failure(nx.verify_bimodule_iso, 2)
     assert message == ("bimodule decomposition check 'm2-basis-to-basis' failed at n=2: "
                        "every basis tensor maps to a single u_sigma with coefficient 1")
