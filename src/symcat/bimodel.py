@@ -8,9 +8,12 @@ subalgebras.  Every such composite has a canonical basis built from minimal
 coset representatives with one free group-algebra factor at the base, and
 diagram_to_map turns a planar diagram into the corresponding bimodule map,
 stored as one sparse row per basis tensor, with basis tensors keyed by
-their integer rank in the canonical basis.  verify_local_relation replays
-the graphical relations as identities of such maps, mackey_check reads Res
-Ind = Id + Ind Res off `combinatorics.coset_split`, and
+their integer rank in the canonical basis.  Such a map is right
+A_n-linear (n the base), so it is fixed by its rows at the generators, the
+tensors whose free factor is 1: a slice rewrites only those by the tuple
+walk and derives the rest, and verify_local_relation replays the graphical
+relations as identities of such maps on generator rows alone.
+mackey_check reads Res Ind = Id + Ind Res off `combinatorics.coset_split`, and
 induced_character_decomposition provides the character-theoretic
 multiplicity oracle.  Arithmetic is integer-first: coefficients are exact,
 int unless non-integral (then Fraction, as the 1/n! of e(n)).
@@ -41,6 +44,7 @@ from .combinatorics import (
     perm_inverse,
     perm_length,
     perm_mult,
+    perm_table,
     render_permutation,
     right_composer,
     transposition,
@@ -434,12 +438,30 @@ def _slice_ranks(path_below, path_above, slice_, r):
 @memo(1 << 8)
 def _slice_table(levels, slice_):
     """One slice on the path with these levels: a list by domain rank whose entry r
-    is None until diagram_to_map first reads it, then _slice_ranks(path, slice, r),
-    so a slice rewrites a basis tensor once across diagrams, sides and queries.
+    is None until a path first reaches r, then filled by `_fill`, so a slice
+    rewrites a basis tensor once across diagrams, sides and queries.
     The bound counts tables: `verify-all` at its defaults reads 183 and
     `bimod verify-relations --max-level 4` 58, the largest of 5,040 entries.
     """
     return [None] * BimodulePath(levels).size
+
+
+def _fill(table, path_below, path_above, slice_, r):
+    """Fill table[r], and first its generator's entry.  A slice is right A_n-linear
+    (n the base): tensor r = c n! + j, generator c n! (free factor 1) times w_j of
+    rank j, maps to the generator's images, each free factor times w_j.  So only
+    a generator runs `_slice_ranks`: `verify-all` at its defaults walks 872
+    entries and derives 236, `bimod verify-relations --max-level 4` walks
+    1,029 and derives none.
+    """
+    size = math.factorial(path_below.base)
+    gen = r - r % size
+    if table[gen] is None:
+        table[gen] = _slice_ranks(path_below, path_above, slice_, gen)
+    if r != gen:
+        perms, rank = perm_table(path_below.base)[:2]
+        times = right_composer(perms[r - gen])
+        table[r] = tuple(c - c % size + rank[times(perms[c % size])] for c in table[gen])
 
 
 def _clean_row(pairs):
@@ -541,19 +563,24 @@ def diagram_to_map(m, base_rank):
         m = Morphism.from_diagram(m)
     dom_path = path_from_signature(m.domain, base_rank)
     cod_path = path_from_signature(m.codomain, base_rank)
-    size = dom_path.size
+    return LinearMapRep._new(dom_path, cod_path, _rows(m, dom_path, 1))
+
+
+def _rows(m, dom_path, step):
+    """The clean rows of m's map from dom_path at its ranks 0, step, 2 step, ..."""
+    firsts = range(0, dom_path.size, step)
     rows = None
     for diag, coeff in m.terms.items():
-        starts = ends = range(size)
+        starts = ends = firsts
         path = dom_path
         for q, sl in enumerate(diag.slices):
-            above = path_from_signature(diag.sig_below(q + 1), base_rank)
+            above = path_from_signature(diag.sig_below(q + 1), dom_path.base)
             table = _slice_table(path.levels, sl)
             images = list(map(table.__getitem__, ends))
             if None in images:
                 for r in ends:
                     if table[r] is None:
-                        table[r] = _slice_ranks(path, above, sl, r)
+                        _fill(table, path, above, sl, r)
                 images = list(map(table.__getitem__, ends))
             path = above
             counts = list(map(len, images))
@@ -561,15 +588,14 @@ def diagram_to_map(m, base_rank):
                 starts = list(itertools.chain.from_iterable(map(itertools.repeat, starts, counts)))
             ends = list(itertools.chain.from_iterable(images))
         if len(m.terms) == 1 and type(starts) is range:  # one path from each rank
-            return LinearMapRep._new(dom_path, cod_path, tuple({end: coeff} for end in ends))
-        rows = rows or [{} for _ in range(size)]
+            return tuple({end: coeff} for end in ends)
+        rows = rows or [{} for _ in firsts]
         for (start, end), c in Counter(zip(starts, ends)).items():
-            row = rows[start]
+            row = rows[start // step]
             row[end] = row.get(end, 0) + coeff * c
     if rows is None:  # the zero morphism
-        return LinearMapRep.zero(dom_path, cod_path)
-    return LinearMapRep._new(dom_path, cod_path,
-                             tuple(_clean_row(row.items()) for row in rows))
+        return ({},) * len(firsts)
+    return tuple(_clean_row(row.items()) for row in rows)
 
 
 def matrix_text(rep):
@@ -590,38 +616,40 @@ def matrix_text(rep):
 
 LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 
-# Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation:
-# the braid family maps (n+3)! basis tensors, and each level multiplies the
-# tensor count by n+4.  `bimod verify-relations --max-level 4` takes 0.2 s and
-# 21 MB ru_maxrss; the level-5 braid, by a direct call, 1.1-1.8 s of CPU and
-# 42 MB, its two 8!-entry slice tables filled.  mackey_check: `bimod mackey --k 5`
-# takes 0.08-0.09 s, nearly all start-up, and k = 6 by a direct call 0.045 s.
-# A higher ceiling changes error exits that CI compares, so each raise is a
-# change of its own.
+# Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation
+# follows only the generator rows of each side, (n+3)!/n! = (n+1)(n+2)(n+3) for the
+# braid family.  `bimod verify-relations --max-level 4` takes 0.2 s and 18 MB
+# ru_maxrss, nearly all start-up; the braid, by a direct call, 0.008 s of CPU at
+# level 4, 0.009 s at level 5 and 0.021 s and 23 MB at level 6.  mackey_check:
+# `bimod mackey --k 5` takes 0.08-0.09 s, nearly all start-up, and k = 6 by a
+# direct call 0.045 s.  A higher ceiling changes error exits that CI compares,
+# so each raise is a change of its own.
 MAX_LEVEL = 4
 MAX_K = 5
 
 
-def _map_or_zero(m, base):
-    """diagram_to_map, except a composite factoring through an unrealizable
+def _generator_rows(m, base):
+    """The rows of m's map at the generator ranks, the multiples of base! (free
+    factor 1): the map is right A_base-linear, so they fix it, and two such maps
+    first differ on one of them.  A composite factoring through an unrealizable
     intermediate rank is the zero map (the bimodule there is the zero module)."""
+    dom = path_from_signature(m.domain, base)
     try:
-        return diagram_to_map(m, base)
+        return _rows(m, dom, math.factorial(base))
     except UnrealizableAtRank:
-        dom = path_from_signature(m.domain, base)
-        cod = path_from_signature(m.codomain, base)
-        return LinearMapRep.zero(dom, cod)
+        return ({},) * (dom.size // math.factorial(base))
 
 
-def _compare(lhs, rhs, detail):
-    """(lhs == rhs, detail), the detail naming the first differing entry."""
+def _compare(lhs, rhs, step, detail):
+    """(lhs == rhs, detail) on rows of the ranks 0, step, ...: the detail names
+    the first differing entry."""
     if lhs == rhs:
         return True, detail
-    for r, (left, right) in enumerate(zip(lhs.rows, rhs.rows)):
+    for i, (left, right) in enumerate(zip(lhs, rhs)):
         differ = [c for c in left.keys() | right.keys() if left.get(c, 0) != right.get(c, 0)]
         if differ:
             c = min(differ)
-            return False, f'{detail}; first difference at entry ({r}, {c}): ' \
+            return False, f'{detail}; first difference at entry ({i * step}, {c}): ' \
                           f'{left.get(c, 0)} != {right.get(c, 0)}'
     return False, detail + '; first difference at '
 
@@ -647,6 +675,8 @@ def verify_local_relation(rel, n, max_level=3):
     'braid' (crossings satisfy the braid relation), 'mixed-double' (down-up
     double crossing = identity minus cap;cup, up-down double crossing =
     identity), 'circle-curl' (counterclockwise circle = 1, left curl = 0).
+    Both sides are right A_n-linear, so only their generator rows are
+    followed and compared (`_generator_rows`).
     """
     if rel not in LOCAL_RELATIONS:
         raise ValueError(f'unknown relation {rel!r}; choose from {LOCAL_RELATIONS}')
@@ -654,43 +684,43 @@ def verify_local_relation(rel, n, max_level=3):
     if not 0 <= n <= top:
         raise BoundExceeded(f'level {n} outside 0..{top}')
     report = Report(relation=rel, level=n)
-    mor = _relation_morphism
+    step = math.factorial(n)
+
+    def rows(text):
+        return _generator_rows(_relation_morphism(text), n)
+
+    def identity(sig):
+        return tuple({r: 1} for r in range(0, path_from_signature(sig, n).size, step))
+
     if rel == 'up-double':
         report.check('up-double', *_compare(
-            diagram_to_map(mor('sig:UU; x1; x1'), n),
-            LinearMapRep.identity(path_from_signature('UU', n)),
+            rows('sig:UU; x1; x1'), identity('UU'), step,
             'double crossing on UU equals the identity'))
     elif rel == 'braid':
         report.check('braid', *_compare(
-            diagram_to_map(mor('sig:UUU; x1; x2; x1'), n),
-            diagram_to_map(mor('sig:UUU; x2; x1; x2'), n),
+            rows('sig:UUU; x1; x2; x1'), rows('sig:UUU; x2; x1; x2'), step,
             'x1 x2 x1 = x2 x1 x2 on UUU'))
     elif rel == 'mixed-double':
-        lhs = _map_or_zero(mor('sig:DU; x1; x1'), n)
         report.check('du-double', *_compare(
-            lhs, diagram_to_map(_identity_minus_cap_cup(), n),
+            rows('sig:DU; x1; x1'), _generator_rows(_identity_minus_cap_cup(), n), step,
             'double crossing on DU equals identity minus cap;cup'))
         try:
-            ud_path = path_from_signature('UD', n)
+            ud = identity('UD')
         except UnrealizableAtRank:
             report.check('ud-double', True, 'double crossing on UD equals the identity '
                                             '(zero module at this rank: vacuous)')
         else:
             report.check('ud-double', *_compare(
-                diagram_to_map(mor('sig:UD; x1; x1'), n),
-                LinearMapRep.identity(ud_path),
+                rows('sig:UD; x1; x1'), ud, step,
                 'double crossing on UD equals the identity'))
     else:
         report.check('ccw-circle', *_compare(
-            diagram_to_map(mor('sig:; cup+1; cap+1'), n),
-            LinearMapRep.identity(path_from_signature('', n)),
+            rows('sig:; cup+1; cap+1'), identity(''), step,
             'counterclockwise circle acts as 1'))
-        u_path = path_from_signature('U', n)
+        zero = ({},) * len(identity('U'))
         for name, text in (('left-curl', 'sig:U; cup+1; x2; cap+1'),
                            ('left-curl-mirror', 'sig:U; cup+2; x1; cap+1')):
-            report.check(name, *_compare(diagram_to_map(mor(text), n),
-                                         LinearMapRep.zero(u_path, u_path),
-                                         'left curl acts as 0'))
+            report.check(name, *_compare(rows(text), zero, step, 'left curl acts as 0'))
     return report.close(
         'local relation {relation!r} fails at level {level}: {detail}'.format_map)
 

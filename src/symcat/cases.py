@@ -70,12 +70,12 @@ def _case_product_oracle(max_degree, nvars):
     # Both sides are symmetric polynomials: the expansion of the product, and
     # the product of two expansions.  A symmetric polynomial is fixed by its
     # coefficients at weakly decreasing exponents (its m-coefficients), so
-    # comparing those decides whether the whole polynomials agree.
+    # comparing those, read off the factors' too, decides the whole product.
     elems = [(b, lam)
              for d in range(max_degree + 1)
              for lam in cb.partitions_of(d)
              for b in ('m', 'e', 'h', 's')]
-    expanded = {key: sf.monomial_expand(sf.basis_element(*key), nvars)
+    expanded = {key: sf.dominant_expand(sf.basis_element(*key), nvars)
                 for key in elems}
     checked = 0
     for i, (b1, lam) in enumerate(elems):
@@ -85,7 +85,7 @@ def _case_product_oracle(max_degree, nvars):
                 continue
             direct = sf.dominant_expand(sf.multiply(f, sf.basis_element(b2, mu)), nvars)
             if direct != sf.dominant_product(expanded[(b1, lam)], expanded[(b2, mu)],
-                                             (sum(lam) + sum(mu),)):
+                                             (sum(lam) + sum(mu),), nvars):
                 raise VerificationFailure(
                     f'{b1}{list(lam)} * {b2}{list(mu)} disagrees with the polynomial product')
             checked += 1

@@ -64,8 +64,8 @@ builds each exponent tuple once.  A symmetric polynomial is fixed by its
 coefficients at weakly decreasing exponents, which are its m-coefficients
 (Macdonald, ch. I section 2), and a product of symmetric polynomials is
 symmetric; so `dominant_product`, which forms only those coefficients of a
-product by looking into its two expanded factors, decides the same
-equalities as `poly_mult` without multiplying whole polynomials.
+product from the m-coefficients of its two factors, decides the same
+equalities as `poly_mult` without expanding whole polynomials.
 
 This module also carries Fock-space vectors and symmetric-group K-theory
 classes: both are identified with symmetric functions elsewhere in the
@@ -87,7 +87,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, groupby, product
 from operator import mul, sub
 
 from .combinatorics import (
@@ -310,27 +310,41 @@ def _strips(lam, n, grow, vertical=False):
     A horizontal strip has at most one box per column: the two shapes
     interlace, outer_1 >= inner_1 >= outer_2 >= ..., so row i moves by at
     most lam_i - lam_(i+1) boxes, and a growing strip may also lengthen the
-    first row freely and open one new row.  A vertical strip (at most one
-    box per row) is a horizontal strip of the conjugate shapes.  These are
-    the Pieri rules: h_n s_lam and e_n s_lam sum s_nu over the horizontal
-    and vertical strips grown on lam.
+    first row freely and open one new row.  A vertical strip has at most one
+    box per row: in each block of equal parts of lam, a prefix of the rows
+    grows (a suffix shrinks) by one box, and a growing strip may also open
+    new rows of length 1.  These are the Pieri rules: h_n s_lam and e_n s_lam
+    sum s_nu over the horizontal and vertical strips grown on lam.
     """
-    if vertical:
-        return tuple(conjugate(nu) for nu in _strips(conjugate(lam), n, grow))
-    caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
-    rows, sign = (lam + (0,), 1) if grow else (lam, -1)
-    if grow:
-        caps.insert(0, n)
-    room = [sum(caps[i:]) for i in range(len(caps) + 1)]
     out = []
+    if vertical:  # units are the blocks (a, m) of m parts a; t rows of one move
+        units = [(a, len(list(same))) for a, same in groupby(lam)]
+        if grow:
+            units.append((0, n))  # the new rows, of length 1 when moved
+        caps = [m for _a, m in units]
 
-    def fill(i, left, head):
-        if not left:
-            out.append(tuple(x for x in head + rows[i:] if x))
-        elif room[i] >= left:
-            for t in range(min(caps[i], left) + 1):
-                fill(i + 1, left - t, head + (rows[i] + sign * t,))
+        def fill(i, left, head):  # head holds the rows of the units before i
+            if not left:
+                out.append(tuple(x for x in head + lam[len(head):] if x))
+            elif room[i] >= left:
+                a, m = units[i]
+                for t in range(min(m, left) + 1):
+                    fill(i + 1, left - t, head + ((a + 1,) * t + (a,) * (m - t) if grow
+                                                  else (a,) * (m - t) + (a - 1,) * t))
+    else:  # units are the rows; one moves by t boxes
+        caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
+        rows, sign = (lam + (0,), 1) if grow else (lam, -1)
+        if grow:
+            caps.insert(0, n)
 
+        def fill(i, left, head):
+            if not left:
+                out.append(tuple(x for x in head + rows[i:] if x))
+            elif room[i] >= left:
+                for t in range(min(caps[i], left) + 1):
+                    fill(i + 1, left - t, head + (rows[i] + sign * t,))
+
+    room = [sum(caps[i:]) for i in range(len(caps) + 1)]
     fill(0, n, ())
     return tuple(out)
 
@@ -961,30 +975,40 @@ def poly_mult(P, Q):
     return result
 
 
-def dominant_product(P, Q, degrees):
-    """The coefficients of `poly_mult(P, Q)` at weakly decreasing exponents,
-    keyed without zeros as by `dominant_expand`; P and Q must be symmetric.
+@memo(1 << 10, 'oracle')
+def _splits(lam):
+    """(beta, gamma, k): k exponent vectors b <= lam, on lam's parts, sort to beta
+    and their complements lam - b to gamma, both without zeros."""
+    counts = {}
+    for b in product(*[range(part + 1) for part in lam]):
+        key = tuple(tuple(sorted(filter(None, v), reverse=True)) for v in (b, map(sub, lam, b)))
+        counts[key] = counts.get(key, 0) + 1
+    return tuple((beta, gamma, k) for (beta, gamma), k in counts.items())
 
-    The coefficient at alpha sums P[beta] Q[alpha - beta] over the exponent
-    vectors beta <= alpha entrywise (at most 32 when |alpha| <= 5), for each
-    partition alpha with at most nvars parts of a degree in degrees, which
-    must hold every degree that a term of P and a term of Q add up to; P and
-    Q are only looked up in.  P * Q is symmetric, so these coefficients fix it.
+
+def dominant_product(P, Q, degrees, nvars):
+    """The product of two symmetric polynomials in nvars variables, all three
+    keyed as by `dominant_expand`: f g = sum c m_mu from those of f and g.
+
+    The coefficient at lam sums P(b) Q(lam - b) over the exponent vectors
+    b <= lam, for each partition lam with at most nvars parts of a degree in
+    degrees, which must hold every degree that a term of P and a term of Q
+    add up to.  A symmetric polynomial's coefficient at b is its
+    m-coefficient at b sorted, so the sum runs over the triples of
+    `_splits(lam)` (at most 32 vectors b when |lam| <= 5).
     """
     if not P or not Q:
         return {}
-    nvars = len(next(iter(P)))
     out = {}
     for n in sorted(degrees):
         for lam in partitions_of(n):
             if len(lam) > nvars:
                 continue
-            pad = (0,) * (nvars - len(lam))
             total = 0
-            for head in product(*[range(part + 1) for part in lam]):
-                c = P.get(head + pad)
+            for beta, gamma, k in _splits(lam):
+                c = P.get(beta)
                 if c:
-                    total += c * Q.get(tuple(map(sub, lam, head)) + pad, 0)
+                    total += k * c * Q.get(gamma, 0)
             if total:
                 out[lam] = total
     return out

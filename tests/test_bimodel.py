@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import symcat.bimodel as bm
 import symcat.combinatorics as cb
+import symcat.diagcat as dg
 import symcat.heisenberg as hs
 import symcat.nilcoxeter as nx
 from symcat.combinatorics import (
@@ -415,6 +416,21 @@ def test_mackey_linearity_checks_every_generator(fresh_memos, monkeypatch, i):
     assert not flags['m2-left-linear']
 
 
+@pytest.mark.parametrize('i', [1, 2, 3])
+def test_mackey_m1_linearity_checks_every_generator(fresh_memos, monkeypatch, i):
+    # in the table of S_4 alone, s_i times 1 and s_i times s_i trade places: that
+    # row is the left action m1 is compared with, for s_i only, so skipping s_i
+    # in m1-left-linear would hide the fault (the table of S_5 is left as it is)
+    k = 4
+    s_i = cb.perm_table(k).left[i][0]
+    patch_table(monkeypatch, cb, k, left={(i, 0): 0, (i, s_i): s_i})
+    with pytest.raises(VerificationFailure) as info:
+        bm.mackey_check(k)
+    assert str(info.value) == f'Mackey check fails at k = {k}: m1-left-linear'
+    flags = {e['check']: e['pass'] for e in info.value.report}
+    assert (flags['m1-left-linear'], flags['m1-right-linear']) == (False, True)
+
+
 def test_character_values():
     # hook lengths of (2,1) give dimension 2; sign and trivial are pinned
     assert bm.character_value((2, 1), (1, 1, 1)) == 2
@@ -630,13 +646,54 @@ def test_character_cache_is_bounded():
     assert bm._mn_character.cache_info().currsize <= info.maxsize
 
 
+def _slices_on(sig):
+    """Every slice that applies to a signature."""
+    out = [('x', i) for i in range(1, len(sig))]
+    out += [(c, i) for i in range(1, len(sig) + 2) for c in ('cup+', 'cup-')]
+    out += [('cap+', i) for i in range(1, len(sig)) if sig[i - 1:i + 1] == 'DU']
+    out += [('cap-', i) for i in range(1, len(sig)) if sig[i - 1:i + 1] == 'UD']
+    return out
+
+
+def test_slice_walk_is_right_linear():
+    # f(t s_j) = f(t) s_j for the tuple walk, _slice_images then canonicalize, on
+    # every slice of every signature of up to 3 strands, every tensor at base <= 3
+    # and every s_j: the premise on which slice tables derive all but their
+    # generator entries, and verify_local_relation reads only generator rows
+    checks = 0
+    kinds = set()
+    for sig in (''.join(w) for n in range(4) for w in itertools.product('UD', repeat=n)):
+        for sl in _slices_on(sig):
+            top = dg._apply_slice(sig, sl)
+            for base in range(4):
+                try:
+                    below = bm.path_from_signature(sig, base)
+                    above = bm.path_from_signature(top, base)
+                except UnrealizableAtRank:
+                    continue
+
+                def walk(t):
+                    return sorted(bm.canonicalize(above, image)
+                                  for image in bm._slice_images(below, above, sl, t))
+
+                for t in bm.tensor_basis(below):
+                    images = walk(t)
+                    for j in range(1, base):
+                        s_j = cb.simple_transposition(j, base)
+                        assert walk(t[:-1] + (perm_mult(t[-1], s_j),)) == sorted(
+                            image[:-1] + (perm_mult(image[-1], s_j),) for image in images)
+                        checks += 1
+                        kinds.add(sl[0])
+    assert checks == 27202 and kinds == {'x', 'cup+', 'cup-', 'cap+', 'cap-'}
+
+
 def test_memoised_diagram_to_map_matches_a_fresh_walk(fresh_memos):
     from symcat import cases
     rng = random.Random(16)
     compared = 0
     for _ in range(60):
         m = Morphism.from_diagram(cases.random_diagram(rng, max_sig=3, max_slices=4))
-        base = rng.randint(0, 2)
+        base = rng.randint(0, 3)  # from base 2 on, most entries are derived from a generator's
         try:
             memoised = bm.diagram_to_map(m, base)
         except UnrealizableAtRank:
@@ -666,13 +723,23 @@ def test_kernel_memos_are_bounded(fresh_memos):
         info = memo.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
     # both sides of the level-2 braid read one x1 and one x2 table of its 5! basis
-    # tensors, and fill them: every slice of a crossing word reaches every tensor
+    # tensors; they follow only the paths from the 60 generator ranks (free factor
+    # 1), so a table is filled at its generator ranks and where those paths reach
     info = bm._slice_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
     levels = bm.path_from_signature('UUU', 2).levels
-    for j in (1, 2):
-        table = bm._slice_table(levels, ('x', j))
-        assert len(table) == 120 and None not in table
+    tables = {j: bm._slice_table(levels, ('x', j)) for j in (1, 2)}
+    generators = set(range(0, 120, 2))
+    reached = {1: set(generators), 2: set(generators)}
+    for word in ((1, 2, 1), (2, 1, 2)):
+        ends = generators
+        for j in word:
+            reached[j] |= ends
+            ends = {end for r in ends for end in tables[j][r]}
+    for j, table in tables.items():
+        assert len(table) == 120
+        assert {r for r, images in enumerate(table) if images is not None} == reached[j]
+        assert None in table
 
 
 def test_slice_tables_keep_their_table_bound(fresh_memos):

@@ -399,8 +399,8 @@ FAULT_ROWS = [
      'bimodel/character-vs-lr', {'max_size': 4},
      'non-integral multiplicity 2/3 for (4,)'),
     (bm, '_slice_ranks', (bm.path_from_signature('UUU', 2), bm.path_from_signature('UUU', 2),
-                          ('x', 1), 0),  # x1, from UUU to UUU, on the first level-2
-     lambda ranks: (ranks[0] + 1,),  # braid tensor, read one rank too far
+                          ('x', 1), 0),  # x1, from UUU to UUU, on the first level-2 braid
+     lambda ranks: (ranks[0] + 1,),  # tensor, a generator fill, read one rank too far
      'bimodel/local-relations', {'max_level': 2},
      "local relation 'braid' fails at level 2: x1 x2 x1 = x2 x1 x2 on UUU; "
      "first difference at entry (0, 54): 0 != 1"),

@@ -358,7 +358,8 @@ _DIAGRAMS = [Morphism.from_diagram(parse_diagram(text))
 
 def _polynomial_oracle():
     P, Q = sf.monomial_expand(_F, 6), sf.monomial_expand(_G, 6)
-    return sf.poly_mult(P, Q), sf.dominant_product(P, Q, (6,))
+    return sf.poly_mult(P, Q), sf.dominant_product(sf.dominant_expand(_F, 6),
+                                                   sf.dominant_expand(_G, 6), (6,), 6)
 
 
 @pytest.mark.parametrize('oracle', [

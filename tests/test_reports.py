@@ -27,14 +27,14 @@ def _failure(fn, *args):
 
 
 def test_local_relation_failure(fresh_memos, monkeypatch):
-    real = bm.diagram_to_map
+    real = bm._generator_rows
 
-    def broken(m, base):
+    def broken(m, base, *flag):
         # the two-term side, identity minus cap;cup, becomes the identity
-        rep = real(m, base)
-        return bm.LinearMapRep.identity(rep.domain) if len(m.terms) == 2 else rep
+        rows = real(m, base, *flag)
+        return tuple({r: 1} for r in range(len(rows))) if len(m.terms) == 2 else rows
 
-    monkeypatch.setattr(bm, 'diagram_to_map', broken)
+    monkeypatch.setattr(bm, '_generator_rows', broken)
     message, report = _failure(bm.verify_local_relation, 'mixed-double', 0)
     detail = ('double crossing on DU equals identity minus cap;cup; '
               'first difference at entry (0, 0): 0 != 1')
@@ -48,24 +48,32 @@ def test_local_relation_failure(fresh_memos, monkeypatch):
     ]
 
 
-def test_local_relation_first_difference_past_the_first_entry(fresh_memos, monkeypatch):
-    real = bm.diagram_to_map
+def _braid_with_a_fault(monkeypatch, row, col):
+    """Have verify_local_relation read x2 x1 x2 with -1/2 added at entry (row, col)
+    of its generator rows; the other entries stay exact."""
+    real = bm._generator_rows
 
-    def broken(m, base):
-        # x2 x1 x2 gets -1/2 added at one entry of row 7; the other rows stay exact
-        rep = real(m, base)
+    def broken(m, base, *flag):
+        rows = real(m, base, *flag)
         if 'x2; x1; x2' not in repr(m):
-            return rep
-        rows = [list(row) for row in rep.matrix]
-        rows[7][3] -= Fraction(1, 2)
-        return bm.LinearMapRep(rep.domain, rep.codomain, rows)
+            return rows
+        rows = [dict(r) for r in rows]
+        rows[row][col] = rows[row].get(col, 0) - Fraction(1, 2)
+        return tuple(rows)
 
-    monkeypatch.setattr(bm, 'diagram_to_map', broken)
-    lhs = real(dg.Morphism.from_diagram(dg.parse_diagram('sig:UUU; x1; x2; x1')), 1)
-    rhs = broken(dg.Morphism.from_diagram(dg.parse_diagram('sig:UUU; x2; x1; x2')), 1)
+    monkeypatch.setattr(bm, '_generator_rows', broken)
+
+
+def test_local_relation_first_difference_past_the_first_entry(fresh_memos, monkeypatch):
+    # at level 1 every rank is a generator (1! = 1), so the rows are the dense rows
+    _braid_with_a_fault(monkeypatch, 7, 3)
+    lhs, rhs = (bm.diagram_to_map(dg.Morphism.from_diagram(dg.parse_diagram(f'sig:UUU; {w}')), 1)
+                for w in ('x1; x2; x1', 'x2; x1; x2'))
+    rhs = [list(row) for row in rhs.matrix]
+    rhs[7][3] -= Fraction(1, 2)
     # the first difference by a row-major scan of the dense views
     r, c, a, b = next((r, c, a, b)
-                      for r, (lr, rr) in enumerate(zip(lhs.matrix, rhs.matrix))
+                      for r, (lr, rr) in enumerate(zip(lhs.matrix, rhs))
                       for c, (a, b) in enumerate(zip(lr, rr)) if a != b)
     message, report = _failure(bm.verify_local_relation, 'braid', 1)
     detail = f'x1 x2 x1 = x2 x1 x2 on UUU; first difference at entry ({r}, {c}): {a} != {b}'
@@ -73,6 +81,14 @@ def test_local_relation_first_difference_past_the_first_entry(fresh_memos, monke
     assert message == f"local relation 'braid' fails at level 1: {detail}"
     assert report == [{'check': 'braid', 'relation': 'braid', 'level': 1, 'pass': False,
                        'detail': detail}]
+
+
+def test_local_relation_names_a_generator_row_by_its_rank(fresh_memos, monkeypatch):
+    # at level 2 the generator rows are the ranks 0, 2, 4, ...: the fourth is rank 6
+    _braid_with_a_fault(monkeypatch, 3, 5)
+    message, _report = _failure(bm.verify_local_relation, 'braid', 2)
+    assert message == ("local relation 'braid' fails at level 2: x1 x2 x1 = x2 x1 x2 on UUU; "
+                       "first difference at entry (6, 5): 0 != -1/2")
 
 
 def test_mackey_failure(fresh_memos, monkeypatch):

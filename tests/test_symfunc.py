@@ -221,6 +221,20 @@ def test_strips_match_a_brute_force_filter():
                                             if _is_strip(lam, nu, vertical)}
 
 
+def test_vertical_strips_are_the_horizontal_strips_of_the_conjugate():
+    # the block rule against the horizontal strips of the conjugate, as sets
+    cases = 0
+    for d in range(11):
+        for lam in partitions_of(d):
+            for n in range(11):
+                for grow in (True, False):
+                    conjugated = {cb.conjugate(nu)
+                                  for nu in sf._strips(cb.conjugate(lam), n, grow)}
+                    assert set(sf._strips(lam, n, grow, True)) == conjugated, (lam, n, grow)
+                    cases += 1
+    assert cases == 3058
+
+
 def _border_strip_sign(outer, inner):
     # (-1)^(rows - 1) when outer/inner is a border strip: inner fits in
     # outer and the skew cells are edge-connected with no 2x2 block; else None
@@ -464,7 +478,9 @@ def test_monomial_products_of_degree_6_to_8_match_the_dominant_oracle():
         for a in range(d + 1):
             for lam in partitions_of(a):
                 for mu in partitions_of(d - a):
-                    want = sf.dominant_product(expanded[lam], expanded[mu], (d,))
+                    want = sf.dominant_product(_dominant_part(expanded[lam]),
+                                               _dominant_part(expanded[mu]), (d,), d)
+                    assert want == _dominant_part(sf.poly_mult(expanded[lam], expanded[mu]))
                     got = sf.multiply(be(M, lam), be(M, mu))
                     assert sf.dominant_expand(got, d) == want, (lam, mu)
 
@@ -701,7 +717,8 @@ def test_dominant_product_is_poly_mult_at_weakly_decreasing_exponents():
         polys += [random_symmetric(nvars) for _ in range(5)]
         for i, P in enumerate(polys):
             for Q in polys[i:]:
-                assert sf.dominant_product(P, Q, _product_degrees(P, Q)) == \
+                assert sf.dominant_product(_dominant_part(P), _dominant_part(Q),
+                                           _product_degrees(P, Q), nvars) == \
                     _dominant_part(sf.poly_mult(P, Q))
     # dominant_expand is monomial_expand restricted the same way
     for text, nvars in (('s[2,1] - 2 e[3]', 3), ('h[2] + p[1]', 2), ('m[3,1,1]', 4)):
@@ -723,7 +740,8 @@ def test_product_oracle_verdicts_agree_on_the_default_pairs():
                 continue
             P, Q = expanded[(b1, lam)], expanded[(b2, mu)]
             full = sf.poly_mult(P, Q)
-            dominant = sf.dominant_product(P, Q, (d,))
+            dominant = sf.dominant_product(sf.dominant_expand(be(b1, lam), nvars),
+                                           sf.dominant_expand(be(b2, mu), nvars), (d,), nvars)
             assert dominant == _dominant_part(full)
             prod = sf.multiply(be(b1, lam), be(b2, mu))
             for candidate in (prod, prod + be(M, rng.choice(partitions_of(d)))):
@@ -813,13 +831,14 @@ def test_oracle_shares_no_kernel_with_sym(monkeypatch):
     products = [sf.poly_mult(polys[i], polys[j]) for i, j in pairs]
     dominant = [sf.dominant_expand(f, n) for f, n in elems]
     degrees = [_product_degrees(polys[i], polys[j]) for i, j in pairs]
-    dominant_products = [sf.dominant_product(polys[i], polys[j], n)
+    dominant_products = [sf.dominant_product(dominant[i], dominant[j], n, elems[i][1])
                          for (i, j), n in zip(pairs, degrees)]
+    assert dominant_products == [_dominant_part(poly) for poly in products]
     _block_sym_kernels(monkeypatch)
     assert [sf.monomial_expand(f, n) for f, n in elems] == polys
     assert [sf.poly_mult(polys[i], polys[j]) for i, j in pairs] == products
     assert [sf.dominant_expand(f, n) for f, n in elems] == dominant
-    assert [sf.dominant_product(polys[i], polys[j], n)
+    assert [sf.dominant_product(dominant[i], dominant[j], n, elems[i][1])
             for (i, j), n in zip(pairs, degrees)] == dominant_products
 
 
