@@ -399,7 +399,8 @@ def _case_bm_idempotents(max_n):
 def _case_bm_rank_one(max_n):
     for n in range(1, max_n + 1):
         for elem, name in ((bm.symmetrizer(n), 'e'), (bm.antisymmetrizer(n), "e'")):
-            if bm.matrix_rank(bm.right_mult_matrix(elem)) != 1:
+            # n! times the average has integer entries and the same rank
+            if bm.matrix_rank(bm.right_mult_matrix(math.factorial(n) * elem)) != 1:
                 raise VerificationFailure(f'right multiplication by {name}({n}) is not rank one')
     return f'right multiplication by either average has rank 1 for n <= {max_n}'
 

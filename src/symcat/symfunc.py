@@ -43,13 +43,14 @@ row, m -> e among them, composes two of these through s.
 Delta(h_lam), multiplicative from Delta(h_n) = sum_i h_i (x) h_(n-i), is
 one more row of the same table, h -> h (x) h, keyed by pairs of ranks.  A
 sum of rows, sum c_lam X_lam in basis Y (`_sum_rows`), ends nearly every
-answer, `coproduct` included; on a degree dense enough to pay it is taken
-on packed ints (Kronecker substitution): each row is one int with a signed
-64-bit slot per partition (per pair of partitions for Delta), so the sum
-is one big-int multiply-add per term, read back once per degree.  The slot
-bound sum |c| max|row| < 2^63 is checked before each packed sum; sparse,
-rational and over-bound sums take the dict loop.  A bilinear sum, sum a_lam
-b_mu K(lam, mu), runs through `_pair_sum` over an m-product or Schur kernel.
+answer, `coproduct` included; a sum of one degree dense enough to pay is
+taken on packed ints (Kronecker substitution): each row is one int with a
+signed 64-bit slot per partition (per pair of partitions for Delta), so the
+sum is one big-int multiply-add per term, read back once.  The slot bound
+sum |c| max|row| < 2^63 is checked before each packed sum; sparse,
+multi-degree, rational and over-bound sums take the dict loop.  A bilinear
+sum, sum a_lam b_mu K(lam, mu), runs through `_pair_sum` over an m-product
+or Schur kernel.
 
 `monomial_expand` maps elements to honest polynomials in x_1..x_n and, with
 `poly_mult`, is the oracle the product routines are tested against.  It
@@ -87,7 +88,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, groupby, product
+from itertools import compress, product
 from operator import mul, sub
 
 from .combinatorics import (
@@ -310,41 +311,28 @@ def _strips(lam, n, grow, vertical=False):
     A horizontal strip has at most one box per column: the two shapes
     interlace, outer_1 >= inner_1 >= outer_2 >= ..., so row i moves by at
     most lam_i - lam_(i+1) boxes, and a growing strip may also lengthen the
-    first row freely and open one new row.  A vertical strip has at most one
-    box per row: in each block of equal parts of lam, a prefix of the rows
-    grows (a suffix shrinks) by one box, and a growing strip may also open
-    new rows of length 1.  These are the Pieri rules: h_n s_lam and e_n s_lam
-    sum s_nu over the horizontal and vertical strips grown on lam.
+    first row freely and open one new row.  A vertical strip (at most one
+    box per row) is a horizontal strip of the conjugate shapes, since omega
+    swaps h_n and e_n and sends s_lam to s_lam'.  These are the Pieri rules:
+    h_n s_lam and e_n s_lam sum s_nu over the horizontal and vertical strips
+    grown on lam.
     """
-    out = []
-    if vertical:  # units are the blocks (a, m) of m parts a; t rows of one move
-        units = [(a, len(list(same))) for a, same in groupby(lam)]
-        if grow:
-            units.append((0, n))  # the new rows, of length 1 when moved
-        caps = [m for _a, m in units]
-
-        def fill(i, left, head):  # head holds the rows of the units before i
-            if not left:
-                out.append(tuple(x for x in head + lam[len(head):] if x))
-            elif room[i] >= left:
-                a, m = units[i]
-                for t in range(min(m, left) + 1):
-                    fill(i + 1, left - t, head + ((a + 1,) * t + (a,) * (m - t) if grow
-                                                  else (a,) * (m - t) + (a - 1,) * t))
-    else:  # units are the rows; one moves by t boxes
-        caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
-        rows, sign = (lam + (0,), 1) if grow else (lam, -1)
-        if grow:
-            caps.insert(0, n)
-
-        def fill(i, left, head):
-            if not left:
-                out.append(tuple(x for x in head + rows[i:] if x))
-            elif room[i] >= left:
-                for t in range(min(caps[i], left) + 1):
-                    fill(i + 1, left - t, head + (rows[i] + sign * t,))
-
+    if vertical:
+        return tuple(conjugate(nu) for nu in _strips(conjugate(lam), n, grow))
+    caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
+    rows, sign = (lam + (0,), 1) if grow else (lam, -1)
+    if grow:
+        caps.insert(0, n)
     room = [sum(caps[i:]) for i in range(len(caps) + 1)]
+    out = []
+
+    def fill(i, left, head):
+        if not left:
+            out.append(tuple(x for x in head + rows[i:] if x))
+        elif room[i] >= left:
+            for t in range(min(caps[i], left) + 1):
+                fill(i + 1, left - t, head + (rows[i] + sign * t,))
+
     fill(0, n, ())
     return tuple(out)
 
@@ -565,24 +553,21 @@ def _sum_rows(coeffs, src, dst):
     """sum c X_lam over the items lam -> c of coeffs (X = src), in basis dst;
     into p (from another basis) the sum of the pairings <X_lam, p_rho>.
 
-    A degree of coeffs that is dense enough, with int coefficients under
-    the slot bound, is summed as packed rows (`_add_packed`); the rest row
-    by row in a dict.  Unchecked: a rational coefficient passes, and a
-    cancelled term may stay as a zero (the dict loop) or be left out (a
-    packed sum), which `SymFunc._new` drops either way; with src = dst it
-    is coeffs itself.  Rational powersum coefficients are scaled to ints by
-    the least common multiple of their denominators, which divides each sum
-    once.
+    A sum of one degree that `_add_packed` takes -- dense enough, with int
+    coefficients under the slot bound -- is summed as packed rows; any
+    other sum, one of several degrees or with a rational coefficient among
+    them, row by row in a dict.  Unchecked: a rational coefficient passes,
+    and a cancelled term may stay as a zero (the dict loop) or be left out
+    (a packed sum), which `SymFunc._new` drops either way; with src = dst
+    it is coeffs itself.
     """
     if src == dst:
         return coeffs
-    den = math.lcm(*(c.denominator for c in coeffs.values())) if src == 'p' else 1
-    if den > 1:
-        ints = {lam: c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
-        return {mu: Fraction(t, den) for mu, t in _sum_rows(ints, src, dst).items()}
     out = {}
     if len(coeffs) >= _PACK_MIN_ROWS:
-        coeffs = _packed_part(coeffs, src, dst, out)
+        degrees = set(map(sum, coeffs))
+        if len(degrees) == 1 and _add_packed(coeffs, degrees.pop(), src, dst, out):
+            return out
     get = out.get
     for lam, c in coeffs.items():
         for mu, k in _row(src, dst, lam):
@@ -663,23 +648,6 @@ def _packed_row(src, dst, lam):
     MB and the 508 of size <= 14 5.7 MB.
     """
     return _pack(_row(src, dst, lam), _row_layout(dst == _TENSOR, sum(lam)))
-
-
-def _packed_part(coeffs, src, dst, out):
-    """Add to out the packed sum of each degree of coeffs that `_add_packed`
-    takes, and return the items left for the dict loop: coeffs itself when
-    no degree is taken.  Callers skip it below _PACK_MIN_ROWS terms."""
-    degrees = set(map(sum, coeffs))
-    if len(degrees) == 1:
-        return {} if _add_packed(coeffs, degrees.pop(), src, dst, out) else coeffs
-    by_degree = {}
-    for lam, c in coeffs.items():
-        by_degree.setdefault(sum(lam), {})[lam] = c
-    rest = {}
-    for n, part in by_degree.items():
-        if not _add_packed(part, n, src, dst, out):
-            rest.update(part)
-    return rest
 
 
 def _add_packed(part, n, src, dst, out):

@@ -57,10 +57,6 @@ class WeylElement(LinComb):
         return f'WeylElement({render_weyl(self)!r})'
 
 
-def unit():
-    return WeylElement({(0, 0): 1})
-
-
 class PolyVector(LinComb):
     """Integer vector in one of the two polynomial lattices."""
 

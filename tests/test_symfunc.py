@@ -199,40 +199,31 @@ def _cells(lam):
     return {(i, j) for i, part in enumerate(lam) for j in range(part)}
 
 
-def _is_strip(outer, inner, vertical):
-    # inner fits in outer and the skew cells share no column (no row if vertical)
-    big, small = _cells(outer), _cells(inner)
-    lines = [i if vertical else j for i, j in big - small]
-    return small <= big and len(lines) == len(set(lines))
+def _strip_kinds(big, small):
+    # (horizontal, vertical) for the cell sets of outer and inner shapes:
+    # inner fits in outer and the skew cells share no column (no row)
+    if not small <= big:
+        return False, False
+    skew = big - small
+    rows, cols = {i for i, _ in skew}, {j for _, j in skew}
+    return len(cols) == len(skew), len(rows) == len(skew)
 
 
 def test_strips_match_a_brute_force_filter():
-    for d in range(9):
-        for lam in partitions_of(d):
-            for n in range(9):
-                for vertical in (False, True):
-                    grown = sf._strips(lam, n, True, vertical)
-                    assert len(grown) == len(set(grown))
-                    assert set(grown) == {nu for nu in partitions_of(d + n)
-                                          if _is_strip(nu, lam, vertical)}
-                    removed = sf._strips(lam, n, False, vertical)
-                    assert len(removed) == len(set(removed))
-                    assert set(removed) == {nu for nu in (partitions_of(d - n) if n <= d else ())
-                                            if _is_strip(lam, nu, vertical)}
-
-
-def test_vertical_strips_are_the_horizontal_strips_of_the_conjugate():
-    # the block rule against the horizontal strips of the conjugate, as sets
-    cases = 0
+    cells = {lam: _cells(lam) for d in range(21) for lam in partitions_of(d)}
     for d in range(11):
         for lam in partitions_of(d):
             for n in range(11):
-                for grow in (True, False):
-                    conjugated = {cb.conjugate(nu)
-                                  for nu in sf._strips(cb.conjugate(lam), n, grow)}
-                    assert set(sf._strips(lam, n, grow, True)) == conjugated, (lam, n, grow)
-                    cases += 1
-    assert cases == 3058
+                kinds = {nu: _strip_kinds(cells[nu], cells[lam]) for nu in partitions_of(d + n)}
+                kinds_down = {nu: _strip_kinds(cells[lam], cells[nu])
+                              for nu in (partitions_of(d - n) if n <= d else ())}
+                for vertical in (False, True):
+                    grown = sf._strips(lam, n, True, vertical)
+                    assert len(grown) == len(set(grown))
+                    assert set(grown) == {nu for nu, k in kinds.items() if k[vertical]}
+                    removed = sf._strips(lam, n, False, vertical)
+                    assert len(removed) == len(set(removed))
+                    assert set(removed) == {nu for nu, k in kinds_down.items() if k[vertical]}
 
 
 def _border_strip_sign(outer, inner):
@@ -971,27 +962,29 @@ def test_packed_sums_keep_rational_empty_and_inhomogeneous_inputs_exact(packed_s
     rng = random.Random(5)
     lams10 = partitions_of(10)
     assert sf._sum_rows({}, S, M) == {}
-    # rational powersum coefficients are scaled to ints, summed packed, divided once
+    # rational powersum coefficients take the dict loop, exactly
     coeffs = {lam: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for lam in lams10}
+    assert any(c.denominator > 1 for c in coeffs.values())
     for dst in (M, E, H, S):
         want = _dict_sum(coeffs, P, dst)
         del packed_sums[:]
-        got = sf._sum_rows(coeffs, P, dst)
-        assert _nonzero(got) == want
-        assert packed_sums == [10] and all(type(c) is Fraction for c in got.values())
+        assert _nonzero(sf._sum_rows(coeffs, P, dst)) == want
+        assert packed_sums == []
     # integral Fractions (as a literal parses) are not ints: the dict loop
     coeffs = {lam: Fraction(rng.randint(-5, 5)) for lam in lams10}
     want = _dict_sum(coeffs, S, H)
     del packed_sums[:]
     assert _nonzero(sf._sum_rows(coeffs, S, H)) == want
     assert packed_sums == []
-    # a dense degree packs, a sparse one beside it takes the loop
-    coeffs = {lam: rng.randint(1, 4) for lam in lams10[::2] + partitions_of(3)}
+    # a dense degree alone packs; beside a sparse degree the whole sum takes the loop
+    dense = {lam: rng.randint(1, 4) for lam in lams10[::2]}
+    mixed = {**dense, **dict.fromkeys(partitions_of(3), 2)}
     for src, dst in ((S, M), (M, E), (E, P)):
-        want = _dict_sum(coeffs, src, dst)
-        del packed_sums[:]
-        assert _nonzero(sf._sum_rows(coeffs, src, dst)) == want
-        assert packed_sums == [10]
+        for coeffs, taken in ((dense, [10]), (mixed, [])):
+            want = _dict_sum(coeffs, src, dst)
+            del packed_sums[:]
+            assert _nonzero(sf._sum_rows(coeffs, src, dst)) == want
+            assert packed_sums == taken
 
 
 def test_packed_coproduct_of_inhomogeneous_and_rational_elements(packed_sums, monkeypatch):
@@ -1006,13 +999,17 @@ def test_packed_coproduct_of_inhomogeneous_and_rational_elements(packed_sums, mo
         return true_packed(src, dst, lam)
 
     monkeypatch.setattr(sf, '_packed_row', packed_row)
-    # the dense element's Delta is summed packed at degrees 8 and 10; the
-    # rational one has Fraction coefficients in h, so its Delta is not
-    for f, degrees in ((dense, {8, 10}), (rational, set())):
+    # neither Delta is summed packed: the dense element spans four degrees,
+    # and the rational one has Fraction coefficients in h
+    for f in (dense, rational):
         assert len(f.homogeneous_parts()) > 1
         del reads[:]
         assert sf.coproduct(f) == _coproduct_by_partition_pairs(f), sf.render(f)
-        assert set(map(sum, reads)) == degrees
+        assert reads == []
+    # the degree-10 part of the dense element alone is
+    top = sf.parse_symfunc('m[4,3,2,1] - 2 m[5,5]')
+    assert sf.coproduct(top) == _coproduct_by_partition_pairs(top)
+    assert set(map(sum, reads)) == {10}
 
 
 ##########################
