@@ -44,7 +44,6 @@ from .combinatorics import (
     perm_inverse,
     perm_length,
     perm_mult,
-    perm_table,
     render_permutation,
     right_composer,
     transposition,
@@ -437,31 +436,32 @@ def _slice_ranks(path_below, path_above, slice_, r):
 
 @memo(1 << 8)
 def _slice_table(levels, slice_):
-    """One slice on the path with these levels: a list by domain rank whose entry r
-    is None until a path first reaches r, then filled by `_fill`, so a slice
-    rewrites a basis tensor once across diagrams, sides and queries.
-    The bound counts tables: `verify-all` at its defaults reads 183 and
-    `bimod verify-relations --max-level 4` 58, the largest of 5,040 entries.
+    """One slice on the path with these levels: a dict from the domain ranks that
+    paths have reached to their images, each entry made by `_fill` at its first
+    read, so a slice rewrites a basis tensor once across diagrams, sides and
+    queries.  The bound counts tables: `verify-all` at its defaults reads 183 of
+    1,108 entries in all, and `bimod verify-relations --max-level 4` 58 of 1,029.
     """
-    return [None] * BimodulePath(levels).size
+    return {}
 
 
 def _fill(table, path_below, path_above, slice_, r):
-    """Fill table[r], and first its generator's entry.  A slice is right A_n-linear
-    (n the base): tensor r = c n! + j, generator c n! (free factor 1) times w_j of
-    rank j, maps to the generator's images, each free factor times w_j.  So only
-    a generator runs `_slice_ranks`: `verify-all` at its defaults walks 872
-    entries and derives 236, `bimod verify-relations --max-level 4` walks
-    1,029 and derives none.
+    """Enter and return table[r], and first its generator's entry.  A slice is right
+    A_n-linear (n the base): tensor r = c n! + j, generator c n! (free factor 1)
+    times w_j of rank j, maps to the generator's images, each free factor times
+    w_j, read off `_unrank` and ranked again by `_rank`.  So only a generator runs
+    `_slice_ranks`: `verify-all` at its defaults walks 872 entries and derives 236,
+    `bimod verify-relations --max-level 4` walks 1,029 and derives none.
     """
-    size = math.factorial(path_below.base)
-    gen = r - r % size
-    if table[gen] is None:
-        table[gen] = _slice_ranks(path_below, path_above, slice_, gen)
+    gen = r - r % math.factorial(path_below.base)
+    images = table.get(gen)
+    if images is None:
+        images = table[gen] = _slice_ranks(path_below, path_above, slice_, gen)
     if r != gen:
-        perms, rank = perm_table(path_below.base)[:2]
-        times = right_composer(perms[r - gen])
-        table[r] = tuple(c - c % size + rank[times(perms[c % size])] for c in table[gen])
+        times = right_composer(_unrank(path_below, r)[-1])
+        images = table[r] = tuple(_rank(path_above, t[:-1] + (times(t[-1]),))
+                                  for t in (_unrank(path_above, c) for c in images))
+    return images
 
 
 def _clean_row(pairs):
@@ -576,12 +576,11 @@ def _rows(m, dom_path, step):
         for q, sl in enumerate(diag.slices):
             above = path_from_signature(diag.sig_below(q + 1), dom_path.base)
             table = _slice_table(path.levels, sl)
-            images = list(map(table.__getitem__, ends))
-            if None in images:
-                for r in ends:
-                    if table[r] is None:
-                        _fill(table, path, above, sl, r)
+            try:
                 images = list(map(table.__getitem__, ends))
+            except KeyError:
+                images = [table[r] if r in table else _fill(table, path, above, sl, r)
+                          for r in ends]
             path = above
             counts = list(map(len, images))
             if counts.count(1) != len(counts):
@@ -617,13 +616,13 @@ def matrix_text(rep):
 LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
 
 # Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation
-# follows only the generator rows of each side, (n+3)!/n! = (n+1)(n+2)(n+3) for the
-# braid family.  `bimod verify-relations --max-level 4` takes 0.2 s and 18 MB
-# ru_maxrss, nearly all start-up; the braid, by a direct call, 0.008 s of CPU at
-# level 4, 0.009 s at level 5 and 0.021 s and 23 MB at level 6.  mackey_check:
-# `bimod mackey --k 5` takes 0.08-0.09 s, nearly all start-up, and k = 6 by a
-# direct call 0.045 s.  A higher ceiling changes error exits that CI compares,
-# so each raise is a change of its own.
+# follows only the generator rows of each side, (n+1)(n+2)(n+3) for the braid, and
+# its slice tables key only the ranks those rows reach.  `bimod verify-relations
+# --max-level 4` takes 0.13-0.15 s and 17 MB ru_maxrss, nearly all start-up; past the
+# ceiling, by direct calls, the four families take 0.04-0.05 s of CPU at level 8 and
+# 0.10 s at level 12, in 17-18 MB.  mackey_check: `bimod mackey --k 5` takes 0.08-0.09 s,
+# nearly all start-up, and k = 6 by a direct call 0.045 s.  A higher ceiling changes
+# error exits that CI compares, so each raise is a change of its own.
 MAX_LEVEL = 4
 MAX_K = 5
 
@@ -668,7 +667,7 @@ def _identity_minus_cap_cup():
     return _relation_morphism('sig:DU') - cap_cup
 
 
-def verify_local_relation(rel, n, max_level=3):
+def verify_local_relation(rel, n):
     """Check one graphical relation family as exact matrices at base rank n.
 
     Families: 'up-double' (double crossing on two up strands = identity),
@@ -680,9 +679,8 @@ def verify_local_relation(rel, n, max_level=3):
     """
     if rel not in LOCAL_RELATIONS:
         raise ValueError(f'unknown relation {rel!r}; choose from {LOCAL_RELATIONS}')
-    top = min(max_level, MAX_LEVEL)
-    if not 0 <= n <= top:
-        raise BoundExceeded(f'level {n} outside 0..{top}')
+    if not 0 <= n <= MAX_LEVEL:
+        raise BoundExceeded(f'level {n} outside 0..{MAX_LEVEL}')
     report = Report(relation=rel, level=n)
     step = math.factorial(n)
 
@@ -728,7 +726,7 @@ def verify_local_relation(rel, n, max_level=3):
 def verify_local_relations(relations, max_level):
     """The entries of verify_local_relation for each family at levels 0..max_level."""
     return [entry for rel in relations for level in range(max_level + 1)
-            for entry in verify_local_relation(rel, level, max_level=max_level)]
+            for entry in verify_local_relation(rel, level)]
 
 
 def mackey_check(k):

@@ -314,7 +314,8 @@ def perm_table(n: int) -> PermTable:
     dict and `length`s, the ranks of s_j w (`left[j]`) and w s_j (`right[j]`), the
     same rows with None for a nilCoxeter product 0 (`nil_left`, `nil_right`), and
     `slide[j, i]` = (i', the left steps that build rho, in order) for s_j r_i = r_i' rho,
-    r_i = coset_rep(i, n) and rho in S_{n-1}.  The bound holds S_0 ... S_7.
+    r_i = coset_rep(i, n) and rho in S_{n-1}.  `coset_split` is its only reader,
+    and the bound holds S_0 ... S_7.
 
     >>> t = perm_table(3)
     >>> t.perms[t.left[1][t.rank[(1, 3, 2)]]], t.length[5], t.nil_left[1][t.rank[(2, 1, 3)]]

@@ -305,7 +305,7 @@ def _concat(a, b):
 
 
 @memo(1 << 12)
-def _strips(lam, n, grow, vertical=False):
+def _strips(lam, n, grow, vertical):
     """The partitions nu with nu/lam (grow) or lam/nu (not grow) an n-strip.
 
     A horizontal strip has at most one box per column: the two shapes
@@ -318,7 +318,7 @@ def _strips(lam, n, grow, vertical=False):
     grown on lam.
     """
     if vertical:
-        return tuple(conjugate(nu) for nu in _strips(conjugate(lam), n, grow))
+        return tuple(conjugate(nu) for nu in _strips(conjugate(lam), n, grow, False))
     caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
     rows, sign = (lam + (0,), 1) if grow else (lam, -1)
     if grow:
@@ -458,7 +458,7 @@ def _row(src, dst, lam):
         # parts of mu, so K_{lam,(r,)+mu} = sum of K_{kappa,mu} over them
         out = {} if lam else {(): 1}
         for r in range(1, sum(lam[:1]) + 1):
-            for kappa in _strips(lam, r, False):
+            for kappa in _strips(lam, r, False, False):
                 for mu, k in _row('s', 'm', kappa):
                     if not mu or mu[0] <= r:
                         out[(r,) + mu] = out.get((r,) + mu, 0) + k

@@ -141,29 +141,18 @@ def weyl_apply(u, v):
 
     Monomial lattice: x shifts n -> n+1; d sends the basis vector at n to
     n times the one at n-1.  Divided powers: x sends the basis vector at n
-    to (n+1) times the one at n+1; d shifts n -> n-1.
+    to (n+1) times the one at n+1; d shifts n -> n-1.  So x^a d^b sends the
+    basis vector at n to n - b + a, or to 0 when b > n, with the factor
+    n!/(n-b)! on monomials and (n-b+a)!/(n-b)! on divided powers.
     """
+    monomials = v.lattice == MONOMIALS
     out = {}
     for (a, b), c in u.coeffs.items():
         for n, cn in v.coeffs.items():
-            # apply d^b then x^a to the basis vector at n
-            m = n
-            scale = 1
-            if v.lattice == MONOMIALS:
-                for _ in range(b):
-                    scale *= m
-                    m -= 1
-                if scale == 0:
-                    continue
-                m += a
-            else:
-                m -= b
-                if m < 0:
-                    continue
-                for _ in range(a):
-                    m += 1
-                    scale *= m
-            out[m] = out.get(m, 0) + c * cn * scale
+            if b <= n:
+                m = n - b + a
+                scale = math.perm(n, b) if monomials else math.perm(m, a)
+                out[m] = out.get(m, 0) + c * cn * scale
     return PolyVector._new(v.lattice, out)
 
 

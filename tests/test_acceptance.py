@@ -222,8 +222,7 @@ def test_criterion_09_graphical_relations_in_bimodule_model():
     entries = []
     for relation in bm.LOCAL_RELATIONS:
         for level in range(4):
-            entries.extend(bm.verify_local_relation(relation, level,
-                                                    max_level=3))
+            entries.extend(bm.verify_local_relation(relation, level))
     failures = [e for e in entries if not e['pass']]
     assert entries and not failures, failures
     curl_checks = {e['check'] for e in entries

@@ -218,7 +218,7 @@ def test_verify_local_relation_families():
             report = bm.verify_local_relation(rel, n)
             assert all(entry['pass'] for entry in report)
     with pytest.raises(BoundExceeded):
-        bm.verify_local_relation('braid', 4)
+        bm.verify_local_relation('braid', bm.MAX_LEVEL + 1)
     with pytest.raises(ValueError):
         bm.verify_local_relation('bogus', 1)
 
@@ -256,10 +256,9 @@ def test_mackey_ceiling():
 
 
 def test_local_relation_level_ceiling():
-    # a caller's larger max_level does not lift the fixed ceiling
     assert bm.MAX_LEVEL == 4
     with pytest.raises(BoundExceeded, match='outside 0..4'):
-        bm.verify_local_relation('up-double', bm.MAX_LEVEL + 1, max_level=9)
+        bm.verify_local_relation('up-double', bm.MAX_LEVEL + 1)
     from symcat import cases
     with pytest.raises(BoundExceeded):
         cases.run_case('bimodel/local-relations', max_level=bm.MAX_LEVEL + 1)
@@ -724,7 +723,7 @@ def test_kernel_memos_are_bounded(fresh_memos):
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
     # both sides of the level-2 braid read one x1 and one x2 table of its 5! basis
     # tensors; they follow only the paths from the 60 generator ranks (free factor
-    # 1), so a table is filled at its generator ranks and where those paths reach
+    # 1), so a table keys exactly its generator ranks and the ranks those paths reach
     info = bm._slice_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
     levels = bm.path_from_signature('UUU', 2).levels
@@ -737,21 +736,18 @@ def test_kernel_memos_are_bounded(fresh_memos):
             reached[j] |= ends
             ends = {end for r in ends for end in tables[j][r]}
     for j, table in tables.items():
-        assert len(table) == 120
-        assert {r for r, images in enumerate(table) if images is not None} == reached[j]
-        assert None in table
+        assert set(table) == reached[j]
 
 
 def test_slice_tables_keep_their_table_bound(fresh_memos):
     bm.diagram_to_map(mor('sig:; cup+1; cap+1'), 2)
     assert bm._slice_table.cache_info().currsize == 2
     cup = bm._slice_table((2,), ('cup+', 1))
-    assert len(cup) == 2 and None not in cup
-    # a table is filled only where it is read: the cap on DU (3 * 2! tensors) at
+    assert set(cup) == {0, 1}
+    # a table keys only the ranks that are read: the cap on DU (3 * 2! tensors) at
     # the two images of the cup
     cap = bm._slice_table((2, 3, 2), ('cap+', 1))
-    assert len(cap) == 6 and cap.count(None) == 4
-    assert [cap[r] for r in itertools.chain.from_iterable(cup)] == [(0,), (1,)]
+    assert cap == dict(zip(itertools.chain(cup[0], cup[1]), [(0,), (1,)]))
     # the bound counts tables, whatever their sizes, and drops the least recently read
     assert bm._slice_table.cache_info().maxsize == 256
     for j in range(255):
@@ -759,6 +755,41 @@ def test_slice_tables_keep_their_table_bound(fresh_memos):
     assert bm._slice_table.cache_info().currsize == 256
     assert bm._slice_table((2, 3, 2), ('cap+', 1)) is cap
     assert bm._slice_table((2,), ('cup+', 1)) is not cup
+
+
+def test_local_relations_pass_at_level_12_on_the_reached_ranks(monkeypatch):
+    # past the ceiling, the tables of the 3 * 10^12 tensors of the level-12 paths
+    # hold only the entries that the generator paths reach: about two per
+    # generator of UUU, (n+1)(n+2)(n+3) = 2,730 of them
+    tables = {}
+    monkeypatch.setattr(bm, '_slice_table', lambda levels, sl: tables.setdefault((levels, sl), {}))
+    monkeypatch.setattr(bm, 'MAX_LEVEL', 12)
+    for rel in bm.LOCAL_RELATIONS:
+        assert all(entry['pass'] for entry in bm.verify_local_relation(rel, 12))
+    assert len(tables) == 12
+    assert sum(map(len, tables.values())) <= 3 * 13 * 14 * 15
+
+
+def test_derived_entries_match_the_walk_at_bases_5_to_8(fresh_memos):
+    # an entry off the generators, derived from its generator's images, against the
+    # tuple walk of the same tensor, on every slice of every signature of up to 2
+    # strands, at the bases where deriving read S_n whole before
+    rng = random.Random(39)
+    checks = 0
+    for sig in ('', 'U', 'D', 'UU', 'UD', 'DU', 'DD'):
+        for sl in _slices_on(sig):
+            for base in range(5, 9):
+                below = bm.path_from_signature(sig, base)
+                above = bm.path_from_signature(dg._apply_slice(sig, sl), base)
+                size = math.factorial(base)
+                for _ in range(3):
+                    r = rng.randrange(below.size // size) * size + rng.randrange(1, size)
+                    table = {}
+                    assert bm._fill(table, below, above, sl, r) == \
+                        bm._slice_ranks(below, above, sl, r), (sig, sl, base, r)
+                    assert set(table) == {r - r % size, r}
+                    checks += 1
+    assert checks == 480
 
 
 def test_local_relation_catches_a_wrong_canonical_slot(fresh_memos, monkeypatch):

@@ -421,9 +421,9 @@ FAULT_ROWS = [
      'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},
      'm[1] * m[1] disagrees with the polynomial product'),
     (sf, '_strips', ((1,), 1, True, False),  # the horizontal 1-strips grown on s1
-     lambda strips: strips[:1],  # without (2,), so s1 h1 = s11
-     'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},
-     'm[] * h[1, 1] disagrees with the polynomial product'),
+     lambda strips: strips[:1],  # without (2,), so s1 h1 = s11; the vertical ones are
+     'symfunc/product-oracle', {'max_degree': 5, 'nvars': 10},  # their conjugates, so
+     'm[] * e[1, 1] disagrees with the polynomial product'),  # s1 e1 = s2 fails first
     (sf, '_row', ('e', 'h', (2, 1)),  # e21 = h111 - 2 h21 + h3, which is e3: the
      lambda items: (((3,), 1), ((2, 1), -2), ((1, 1, 1), 1)),  # antipode reads it
      'symfunc/antipode-axiom', {'max_degree': 5}, 'antipode axiom fails on m[3]'),

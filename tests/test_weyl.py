@@ -91,6 +91,29 @@ def test_divided_power_action():
             assert wy.weyl_apply(D, rn) == mono(wy.DIVIDED_POWERS, n - 1)
 
 
+def _step(letter, lattice, n, c):
+    """One x or d on c times the basis vector at n, as (degree, coefficient), or
+    None for 0: the definitions of the two lattice actions."""
+    if letter == 'x':
+        return n + 1, c * (n + 1 if lattice == wy.DIVIDED_POWERS else 1)
+    if n:
+        return n - 1, c * (n if lattice == wy.MONOMIALS else 1)
+    return None
+
+
+def test_apply_matches_single_steps():
+    # x^a d^b in closed form against b d steps, then a x steps, one at a time;
+    # the vector dies exactly when b > n
+    for lattice in (wy.MONOMIALS, wy.DIVIDED_POWERS):
+        for a, b, n in itertools.product(range(7), range(7), range(13)):
+            state = (n, 1)
+            for letter in 'd' * b + 'x' * a:
+                state = state and _step(letter, lattice, *state)
+            want = wy.PolyVector(lattice, dict([state]) if state else {})
+            assert wy.weyl_apply(wy.WeylElement({(a, b): 1}), mono(lattice, n)) == want
+            assert (state is None) == (b > n)
+
+
 def test_pairing_pinned():
     assert wy.weyl_pairing(mono(wy.MONOMIALS, 2), mono(wy.DIVIDED_POWERS, 2)) == 1
     assert wy.weyl_pairing(mono(wy.MONOMIALS, 2), mono(wy.DIVIDED_POWERS, 3)) == 0
