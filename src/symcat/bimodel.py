@@ -12,7 +12,8 @@ their integer rank in the canonical basis.  Such a map is right
 A_n-linear (n the base), so it is fixed by its rows at the generators, the
 tensors whose free factor is 1: a slice rewrites only those by the tuple
 walk and derives the rest, and verify_local_relation replays the graphical
-relations as identities of such maps on generator rows alone.
+relations, the rows of one table, as identities of such maps on generator
+rows alone.
 mackey_check reads Res Ind = Id + Ind Res off `combinatorics.coset_split`, and
 induced_character_decomposition provides the character-theoretic
 multiplicity oracle.  Arithmetic is integer-first: coefficients are exact,
@@ -48,7 +49,7 @@ from .combinatorics import (
     right_composer,
     transposition,
 )
-from .diagcat import Diagram, Morphism, compose, parse_diagram
+from .diagcat import Diagram, Morphism, parse_diagram
 from .errors import (
     BoundExceeded,
     RankMismatch,
@@ -449,18 +450,22 @@ def _fill(table, path_below, path_above, slice_, r):
     """Enter and return table[r], and first its generator's entry.  A slice is right
     A_n-linear (n the base): tensor r = c n! + j, generator c n! (free factor 1)
     times w_j of rank j, maps to the generator's images, each free factor times
-    w_j, read off `_unrank` and ranked again by `_rank`.  So only a generator runs
-    `_slice_ranks`: `verify-all` at its defaults walks 872 entries and derives 236,
-    `bimod verify-relations --max-level 4` walks 1,029 and derives none.
+    w_j.  The free factor of a rank is its last mixed-radix digit, so an image c
+    becomes c - c % n! plus the rank of its free factor times w_j, both read on the
+    free factor's own path (levels (n,)).  So only a generator runs `_slice_ranks`:
+    `verify-all` at its defaults walks 872 entries and derives 236, `bimod
+    verify-relations --max-level 4` walks 1,029 and derives none.
     """
-    gen = r - r % math.factorial(path_below.base)
+    free = path_from_signature('', path_below.base)
+    size = free.size
+    gen = r - r % size
     images = table.get(gen)
     if images is None:
         images = table[gen] = _slice_ranks(path_below, path_above, slice_, gen)
     if r != gen:
-        times = right_composer(_unrank(path_below, r)[-1])
-        images = table[r] = tuple(_rank(path_above, t[:-1] + (times(t[-1]),))
-                                  for t in (_unrank(path_above, c) for c in images))
+        times = right_composer(_unrank(free, r % size)[0])
+        images = table[r] = tuple(c - c % size + _rank(free, (times(_unrank(free, c % size)[0]),))
+                                  for c in images)
     return images
 
 
@@ -613,7 +618,29 @@ def matrix_text(rep):
 # relation checking  #
 ######################
 
-LOCAL_RELATIONS = ('up-double', 'braid', 'mixed-double', 'circle-curl')
+# Khovanov's local relations, family by family, as rows (check, left side, right
+# side, detail).  A side is a signed sum of slice scripts: one script, or a tuple
+# of (coefficient, script) pairs.  An identity is the script of an empty diagram,
+# and zero is 0 times one.
+_RELATIONS = {
+    'up-double': (
+        ('up-double', 'sig:UU; x1; x1', 'sig:UU', 'double crossing on UU equals the identity'),
+    ),
+    'braid': (
+        ('braid', 'sig:UUU; x1; x2; x1', 'sig:UUU; x2; x1; x2', 'x1 x2 x1 = x2 x1 x2 on UUU'),
+    ),
+    'mixed-double': (
+        ('du-double', 'sig:DU; x1; x1', ((1, 'sig:DU'), (-1, 'sig:DU; cap+1; cup+1')),
+         'double crossing on DU equals identity minus cap;cup'),
+        ('ud-double', 'sig:UD; x1; x1', 'sig:UD', 'double crossing on UD equals the identity'),
+    ),
+    'circle-curl': (
+        ('ccw-circle', 'sig:; cup+1; cap+1', 'sig:', 'counterclockwise circle acts as 1'),
+        ('left-curl', 'sig:U; cup+1; x2; cap+1', ((0, 'sig:U'),), 'left curl acts as 0'),
+        ('left-curl-mirror', 'sig:U; cup+2; x1; cap+1', ((0, 'sig:U'),), 'left curl acts as 0'),
+    ),
+}
+LOCAL_RELATIONS = tuple(_RELATIONS)
 
 # Ceilings checked before any work, timed on a 2-core VM.  verify_local_relation
 # follows only the generator rows of each side, (n+1)(n+2)(n+3) for the braid, and
@@ -653,29 +680,24 @@ def _compare(lhs, rhs, step, detail):
     return False, detail + '; first difference at '
 
 
-@memo(16)
-def _relation_morphism(text):
-    """A slice script of verify_local_relation, parsed once; its eleven
-    fixed texts are the only keys."""
-    return Morphism.from_diagram(parse_diagram(text))
-
-
-@memo(1)
-def _identity_minus_cap_cup():
-    """The right side of the du-double check, built once."""
-    cap_cup = compose(_relation_morphism('sig:; cup+1'), _relation_morphism('sig:DU; cap+1'))
-    return _relation_morphism('sig:DU') - cap_cup
+@memo(32)
+def _relation_morphism(side):
+    """A side of a `_RELATIONS` row, or a script inside a sum, as a Morphism,
+    parsed once.  The table's sides and the scripts of its sums are the only
+    keys, 16 of them."""
+    if type(side) is str:
+        return Morphism.from_diagram(parse_diagram(side))
+    terms = [c * _relation_morphism(text) for c, text in side]
+    return sum(terms[1:], terms[0])
 
 
 def verify_local_relation(rel, n):
     """Check one graphical relation family as exact matrices at base rank n.
 
-    Families: 'up-double' (double crossing on two up strands = identity),
-    'braid' (crossings satisfy the braid relation), 'mixed-double' (down-up
-    double crossing = identity minus cap;cup, up-down double crossing =
-    identity), 'circle-curl' (counterclockwise circle = 1, left curl = 0).
-    Both sides are right A_n-linear, so only their generator rows are
-    followed and compared (`_generator_rows`).
+    The family's checks are its rows in `_RELATIONS`.  Both sides are right
+    A_n-linear, so only their generator rows are followed and compared
+    (`_generator_rows`).  A check whose side has the zero module as its domain
+    at rank n (UD at level 0) passes vacuously.
     """
     if rel not in LOCAL_RELATIONS:
         raise ValueError(f'unknown relation {rel!r}; choose from {LOCAL_RELATIONS}')
@@ -683,42 +705,13 @@ def verify_local_relation(rel, n):
         raise BoundExceeded(f'level {n} outside 0..{MAX_LEVEL}')
     report = Report(relation=rel, level=n)
     step = math.factorial(n)
-
-    def rows(text):
-        return _generator_rows(_relation_morphism(text), n)
-
-    def identity(sig):
-        return tuple({r: 1} for r in range(0, path_from_signature(sig, n).size, step))
-
-    if rel == 'up-double':
-        report.check('up-double', *_compare(
-            rows('sig:UU; x1; x1'), identity('UU'), step,
-            'double crossing on UU equals the identity'))
-    elif rel == 'braid':
-        report.check('braid', *_compare(
-            rows('sig:UUU; x1; x2; x1'), rows('sig:UUU; x2; x1; x2'), step,
-            'x1 x2 x1 = x2 x1 x2 on UUU'))
-    elif rel == 'mixed-double':
-        report.check('du-double', *_compare(
-            rows('sig:DU; x1; x1'), _generator_rows(_identity_minus_cap_cup(), n), step,
-            'double crossing on DU equals identity minus cap;cup'))
+    for check, left, right, detail in _RELATIONS[rel]:
         try:
-            ud = identity('UD')
+            lhs, rhs = (_generator_rows(_relation_morphism(side), n) for side in (left, right))
         except UnrealizableAtRank:
-            report.check('ud-double', True, 'double crossing on UD equals the identity '
-                                            '(zero module at this rank: vacuous)')
+            report.check(check, True, detail + ' (zero module at this rank: vacuous)')
         else:
-            report.check('ud-double', *_compare(
-                rows('sig:UD; x1; x1'), ud, step,
-                'double crossing on UD equals the identity'))
-    else:
-        report.check('ccw-circle', *_compare(
-            rows('sig:; cup+1; cap+1'), identity(''), step,
-            'counterclockwise circle acts as 1'))
-        zero = ({},) * len(identity('U'))
-        for name, text in (('left-curl', 'sig:U; cup+1; x2; cap+1'),
-                           ('left-curl-mirror', 'sig:U; cup+2; x1; cap+1')):
-            report.check(name, *_compare(rows(text), zero, step, 'left curl acts as 0'))
+            report.check(check, *_compare(lhs, rhs, step, detail))
     return report.close(
         'local relation {relation!r} fails at level {level}: {detail}'.format_map)
 

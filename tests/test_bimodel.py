@@ -223,6 +223,37 @@ def test_verify_local_relation_families():
         bm.verify_local_relation('bogus', 1)
 
 
+def test_relation_morphisms_stay_parsed_across_passes(fresh_memos):
+    # the table's sides and the scripts inside its sums all fit under the bound,
+    # so a second pass over every family and level parses nothing again
+    def one_pass():
+        for rel in bm.LOCAL_RELATIONS:
+            for n in range(bm.MAX_LEVEL + 1):
+                bm.verify_local_relation(rel, n)
+
+    one_pass()
+    misses = bm._relation_morphism.cache_info().misses
+    one_pass()
+    info = bm._relation_morphism.cache_info()
+    assert info.misses == misses
+    assert info.currsize <= info.maxsize
+
+
+def test_relation_rows_are_vacuous_only_at_the_zero_module():
+    vacuous = [(entry['relation'], entry['level'], entry['check'])
+               for rel in bm.LOCAL_RELATIONS for n in range(bm.MAX_LEVEL + 1)
+               for entry in bm.verify_local_relation(rel, n)
+               if entry['detail'].endswith('(zero module at this rank: vacuous)')]
+    assert vacuous == [('mixed-double', 0, 'ud-double')]
+
+
+def test_relation_rows_compare_maps_between_the_same_signatures():
+    for rows in bm._RELATIONS.values():
+        for check, left, right, _detail in rows:
+            lhs, rhs = bm._relation_morphism(left), bm._relation_morphism(right)
+            assert (lhs.domain, lhs.codomain) == (rhs.domain, rhs.codomain), check
+
+
 def test_braid_relation_memory_peak():
     # the 720 x 720 braid maps at level 3 are held as one sparse image per
     # basis tensor, not as dense grids (about 12 MB of tuples)
